@@ -22,7 +22,7 @@ from .graph import (GraphParams, SmoothingOperator, WeightedGraph,
                     build_w_seq, combine, load_operator, normalize,
                     save_operator)
 from .retrieval import Match, PoseEstimate, cosine_knn, infer_pose
-from .smoothing import SmoothConfig, smooth, smooth_dense_oracle
+from .smoothing import SmoothConfig, smooth
 from .synth import SynthConfig, generate_synthetic
 
 __version__ = "0.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "save_operator",
     "save_projection",
     "smooth",
-    "smooth_dense_oracle",
     "sweep_m",
     "write_descriptors",
     "write_metadata",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import os
 import sys
@@ -27,9 +28,9 @@ from .cache import Cache, param_key, sha256_bytes, sha256_file
 from .dataset import (Dataset, filter_reachable_queries, load_dataset,
                       load_descriptors, write_descriptors, write_metadata)
 from .errors import InputError
-from .evaluation import (compute_report, ablation_table_csv, grid_search,
-                         grid_table_csv, query_graph_params, render_report,
-                         run_ablation, sweep_m, sweep_plot_data,
+from .evaluation import (REGIMES, ablation_table_csv, compute_report,
+                         grid_search, grid_table_csv, regime_descriptors,
+                         render_report, run_ablation, sweep_m, sweep_plot_data,
                          sweep_table_csv, write_report_csv, write_report_json)
 from .features import (apply_projection, fit_projection, l2_normalize,
                        load_projection, save_projection)
@@ -362,12 +363,12 @@ def _prepare(config: RunConfig, cache: Cache) -> tuple[Dataset, Dataset, dict]:
 
 
 def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
-                          m: int, meta_sha: str, cache: Cache,
-                          info: dict) -> np.ndarray:
-    """Cached graph build + smoothing for one side of the retrieval."""
+                          m: int, *, cache: Cache, info: dict) -> np.ndarray:
+    """Cached graph build + smoothing for one side of the retrieval; the
+    smoother `run` hands to evaluation.regime_descriptors."""
     desc_sha = _array_digest(dataset.descriptors)
     graph_key = param_key({
-        "metadata": meta_sha,
+        "metadata": info["input_sha256"][f"{side}_metadata"],
         "descriptors": desc_sha,
         "params": asdict(params),
     })
@@ -456,17 +457,10 @@ def cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
     with OutDirLock(out_dir):
         support, query, info = _prepare(config, cache)
-        support_desc = support.descriptors
-        query_desc = query.descriptors
-        m = config.smoothing.m
-        if m > 0 and config.regime in ("gs_support", "gs_both"):
-            support_desc = _smoothed_descriptors(
-                "support", support, config.graph, m,
-                info["input_sha256"]["support_metadata"], cache, info)
-        if m > 0 and config.regime in ("gs_query", "gs_both"):
-            query_desc = _smoothed_descriptors(
-                "query", query, query_graph_params(config.graph, config.query_gps),
-                m, info["input_sha256"]["query_metadata"], cache, info)
+        support_desc, query_desc = regime_descriptors(
+            support, query, config.graph, config.smoothing.m, config.regime,
+            config.query_gps,
+            functools.partial(_smoothed_descriptors, cache=cache, info=info))
         matches = cosine_knn(query_desc, support_desc, config.k)
         snapshot = config_manifest(config)
         snapshot["n_support"] = support.n_images
@@ -592,8 +586,7 @@ def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--include-self-edges", dest="include_self_edges",
                      action=argparse.BooleanOptionalAction, default=None)
     sub.add_argument("--m", type=int)
-    sub.add_argument("--regime", choices=["none", "gs_support", "gs_query",
-                                          "gs_both"])
+    sub.add_argument("--regime", choices=list(REGIMES))
     sub.add_argument("--k", type=int)
     sub.add_argument("--strategy", choices=["top1", "weighted_topk"])
     sub.add_argument("--threshold-m", type=float, dest="threshold_m")

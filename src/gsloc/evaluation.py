@@ -11,6 +11,7 @@ allowed (the query positions are what we are trying to predict).
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import product
@@ -25,7 +26,17 @@ from .graph import GraphParams, build_operator
 from .retrieval import Match, PoseEstimate, cosine_knn, infer_pose
 from .smoothing import SmoothConfig, smooth
 
-REGIMES = ("none", "gs_support", "gs_query", "gs_both")
+# The one regime table: which sides each regime smooths, each on its own graph.
+SMOOTHED_SIDES = {
+    "none": (),
+    "gs_support": ("support",),
+    "gs_query": ("query",),
+    "gs_both": ("support", "query"),
+}
+REGIMES = tuple(SMOOTHED_SIDES)
+
+# (side, dataset, graph params, m) -> that side's descriptors smoothed m times.
+Smoother = Callable[[str, Dataset, GraphParams, int], np.ndarray]
 
 DEFAULT_THRESHOLD_M = 25.0
 
@@ -73,9 +84,7 @@ def query_graph_params(params: GraphParams, query_gps: bool) -> GraphParams:
     quantity under evaluation, so using it to build the graph would leak
     ground truth into retrieval.
     """
-    return replace(params,
-                   include_dist=params.include_dist and query_gps,
-                   k_max=None)
+    return replace(params, include_dist=params.include_dist and query_gps)
 
 
 def compute_report(matches: list[Match], support: Dataset, query: Dataset,
@@ -102,10 +111,45 @@ def compute_report(matches: list[Match], support: Dataset, query: Dataset,
     )
 
 
-def _snapshot(params: GraphParams, cfg: SmoothConfig, regime: str, k: int,
-              strategy: str, threshold_m: float, query_gps: bool,
-              support: Dataset, query: Dataset) -> dict:
-    return {
+def _memo_smoother() -> Smoother:
+    """In-memory smoother that builds each side's operator once. A memo
+    serves one graph-parameter set (one evaluation, sweep or grid group), so
+    it is keyed by side alone and never needs invalidation."""
+    operators = {}
+
+    def smoother(side: str, dataset: Dataset, params: GraphParams,
+                 m: int) -> np.ndarray:
+        if side not in operators:
+            operators[side] = build_operator(dataset.records,
+                                             dataset.descriptors, params)
+        return smooth(operators[side], dataset.descriptors, SmoothConfig(m=m))
+    return smoother
+
+
+def regime_descriptors(support: Dataset, query: Dataset, params: GraphParams,
+                       m: int, regime: str, query_gps: bool,
+                       smoother: Smoother) -> tuple[np.ndarray, np.ndarray]:
+    """Descriptors each side brings to retrieval under the regime, each side
+    smoothed on its own graph (the query graph per query_graph_params)."""
+    if regime not in SMOOTHED_SIDES:
+        raise InputError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+    sides = SMOOTHED_SIDES[regime] if m > 0 else ()
+    support_desc = (smoother("support", support, params, m)
+                    if "support" in sides else support.descriptors)
+    query_desc = (smoother("query", query, query_graph_params(params, query_gps), m)
+                  if "query" in sides else query.descriptors)
+    return support_desc, query_desc
+
+
+def _evaluate(support: Dataset, query: Dataset, params: GraphParams,
+              cfg: SmoothConfig, regime: str, smoother: Smoother, *,
+              threshold_m: float, k: int, strategy: str,
+              query_gps: bool) -> EvalReport:
+    """Smooth per the regime, retrieve, and score one parameter cell."""
+    support_desc, query_desc = regime_descriptors(
+        support, query, params, cfg.m, regime, query_gps, smoother)
+    matches = cosine_knn(query_desc, support_desc, k)
+    snapshot = {
         "graph": asdict(params),
         "smoothing": {"m": cfg.m},
         "regime": regime,
@@ -117,22 +161,8 @@ def _snapshot(params: GraphParams, cfg: SmoothConfig, regime: str, k: int,
         "n_query": query.n_images,
         "dim": support.dim,
     }
-
-
-def _smoothed_sides(support: Dataset, query: Dataset, params: GraphParams,
-                    cfg: SmoothConfig, regime: str, query_gps: bool,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Descriptors each side brings to retrieval under the given regime."""
-    support_desc = support.descriptors
-    query_desc = query.descriptors
-    if cfg.m > 0 and regime in ("gs_support", "gs_both"):
-        op = build_operator(support.records, support.descriptors, params)
-        support_desc = smooth(op, support.descriptors, cfg)
-    if cfg.m > 0 and regime in ("gs_query", "gs_both"):
-        op = build_operator(query.records, query.descriptors,
-                            query_graph_params(params, query_gps))
-        query_desc = smooth(op, query.descriptors, cfg)
-    return support_desc, query_desc
+    return compute_report(matches, support, query, strategy, threshold_m,
+                          regime, snapshot)
 
 
 def evaluate_regime(support: Dataset, query: Dataset, params: GraphParams,
@@ -144,15 +174,9 @@ def evaluate_regime(support: Dataset, query: Dataset, params: GraphParams,
     Regimes: none (raw descriptors), gs_support (support smoothed on the
     support graph), gs_query (query smoothed on the query graph), gs_both.
     """
-    if regime not in REGIMES:
-        raise InputError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    support_desc, query_desc = _smoothed_sides(
-        support, query, params, cfg, regime, query_gps)
-    matches = cosine_knn(query_desc, support_desc, k)
-    snapshot = _snapshot(params, cfg, regime, k, strategy, threshold_m,
-                         query_gps, support, query)
-    return compute_report(matches, support, query, strategy, threshold_m,
-                          regime, snapshot)
+    return _evaluate(support, query, params, cfg, regime, _memo_smoother(),
+                     threshold_m=threshold_m, k=k, strategy=strategy,
+                     query_gps=query_gps)
 
 
 def run_ablation(support: Dataset, query: Dataset, params: GraphParams,
@@ -166,7 +190,7 @@ def run_ablation(support: Dataset, query: Dataset, params: GraphParams,
     rows: list[AblationRow] = []
     for use_dist, use_seq, use_latent in ABLATION_ORDER:
         cell = replace(params, include_dist=use_dist, include_seq=use_seq,
-                       include_latent=use_latent, k_max=None)
+                       include_latent=use_latent)
         report = evaluate_regime(support, query, cell, cfg, "gs_support",
                                  threshold_m=threshold_m, k=k, strategy=strategy)
         rows.append(AblationRow(use_dist=use_dist, use_seq=use_seq,
@@ -180,14 +204,16 @@ def sweep_m(support: Dataset, query: Dataset, params: GraphParams,
             m_values: list[int], *, threshold_m: float = DEFAULT_THRESHOLD_M,
             k: int = 1, strategy: str = "top1", query_gps: bool = False,
             ) -> list[tuple[int, float, float]]:
-    """Evaluate gs_both once per m; returns (m, acc, median) rows."""
+    """Evaluate gs_both once per m, building each side's graph only once;
+    returns (m, acc, median) rows."""
     if any(m < 0 for m in m_values):
         raise InputError("m values must be nonnegative")
+    smoother = _memo_smoother()
     rows = []
     for m in m_values:
-        report = evaluate_regime(support, query, params, SmoothConfig(m=m),
-                                 "gs_both", threshold_m=threshold_m, k=k,
-                                 strategy=strategy, query_gps=query_gps)
+        report = _evaluate(support, query, params, SmoothConfig(m=m), "gs_both",
+                           smoother, threshold_m=threshold_m, k=k,
+                           strategy=strategy, query_gps=query_gps)
         rows.append((int(m), report.acc_at_threshold, report.median_error_m))
     return rows
 
@@ -221,8 +247,6 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
         raise InputError(f"unknown grid axes {sorted(unknown)}; valid: {GRID_AXES}")
     base_params = base_params if base_params is not None else GraphParams()
     base_cfg = base_cfg if base_cfg is not None else SmoothConfig()
-    if regime not in REGIMES:
-        raise InputError(f"unknown regime {regime!r}, expected one of {REGIMES}")
     axes = {
         "alpha": [float(v) for v in grid.get("alpha", [base_params.alpha])],
         "betas": [tuple(float(b) for b in v) for v in grid.get("betas", [base_params.betas])],
@@ -240,31 +264,14 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
     def eval_group(combo: tuple) -> list[dict]:
         alpha, betas, gamma, max_distance_m = combo
         cell_params = replace(base_params, alpha=alpha, betas=betas,
-                              gamma=gamma, max_distance_m=max_distance_m,
-                              k_max=None)
+                              gamma=gamma, max_distance_m=max_distance_m)
+        smoother = _memo_smoother()
         rows = []
-        support_op = None
-        query_op = None
         for m in m_axis:
-            cfg = SmoothConfig(m=m)
-            support_desc = support.descriptors
-            query_desc = validation_query.descriptors
-            if m > 0 and regime in ("gs_support", "gs_both"):
-                if support_op is None:
-                    support_op = build_operator(support.records,
-                                                support.descriptors, cell_params)
-                support_desc = smooth(support_op, support.descriptors, cfg)
-            if m > 0 and regime in ("gs_query", "gs_both"):
-                if query_op is None:
-                    query_op = build_operator(
-                        validation_query.records, validation_query.descriptors,
-                        query_graph_params(cell_params, query_gps))
-                query_desc = smooth(query_op, validation_query.descriptors, cfg)
-            matches = cosine_knn(query_desc, support_desc, k)
-            snapshot = _snapshot(cell_params, cfg, regime, k, strategy,
-                                 threshold_m, query_gps, support, validation_query)
-            report = compute_report(matches, support, validation_query,
-                                    strategy, threshold_m, regime, snapshot)
+            report = _evaluate(support, validation_query, cell_params,
+                               SmoothConfig(m=m), regime, smoother,
+                               threshold_m=threshold_m, k=k, strategy=strategy,
+                               query_gps=query_gps)
             rows.append({
                 "alpha": alpha,
                 "betas": list(betas),
@@ -293,7 +300,7 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
     winner = table[best]
     best_params = replace(base_params, alpha=winner["alpha"],
                           betas=tuple(winner["betas"]), gamma=winner["gamma"],
-                          max_distance_m=winner["max_distance_m"], k_max=None)
+                          max_distance_m=winner["max_distance_m"])
     return best_params, SmoothConfig(m=winner["m"]), table
 
 

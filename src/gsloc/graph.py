@@ -6,7 +6,7 @@ Three kernels contribute edges between images:
   ``max_distance_m`` (candidates come from a spatial hash, never an all-pairs
   scan);
 * sequence — beta_k for pairs in the same sequence exactly k frames apart,
-  k = 1..k_max;
+  k = 1..len(betas);
 * latent — gamma * max(0, cosine) restricted to pairs that already have a
   distance or sequence edge (negative cosines are dropped, keeping W
   nonnegative).
@@ -21,7 +21,7 @@ edges at all fall back to an identity row and are reported.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +44,8 @@ _COSINE_CHUNK_BYTES = 64 << 20
 class GraphParams:
     """Kernel weights and switches for graph construction.
 
-    ``betas[k-1]`` is the weight for a frame gap of exactly k; ``k_max`` is
-    implied by the tuple length (passing it explicitly just cross-checks).
+    ``betas[k-1]`` is the weight for a frame gap of exactly k, for
+    k = 1..len(betas).
     ``decay_sign`` selects exp(-alpha*d) (``"negative"``, the default) or the
     growing exp(+alpha*d) variant.
     """
@@ -59,7 +59,6 @@ class GraphParams:
     include_latent: bool = True
     decay_sign: str = "negative"
     include_self_edges: bool = False
-    k_max: int | None = field(default=None)
 
     def __post_init__(self) -> None:
         self.betas = tuple(float(b) for b in self.betas)
@@ -73,10 +72,6 @@ class GraphParams:
             raise InputError(f"gamma must be nonnegative, got {self.gamma}")
         if self.decay_sign not in ("negative", "positive"):
             raise InputError(f"decay_sign must be 'negative' or 'positive', got {self.decay_sign!r}")
-        if self.k_max is None:
-            self.k_max = len(self.betas)
-        elif self.k_max != len(self.betas):
-            raise InputError(f"k_max={self.k_max} does not match {len(self.betas)} betas")
 
     @property
     def decay_factor(self) -> float:
@@ -183,7 +178,7 @@ def build_w_dist(records: list[ImageRecord], params: GraphParams) -> WeightedGra
 
 def build_w_seq(records: list[ImageRecord], params: GraphParams) -> WeightedGraph:
     """Sequence kernel: beta_k between same-sequence images exactly k frame
-    indices apart, k = 1..k_max. Never crosses sequence boundaries."""
+    indices apart, k = 1..len(betas). Never crosses sequence boundaries."""
     n = len(records)
     by_seq: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):

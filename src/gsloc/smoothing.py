@@ -21,8 +21,6 @@ from .graph import SmoothingOperator
 # block.
 _BLOCK_BUDGET_BYTES = 256 << 20
 
-_DENSE_ORACLE_MAX_N = 2000
-
 
 @dataclass(frozen=True)
 class SmoothConfig:
@@ -55,18 +53,3 @@ def smooth(op: SmoothingOperator, signal: np.ndarray,
             cols = op.matrix @ cols
         out[:, start:start + block] = cols.astype(s.dtype)
     return out
-
-
-def smooth_dense_oracle(op: SmoothingOperator, signal: np.ndarray,
-                        cfg: SmoothConfig) -> np.ndarray:
-    """Reference implementation via a dense matrix power; testing only."""
-    if op.n > _DENSE_ORACLE_MAX_N:
-        raise InputError(f"dense oracle refuses n={op.n} > {_DENSE_ORACLE_MAX_N}")
-    s = np.asarray(signal)
-    if s.ndim != 2 or s.shape[0] != op.n:
-        raise InputError("signal shape does not match operator")
-    if cfg.m == 0:
-        return s
-    dense = op.matrix.toarray()
-    power = np.linalg.matrix_power(dense, cfg.m)
-    return (power @ s.astype(np.float64)).astype(s.dtype)

@@ -121,6 +121,28 @@ def dense_normalize(w_dense: np.ndarray,
     return out, isolated
 
 
+# ---------------------------------------------------------------------------
+# Smoothing by a dense matrix power
+
+_DENSE_ORACLE_MAX_N = 2000
+
+
+def smooth_dense_oracle(op, signal: np.ndarray, cfg) -> np.ndarray:
+    """Apply op.matrix**cfg.m as one dense matrix power instead of m sparse
+    products; refuses operators too large to densify."""
+    from gsloc.errors import InputError
+    if op.n > _DENSE_ORACLE_MAX_N:
+        raise InputError(f"dense oracle refuses n={op.n} > {_DENSE_ORACLE_MAX_N}")
+    s = np.asarray(signal)
+    if s.ndim != 2 or s.shape[0] != op.n:
+        raise InputError("signal shape does not match operator")
+    if cfg.m == 0:
+        return s
+    dense = op.matrix.toarray()
+    power = np.linalg.matrix_power(dense, cfg.m)
+    return (power @ s.astype(np.float64)).astype(s.dtype)
+
+
 def random_weighted_graph(rng: np.random.Generator, n: int,
                           density: float = 0.08,
                           n_isolated: int = 0):

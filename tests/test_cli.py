@@ -8,8 +8,13 @@ import json
 import numpy as np
 import pytest
 
+import gsloc.evaluation as evaluation
 from gsloc.cli import main
-from gsloc.dataset import write_descriptors, write_metadata, load_metadata
+from gsloc.dataset import (filter_reachable_queries, load_dataset,
+                           load_metadata, write_descriptors, write_metadata)
+from gsloc.evaluation import REGIMES, evaluate_regime, grid_search
+from gsloc.graph import GraphParams
+from gsloc.smoothing import SmoothConfig
 
 SYNTH_ARGS = ["--n-places", "6", "--n-support-sequences", "2",
               "--n-query-sequences", "1", "--frames-per-place", "2",
@@ -214,10 +219,58 @@ def test_config_invalid_json_exits_2(tmp_path, data_dir, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_config_unknown_regime_exits_2(tmp_path, data_dir, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"regime": "gs_bogus"}))
+    rc, out = _run(tmp_path, data_dir, "badregime", ["--config", str(config)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'gs_bogus'" in err
+    assert all(regime in err for regime in REGIMES)
+    assert not (out / "report.json").exists()
+
+
 def test_config_missing_file_exits_2(tmp_path, data_dir):
     rc, _ = _run(tmp_path, data_dir, "nocfg",
                  ["--config", str(tmp_path / "absent.json")])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# CLI and library share one regime path
+
+
+@pytest.mark.parametrize("query_gps", [False, True])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_run_matches_library_regime_paths(tmp_path, data_dir, monkeypatch,
+                                          regime, query_gps):
+    gps_flag = "--query-gps" if query_gps else "--no-query-gps"
+    rc, out = _run(tmp_path, data_dir, "parity",
+                   ["--regime", regime, "--m", "2", "--no-renormalize", gps_flag])
+    assert rc == 0
+    cli_errors = json.loads((out / "report.json").read_text())["per_query_error_m"]
+
+    support = load_dataset(data_dir / "support_metadata.csv",
+                           data_dir / "support_descriptors.emb1", role="support")
+    query = filter_reachable_queries(
+        load_dataset(data_dir / "query_metadata.csv",
+                     data_dir / "query_descriptors.emb1", role="query"),
+        support, radius_m=25.0)
+    library = evaluate_regime(support, query, GraphParams(), SmoothConfig(m=2),
+                              regime, query_gps=query_gps)
+
+    grid_reports = []
+    real = evaluation.compute_report
+
+    def capture(*args, **kwargs):
+        grid_reports.append(real(*args, **kwargs))
+        return grid_reports[-1]
+    monkeypatch.setattr(evaluation, "compute_report", capture)
+    grid_search(support, query, {"m": [2]}, regime=regime, query_gps=query_gps)
+
+    assert len(grid_reports) == 1
+    assert cli_errors == library.per_query_error_m
+    assert grid_reports[0].per_query_error_m == library.per_query_error_m
 
 
 # ---------------------------------------------------------------------------

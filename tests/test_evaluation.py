@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import gsloc.evaluation as evaluation
 from gsloc.dataset import Dataset, ImageRecord
 from gsloc.errors import InputError
 from gsloc.evaluation import (ABLATION_ORDER, AblationRow, EvalReport,
@@ -254,6 +255,38 @@ def test_grid_search_threads_do_not_change_the_table():
     _, _, serial = grid_search(support, query, grid, threads=1)
     _, _, threaded = grid_search(support, query, grid, threads=4)
     assert serial == threaded
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record the params of every operator the evaluation layer builds."""
+    built = []
+    real = evaluation.build_operator
+
+    def counting(records, descriptors, params):
+        built.append(params)
+        return real(records, descriptors, params)
+    monkeypatch.setattr(evaluation, "build_operator", counting)
+    return built
+
+
+def test_sweep_m_builds_each_side_graph_once(monkeypatch):
+    support, query = _small_world()
+    built = _count_builds(monkeypatch)
+    rows = sweep_m(support, query, GraphParams(), list(range(11)))
+    assert [row[0] for row in rows] == list(range(11))
+    # one support graph, then one GPS-free query graph, reused for every m
+    assert [p.include_dist for p in built] == [True, False]
+
+
+def test_grid_search_builds_one_graph_per_group_and_side(monkeypatch):
+    support, query = _small_world()
+    built = _count_builds(monkeypatch)
+    grid = {"alpha": [0.1, 0.25, 0.4], "m": [0, 1, 2]}
+    grid_search(support, query, grid, regime="gs_both")
+    assert len(built) == 3 * 2
+    built.clear()
+    grid_search(support, query, grid, regime="gs_support", threads=2)
+    assert len(built) == 3
 
 
 def test_grid_search_validation():

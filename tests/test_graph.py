@@ -43,14 +43,6 @@ def test_params_defaults():
     assert p.gamma == 0.33
     assert p.decay_sign == "negative" and p.decay_factor == -1.0
     assert p.include_self_edges is False
-    assert p.k_max == 3
-
-
-def test_params_k_max_follows_betas():
-    assert GraphParams(betas=(0.5,)).k_max == 1
-    assert GraphParams(betas=(0.5, 0.25), k_max=2).k_max == 2
-    with pytest.raises(InputError, match="k_max"):
-        GraphParams(betas=(0.5, 0.25), k_max=3)
 
 
 def test_params_validation():

@@ -10,8 +10,8 @@ import pytest
 import gsloc.smoothing as smoothing_mod
 from gsloc.errors import InputError
 from gsloc.graph import GraphParams, WeightedGraph, normalize
-from gsloc.smoothing import SmoothConfig, smooth, smooth_dense_oracle
-from oracles import random_weighted_graph
+from gsloc.smoothing import SmoothConfig, smooth
+from oracles import random_weighted_graph, smooth_dense_oracle
 
 
 def _random_operator(rng, n_max=80, self_edges=False):
