@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import fcntl
 import functools
 import json
 import os
@@ -100,25 +101,33 @@ class RunConfig:
 
 
 class OutDirLock:
-    """Exclusive ownership of an output directory for the life of a command."""
+    """Exclusive ownership of an output directory for the life of a command.
+
+    The lock is an ``flock`` on ``.lock``, which the kernel releases when the
+    holder exits, however it exits, so a killed run never blocks the next
+    one. The file is never removed: unlinking it on release would let a
+    waiting run lock a file that the next run no longer sees.
+    """
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
         self._fd: int | None = None
 
     def __enter__(self) -> "OutDirLock":
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             raise RuntimeError(
-                f"output directory is locked by another run; remove {self.path} "
-                "if that run is gone") from None
+                f"output directory is locked by another run ({self.path})") from None
+        self._fd = fd
         return self
 
     def __exit__(self, *exc) -> None:
         if self._fd is not None:
-            os.close(self._fd)
-            self.path.unlink(missing_ok=True)
+            os.close(self._fd)  # closing the descriptor drops the flock
+            self._fd = None
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,11 @@ ADJ1_MAGIC = b"ADJ1"
 _ADJ1_HEADER = struct.Struct("<4sIQ")
 
 # Cosine evaluation for the latent kernel walks the gated pairs in chunks;
-# this bounds the temporary row-gather buffers (two of chunk x dim float64).
-_COSINE_CHUNK_BYTES = 64 << 20
+# this bounds the temporary row-gather buffers (two of chunk x dim, in the
+# descriptors' own dtype; einsum accumulates the dot products in float64).
+# Small blocks stay in cache, and freeing them leaves no large heap region
+# resident for the rest of the run.
+_COSINE_CHUNK_BYTES = 4 << 20
 
 
 @dataclass
@@ -113,14 +116,14 @@ class WeightedGraph:
                 raise InputError("self edges are not allowed in W")
             if not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise InputError("edge weights must be positive and finite")
-            lo, hi = np.minimum(i, j), np.maximum(i, j)
-            keys = lo * np.int64(n) + hi
-            if np.unique(keys).size != keys.size:
-                raise InputError("duplicate edges in pair list")
         rows = np.concatenate([i, j])
         cols = np.concatenate([j, i])
         data = np.concatenate([w, w])
         mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.float64)
+        # CSR construction sums duplicate entries, so a repeated pair, in
+        # either orientation, shows up as a missing stored entry.
+        if mat.nnz != 2 * i.size:
+            raise InputError("duplicate edges in pair list")
         return cls(mat)
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,16 +227,15 @@ def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
         block = x[start:start + norm_chunk].astype(np.float64)
         norms[start:start + norm_chunk] = np.linalg.norm(block, axis=1)
     norms[norms == 0.0] = 1.0
-    chunk = max(1, int(_COSINE_CHUNK_BYTES // (2 * 8 * max(1, x.shape[1]))))
+    chunk = max(1, int(_COSINE_CHUNK_BYTES // (2 * x.itemsize * max(1, x.shape[1]))))
     out_i: list[np.ndarray] = []
     out_j: list[np.ndarray] = []
     out_w: list[np.ndarray] = []
     for start in range(0, gi.size, chunk):
         ci = gi[start:start + chunk]
         cj = gj[start:start + chunk]
-        left = x[ci].astype(np.float64)
-        right = x[cj].astype(np.float64)
-        cos = np.einsum("ij,ij->i", left, right) / (norms[ci] * norms[cj])
+        dots = np.einsum("ij,ij->i", x[ci], x[cj], dtype=np.float64)
+        cos = dots / (norms[ci] * norms[cj])
         keep = cos > 0.0
         if keep.any():
             out_i.append(ci[keep])

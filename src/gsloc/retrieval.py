@@ -3,6 +3,9 @@
 Search is brute-force (blocked dense dot products) rather than approximate:
 the support sets this pipeline targets stay tractable, and exactness keeps
 evaluation deterministic. Ties are broken toward the lower support index.
+The top k of each score row come from selection, not a full sort: ``argmax``
+for k = 1, and for larger k an ``np.partition`` threshold followed by a sort
+of only the columns that reach it.
 """
 
 from __future__ import annotations
@@ -71,14 +74,33 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray, k: int) -> list[Match]:
     block = max(1, int(_SCORE_BLOCK_BYTES // (8 * s.shape[0])))
     for start in range(0, q_hat.shape[0], block):
         scores = q_hat[start:start + block] @ s_hat.T
-        # Stable sort on the negated scores: ties keep ascending support index.
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-        for row, picks in enumerate(order):
-            qi = start + row
-            matches.append(Match(
-                query_index=qi,
-                neighbors=[(int(p), float(scores[row, p])) for p in picks]))
+        picks = _top_k(scores, k)
+        top = np.take_along_axis(scores, picks, axis=1)
+        for row, (idx, val) in enumerate(zip(picks.tolist(), top.tolist())):
+            matches.append(Match(query_index=start + row,
+                                 neighbors=list(zip(idx, val))))
     return matches
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k best scores, descending, ties to the
+    lower column; the same order as a stable argsort of -scores cut at k."""
+    n_rows, n_cols = scores.shape
+    if k == 1:
+        # argmax returns the first maximum: the lowest-index tie rule.
+        return np.argmax(scores, axis=1)[:, None]
+    if k == n_cols:
+        return np.argsort(-scores, axis=1, kind="stable")
+    # Every column scoring at least the row's k-th best value is a contender,
+    # so ties straddling the k-th place are all kept before the ordering sort.
+    kth = np.partition(scores, n_cols - k, axis=1)[:, n_cols - k]
+    rows, cols = np.nonzero(scores >= kth[:, None])
+    # nonzero lists columns in ascending order, and lexsort is stable, so
+    # equal scores keep the lower column first.
+    order = np.lexsort((-scores[rows, cols], rows))
+    first = np.searchsorted(rows, np.arange(n_rows))
+    take = first[:, None] + np.arange(k)
+    return cols[order[take]]
 
 
 def infer_pose(match: Match, support_records: list[ImageRecord],

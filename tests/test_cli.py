@@ -3,7 +3,11 @@ config layering, exit codes, locking, and byte-identical reruns."""
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,7 +121,7 @@ def test_run_writes_reports(tmp_path, data_dir, capsys):
     assert rc == 0
     for name in ("report.json", "report.csv", "matches.csv", "manifest.json"):
         assert (out / name).exists()
-    assert not (out / ".lock").exists(), "lock must be released"
+    assert _lock_is_free(out), "lock must be released"
     report = json.loads((out / "report.json").read_text())
     assert report["regime"] == "gs_both"
     assert 0.0 <= report["acc_at_threshold"] <= 1.0
@@ -178,14 +182,58 @@ def test_run_projection_without_d_out_exits_2(tmp_path, data_dir, capsys):
     assert "d_out" in capsys.readouterr().err
 
 
+def _lock_is_free(out_dir):
+    fd = os.open(out_dir / ".lock", os.O_WRONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return True
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+
+
 def test_locked_out_dir_exits_1(tmp_path, data_dir, capsys):
     out = tmp_path / "locked"
     out.mkdir()
-    (out / ".lock").touch()
-    rc = main(["run", "--out-dir", str(out), "--cache-dir",
-               str(tmp_path / "c")] + _dataset_flags(data_dir))
+    fd = os.open(out / ".lock", os.O_CREAT | os.O_WRONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        rc = main(["run", "--out-dir", str(out), "--cache-dir",
+                   str(tmp_path / "c")] + _dataset_flags(data_dir))
+    finally:
+        os.close(fd)
     assert rc == 1
     assert "locked" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_leftover_lock_file_does_not_block_a_run(tmp_path, data_dir):
+    # A run killed with SIGKILL leaves its .lock behind with no holder.
+    out = tmp_path / "killed"
+    out.mkdir()
+    holder = subprocess.Popen(
+        [sys.executable, "-c",
+         "import fcntl, os, sys, time\n"
+         "fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)\n"
+         "fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+         "print('held', flush=True)\n"
+         "time.sleep(60)\n",
+         str(out / ".lock")],
+        stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline().strip() == "held"
+        assert not _lock_is_free(out)
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+    assert (out / ".lock").exists()
+    rc = main(["run", "--out-dir", str(out), "--cache-dir",
+               str(tmp_path / "c")] + _dataset_flags(data_dir))
+    assert rc == 0
+    assert (out / "report.json").exists()
+    assert _lock_is_free(out)
 
 
 # ---------------------------------------------------------------------------

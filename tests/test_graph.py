@@ -263,6 +263,13 @@ def test_from_pairs_validation():
     with pytest.raises(InputError, match="duplicate"):
         WeightedGraph.from_pairs(3, np.array([0, 1]), np.array([1, 0]),
                                  np.array([1.0, 2.0]))
+    with pytest.raises(InputError, match="duplicate"):
+        WeightedGraph.from_pairs(3, np.array([0, 0]), np.array([1, 1]),
+                                 np.array([1.0, 2.0]))
+    # A duplicate among distinct pairs is found too, in either orientation.
+    with pytest.raises(InputError, match="duplicate"):
+        WeightedGraph.from_pairs(4, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 2]),
+                                 np.array([1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(InputError, match="equal length"):
         WeightedGraph.from_pairs(3, np.array([0]), np.array([1, 2]), one)
 

@@ -92,6 +92,23 @@ def test_antimeridian_cluster_coverage():
     assert truth <= candidates
 
 
+def test_antimeridian_pair_across_the_narrow_last_column():
+    # 360 degrees is not a whole number of columns, so the last column is
+    # narrower than the rest; a pair 8.4 m apart across the seam sits two
+    # columns apart although the stencil reach is one column.
+    cell = 25.0
+    probe = LatLonGrid(np.array([45.0]), np.array([0.0]), cell_m=cell)
+    width = probe.cell_lon_deg
+    last = 360.0 - (probe.n_cols - 1) * width
+    assert last < 0.5 * width
+    lats = np.array([45.0, 45.0])
+    lons = np.array([-180.0, 180.0 - last - 0.05 * width])
+    reach = cell / 2.0
+    assert haversine_m_vectorized(lats[0], lons[0], lats[1], lons[1]) < reach
+    grid = LatLonGrid(lats, lons, cell_m=cell)
+    assert _collect_candidates(grid, reach) == [(0, 1)]
+
+
 def test_min_distance_within_reach_matches_bruteforce():
     rng = np.random.default_rng(23)
     s_lats, s_lons = _random_cloud(rng, 120, -34.9, 138.6, 300.0)
