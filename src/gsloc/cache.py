@@ -25,10 +25,6 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def sha256_bytes(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
-
-
 def param_key(payload: dict) -> str:
     """Hash of a canonical JSON rendering (sorted keys, repr floats)."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -16,6 +16,7 @@ import argparse
 import copy
 import fcntl
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cache import Cache, param_key, sha256_bytes, sha256_file
+from .cache import Cache, param_key, sha256_file
 from .dataset import (Dataset, filter_reachable_queries, load_dataset,
                       load_descriptors, write_descriptors, write_metadata)
 from .errors import InputError
@@ -316,8 +317,11 @@ def _require_paths(config: RunConfig, *, query: bool = True) -> None:
 
 
 def _array_digest(arr: np.ndarray) -> str:
-    meta = f"{arr.dtype.str}:{arr.shape[0]}x{arr.shape[1]}:".encode()
-    return sha256_bytes(meta + np.ascontiguousarray(arr).tobytes())
+    """SHA-256 of dtype and shape, then the C-order bytes, hashed from the
+    array's own buffer."""
+    digest = hashlib.sha256(f"{arr.dtype.str}:{arr.shape[0]}x{arr.shape[1]}:".encode())
+    digest.update(np.ascontiguousarray(arr))
+    return digest.hexdigest()
 
 
 def _prepare(config: RunConfig, cache: Cache) -> tuple[Dataset, Dataset, dict]:

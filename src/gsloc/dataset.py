@@ -10,6 +10,7 @@ values in row-major order.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,22 +165,26 @@ def write_metadata(path: str | Path, records: Iterable[ImageRecord]) -> None:
 
 
 def load_descriptors(path: str | Path, expected_rows: int | None) -> np.ndarray:
-    """Decode an EMB1 file into a float32 matrix, checking the row count."""
+    """Decode an EMB1 file into a float32 matrix, checking the row count.
+
+    The payload size is checked against the header before anything is read,
+    and the payload is read straight into the returned array.
+    """
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _EMB1_HEADER.size:
-        raise InputError(f"{path}: file too short for an EMB1 header")
-    magic, rows, dim = _EMB1_HEADER.unpack_from(blob)
-    if magic != EMB1_MAGIC:
-        raise InputError(f"{path}: bad magic {magic!r}, expected {EMB1_MAGIC!r}")
-    payload = blob[_EMB1_HEADER.size:]
-    expected_bytes = rows * dim * 4
-    if len(payload) != expected_bytes:
-        raise InputError(f"{path}: payload holds {len(payload) // 4} floats, "
-                         f"header promises {rows * dim}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
-    if expected_rows is not None and rows != expected_rows:
-        raise InputError(f"{path}: {rows} descriptor rows, expected {expected_rows}")
+    with path.open("rb") as fh:
+        header = fh.read(_EMB1_HEADER.size)
+        if len(header) < _EMB1_HEADER.size:
+            raise InputError(f"{path}: file too short for an EMB1 header")
+        magic, rows, dim = _EMB1_HEADER.unpack(header)
+        if magic != EMB1_MAGIC:
+            raise InputError(f"{path}: bad magic {magic!r}, expected {EMB1_MAGIC!r}")
+        payload_bytes = os.fstat(fh.fileno()).st_size - _EMB1_HEADER.size
+        if payload_bytes != rows * dim * 4:
+            raise InputError(f"{path}: payload holds {payload_bytes // 4} floats, "
+                             f"header promises {rows * dim}")
+        if expected_rows is not None and rows != expected_rows:
+            raise InputError(f"{path}: {rows} descriptor rows, expected {expected_rows}")
+        data = np.fromfile(fh, dtype="<f4", count=rows * dim).reshape(rows, dim)
     if data.size and not np.isfinite(data).all():
         bad = int(np.count_nonzero(~np.isfinite(data)))
         raise InputError(f"{path}: {bad} non-finite descriptor values")
@@ -192,7 +197,7 @@ def write_descriptors(path: str | Path, descriptors: np.ndarray) -> None:
     rows, dim = descriptors.shape
     with Path(path).open("wb") as fh:
         fh.write(_EMB1_HEADER.pack(EMB1_MAGIC, rows, dim))
-        fh.write(np.ascontiguousarray(descriptors, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(descriptors, dtype="<f4"))
 
 
 def load_dataset(metadata_path: str | Path, descriptors_path: str | Path,

@@ -10,6 +10,7 @@ projections.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,8 +109,9 @@ def apply_projection(projection: Projection, descriptors: np.ndarray) -> np.ndar
     return out.astype(x.dtype)
 
 
-# Row blocks for norm computation, keeping float64 temporaries bounded.
-_NORM_BLOCK_BYTES = 64 << 20
+# Bound on one row block of l2_normalize's float64 working set; the norm
+# computation holds a second temporary of the same size.
+_NORM_BLOCK_BYTES = 16 << 20
 
 
 def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
@@ -127,7 +129,8 @@ def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
         zero = norms[:, 0] == 0.0
         n_zero += int(np.count_nonzero(zero))
         norms[zero] = 1.0
-        out[start:start + block] = (rows / norms).astype(x.dtype)
+        rows /= norms
+        out[start:start + block] = rows
     if n_zero:
         logger.warning("l2_normalize: %d zero rows left unnormalized", n_zero)
     return out
@@ -145,17 +148,19 @@ def save_projection(path: str | Path, projection: Projection) -> None:
 
 def load_projection(path: str | Path) -> Projection:
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _PRJ1_HEADER.size:
-        raise InputError(f"{path}: file too short for a PRJ1 header")
-    magic, d_in, d_out = _PRJ1_HEADER.unpack_from(blob)
-    if magic != PRJ1_MAGIC:
-        raise InputError(f"{path}: bad magic {magic!r}, expected {PRJ1_MAGIC!r}")
-    expected = (d_in + d_in * d_out + d_out) * 4
-    payload = blob[_PRJ1_HEADER.size:]
-    if len(payload) != expected:
-        raise InputError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    floats = np.frombuffer(payload, dtype="<f4")
+    with path.open("rb") as fh:
+        header = fh.read(_PRJ1_HEADER.size)
+        if len(header) < _PRJ1_HEADER.size:
+            raise InputError(f"{path}: file too short for a PRJ1 header")
+        magic, d_in, d_out = _PRJ1_HEADER.unpack(header)
+        if magic != PRJ1_MAGIC:
+            raise InputError(f"{path}: bad magic {magic!r}, expected {PRJ1_MAGIC!r}")
+        n_floats = d_in + d_in * d_out + d_out
+        payload_bytes = os.fstat(fh.fileno()).st_size - _PRJ1_HEADER.size
+        if payload_bytes != n_floats * 4:
+            raise InputError(f"{path}: payload is {payload_bytes} bytes, "
+                             f"expected {n_floats * 4}")
+        floats = np.fromfile(fh, dtype="<f4", count=n_floats)
     mean = floats[:d_in].astype(np.float64)
     basis = floats[d_in:d_in + d_in * d_out].reshape(d_in, d_out, order="F").astype(np.float64)
     scale = floats[d_in + d_in * d_out:].astype(np.float64)

@@ -20,6 +20,7 @@ edges at all fall back to an identity row and are reported.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -333,22 +334,20 @@ def save_operator(path: str | Path, op: SmoothingOperator) -> None:
 
 def load_operator(path: str | Path) -> SmoothingOperator:
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _ADJ1_HEADER.size:
-        raise InputError(f"{path}: file too short for an ADJ1 header")
-    magic, n, nnz = _ADJ1_HEADER.unpack_from(blob)
-    if magic != ADJ1_MAGIC:
-        raise InputError(f"{path}: bad magic {magic!r}, expected {ADJ1_MAGIC!r}")
-    expected = (n + 1) * 8 + nnz * 4 + nnz * 8
-    payload = blob[_ADJ1_HEADER.size:]
-    if len(payload) != expected:
-        raise InputError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    off = 0
-    indptr = np.frombuffer(payload, dtype="<u8", count=n + 1, offset=off).astype(np.int64)
-    off += (n + 1) * 8
-    indices = np.frombuffer(payload, dtype="<u4", count=nnz, offset=off).astype(np.int32)
-    off += nnz * 4
-    values = np.frombuffer(payload, dtype="<f8", count=nnz, offset=off).astype(np.float64)
+    with path.open("rb") as fh:
+        header = fh.read(_ADJ1_HEADER.size)
+        if len(header) < _ADJ1_HEADER.size:
+            raise InputError(f"{path}: file too short for an ADJ1 header")
+        magic, n, nnz = _ADJ1_HEADER.unpack(header)
+        if magic != ADJ1_MAGIC:
+            raise InputError(f"{path}: bad magic {magic!r}, expected {ADJ1_MAGIC!r}")
+        expected = (n + 1) * 8 + nnz * 4 + nnz * 8
+        payload_bytes = os.fstat(fh.fileno()).st_size - _ADJ1_HEADER.size
+        if payload_bytes != expected:
+            raise InputError(f"{path}: payload is {payload_bytes} bytes, expected {expected}")
+        indptr = np.fromfile(fh, dtype="<u8", count=n + 1).astype(np.int64)
+        indices = np.fromfile(fh, dtype="<u4", count=nnz).astype(np.int32)
+        values = np.fromfile(fh, dtype="<f8", count=nnz).astype(np.float64, copy=False)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise InputError(f"{path}: corrupt row offsets")
     if nnz and (indices.min() < 0 or indices.max() >= n):

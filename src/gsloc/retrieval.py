@@ -6,6 +6,18 @@ evaluation deterministic. Ties are broken toward the lower support index.
 The top k of each score row come from selection, not a full sort: ``argmax``
 for k = 1, and for larger k an ``np.partition`` threshold followed by a sort
 of only the columns that reach it.
+
+No unit-normalized copy of the whole support set is made. For each block of
+queries (its float64 score block bounded by ``_SCORE_BLOCK_BYTES``), the
+support rows are normalized in float64 chunks of about
+``_SUPPORT_CHUNK_BYTES`` each, and every chunk's scores are written straight
+into the score block. Chunk edges fall on multiples of 64 support rows, so
+the BLAS kernels tile the columns as they would in one product against the
+whole normalized support, and the scores are bitwise equal to that product
+for the shapes measured (8,000 x 4,096 support among them). The exception
+seen: when the last chunk is short and the support count is not a multiple
+of 8, the last (count mod 8) columns can move by one ulp (1,100 x 700 x
+4,096 under OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -23,6 +35,12 @@ logger = logging.getLogger(__name__)
 
 # Memory cap for one block of the query x support score matrix.
 _SCORE_BLOCK_BYTES = 256 << 20
+# Memory cap for one float64 chunk of unit support rows (taking the norms of
+# a chunk holds two). Chunks are whole multiples of _CHUNK_ALIGN rows (at
+# least one multiple), apart from the last, which may hold up to
+# _CHUNK_ALIGN - 1 rows more.
+_SUPPORT_CHUNK_BYTES = 8 << 20
+_CHUNK_ALIGN = 64
 
 
 @dataclass
@@ -40,14 +58,17 @@ class PoseEstimate:
     lon: float
 
 
-def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, int]:
-    out = x.astype(np.float64)
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
+def _row_norms(x: np.ndarray, chunk: int) -> tuple[np.ndarray, int]:
+    """Float64 Euclidean norm of each row of x as an (n, 1) column, taken
+    `chunk` rows at a time, with zero norms replaced by 1 so that dividing
+    leaves zero rows zero; and the number of zero rows."""
+    norms = np.empty((x.shape[0], 1))
+    for lo in range(0, x.shape[0], chunk):
+        norms[lo:lo + chunk] = np.linalg.norm(x[lo:lo + chunk].astype(np.float64),
+                                              axis=1, keepdims=True)
     zero = norms[:, 0] == 0.0
-    n_zero = int(np.count_nonzero(zero))
     norms[zero] = 1.0
-    out /= norms
-    return out, n_zero
+    return norms, int(np.count_nonzero(zero))
 
 
 def cosine_knn(queries: np.ndarray, support: np.ndarray, k: int) -> list[Match]:
@@ -64,16 +85,31 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray, k: int) -> list[Match]:
         raise InputError(f"dim mismatch: queries {q.shape[1]} vs support {s.shape[1]}")
     if not (1 <= k <= s.shape[0]):
         raise InputError(f"k={k} must be in [1, {s.shape[0]}]")
-    q_hat, q_zero = _unit_rows(q)
-    s_hat, s_zero = _unit_rows(s)
+    n_support = s.shape[0]
+    block = max(1, int(_SCORE_BLOCK_BYTES // (8 * n_support)))
+    chunk = _SUPPORT_CHUNK_BYTES // (8 * max(1, s.shape[1]))
+    chunk = max(_CHUNK_ALIGN, chunk - chunk % _CHUNK_ALIGN)
+    # A remainder shorter than _CHUNK_ALIGN joins the last chunk: a one-row
+    # chunk would go through a matrix-vector product, which rounds an exact
+    # copy of a row differently from the matrix product.
+    starts = range(0, max(1, n_support - _CHUNK_ALIGN + 1), chunk)
+    # Norms come first, so that their temporaries are gone before a score
+    # block is allocated; each chunk then holds one float64 copy at a time.
+    q_norms, q_zero = _row_norms(q, chunk)
+    s_norms, s_zero = _row_norms(s, chunk)
     if q_zero:
         logger.warning("cosine_knn: %d zero query rows score 0 everywhere", q_zero)
     if s_zero:
         logger.warning("cosine_knn: %d zero support rows score 0 everywhere", s_zero)
     matches: list[Match] = []
-    block = max(1, int(_SCORE_BLOCK_BYTES // (8 * s.shape[0])))
-    for start in range(0, q_hat.shape[0], block):
-        scores = q_hat[start:start + block] @ s_hat.T
+    for start in range(0, q.shape[0], block):
+        q_hat = q[start:start + block].astype(np.float64)
+        q_hat /= q_norms[start:start + block]
+        scores = np.empty((q_hat.shape[0], n_support))
+        for lo, hi in zip(starts, [*starts[1:], n_support]):
+            s_hat = s[lo:hi].astype(np.float64)
+            s_hat /= s_norms[lo:hi]
+            np.matmul(q_hat, s_hat.T, out=scores[:, lo:hi])
         picks = _top_k(scores, k)
         top = np.take_along_axis(scores, picks, axis=1)
         for row, (idx, val) in enumerate(zip(picks.tolist(), top.tolist())):

@@ -3,9 +3,11 @@ descriptor matrix (m sparse-matrix x dense-matrix products; A^m is never
 materialized).
 
 Accumulation is always float64, with one final cast back to the input dtype,
-and the dense signal is processed in column blocks so memory stays bounded at
-large n x d. Column blocking does not change any value: each column's
-accumulation chain is independent of the block layout.
+and the dense signal is processed in column blocks: besides the output (the
+size of the input), ``smooth`` holds one float64 input block and one float64
+product block, together at most ``_BLOCK_BUDGET_BYTES``. Column blocking does
+not change any value: each column's accumulation chain is independent of the
+block layout.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .graph import SmoothingOperator
 
 # Upper bound on the float64 working set (input block + product) per column
 # block.
-_BLOCK_BUDGET_BYTES = 256 << 20
+_BLOCK_BUDGET_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -51,5 +53,5 @@ def smooth(op: SmoothingOperator, signal: np.ndarray,
         cols = s[:, start:start + block].astype(np.float64)
         for _ in range(cfg.m):
             cols = op.matrix @ cols
-        out[:, start:start + block] = cols.astype(s.dtype)
+        out[:, start:start + block] = cols
     return out

@@ -141,6 +141,10 @@ def test_descriptors_truncated_payload(tmp_path):
     path.write_bytes(b"EMB1" + struct.pack("<II", 2, 3) + b"\x00" * 20)
     with pytest.raises(InputError, match="header promises 6"):
         load_descriptors(path, expected_rows=None)
+    # A header alone that promises ~2^64 floats: rejected before any read.
+    path.write_bytes(b"EMB1" + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF))
+    with pytest.raises(InputError, match=r"d\.emb1: payload holds 0 floats"):
+        load_descriptors(path, expected_rows=None)
 
 
 def test_descriptors_short_header(tmp_path):

@@ -139,6 +139,11 @@ def test_prj1_rejects_corruption(tmp_path):
     with pytest.raises(InputError, match="payload"):
         load_projection(bad)
 
+    # A header alone that promises a huge projection: rejected before any read.
+    bad.write_bytes(struct.pack("<4sII", b"PRJ1", 0xFFFFFFFF, 0xFFFFFFFF))
+    with pytest.raises(InputError, match=r"bad\.prj1: payload is 0 bytes"):
+        load_projection(bad)
+
     bad.write_bytes(b"PR")
     with pytest.raises(InputError, match="too short"):
         load_projection(bad)

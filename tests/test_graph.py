@@ -471,6 +471,11 @@ def test_adj1_rejects_corruption(tmp_path):
     with pytest.raises(InputError, match="payload"):
         load_operator(bad)
 
+    # A header alone that promises a huge operator: rejected before any read.
+    bad.write_bytes(struct.pack("<4sIQ", b"ADJ1", 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF))
+    with pytest.raises(InputError, match=r"bad\.adj1: payload is 0 bytes"):
+        load_operator(bad)
+
     mutated = bytearray(blob)
     mutated[values_off:values_off + 8] = struct.pack("<d", -0.5)
     bad.write_bytes(bytes(mutated))

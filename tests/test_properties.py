@@ -1,6 +1,7 @@
 """Property-based checks of the selection top-k and the sorted-cell spatial
 join against brute force, on inputs built to hit their edge cases: exact
-score ties (duplicated rows, zero rows, ties straddling the k-th place),
+score ties (duplicated rows, zero rows, ties straddling the k-th place, and
+copies in different support chunks),
 points near the poles and across the antimeridian, and grids whose column
 stencil wraps onto itself.
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsloc.retrieval as retrieval
 import gsloc.spatial as spatial
 from gsloc.geodesy import METERS_PER_DEGREE, haversine_m_vectorized
 from gsloc.retrieval import cosine_knn
@@ -64,25 +66,29 @@ def _tied_sets(draw):
     return queries, support
 
 
-def _same_rows(support: np.ndarray) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(support.shape[0])
-            for j in range(i + 1, support.shape[0])
-            if np.array_equal(support[i], support[j])]
+def _copy_groups(support: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """(group of each support row, ascending row indices of each group), where
+    a group holds the rows equal to each other."""
+    # + 0.0 turns -0.0 into 0.0, which compares equal to it.
+    _, labels = np.unique(support + 0.0, axis=0, return_inverse=True)
+    labels = labels.ravel()
+    groups = [np.flatnonzero(labels == g).tolist() for g in range(labels.max() + 1)]
+    return labels.tolist(), groups
 
 
-@PROPERTY
-@given(_tied_sets())
-def test_topk_matches_quadratic_oracle_with_exact_ties(case):
-    queries, support = case
+def _assert_topk(queries: np.ndarray, support: np.ndarray,
+                 ks) -> dict[int, list]:
+    """Check cosine_knn at each k against the oracle; return its matches."""
     n = support.shape[0]
+    results = {}
     logging.disable(logging.WARNING)
     try:
         # The full stable sort is the library's own reference order.
         full = cosine_knn(queries, support, k=n)
         oracle_full = quadratic_knn(queries, support, k=n)
-        duplicates = _same_rows(support)
-        for k in range(1, n + 1):
-            got = cosine_knn(queries, support, k=k)
+        group_of, groups = _copy_groups(support)
+        for k in ks:
+            got = results[k] = cosine_knn(queries, support, k=k)
             want = quadratic_knn(queries, support, k=k)
             for qi, (match, oracle) in enumerate(zip(got, want)):
                 assert match.query_index == qi
@@ -97,16 +103,82 @@ def test_topk_matches_quadratic_oracle_with_exact_ties(case):
                     assert abs(s - oracle[r][1]) <= SCORE_EPS
                     assert abs(s - oracle_score[i]) <= SCORE_EPS
                 # Nothing left out beats anything kept.
-                left_out = [oracle_score[j] for j in range(n) if j not in set(idx)]
+                kept = set(idx)
+                left_out = [oracle_score[j] for j in range(n) if j not in kept]
                 if left_out:
                     assert min(oracle_score[i] for i in idx) >= max(left_out) - SCORE_EPS
-                # Identical support rows tie exactly: the lower index wins.
-                for i, j in duplicates:
-                    if j in idx:
-                        assert i in idx and idx.index(i) < idx.index(j)
+                # Identical support rows tie exactly: the lower index wins, so
+                # the kept copies of a row are its lowest-index ones, in order.
+                kept_by_group: dict[int, list[int]] = {}
+                for i in idx:
+                    kept_by_group.setdefault(group_of[i], []).append(i)
+                for g, rows in kept_by_group.items():
+                    assert rows == groups[g][:len(rows)]
                 assert all(a >= b for a, b in zip(scores, scores[1:]))
     finally:
         logging.disable(logging.NOTSET)
+    return results
+
+
+@PROPERTY
+@given(_tied_sets())
+def test_topk_matches_quadratic_oracle_with_exact_ties(case):
+    queries, support = case
+    _assert_topk(queries, support, range(1, support.shape[0] + 1))
+
+
+@st.composite
+def _multi_chunk_sets(draw):
+    """(queries, support) whose support spans several 64-row chunks: a tied
+    set's rows repeat down the support, so exact copies and zero rows fall
+    in different chunks, and the size often sits next to a chunk edge."""
+    queries, base = draw(_tied_sets())
+    n = draw(st.one_of(st.sampled_from([64, 65, 127, 128, 129, 192, 193]),
+                       st.integers(1, 260)))
+    support = base[np.arange(n) % base.shape[0]]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    moved = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    support[moved] += rng.integers(-2, 3, (int(moved.sum()), base.shape[1]))
+    return queries, support
+
+
+@PROPERTY
+@given(_multi_chunk_sets())
+def test_topk_does_not_depend_on_the_support_chunks(case):
+    queries, support = case
+    n = support.shape[0]
+    ks = sorted({k for k in (1, 2, 3, n // 2, n - 1, n) if 1 <= k <= n})
+    whole = _assert_topk(queries, support, ks)
+    with pytest.MonkeyPatch.context() as mp:
+        # The smallest chunk the alignment allows: 64 support rows.
+        mp.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
+        chunked = _assert_topk(queries, support, ks)
+    for k in ks:
+        for a, b in zip(chunked[k], whole[k]):
+            assert [i for i, _ in a.neighbors] == [i for i, _ in b.neighbors]
+            for (_, x), (_, y) in zip(a.neighbors, b.neighbors):
+                assert abs(x - y) <= SCORE_EPS
+
+
+@pytest.mark.parametrize("n_support", [64 + 1, 3 * 64 + 1, 4 * 64])
+def test_topk_with_a_short_last_support_chunk(monkeypatch, n_support):
+    # A support one row past a chunk edge; its last row copies the first.
+    # (With the one-row remainder as a chunk of its own, a matrix-vector
+    # product scored that copy 1.0000000000000002 against the first's 1.0.)
+    rng = np.random.default_rng(n_support)
+    support = rng.integers(-3, 4, (n_support, 6)).astype(np.float64)
+    support[0] = support[-1] = [0.0, 0.0, 0.0, 0.0, 2.0, 3.0]
+    queries = np.vstack([support[[0, 5]], rng.standard_normal((2, 6))])
+    whole = cosine_knn(queries, support, k=3)
+    monkeypatch.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
+    chunked = cosine_knn(queries, support, k=3)
+    oracle = quadratic_knn(queries, support, k=3)
+    for a, b, want in zip(chunked, whole, oracle):
+        assert [i for i, _ in a.neighbors] == [i for i, _ in b.neighbors]
+        for (_, x), (_, y), (_, z) in zip(a.neighbors, b.neighbors, want):
+            assert abs(x - y) <= SCORE_EPS and abs(x - z) <= SCORE_EPS
+    assert [i for i, _ in chunked[0].neighbors[:2]] == [0, n_support - 1]
+    assert chunked[0].neighbors[0][1] == chunked[0].neighbors[1][1]
 
 
 # ---------------------------------------------------------------------------
