@@ -10,6 +10,7 @@ values in row-major order.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -74,11 +75,14 @@ class Dataset:
             n_images=len(self.records),
         )
 
-    def lats(self) -> np.ndarray:
-        return np.array([r.lat for r in self.records], dtype=np.float64)
-
-    def lons(self) -> np.ndarray:
-        return np.array([r.lon for r in self.records], dtype=np.float64)
+    @functools.cached_property
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lats, lons) as read-only float64 arrays, built on first use and
+        shared by every later caller on this split."""
+        lats = np.array([r.lat for r in self.records], dtype=np.float64)
+        lons = np.array([r.lon for r in self.records], dtype=np.float64)
+        lats.flags.writeable = lons.flags.writeable = False
+        return lats, lons
 
     def with_descriptors(self, descriptors: np.ndarray) -> "Dataset":
         """Same records with a replacement descriptor matrix (row-aligned)."""
@@ -217,8 +221,8 @@ def filter_reachable_queries(query: Dataset, support: Dataset,
         raise InputError("cannot filter queries against an empty support set")
     if query.n_images == 0:
         return Dataset(records=[], descriptors=query.descriptors[:0], role=query.role)
-    grid = LatLonGrid(support.lats(), support.lons(), cell_m=radius_m)
-    nearest = grid.min_distance_within_reach_m(query.lats(), query.lons())
+    grid = LatLonGrid(*support.positions, cell_m=radius_m)
+    nearest = grid.min_distance_within_reach_m(*query.positions)
     keep = nearest <= radius_m
     records = [r for r, k in zip(query.records, keep) if k]
     return Dataset(records=records, descriptors=query.descriptors[keep], role=query.role)

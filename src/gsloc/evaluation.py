@@ -21,8 +21,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError
-from .geodesy import GeoPoint, haversine_m
-from .graph import GraphParams, build_operator
+from .geodesy import GeoPoint, haversine_m, haversine_m_each
+from .graph import GraphParams, KernelGeometry, build_operator, kernel_geometry
 from .retrieval import Match, PoseEstimate, cosine_knn, infer_pose
 from .smoothing import SmoothConfig, smooth
 
@@ -93,16 +93,22 @@ def compute_report(matches: list[Match], support: Dataset, query: Dataset,
     """Score retrieved matches against the query split's own GPS."""
     if threshold_m <= 0:
         raise InputError(f"threshold_m must be positive, got {threshold_m}")
-    errors: list[float] = []
-    for match in matches:
-        estimate = infer_pose(match, support.records, strategy)
-        rec = query.records[match.query_index]
-        errors.append(localization_error(estimate, GeoPoint(rec.lat, rec.lon)))
-    if not errors:
+    if not matches:
         raise InputError("cannot score an empty query set")
-    err = np.asarray(errors)
+    s_lat, s_lon = support.positions
+    q_lat, q_lon = query.positions
+    if strategy == "top1" and all(match.neighbors for match in matches):
+        # top1 copies the best neighbor's GPS, as infer_pose does.
+        best = [match.neighbors[0][0] for match in matches]
+        est_lat, est_lon = s_lat[best], s_lon[best]
+    else:
+        poses = [infer_pose(match, support.records, strategy) for match in matches]
+        est_lat = np.array([pose.lat for pose in poses])
+        est_lon = np.array([pose.lon for pose in poses])
+    truth = [match.query_index for match in matches]
+    err = haversine_m_each(est_lat, est_lon, q_lat[truth], q_lon[truth])
     return EvalReport(
-        per_query_error_m=errors,
+        per_query_error_m=err.tolist(),
         median_error_m=float(np.median(err)),
         acc_at_threshold=float(np.count_nonzero(err < threshold_m) / err.size),
         threshold_m=threshold_m,
@@ -111,19 +117,56 @@ def compute_report(matches: list[Match], support: Dataset, query: Dataset,
     )
 
 
-def _memo_smoother() -> Smoother:
-    """In-memory smoother that builds each side's operator once. A memo
-    serves one graph-parameter set (one evaluation, sweep or grid group), so
-    it is keyed by side alone and never needs invalidation."""
+def _memo_smoother(geometry: dict[str, KernelGeometry] | None = None) -> Smoother:
+    """In-memory smoother that builds each side's operator once, from the
+    command's shared kernel geometry for that side when given. A memo serves
+    one graph-parameter set (one evaluation, sweep or grid group), so it is
+    keyed by side alone and never needs invalidation.
+
+    It walks an m-ladder: each side's float64 iterate A^m X is kept and
+    advanced from the last m reached, so ascending m values cost max(m)
+    sparse products per side; a smaller m starts again from X. Each column's
+    float64 chain is the one a fresh smooth would take, so every result is
+    bitwise equal to smooth(A, X, m). Without a structural kernel the latent
+    gate is empty and the operator is the identity, so X comes back as is.
+    """
     operators = {}
+    ladders: dict[str, tuple[int, np.ndarray]] = {}
 
     def smoother(side: str, dataset: Dataset, params: GraphParams,
                  m: int) -> np.ndarray:
+        if not (params.include_dist or params.include_seq):
+            return dataset.descriptors
         if side not in operators:
-            operators[side] = build_operator(dataset.records,
-                                             dataset.descriptors, params)
-        return smooth(operators[side], dataset.descriptors, SmoothConfig(m=m))
+            operators[side] = build_operator(dataset.records, dataset.descriptors,
+                                             params, (geometry or {}).get(side))
+        done, iterate = ladders.get(side, (0, None))
+        if iterate is None or m < done:
+            done, iterate = 0, dataset.descriptors.astype(np.float64)
+        if m > done:
+            iterate = smooth(operators[side], iterate, SmoothConfig(m=m - done))
+        ladders[side] = (m, iterate)
+        return iterate.astype(dataset.descriptors.dtype)
     return smoother
+
+
+def _regime_sides(regime: str) -> tuple[str, ...]:
+    if regime not in SMOOTHED_SIDES:
+        raise InputError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+    return SMOOTHED_SIDES[regime]
+
+
+def _shared_geometry(support: Dataset, query: Dataset, cells: list[GraphParams],
+                     regime: str, query_gps: bool) -> dict[str, KernelGeometry]:
+    """Kernel geometry of each side the regime smooths, covering every cell
+    of a command, so that no cell recomputes pairs, distances or cosines."""
+    datasets = {"support": (support, cells),
+                "query": (query, [query_graph_params(p, query_gps) for p in cells])}
+    out = {}
+    for side in _regime_sides(regime):
+        dataset, side_cells = datasets[side]
+        out[side] = kernel_geometry(dataset.records, dataset.descriptors, side_cells)
+    return out
 
 
 def regime_descriptors(support: Dataset, query: Dataset, params: GraphParams,
@@ -131,9 +174,8 @@ def regime_descriptors(support: Dataset, query: Dataset, params: GraphParams,
                        smoother: Smoother) -> tuple[np.ndarray, np.ndarray]:
     """Descriptors each side brings to retrieval under the regime, each side
     smoothed on its own graph (the query graph per query_graph_params)."""
-    if regime not in SMOOTHED_SIDES:
-        raise InputError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    sides = SMOOTHED_SIDES[regime] if m > 0 else ()
+    sides = _regime_sides(regime)
+    sides = sides if m > 0 else ()
     support_desc = (smoother("support", support, params, m)
                     if "support" in sides else support.descriptors)
     query_desc = (smoother("query", query, query_graph_params(params, query_gps), m)
@@ -184,15 +226,20 @@ def run_ablation(support: Dataset, query: Dataset, params: GraphParams,
                  k: int = 1, strategy: str = "top1") -> list[AblationRow]:
     """Evaluate every kernel subset (8 rows) under gs_support.
 
-    The all-off row degenerates to an identity operator, i.e. the
-    no-smoothing baseline.
+    The rows without a structural kernel (all-off and latent-only) have an
+    identity operator, i.e. the no-smoothing baseline. All rows share one
+    kernel geometry.
     """
+    cells = [replace(params, include_dist=use_dist, include_seq=use_seq,
+                     include_latent=use_latent)
+             for use_dist, use_seq, use_latent in ABLATION_ORDER]
+    geometry = _shared_geometry(support, query, cells, "gs_support",
+                                False) if cfg.m > 0 else {}
     rows: list[AblationRow] = []
-    for use_dist, use_seq, use_latent in ABLATION_ORDER:
-        cell = replace(params, include_dist=use_dist, include_seq=use_seq,
-                       include_latent=use_latent)
-        report = evaluate_regime(support, query, cell, cfg, "gs_support",
-                                 threshold_m=threshold_m, k=k, strategy=strategy)
+    for (use_dist, use_seq, use_latent), cell in zip(ABLATION_ORDER, cells):
+        report = _evaluate(support, query, cell, cfg, "gs_support",
+                           _memo_smoother(geometry), threshold_m=threshold_m,
+                           k=k, strategy=strategy, query_gps=False)
         rows.append(AblationRow(use_dist=use_dist, use_seq=use_seq,
                                 use_latent=use_latent,
                                 median_error_m=report.median_error_m,
@@ -204,8 +251,9 @@ def sweep_m(support: Dataset, query: Dataset, params: GraphParams,
             m_values: list[int], *, threshold_m: float = DEFAULT_THRESHOLD_M,
             k: int = 1, strategy: str = "top1", query_gps: bool = False,
             ) -> list[tuple[int, float, float]]:
-    """Evaluate gs_both once per m, building each side's graph only once;
-    returns (m, acc, median) rows."""
+    """Evaluate gs_both once per m, building each side's graph only once and
+    carrying each side's iterate up the m-ladder; returns (m, acc, median)
+    rows."""
     if any(m < 0 for m in m_values):
         raise InputError("m values must be nonnegative")
     smoother = _memo_smoother()
@@ -237,8 +285,11 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
     Maximizes acc_at_threshold; ties break to the lower median error, then to
     the earliest cell in canonical product order. Axes missing from the grid
     stay at their base values. Cells sharing graph parameters reuse one graph
-    build; those groups are independent, so a thread pool may run them in
-    parallel without changing any numbers.
+    build and walk the m axis as one ladder; every group builds from one
+    shared kernel geometry per smoothed side, and the m = 0 cells, which
+    never touch a graph, share one retrieval. All of that is computed before
+    the groups run, so a thread pool may run them in parallel without a lock
+    and without changing any numbers.
     """
     if not grid:
         raise InputError("grid must name at least one parameter axis")
@@ -260,18 +311,27 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
     graph_combos = list(product(axes["alpha"], axes["betas"], axes["gamma"],
                                 axes["max_distance_m"]))
     m_axis = axes["m"]
+    cells = [replace(base_params, alpha=alpha, betas=betas, gamma=gamma,
+                     max_distance_m=max_distance_m)
+             for alpha, betas, gamma, max_distance_m in graph_combos]
+    scoring = dict(threshold_m=threshold_m, k=k, strategy=strategy,
+                   query_gps=query_gps)
+    geometry = (_shared_geometry(support, validation_query, cells, regime,
+                                 query_gps) if max(m_axis) > 0 else {})
+    unsmoothed = (_evaluate(support, validation_query, base_params,
+                            SmoothConfig(m=0), regime, _memo_smoother(),
+                            **scoring) if 0 in m_axis else None)
+    # Scoring reads both splits' positions; build them before the pool.
+    support.positions, validation_query.positions
 
-    def eval_group(combo: tuple) -> list[dict]:
+    def eval_group(combo: tuple, cell_params: GraphParams) -> list[dict]:
         alpha, betas, gamma, max_distance_m = combo
-        cell_params = replace(base_params, alpha=alpha, betas=betas,
-                              gamma=gamma, max_distance_m=max_distance_m)
-        smoother = _memo_smoother()
+        smoother = _memo_smoother(geometry)
         rows = []
         for m in m_axis:
-            report = _evaluate(support, validation_query, cell_params,
-                               SmoothConfig(m=m), regime, smoother,
-                               threshold_m=threshold_m, k=k, strategy=strategy,
-                               query_gps=query_gps)
+            report = unsmoothed if m == 0 else _evaluate(
+                support, validation_query, cell_params, SmoothConfig(m=m),
+                regime, smoother, **scoring)
             rows.append({
                 "alpha": alpha,
                 "betas": list(betas),
@@ -285,9 +345,9 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
 
     if threads > 1 and len(graph_combos) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_group = list(pool.map(eval_group, graph_combos))
+            per_group = list(pool.map(eval_group, graph_combos, cells))
     else:
-        per_group = [eval_group(combo) for combo in graph_combos]
+        per_group = [eval_group(combo, cell) for combo, cell in zip(graph_combos, cells)]
     table = [row for rows in per_group for row in rows]
 
     best = 0

@@ -45,11 +45,32 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
 
 
-def haversine_m_vectorized(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Elementwise haversine over arrays of decimal degrees, in meters."""
-    lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=np.float64))
-                              for x in (lat1, lon1, lat2, lon2))
+def _hav(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Elementwise haversine of the central angle between fixes given in
+    radians, evaluated in haversine_m's order."""
     s_lat = np.sin((lat2 - lat1) / 2.0)
     s_lon = np.sin((lon2 - lon1) / 2.0)
-    h = s_lat * s_lat + np.cos(lat1) * np.cos(lat2) * s_lon * s_lon
+    return s_lat * s_lat + np.cos(lat1) * np.cos(lat2) * s_lon * s_lon
+
+
+def haversine_m_vectorized(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Elementwise haversine over arrays of decimal degrees, in meters."""
+    # Rebinding the arguments frees each caller temporary once converted.
+    lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=np.float64))
+                              for x in (lat1, lon1, lat2, lon2))
+    h = _hav(lat1, lon1, lat2, lon2)
     return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
+
+
+def haversine_m_each(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """haversine_m of each element, bit for bit.
+
+    numpy's radians, sin, cos and sqrt round as the math module's do, but
+    its arctan2 need not: on AVX-512 hosts it differs from the C library's
+    atan2 by one ulp for some pairs more than about 40 km apart. So the last
+    step calls math.atan2 once per element.
+    """
+    h = _hav(*(np.radians(np.asarray(x, dtype=np.float64))
+               for x in (lat1, lon1, lat2, lon2)))
+    angle = map(math.atan2, np.sqrt(h).tolist(), np.sqrt(1.0 - h).tolist())
+    return 2.0 * EARTH_RADIUS_M * np.fromiter(angle, dtype=np.float64, count=h.size)

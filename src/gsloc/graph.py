@@ -16,6 +16,11 @@ diagonal; ``include_self_edges`` instead adds a unit self-weight during
 normalization. Normalizing divides each row by its degree, giving a
 row-stochastic operator whose eigenvalues lie in [-1, 1]; vertices with no
 edges at all fall back to an identity row and are reported.
+
+Graphs for many parameter cells share what does not depend on the weights
+(``kernel_geometry``): distance pairs found once at the largest radius,
+sequence pairs once per frame gap, and cosines once on the union of the
+latent gates. Each cell's graph is bitwise the one it would get alone.
 """
 
 from __future__ import annotations
@@ -152,76 +157,85 @@ class SmoothingOperator:
         return int(self.matrix.shape[0])
 
 
-def build_w_dist(records: list[ImageRecord], params: GraphParams) -> WeightedGraph:
-    """Distance kernel: exp(decay * alpha * d) for pairs with d strictly below
-    max_distance_m. Candidate pairs come from a spatial hash grid with cell
-    size max_distance_m."""
-    n = len(records)
-    if n < 2:
-        return WeightedGraph.empty(n)
+@dataclass(frozen=True)
+class DistancePairs:
+    """Every pair (i < j) strictly closer than ``reach_m``, with its
+    haversine distance. It serves any radius up to ``reach_m``: a smaller one
+    keeps the pairs with ``d`` below it."""
+
+    reach_m: float
+    i: np.ndarray
+    j: np.ndarray
+    d: np.ndarray
+
+
+def distance_pairs(records: list[ImageRecord], reach_m: float) -> DistancePairs:
+    """Candidates from a spatial hash grid with cell size reach_m, kept when
+    their exact distance is below reach_m."""
     lats = np.array([r.lat for r in records])
     lons = np.array([r.lon for r in records])
-    grid = LatLonGrid(lats, lons, cell_m=params.max_distance_m)
-    factor = params.decay_factor * params.alpha
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_w: list[np.ndarray] = []
-    for ci, cj in grid.pair_chunks(reach_m=params.max_distance_m):
-        d = haversine_m_vectorized(lats[ci], lons[ci], lats[cj], lons[cj])
-        keep = d < params.max_distance_m
-        if not keep.any():
-            continue
-        out_i.append(ci[keep])
-        out_j.append(cj[keep])
-        out_w.append(np.exp(factor * d[keep]))
-    if not out_i:
-        return WeightedGraph.empty(n)
-    return WeightedGraph.from_pairs(
-        n, np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_w))
+    out_i: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    out_j: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    out_d: list[np.ndarray] = [np.empty(0)]
+    if len(records) >= 2:
+        grid = LatLonGrid(lats, lons, cell_m=reach_m)
+        for ci, cj in grid.pair_chunks(reach_m=reach_m):
+            d = haversine_m_vectorized(lats[ci], lons[ci], lats[cj], lons[cj])
+            keep = d < reach_m
+            out_i.append(ci[keep])
+            out_j.append(cj[keep])
+            out_d.append(d[keep])
+    return DistancePairs(float(reach_m), np.concatenate(out_i),
+                         np.concatenate(out_j), np.concatenate(out_d))
 
 
-def build_w_seq(records: list[ImageRecord], params: GraphParams) -> WeightedGraph:
-    """Sequence kernel: beta_k between same-sequence images exactly k frame
-    indices apart, k = 1..len(betas). Never crosses sequence boundaries."""
-    n = len(records)
+def sequence_pairs(records: list[ImageRecord],
+                   max_gap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(i, j) arrays, i < j, of the same-sequence pairs exactly k frame
+    indices apart, for k = 1..max_gap in that order."""
     by_seq: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):
         by_seq.setdefault(rec.sequence_id, []).append(idx)
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_w: list[np.ndarray] = []
+    out: list[tuple[list[np.ndarray], list[np.ndarray]]] = [
+        ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)])
+        for _ in range(max_gap)]
     for members in by_seq.values():
         idx = np.asarray(members, dtype=np.int64)
         frames = np.array([records[m].frame_index for m in members], dtype=np.int64)
-        for k, beta in enumerate(params.betas, start=1):
+        for k, (out_i, out_j) in enumerate(out, start=1):
             # frames are strictly increasing within a sequence, so a pair at
             # gap exactly k can be located by binary search.
             pos = np.searchsorted(frames, frames + k)
             ok = pos < frames.size
             ok[ok] &= frames[pos[ok]] == frames[np.flatnonzero(ok)] + k
             src = np.flatnonzero(ok)
-            if src.size:
-                out_i.append(idx[src])
-                out_j.append(idx[pos[src]])
-                out_w.append(np.full(src.size, beta, dtype=np.float64))
-    if not out_i:
-        return WeightedGraph.empty(n)
-    return WeightedGraph.from_pairs(
-        n, np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_w))
+            out_i.append(idx[src])
+            out_j.append(idx[pos[src]])
+    return [(np.concatenate(i), np.concatenate(j)) for i, j in out]
 
 
-def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
-                   params: GraphParams) -> WeightedGraph:
-    """Latent kernel: gamma * max(0, cosine) on exactly the gated pairs.
+@dataclass(frozen=True)
+class PairCosines:
+    """Cosine similarity of each pair in an ascending pair list, keyed
+    ``i * n + j`` for pairs i < j, which any subset of the pairs looks up."""
 
-    The gate must be the union support of the structural kernels; pairs whose
-    cosine clamps to zero are dropped rather than stored."""
+    n: int
+    keys: np.ndarray
+    cos: np.ndarray
+
+    def take(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        keys = i * self.n + j
+        pos = np.searchsorted(self.keys, keys)
+        if keys.size and (pos.max() >= self.keys.size
+                          or np.any(self.keys[pos] != keys)):
+            raise InputError("cosines were not computed for every gated pair")
+        return self.cos[pos]
+
+
+def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
+                 j: np.ndarray) -> np.ndarray:
+    """Cosine of each pair (i[k], j[k]) of descriptor rows, in float64."""
     x = np.asarray(descriptors)
-    if x.ndim != 2 or x.shape[0] != gate.n:
-        raise InputError(f"descriptors must be 2-D with {gate.n} rows")
-    gi, gj, _ = gate.edges()
-    if gi.size == 0 or params.gamma == 0.0:
-        return WeightedGraph.empty(gate.n)
     norms = np.empty(x.shape[0], dtype=np.float64)
     norm_chunk = max(1, int(_COSINE_CHUNK_BYTES // (8 * max(1, x.shape[1]))))
     for start in range(0, x.shape[0], norm_chunk):
@@ -229,23 +243,114 @@ def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
         norms[start:start + norm_chunk] = np.linalg.norm(block, axis=1)
     norms[norms == 0.0] = 1.0
     chunk = max(1, int(_COSINE_CHUNK_BYTES // (2 * x.itemsize * max(1, x.shape[1]))))
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_w: list[np.ndarray] = []
-    for start in range(0, gi.size, chunk):
-        ci = gi[start:start + chunk]
-        cj = gj[start:start + chunk]
+    cos = np.empty(i.size)
+    for start in range(0, i.size, chunk):
+        ci = i[start:start + chunk]
+        cj = j[start:start + chunk]
         dots = np.einsum("ij,ij->i", x[ci], x[cj], dtype=np.float64)
-        cos = dots / (norms[ci] * norms[cj])
-        keep = cos > 0.0
-        if keep.any():
-            out_i.append(ci[keep])
-            out_j.append(cj[keep])
-            out_w.append(params.gamma * cos[keep])
-    if not out_i:
+        cos[start:start + chunk] = dots / (norms[ci] * norms[cj])
+    return cos
+
+
+@dataclass(frozen=True)
+class KernelGeometry:
+    """What one split's graphs share across kernel weights: distance pairs
+    at the largest radius, sequence pairs up to the longest betas, and the
+    cosines on the union of every latent gate. A piece that is None is
+    computed by each kernel for its own cell, and freed when it returns."""
+
+    dist: DistancePairs | None = None
+    seq: list[tuple[np.ndarray, np.ndarray]] | None = None
+    cosines: PairCosines | None = None
+
+
+def kernel_geometry(records: list[ImageRecord], descriptors: np.ndarray | None,
+                    cells: list[GraphParams]) -> KernelGeometry:
+    """The geometry every cell's graph is built from, each piece computed
+    once: a cell keeps the distance pairs below its own radius, weights the
+    sequence gaps its betas name, and looks up the cosines of its own gate."""
+    n = len(records)
+    radii = [p.max_distance_m for p in cells if p.include_dist]
+    gaps = [len(p.betas) for p in cells if p.include_seq]
+    dist = distance_pairs(records, max(radii)) if radii else None
+    seq = sequence_pairs(records, max(gaps)) if gaps else None
+    # A latent gate is the union of its cell's structural kernels.
+    latent = [p for p in cells if p.include_latent and p.gamma != 0.0]
+    keys = []
+    latent_radii = [p.max_distance_m for p in latent if p.include_dist]
+    if latent_radii:
+        keep = dist.d < max(latent_radii)
+        keys.append(dist.i[keep] * n + dist.j[keep])
+    latent_gaps = [len(p.betas) for p in latent if p.include_seq]
+    if latent_gaps:
+        keys += [i * n + j for i, j in seq[:max(latent_gaps)]]
+    cosines = None
+    if keys:
+        union = np.unique(np.concatenate(keys))
+        cosines = PairCosines(n, union, pair_cosines(descriptors, *np.divmod(union, n)))
+    return KernelGeometry(dist, seq, cosines)
+
+
+def build_w_dist(records: list[ImageRecord], params: GraphParams,
+                 pairs: DistancePairs | None = None) -> WeightedGraph:
+    """Distance kernel: exp(decay * alpha * d) for pairs with d strictly below
+    max_distance_m, taken from ``pairs`` (computed at this radius when not
+    given; a larger reach serves too)."""
+    n = len(records)
+    if pairs is None:
+        pairs = distance_pairs(records, params.max_distance_m)
+    elif pairs.reach_m < params.max_distance_m:
+        raise InputError(f"distance pairs reach {pairs.reach_m} m, "
+                         f"below max_distance_m {params.max_distance_m}")
+    keep = pairs.d < params.max_distance_m
+    if not keep.any():
+        return WeightedGraph.empty(n)
+    factor = params.decay_factor * params.alpha
+    return WeightedGraph.from_pairs(n, pairs.i[keep], pairs.j[keep],
+                                    np.exp(factor * pairs.d[keep]))
+
+
+def build_w_seq(records: list[ImageRecord], params: GraphParams,
+                pairs: list[tuple[np.ndarray, np.ndarray]] | None = None,
+                ) -> WeightedGraph:
+    """Sequence kernel: beta_k between same-sequence images exactly k frame
+    indices apart, k = 1..len(betas). Never crosses sequence boundaries.
+    ``pairs`` are sequence_pairs for at least len(betas) gaps."""
+    n = len(records)
+    if pairs is None:
+        pairs = sequence_pairs(records, len(params.betas))
+    elif len(pairs) < len(params.betas):
+        raise InputError(f"sequence pairs cover {len(pairs)} gaps, "
+                         f"betas name {len(params.betas)}")
+    gaps = pairs[:len(params.betas)]
+    if not sum(gi.size for gi, _ in gaps):
+        return WeightedGraph.empty(n)
+    w = np.concatenate([np.full(gi.size, beta, dtype=np.float64)
+                        for (gi, _), beta in zip(gaps, params.betas)])
+    return WeightedGraph.from_pairs(n, np.concatenate([gi for gi, _ in gaps]),
+                                    np.concatenate([gj for _, gj in gaps]), w)
+
+
+def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
+                   params: GraphParams,
+                   cosines: PairCosines | None = None) -> WeightedGraph:
+    """Latent kernel: gamma * max(0, cosine) on exactly the gated pairs.
+
+    The gate must be the union support of the structural kernels; pairs whose
+    cosine clamps to zero are dropped rather than stored. ``cosines`` must
+    cover every gated pair; they are computed on the gate when not given."""
+    x = np.asarray(descriptors)
+    if x.ndim != 2 or x.shape[0] != gate.n:
+        raise InputError(f"descriptors must be 2-D with {gate.n} rows")
+    gi, gj, _ = gate.edges()
+    if gi.size == 0 or params.gamma == 0.0:
         return WeightedGraph.empty(gate.n)
-    return WeightedGraph.from_pairs(
-        gate.n, np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_w))
+    cos = pair_cosines(x, gi, gj) if cosines is None else cosines.take(gi, gj)
+    keep = cos > 0.0
+    if not keep.any():
+        return WeightedGraph.empty(gate.n)
+    return WeightedGraph.from_pairs(gate.n, gi[keep], gj[keep],
+                                    params.gamma * cos[keep])
 
 
 def combine(parts: list[WeightedGraph]) -> WeightedGraph:
@@ -290,34 +395,39 @@ def normalize(w: WeightedGraph, params: GraphParams) -> SmoothingOperator:
 
 
 def build_graph(records: list[ImageRecord], descriptors: np.ndarray | None,
-                params: GraphParams) -> WeightedGraph:
-    """Assemble W from the kernels enabled in params.
+                params: GraphParams,
+                geometry: KernelGeometry | None = None) -> WeightedGraph:
+    """Assemble W from the kernels enabled in params, on ``geometry`` (a
+    kernel_geometry covering params; without it each kernel computes its
+    own pairs and cosines, as for a single cell).
 
     The latent kernel is gated to pairs connected by the *enabled* structural
     kernels, so with both of those off it contributes nothing. Descriptors are
     only required when the latent kernel is on.
     """
     n = len(records)
+    geometry = geometry or KernelGeometry()
     parts: list[WeightedGraph] = []
     if params.include_dist:
-        parts.append(build_w_dist(records, params))
+        parts.append(build_w_dist(records, params, geometry.dist))
     if params.include_seq:
-        parts.append(build_w_seq(records, params))
+        parts.append(build_w_seq(records, params, geometry.seq))
     if params.include_latent:
         if descriptors is None:
             raise InputError("latent kernel enabled but no descriptors given")
         if descriptors.shape[0] != n:
             raise InputError(f"descriptor rows {descriptors.shape[0]} != {n} records")
         gate = combine(parts) if parts else WeightedGraph.empty(n)
-        parts.append(build_w_latent(descriptors, gate, params))
+        parts.append(build_w_latent(descriptors, gate, params, geometry.cosines))
     if not parts:
         return WeightedGraph.empty(n)
     return combine(parts)
 
 
 def build_operator(records: list[ImageRecord], descriptors: np.ndarray | None,
-                   params: GraphParams) -> SmoothingOperator:
-    return normalize(build_graph(records, descriptors, params), params)
+                   params: GraphParams,
+                   geometry: KernelGeometry | None = None) -> SmoothingOperator:
+    return normalize(build_graph(records, descriptors, params, geometry), params)
 
 
 def save_operator(path: str | Path, op: SmoothingOperator) -> None:

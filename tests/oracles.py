@@ -173,3 +173,106 @@ def random_weighted_graph(rng: np.random.Generator, n: int,
     else:
         graph = WeightedGraph.empty(n)
     return graph, dense
+
+
+# ---------------------------------------------------------------------------
+# Graphs built cell by cell
+
+
+def reference_operator(records, descriptors, params):
+    """The smoothing operator for one parameter cell, built the way the
+    library did before its kernels shared geometry across cells: candidate
+    pairs from a spatial grid at this cell's own radius, sequence pairs for
+    this cell's betas, and cosines on this cell's own gate, each kernel a
+    separate graph summed in dist, seq, latent order."""
+    from gsloc.graph import WeightedGraph, combine, normalize
+    n = len(records)
+    parts = []
+    if params.include_dist:
+        parts.append(_reference_w_dist(records, params))
+    if params.include_seq:
+        parts.append(_reference_w_seq(records, params))
+    if params.include_latent:
+        gate = combine(parts) if parts else WeightedGraph.empty(n)
+        parts.append(_reference_w_latent(descriptors, gate, params))
+    w = combine(parts) if parts else WeightedGraph.empty(n)
+    return normalize(w, params)
+
+
+def _graph(n, out_i, out_j, out_w):
+    from gsloc.graph import WeightedGraph
+    if not out_i:
+        return WeightedGraph.empty(n)
+    return WeightedGraph.from_pairs(n, np.concatenate(out_i),
+                                    np.concatenate(out_j), np.concatenate(out_w))
+
+
+def _reference_w_dist(records, params):
+    from gsloc.geodesy import haversine_m_vectorized
+    from gsloc.spatial import LatLonGrid
+    n = len(records)
+    out_i, out_j, out_w = [], [], []
+    if n >= 2:
+        lats = np.array([r.lat for r in records])
+        lons = np.array([r.lon for r in records])
+        grid = LatLonGrid(lats, lons, cell_m=params.max_distance_m)
+        factor = params.decay_factor * params.alpha
+        for ci, cj in grid.pair_chunks(reach_m=params.max_distance_m):
+            d = haversine_m_vectorized(lats[ci], lons[ci], lats[cj], lons[cj])
+            keep = d < params.max_distance_m
+            out_i.append(ci[keep])
+            out_j.append(cj[keep])
+            out_w.append(np.exp(factor * d[keep]))
+    return _graph(n, out_i, out_j, out_w)
+
+
+def _reference_w_seq(records, params):
+    """Pairs by a python scan over each sequence's frame numbers."""
+    by_seq: dict[str, dict[int, int]] = {}
+    for idx, rec in enumerate(records):
+        by_seq.setdefault(rec.sequence_id, {})[rec.frame_index] = idx
+    out_i, out_j, out_w = [], [], []
+    for frames in by_seq.values():
+        for frame, idx in frames.items():
+            for k, beta in enumerate(params.betas, start=1):
+                if frame + k in frames:
+                    out_i.append(np.array([idx]))
+                    out_j.append(np.array([frames[frame + k]]))
+                    out_w.append(np.array([beta]))
+    return _graph(len(records), out_i, out_j, out_w)
+
+
+def _reference_w_latent(descriptors, gate, params):
+    """Cosines of the gate's own pairs, one row pair at a time."""
+    gi, gj, _ = gate.edges()
+    out_i, out_j, out_w = [], [], []
+    if gi.size and params.gamma != 0.0:
+        x = np.asarray(descriptors)
+        norms = np.linalg.norm(x.astype(np.float64), axis=1)
+        norms[norms == 0.0] = 1.0
+        for i, j in zip(gi.tolist(), gj.tolist()):
+            dot = np.einsum("ij,ij->i", x[i:i + 1], x[j:j + 1], dtype=np.float64)
+            cos = dot / (norms[i:i + 1] * norms[j:j + 1])
+            if cos[0] > 0.0:
+                out_i.append(np.array([i]))
+                out_j.append(np.array([j]))
+                out_w.append(params.gamma * cos)
+    return _graph(gate.n, out_i, out_j, out_w)
+
+
+# ---------------------------------------------------------------------------
+# Scoring one query at a time
+
+
+def scalar_errors_m(matches, support, query, strategy) -> list[float]:
+    """Localization errors through GeoPoint and the scalar haversine_m, one
+    query at a time."""
+    from gsloc.geodesy import GeoPoint, haversine_m
+    from gsloc.retrieval import infer_pose
+    errors = []
+    for match in matches:
+        pose = infer_pose(match, support.records, strategy)
+        rec = query.records[match.query_index]
+        errors.append(haversine_m(GeoPoint(pose.lat, pose.lon),
+                                  GeoPoint(rec.lat, rec.lon)))
+    return errors

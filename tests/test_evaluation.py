@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import sys
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 import gsloc.evaluation as evaluation
+import gsloc.graph as graph
 from gsloc.dataset import Dataset, ImageRecord
 from gsloc.errors import InputError
 from gsloc.evaluation import (ABLATION_ORDER, AblationRow, EvalReport,
@@ -21,7 +25,9 @@ from gsloc.geodesy import GeoPoint, METERS_PER_DEGREE
 from gsloc.graph import GraphParams, build_operator
 from gsloc.retrieval import Match, PoseEstimate
 from gsloc.smoothing import SmoothConfig
+from gsloc.spatial import LatLonGrid
 from gsloc.synth import SynthConfig, generate_synthetic
+from oracles import reference_operator
 
 SMALL_SYNTH = SynthConfig(n_places=6, n_support_sequences=2,
                           n_query_sequences=1, frames_per_place=2, dim=16,
@@ -262,11 +268,49 @@ def _count_builds(monkeypatch) -> list:
     built = []
     real = evaluation.build_operator
 
-    def counting(records, descriptors, params):
+    def counting(records, descriptors, params, geometry=None):
         built.append(params)
-        return real(records, descriptors, params)
+        return real(records, descriptors, params, geometry)
     monkeypatch.setattr(evaluation, "build_operator", counting)
     return built
+
+
+def _count_pair_scans(monkeypatch) -> list:
+    """Record the (point count, reach) of every candidate-pair scan: the
+    geometry below every distance kernel."""
+    scans = []
+    real = LatLonGrid.pair_chunks
+
+    def counting(self, reach_m):
+        scans.append((self.lats.size, reach_m))
+        return real(self, reach_m)
+    monkeypatch.setattr(LatLonGrid, "pair_chunks", counting)
+    return scans
+
+
+def _count_cosines(monkeypatch) -> list:
+    """Record (row count, i, j) of every pair whose cosine is computed."""
+    computed = []
+    real = graph.pair_cosines
+
+    def counting(descriptors, i, j):
+        n = np.asarray(descriptors).shape[0]
+        computed.extend((n, a, b) for a, b in zip(i.tolist(), j.tolist()))
+        return real(descriptors, i, j)
+    monkeypatch.setattr(graph, "pair_cosines", counting)
+    return computed
+
+
+def _count_products(monkeypatch) -> dict:
+    """Sparse products applied by the evaluation layer, by signal rows."""
+    products: dict[int, int] = {}
+    real = evaluation.smooth
+
+    def counting(op, signal, cfg):
+        products[signal.shape[0]] = products.get(signal.shape[0], 0) + cfg.m
+        return real(op, signal, cfg)
+    monkeypatch.setattr(evaluation, "smooth", counting)
+    return products
 
 
 def test_sweep_m_builds_each_side_graph_once(monkeypatch):
@@ -278,6 +322,19 @@ def test_sweep_m_builds_each_side_graph_once(monkeypatch):
     assert [p.include_dist for p in built] == [True, False]
 
 
+def test_sweep_m_walks_the_m_ladder(monkeypatch):
+    support, query = _small_world()
+    products = _count_products(monkeypatch)
+    rows = sweep_m(support, query, GraphParams(), list(range(11)))
+    # m = 0..10 from scratch would be 55 products per side
+    assert products == {support.n_images: 10, query.n_images: 10}
+    monkeypatch.undo()
+    for m, acc, median in rows:
+        fresh = evaluate_regime(support, query, GraphParams(), SmoothConfig(m=m),
+                                "gs_both")
+        assert (acc, median) == (fresh.acc_at_threshold, fresh.median_error_m)
+
+
 def test_grid_search_builds_one_graph_per_group_and_side(monkeypatch):
     support, query = _small_world()
     built = _count_builds(monkeypatch)
@@ -287,6 +344,100 @@ def test_grid_search_builds_one_graph_per_group_and_side(monkeypatch):
     built.clear()
     grid_search(support, query, grid, regime="gs_support", threads=2)
     assert len(built) == 3
+
+
+_SHARED_GRID = {"max_distance_m": [15.0, 40.0, 25.0],
+                "betas": [[0.5], [0.75, 0.0625, 0.0625]],
+                "gamma": [0.0, 0.33], "m": [0, 1, 2]}
+
+
+def test_grid_search_scans_candidate_pairs_once_per_side(monkeypatch):
+    support, query = _small_world()
+    scans = _count_pair_scans(monkeypatch)
+    grid_search(support, query, _SHARED_GRID, regime="gs_both",
+                query_gps=True, threads=2)
+    # 3 radii x 2 betas x 2 gammas: one scan per side, at the largest radius
+    assert sorted(scans) == sorted([(support.n_images, 40.0),
+                                    (query.n_images, 40.0)])
+    scans.clear()
+    grid_search(support, query, _SHARED_GRID, regime="gs_both")
+    assert scans == [(support.n_images, 40.0)]  # no query GPS, no query scan
+
+
+def test_grid_search_threads_share_geometry_under_fast_switching():
+    support, query = _small_world()
+    _, _, serial = grid_search(support, query, _SHARED_GRID, regime="gs_both",
+                               query_gps=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # more threads than cores, over groups that read one shared geometry
+        _, _, threaded = grid_search(support, query, _SHARED_GRID,
+                                     regime="gs_both", query_gps=True, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def _gated_pairs(dataset, params) -> set:
+    """Upper-triangle pairs joined by the structural kernels of params."""
+    op = reference_operator(dataset.records, None,
+                            replace(params, include_latent=False))
+    coo = op.matrix.tocoo()
+    return {(int(i), int(j)) for i, j in zip(coo.row, coo.col) if i < j}
+
+
+def test_grid_search_computes_each_gated_cosine_once(monkeypatch):
+    support, query = _small_world()
+    computed = _count_cosines(monkeypatch)
+    grid_search(support, query, _SHARED_GRID, regime="gs_both",
+                query_gps=True, threads=2)
+    assert len(computed) == len(set(computed))
+    for side, dataset in (("support", support), ("query", query)):
+        want = set()
+        for radius, betas in product([15.0, 40.0, 25.0],
+                                     _SHARED_GRID["betas"]):
+            cell = replace(GraphParams(), max_distance_m=radius, betas=betas)
+            want |= _gated_pairs(dataset, cell)
+        got = {(i, j) for n, i, j in computed if n == dataset.n_images}
+        assert want and got == want, side
+
+
+def test_grid_cells_equal_single_cell_evaluations():
+    support, query = _small_world()
+    for regime, query_gps in (("gs_both", True), ("gs_both", False),
+                              ("gs_query", False)):
+        _, _, table = grid_search(support, query, _SHARED_GRID, regime=regime,
+                                  query_gps=query_gps, threads=2)
+        assert len(table) == 3 * 2 * 2 * 3
+        for row in table:
+            params = replace(GraphParams(), betas=tuple(row["betas"]),
+                             gamma=row["gamma"],
+                             max_distance_m=row["max_distance_m"])
+            fresh = evaluate_regime(support, query, params,
+                                    SmoothConfig(m=row["m"]), regime,
+                                    query_gps=query_gps)
+            assert (row["acc_at_threshold"], row["median_error_m"]) == (
+                fresh.acc_at_threshold, fresh.median_error_m), row
+
+
+def test_ablation_skips_identity_rows_and_shares_geometry(monkeypatch):
+    support, query = _small_world()
+    built = _count_builds(monkeypatch)
+    scans = _count_pair_scans(monkeypatch)
+    rows = run_ablation(support, query, GraphParams(), SmoothConfig(m=2))
+    # (0,0,0) and (0,0,1) have no structural kernel: identity, no build
+    assert [(p.include_dist, p.include_seq, p.include_latent) for p in built] \
+        == list(ABLATION_ORDER[2:])
+    assert scans == [(support.n_images, GraphParams().max_distance_m)]
+    monkeypatch.undo()
+    for row in rows:
+        params = replace(GraphParams(), include_dist=row.use_dist,
+                         include_seq=row.use_seq, include_latent=row.use_latent)
+        fresh = evaluate_regime(support, query, params, SmoothConfig(m=2),
+                                "gs_support")
+        assert (row.median_error_m, row.acc_at_threshold) == (
+            fresh.median_error_m, fresh.acc_at_threshold)
 
 
 def test_grid_search_validation():

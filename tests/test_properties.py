@@ -3,7 +3,10 @@ join against brute force, on inputs built to hit their edge cases: exact
 score ties (duplicated rows, zero rows, ties straddling the k-th place, and
 copies in different support chunks),
 points near the poles and across the antimeridian, and grids whose column
-stencil wraps onto itself.
+stencil wraps onto itself. The evaluation engine's shortcuts are checked
+bit for bit against the routes they replace: the m-ladder against a fresh
+smooth, operators built on shared kernel geometry against a build for the
+cell alone, and array scoring against one scalar haversine per query.
 
 Examples are derandomized so a run is reproducible; raise ``max_examples``
 locally to search wider.
@@ -20,10 +23,14 @@ from hypothesis import strategies as st
 
 import gsloc.retrieval as retrieval
 import gsloc.spatial as spatial
+from gsloc.dataset import Dataset, ImageRecord
+from gsloc.evaluation import _memo_smoother, compute_report
 from gsloc.geodesy import METERS_PER_DEGREE, haversine_m_vectorized
-from gsloc.retrieval import cosine_knn
+from gsloc.graph import GraphParams, build_operator, kernel_geometry
+from gsloc.retrieval import Match, cosine_knn
+from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
-from oracles import quadratic_knn
+from oracles import quadratic_knn, reference_operator, scalar_errors_m
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -292,3 +299,136 @@ def test_wrapping_stencil_near_the_pole():
             q_lats[qi], q_lons[qi], lats, lons)))
         assert (got[qi] <= 2000.0) == (true_min <= 2000.0)
         assert got[qi] == pytest.approx(true_min, rel=1e-12, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The evaluation engine against the routes it replaces
+
+
+@st.composite
+def _records(draw, max_points=40):
+    """Image records in a few sequences, near a pole and/or the
+    antimeridian, with sequence frames that skip numbers and exact position
+    duplicates mixed in."""
+    n = draw(st.integers(0, max_points))
+    spread_m = draw(st.sampled_from([10.0, 40.0, 120.0]))
+    lat0 = draw(st.sampled_from(_LAT_CENTERS))
+    lon0 = draw(st.sampled_from(_LON_CENTERS))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    lats = lat0 + np.array(draw(st.lists(unit, min_size=n, max_size=n))) \
+        * spread_m / METERS_PER_DEGREE
+    lats = np.clip(lats, -90.0, 90.0)
+    lon_scale = METERS_PER_DEGREE * max(np.cos(np.radians(abs(lat0))), 1e-6)
+    lons = lon0 + np.clip(np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+                          * spread_m / lon_scale, -180.0, 180.0)
+    lons = (lons + 180.0) % 360.0 - 180.0
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                            st.integers(0, max(n - 1, 0))),
+                                  max_size=n // 4)):
+        lats[dst], lons[dst] = lats[src], lons[src]
+    seqs = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    frame: dict[int, int] = {}
+    records = []
+    for idx, (seq, step) in enumerate(zip(seqs, steps)):
+        frame[seq] = frame.get(seq, -1) + step
+        records.append(ImageRecord(f"i{idx}", f"s{seq}", frame[seq],
+                                   float(lats[idx]), float(lons[idx])))
+    return records
+
+
+_params = st.builds(
+    GraphParams,
+    alpha=st.sampled_from([0.05, 0.25, 1.0]),
+    max_distance_m=st.sampled_from([5.0, 15.0, 25.0, 40.0]),
+    betas=st.lists(st.sampled_from([0.75, 0.5, 0.0625, 1.5]),
+                   min_size=1, max_size=4).map(tuple),
+    gamma=st.sampled_from([0.0, 0.33, 1.0]),
+    include_dist=st.booleans(), include_seq=st.booleans(),
+    include_latent=st.booleans(),
+    decay_sign=st.sampled_from(["negative", "positive"]),
+    include_self_edges=st.booleans())
+
+
+def _descriptors(draw, n: int, dim: int = 8) -> np.ndarray:
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).standard_normal((n, dim)).astype(
+        draw(st.sampled_from([np.float32, np.float64])))
+    if n:
+        x[draw(st.integers(0, n - 1))] = 0.0  # a zero row has cosine 0
+    return x
+
+
+@PROPERTY
+@given(st.data())
+def test_shared_geometry_operator_equals_the_cell_alone(data):
+    records = data.draw(_records())
+    x = _descriptors(data.draw, len(records))
+    cells = data.draw(st.lists(_params, min_size=1, max_size=5))
+    geometry = kernel_geometry(records, x, cells)
+    for cell in cells:
+        got = build_operator(records, x, cell, geometry)
+        want = reference_operator(records, x, cell)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.matrix, name),
+                                  getattr(want.matrix, name)), name
+        assert got.matrix.data.dtype == want.matrix.data.dtype
+        assert np.array_equal(got.isolated_vertices, want.isolated_vertices)
+
+
+@PROPERTY
+@given(st.data(), st.lists(st.integers(0, 6), min_size=1, max_size=8))
+def test_m_ladder_equals_a_fresh_smooth(data, m_values):
+    # Random lists are non-monotone; their sorted copies are ascending.
+    records = data.draw(_records(max_points=30))
+    x = _descriptors(data.draw, len(records))
+    params = data.draw(_params)
+    dataset = Dataset(records=records, descriptors=x)
+    op = build_operator(records, x, params)
+    identity = not (params.include_dist or params.include_seq)
+    for order in (sorted(m_values), m_values):
+        smoother = _memo_smoother()
+        for m in order:
+            got = smoother("support", dataset, params, m)
+            want = x if identity else smooth(op, x, SmoothConfig(m=m))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (order, m)
+
+
+@st.composite
+def _scored_matches(draw):
+    """Support and query fixes anywhere on the globe or within a few km of
+    each other, and random top-k lists over them."""
+    n_support = draw(st.integers(1, 12))
+    n_query = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    span = draw(st.sampled_from([0.01, 1.0, 180.0]))
+    lat0 = draw(st.sampled_from([0.0, 45.0, 89.99, -89.99]))
+    lon0 = draw(st.sampled_from([0.0, 179.99, -179.99]))
+
+    def split(n, role, prefix):
+        lats = np.clip(lat0 + rng.uniform(-span / 2, span / 2, n), -90.0, 90.0)
+        lons = (lon0 + rng.uniform(-span, span, n) + 180.0) % 360.0 - 180.0
+        records = [ImageRecord(f"{prefix}{i}", prefix, i, float(a), float(b))
+                   for i, (a, b) in enumerate(zip(lats, lons))]
+        return Dataset(records=records, descriptors=np.ones((n, 2), np.float32),
+                       role=role)
+    support = split(n_support, "support", "s")
+    query = split(n_query, "query", "q")
+    k = draw(st.integers(1, n_support))
+    matches = []
+    for qi in rng.permutation(n_query).tolist():
+        picks = rng.choice(n_support, k, replace=False).tolist()
+        scores = np.sort(rng.uniform(-1.0, 1.0, k))[::-1].tolist()
+        matches.append(Match(query_index=qi, neighbors=list(zip(picks, scores))))
+    return support, query, matches
+
+
+@PROPERTY
+@given(_scored_matches(), st.sampled_from(["top1", "weighted_topk"]))
+def test_array_scoring_equals_scalar_haversine(case, strategy):
+    support, query, matches = case
+    report = compute_report(matches, support, query, strategy, 25.0, "none", {})
+    assert report.per_query_error_m == scalar_errors_m(matches, support, query,
+                                                       strategy)
