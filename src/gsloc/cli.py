@@ -1,11 +1,12 @@
 """Command-line pipeline: ingest, synth, run, ablate, sweep-m, gridsearch.
 
-Configuration comes from built-in defaults, optionally overlaid by a JSON
-config file (--config), overlaid in turn by explicit flags — flags always win.
-Every command that writes takes ownership of its output directory through a
-lock file, and `run` caches its intermediates (projection, operator, smoothed
-descriptors) under content+parameter hashes so repeated or swept runs skip
-finished stages.
+Every setting is declared once, as a row of OPTIONS. The subcommands' flags,
+the layering (defaults, then a JSON config file given with --config, then
+explicit flags, which always win), the type checks on config-file values and
+the config echo in manifest.json all come from that table. Every command that
+writes takes ownership of its output directory through a lock file, and `run`
+caches its intermediates (projection, operator, smoothed descriptors) under
+content+parameter hashes so repeated or swept runs skip finished stages.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input.
 """
@@ -13,15 +14,16 @@ Exit codes: 0 success, 1 internal error, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import copy
 import fcntl
 import functools
 import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,75 +32,17 @@ from .cache import Cache, param_key, sha256_file
 from .dataset import (Dataset, filter_reachable_queries, load_dataset,
                       load_descriptors, write_descriptors, write_metadata)
 from .errors import InputError
-from .evaluation import (REGIMES, ablation_table_csv, compute_report,
-                         grid_search, grid_table_csv, regime_descriptors,
-                         render_report, run_ablation, sweep_m, sweep_plot_data,
-                         sweep_table_csv, write_report_csv, write_report_json)
+from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, ablation_table_csv,
+                         compute_report, grid_search, grid_table_csv,
+                         regime_descriptors, render_report, run_ablation,
+                         sweep_m, sweep_plot_data, sweep_table_csv,
+                         write_report_csv, write_report_json)
 from .features import (apply_projection, fit_projection, l2_normalize,
                        load_projection, save_projection)
 from .graph import GraphParams, build_operator, load_operator, save_operator
 from .retrieval import cosine_knn, write_matches
 from .smoothing import SmoothConfig, smooth
 from .synth import SynthConfig, generate_synthetic
-
-DEFAULTS: dict = {
-    "support_metadata": None,
-    "support_descriptors": None,
-    "query_metadata": None,
-    "query_descriptors": None,
-    "cache_dir": "cache",
-    "out_dir": "out",
-    "graph": {
-        "alpha": 0.25,
-        "max_distance_m": 25.0,
-        "betas": [0.75, 0.0625, 0.0625],
-        "gamma": 0.33,
-        "include_dist": True,
-        "include_seq": True,
-        "include_latent": True,
-        "decay_sign": "negative",
-        "include_self_edges": False,
-    },
-    "m": 2,
-    "regime": "gs_both",
-    "k": 1,
-    "strategy": "top1",
-    "threshold_m": 25.0,
-    "projection": {"enabled": False, "d_out": None, "eps": None},
-    "renormalize": True,
-    "query_gps": False,
-    "seed": 0,
-    "threads": 1,
-    "m_values": list(range(11)),
-    "grid": {},
-}
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved configuration for one pipeline invocation."""
-
-    support_metadata: str
-    support_descriptors: str
-    query_metadata: str
-    query_descriptors: str
-    cache_dir: str
-    out_dir: str
-    graph: GraphParams
-    smoothing: SmoothConfig
-    regime: str
-    k: int
-    strategy: str
-    threshold_m: float
-    projection_enabled: bool
-    projection_d_out: int | None
-    projection_eps: float | None
-    renormalize: bool
-    query_gps: bool
-    seed: int
-    threads: int
-    m_values: list[int]
-    grid: dict
 
 
 class OutDirLock:
@@ -132,18 +76,100 @@ class OutDirLock:
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# The option table
 
 
-def _deep_update(base: dict, overlay: dict, path: str = "") -> dict:
-    for key, value in overlay.items():
-        if key not in base:
-            raise InputError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            _deep_update(base[key], value, path + key + ".")
-        else:
-            base[key] = value
-    return base
+@dataclass(frozen=True)
+class Option:
+    """One setting of the pipeline.
+
+    ``key`` is its dotted path in a config file and in the resolved config.
+    ``kind`` is bool, int, float, str, a list of one of them, or a tuple of
+    the allowed strings; a ``default`` of None also admits null in a config
+    file. ``commands`` are the subcommands that take ``flag``. ``echo`` is the
+    dotted path under which manifest.json repeats the value; None leaves it
+    out, for execution details that cannot change any output (threads, cache
+    and output locations), so that reports stay byte-identical across
+    setups. An option with ``file`` false is a flag only.
+    """
+
+    key: str
+    flag: str
+    kind: object
+    default: object
+    commands: tuple[str, ...]
+    echo: str | None = None
+    help: str | None = None
+    file: bool = True
+
+
+_EVAL = ("run", "ablate", "sweep-m", "gridsearch")
+_DATA = ("ingest",) + _EVAL
+_ALL = ("synth",) + _DATA
+_GRAPH, _SYNTH = GraphParams(), SynthConfig()
+
+OPTIONS: tuple[Option, ...] = (
+    Option("cache_dir", "--cache-dir", str, "cache", _ALL),
+    Option("out_dir", "--out-dir", str, "out", _ALL),
+    Option("threads", "--threads", int, 1, _ALL),
+    Option("seed", "--seed", int, 0, _ALL, "seed"),
+    Option("support_metadata", "--support-metadata", str, None, _DATA,
+           "inputs.support_metadata"),
+    Option("support_descriptors", "--support-descriptors", str, None, _DATA,
+           "inputs.support_descriptors"),
+    Option("query_metadata", "--query-metadata", str, None, _DATA,
+           "inputs.query_metadata"),
+    Option("query_descriptors", "--query-descriptors", str, None, _DATA,
+           "inputs.query_descriptors"),
+    Option("graph.alpha", "--alpha", float, _GRAPH.alpha, _EVAL, "graph.alpha"),
+    Option("graph.max_distance_m", "--max-distance-m", float,
+           _GRAPH.max_distance_m, _EVAL, "graph.max_distance_m"),
+    Option("graph.betas", "--betas", list[float], _GRAPH.betas, _EVAL,
+           "graph.betas", "comma-separated, one weight per frame gap"),
+    Option("graph.gamma", "--gamma", float, _GRAPH.gamma, _EVAL, "graph.gamma"),
+    Option("graph.include_dist", "--include-dist", bool, _GRAPH.include_dist,
+           _EVAL, "graph.include_dist"),
+    Option("graph.include_seq", "--include-seq", bool, _GRAPH.include_seq,
+           _EVAL, "graph.include_seq"),
+    Option("graph.include_latent", "--include-latent", bool,
+           _GRAPH.include_latent, _EVAL, "graph.include_latent"),
+    Option("graph.decay_sign", "--decay-sign", ("negative", "positive"),
+           _GRAPH.decay_sign, _EVAL, "graph.decay_sign"),
+    Option("graph.include_self_edges", "--include-self-edges", bool,
+           _GRAPH.include_self_edges, _EVAL, "graph.include_self_edges"),
+    Option("m", "--m", int, SmoothConfig().m, _EVAL, "m"),
+    Option("regime", "--regime", REGIMES, "gs_both", _EVAL, "regime"),
+    Option("k", "--k", int, 1, _EVAL, "k"),
+    Option("strategy", "--strategy", ("top1", "weighted_topk"), "top1", _EVAL,
+           "strategy"),
+    Option("threshold_m", "--threshold-m", float, DEFAULT_THRESHOLD_M, _EVAL,
+           "threshold_m"),
+    Option("projection.enabled", "--projection", bool, False, _EVAL,
+           "projection.enabled", "fit PCA+whitening on the support set"),
+    Option("projection.d_out", "--d-out", int, None, _EVAL, "projection.d_out"),
+    Option("projection.eps", "--eps", float, None, _EVAL, "projection.eps"),
+    Option("renormalize", "--renormalize", bool, True, _EVAL, "renormalize"),
+    Option("query_gps", "--query-gps", bool, False, _EVAL, "query_gps",
+           "allow GPS edges in the query graph (leaks truth)"),
+    Option("m_values", "--m-values", list[int], tuple(range(11)), ("sweep-m",),
+           help="comma-separated, e.g. 0,1,2,5,10"),
+    # Grid axes left at None are not searched; gridsearch keeps them at the
+    # single base value.
+    Option("grid.alpha", "--grid-alpha", list[float], None, ("gridsearch",)),
+    Option("grid.betas", "--grid-betas", list[list[float]], None,
+           ("gridsearch",)),
+    Option("grid.gamma", "--grid-gamma", list[float], None, ("gridsearch",)),
+    Option("grid.max_distance_m", "--grid-max-distance-m", list[float], None,
+           ("gridsearch",)),
+    Option("grid.m", "--grid-m", list[int], None, ("gridsearch",)),
+    *(Option(f"synth.{f.name}", "--" + f.name.replace("_", "-"),
+             type(getattr(_SYNTH, f.name)), getattr(_SYNTH, f.name), ("synth",),
+             file=False)
+      for f in fields(SynthConfig)),
+)
+
+_FILE_OPTIONS = {option.key: option for option in OPTIONS if option.file}
+_FILE_SECTIONS = {key.split(".")[0] for key in _FILE_OPTIONS if "." in key}
 
 
 def _floats(text: str) -> list[float]:
@@ -165,133 +191,120 @@ def _beta_lists(text: str) -> list[list[float]]:
     return [_floats(part) for part in text.split(";") if part.strip() != ""]
 
 
-# (flag attribute, config path) pairs applied after the config file; a flag
-# left at None was not given and changes nothing.
-_FLAG_MAP: list[tuple[str, tuple[str, ...]]] = [
-    ("support_metadata", ("support_metadata",)),
-    ("support_descriptors", ("support_descriptors",)),
-    ("query_metadata", ("query_metadata",)),
-    ("query_descriptors", ("query_descriptors",)),
-    ("cache_dir", ("cache_dir",)),
-    ("out_dir", ("out_dir",)),
-    ("alpha", ("graph", "alpha")),
-    ("max_distance_m", ("graph", "max_distance_m")),
-    ("betas", ("graph", "betas")),
-    ("gamma", ("graph", "gamma")),
-    ("include_dist", ("graph", "include_dist")),
-    ("include_seq", ("graph", "include_seq")),
-    ("include_latent", ("graph", "include_latent")),
-    ("decay_sign", ("graph", "decay_sign")),
-    ("include_self_edges", ("graph", "include_self_edges")),
-    ("m", ("m",)),
-    ("regime", ("regime",)),
-    ("k", ("k",)),
-    ("strategy", ("strategy",)),
-    ("threshold_m", ("threshold_m",)),
-    ("projection", ("projection", "enabled")),
-    ("d_out", ("projection", "d_out")),
-    ("eps", ("projection", "eps")),
-    ("renormalize", ("renormalize",)),
-    ("query_gps", ("query_gps",)),
-    ("seed", ("seed",)),
-    ("threads", ("threads",)),
-    ("m_values", ("m_values",)),
-    ("grid_alpha", ("grid", "alpha")),
-    ("grid_betas", ("grid", "betas")),
-    ("grid_gamma", ("grid", "gamma")),
-    ("grid_max_distance_m", ("grid", "max_distance_m")),
-    ("grid_m", ("grid", "m")),
-]
+# Each kind's parser for its flag's text.
+_FLAG_TYPES = {str: str, int: int, float: float, list[float]: _floats,
+               list[int]: _ints, list[list[float]]: _beta_lists}
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = copy.deepcopy(DEFAULTS)
-    cfg["grid"] = {}  # grid axes are additive, not fixed keys
-    config_path = getattr(args, "config", None)
-    if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise InputError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(loaded, dict):
-            raise InputError(f"{path}: config must be a JSON object")
-        grid = loaded.pop("grid", None)
-        _deep_update(cfg, loaded)
-        if grid is not None:
-            if not isinstance(grid, dict):
-                raise InputError(f"{path}: grid must be a JSON object")
-            cfg["grid"] = grid
-    for attr, path_keys in _FLAG_MAP:
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        target = cfg
-        for key in path_keys[:-1]:
-            target = target[key]
-        target[path_keys[-1]] = value
-    g = cfg["graph"]
-    graph = GraphParams(
-        alpha=g["alpha"], max_distance_m=g["max_distance_m"],
-        betas=tuple(g["betas"]), gamma=g["gamma"],
-        include_dist=g["include_dist"], include_seq=g["include_seq"],
-        include_latent=g["include_latent"], decay_sign=g["decay_sign"],
-        include_self_edges=g["include_self_edges"])
-    if cfg["threshold_m"] <= 0:
-        raise InputError(f"threshold_m must be positive, got {cfg['threshold_m']}")
-    if cfg["projection"]["enabled"] and cfg["projection"]["d_out"] is None:
+def _flag_arguments(option: Option) -> dict:
+    """add_argument keywords for the option's flag; a flag left out parses to
+    None and changes nothing."""
+    if option.kind is bool:
+        return {"action": argparse.BooleanOptionalAction, "default": None}
+    if isinstance(option.kind, tuple):
+        return {"choices": option.kind}
+    return {"type": _FLAG_TYPES[option.kind]}
+
+
+def _as_kind(kind: object, value: object) -> object:
+    """A config-file value as ``kind``, with JSON integers widened to float;
+    raises ValueError when it is not of that kind."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+    elif typing.get_origin(kind) is list:
+        if isinstance(value, list):
+            (item,) = typing.get_args(kind)
+            return [_as_kind(item, v) for v in value]
+    elif isinstance(value, bool):  # a JSON true or false is never a number
+        if kind is bool:
+            return value
+    elif kind is float and isinstance(value, int):
+        return float(value)
+    elif isinstance(value, kind):
+        return value
+    raise ValueError(value)
+
+
+def _expected(option: Option) -> str:
+    kind = option.kind
+    text = (f"one of {kind}" if isinstance(kind, tuple)
+            else str(kind) if typing.get_origin(kind) else kind.__name__)
+    return text + (" or null" if option.default is None else "")
+
+
+def _read_config(path: Path) -> dict:
+    """The settings a config file makes, by option key, each checked against
+    its option's kind."""
+    if not path.exists():
+        raise InputError(f"config file not found: {path}")
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(loaded, dict):
+        raise InputError(f"{path}: config must be a JSON object")
+    values: dict = {}
+
+    def walk(section: dict, prefix: str) -> None:
+        for name, value in section.items():
+            key = prefix + name
+            option = _FILE_OPTIONS.get(key)
+            if key in _FILE_SECTIONS:
+                if not isinstance(value, dict):
+                    raise InputError(f"{path}: {key} must be a JSON object")
+                walk(value, key + ".")
+            elif option is None:
+                raise InputError(f"unknown config key {key!r}")
+            elif value is None and option.default is None:
+                values[key] = None
+            else:
+                try:
+                    values[key] = _as_kind(option.kind, value)
+                except ValueError:
+                    raise InputError(f"{path}: {key} must be {_expected(option)}, "
+                                     f"got {value!r}") from None
+    walk(loaded, "")
+    return values
+
+
+def _nest(pairs) -> dict:
+    """(dotted key, value) pairs as nested dicts: ("a.b", v) -> {"a": {"b": v}}."""
+    out: dict = {}
+    for key, value in pairs:
+        *sections, name = key.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+    return out
+
+
+def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
+    """The table's options layered as defaults, then the --config file, then
+    the flags given. Sections (``graph``, ``projection``, ``grid``,
+    ``synth``) are dicts; ``graph``, ``smoothing`` and ``synth`` are built
+    into the library's objects, ``grid`` keeps only the axes given, and
+    ``echo`` is the manifest's config echo."""
+    values = {option.key: option.default for option in OPTIONS}
+    if args.config:
+        values.update(_read_config(Path(args.config)))
+    for option in OPTIONS:
+        flagged = getattr(args, option.flag[2:].replace("-", "_"), None)
+        if flagged is not None:
+            values[option.key] = flagged
+    config = SimpleNamespace(**_nest(values.items()))
+    config.graph = GraphParams(**config.graph)
+    if config.threshold_m <= 0:
+        raise InputError(f"threshold_m must be positive, got {config.threshold_m}")
+    if config.projection["enabled"] and config.projection["d_out"] is None:
         raise InputError("projection enabled but projection.d_out not set")
-    return RunConfig(
-        support_metadata=cfg["support_metadata"],
-        support_descriptors=cfg["support_descriptors"],
-        query_metadata=cfg["query_metadata"],
-        query_descriptors=cfg["query_descriptors"],
-        cache_dir=cfg["cache_dir"], out_dir=cfg["out_dir"],
-        graph=graph, smoothing=SmoothConfig(m=int(cfg["m"])),
-        regime=cfg["regime"], k=int(cfg["k"]), strategy=cfg["strategy"],
-        threshold_m=float(cfg["threshold_m"]),
-        projection_enabled=bool(cfg["projection"]["enabled"]),
-        projection_d_out=cfg["projection"]["d_out"],
-        projection_eps=cfg["projection"]["eps"],
-        renormalize=bool(cfg["renormalize"]),
-        query_gps=bool(cfg["query_gps"]),
-        seed=int(cfg["seed"]), threads=int(cfg["threads"]),
-        m_values=[int(v) for v in cfg["m_values"]],
-        grid=cfg["grid"],
-    )
-
-
-def config_manifest(config: RunConfig) -> dict:
-    """Config echo for manifests: everything that determines the results.
-
-    Execution details that cannot change any output (threads, cache and
-    output locations) are left out so reports stay byte-identical across
-    setups.
-    """
-    return {
-        "inputs": {
-            "support_metadata": config.support_metadata,
-            "support_descriptors": config.support_descriptors,
-            "query_metadata": config.query_metadata,
-            "query_descriptors": config.query_descriptors,
-        },
-        "graph": asdict(config.graph),
-        "m": config.smoothing.m,
-        "regime": config.regime,
-        "k": config.k,
-        "strategy": config.strategy,
-        "threshold_m": config.threshold_m,
-        "projection": {
-            "enabled": config.projection_enabled,
-            "d_out": config.projection_d_out,
-            "eps": config.projection_eps,
-        },
-        "renormalize": config.renormalize,
-        "query_gps": config.query_gps,
-        "seed": config.seed,
-    }
+    config.smoothing = SmoothConfig(m=config.m)
+    config.synth = SynthConfig(**config.synth)
+    config.grid = {axis: v for axis, v in config.grid.items() if v is not None}
+    config.echo = _nest((option.echo, values[option.key])
+                        for option in OPTIONS if option.echo)
+    return config
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -299,7 +312,7 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _require_paths(config: RunConfig, *, query: bool = True) -> None:
+def _require_paths(config: SimpleNamespace, *, query: bool = True) -> None:
     needed = [("support metadata", config.support_metadata),
               ("support descriptors", config.support_descriptors)]
     if query:
@@ -324,7 +337,7 @@ def _array_digest(arr: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _prepare(config: RunConfig, cache: Cache) -> tuple[Dataset, Dataset, dict]:
+def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, dict]:
     """Load, filter, and optionally project+renormalize both splits.
 
     Returns the prepared datasets plus a provenance dict (input hashes, filter
@@ -351,15 +364,15 @@ def _prepare(config: RunConfig, cache: Cache) -> tuple[Dataset, Dataset, dict]:
         "n_query_reachable": query.n_images,
         "projection_key": None,
     }
-    if config.projection_enabled:
+    d_out, eps = config.projection["d_out"], config.projection["eps"]
+    if config.projection["enabled"]:
         key = param_key({
             "support_descriptors": info["input_sha256"]["support_descriptors"],
-            "d_out": config.projection_d_out,
-            "eps": config.projection_eps,
+            "d_out": d_out,
+            "eps": eps,
         })
         def produce(tmp: Path) -> None:
-            fitted = fit_projection(support.descriptors, config.projection_d_out,
-                                    eps=config.projection_eps)
+            fitted = fit_projection(support.descriptors, d_out, eps=eps)
             save_projection(tmp, fitted.quantized())
         path, hit = cache.get_or_create("projection", key, ".prj1", produce)
         print(f"projection cache {'hit' if hit else 'miss'}: {path.name}")
@@ -405,8 +418,7 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
 # Commands
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_ingest(config: SimpleNamespace) -> int:
     has_query = bool(config.query_metadata or config.query_descriptors)
     _require_paths(config, query=has_query)
     out_dir = Path(config.out_dir)
@@ -435,50 +447,39 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    synth_cfg = SynthConfig(
-        n_places=args.n_places, n_support_sequences=args.n_support_sequences,
-        n_query_sequences=args.n_query_sequences,
-        frames_per_place=args.frames_per_place, dim=args.dim,
-        noise_sigma=args.noise_sigma, place_spacing_m=args.place_spacing_m,
-        gps_jitter_m=args.gps_jitter_m)
+def cmd_synth(config: SimpleNamespace) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with OutDirLock(out_dir):
-        support, query, truth = generate_synthetic(synth_cfg, seed=config.seed)
+        support, query, truth = generate_synthetic(config.synth, seed=config.seed)
         write_metadata(out_dir / "support_metadata.csv", support.records)
         write_descriptors(out_dir / "support_descriptors.emb1", support.descriptors)
         write_metadata(out_dir / "query_metadata.csv", query.records)
         write_descriptors(out_dir / "query_descriptors.emb1", query.descriptors)
         _write_json(out_dir / "ground_truth.json", truth)
         _write_json(out_dir / "synth_manifest.json",
-                    {"config": asdict(synth_cfg), "seed": config.seed})
+                    {"config": asdict(config.synth), "seed": config.seed})
     print(f"synthetic dataset written to {out_dir}: "
           f"support {support.n_images} images, query {query.n_images} images, "
           f"dim {support.dim}")
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_run(config: SimpleNamespace) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = Cache(config.cache_dir)
-    if config.regime == "none" and config.smoothing.m > 0:
-        print(f"warning: regime=none ignores m={config.smoothing.m}",
-              file=sys.stderr)
+    if config.regime == "none" and config.m > 0:
+        print(f"warning: regime=none ignores m={config.m}", file=sys.stderr)
     with OutDirLock(out_dir):
         support, query, info = _prepare(config, cache)
         support_desc, query_desc = regime_descriptors(
-            support, query, config.graph, config.smoothing.m, config.regime,
+            support, query, config.graph, config.m, config.regime,
             config.query_gps,
             functools.partial(_smoothed_descriptors, cache=cache, info=info))
         matches = cosine_knn(query_desc, support_desc, config.k)
-        snapshot = config_manifest(config)
-        snapshot["n_support"] = support.n_images
-        snapshot["n_query"] = query.n_images
-        snapshot["dim"] = support.dim
+        snapshot = dict(config.echo, n_support=support.n_images,
+                        n_query=query.n_images, dim=support.dim)
         report = compute_report(matches, support, query, config.strategy,
                                 config.threshold_m, config.regime, snapshot)
         write_report_json(out_dir / "report.json", report)
@@ -486,14 +487,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_matches(out_dir / "matches.csv", matches, query.records,
                       support.records)
         _write_json(out_dir / "manifest.json",
-                    {"config": config_manifest(config), "provenance": info})
+                    {"config": config.echo, "provenance": info})
     print(render_report(report))
     print(f"reports written to {out_dir}")
     return 0
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_ablate(config: SimpleNamespace) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = Cache(config.cache_dir)
@@ -505,14 +505,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         table = ablation_table_csv(rows)
         (out_dir / "ablation.csv").write_text(table, encoding="utf-8")
         _write_json(out_dir / "manifest.json",
-                    {"config": config_manifest(config), "provenance": info})
+                    {"config": config.echo, "provenance": info})
     print(table, end="")
     print(f"ablation table written to {out_dir / 'ablation.csv'}")
     return 0
 
 
-def cmd_sweep_m(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_sweep_m(config: SimpleNamespace) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = Cache(config.cache_dir)
@@ -526,15 +525,14 @@ def cmd_sweep_m(args: argparse.Namespace) -> int:
         (out_dir / "sweep_plot.dat").write_text(sweep_plot_data(rows),
                                                 encoding="utf-8")
         _write_json(out_dir / "manifest.json",
-                    {"config": config_manifest(config),
-                     "m_values": config.m_values, "provenance": info})
+                    {"config": config.echo, "m_values": config.m_values,
+                     "provenance": info})
     print(table, end="")
     print(f"sweep written to {out_dir / 'sweep.csv'}")
     return 0
 
 
-def cmd_gridsearch(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_gridsearch(config: SimpleNamespace) -> int:
     if not config.grid:
         raise InputError("gridsearch needs at least one grid axis "
                          "(config `grid` object or --grid-* flags)")
@@ -553,7 +551,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         best = {"graph": asdict(best_params), "m": best_cfg.m}
         _write_json(out_dir / "best_params.json", best)
         _write_json(out_dir / "manifest.json",
-                    {"config": config_manifest(config), "grid": config.grid,
+                    {"config": config.echo, "grid": config.grid,
                      "provenance": info})
     print(f"evaluated {len(table)} grid cells")
     echo = [f"alpha={best_params.alpha!r}"]
@@ -569,49 +567,14 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--cache-dir", dest="cache_dir")
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--threads", type=int, dest="threads")
-    sub.add_argument("--seed", type=int, dest="seed")
-
-
-def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--support-metadata", dest="support_metadata")
-    sub.add_argument("--support-descriptors", dest="support_descriptors")
-    sub.add_argument("--query-metadata", dest="query_metadata")
-    sub.add_argument("--query-descriptors", dest="query_descriptors")
-
-
-def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--max-distance-m", type=float, dest="max_distance_m")
-    sub.add_argument("--betas", type=_floats,
-                     help="comma-separated, one weight per frame gap")
-    sub.add_argument("--gamma", type=float)
-    for kernel in ("dist", "seq", "latent"):
-        sub.add_argument(f"--include-{kernel}", dest=f"include_{kernel}",
-                         action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--decay-sign", choices=["negative", "positive"],
-                     dest="decay_sign")
-    sub.add_argument("--include-self-edges", dest="include_self_edges",
-                     action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--regime", choices=list(REGIMES))
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--strategy", choices=["top1", "weighted_topk"])
-    sub.add_argument("--threshold-m", type=float, dest="threshold_m")
-    sub.add_argument("--projection", action=argparse.BooleanOptionalAction,
-                     default=None, help="fit PCA+whitening on the support set")
-    sub.add_argument("--d-out", type=int, dest="d_out")
-    sub.add_argument("--eps", type=float)
-    sub.add_argument("--renormalize", action=argparse.BooleanOptionalAction,
-                     default=None)
-    sub.add_argument("--query-gps", dest="query_gps",
-                     action=argparse.BooleanOptionalAction, default=None,
-                     help="allow GPS edges in the query graph (leaks truth)")
+_COMMANDS = {
+    "ingest": (cmd_ingest, "validate datasets and write a manifest"),
+    "synth": (cmd_synth, "generate a synthetic dataset"),
+    "run": (cmd_run, "full retrieval + evaluation run"),
+    "ablate": (cmd_ablate, "evaluate all kernel subsets"),
+    "sweep-m": (cmd_sweep_m, "evaluate a range of m values"),
+    "gridsearch": (cmd_gridsearch, "exhaustive parameter search"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -620,64 +583,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph-smoothed descriptor retrieval for visual localization.")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    ingest = commands.add_parser("ingest", help="validate datasets and "
-                                 "write a manifest")
-    _add_common_flags(ingest)
-    _add_dataset_flags(ingest)
-    ingest.set_defaults(func=cmd_ingest)
-
-    synth = commands.add_parser("synth", help="generate a synthetic dataset")
-    _add_common_flags(synth)
-    synth.add_argument("--n-places", type=int, default=40)
-    synth.add_argument("--n-support-sequences", type=int, default=10)
-    synth.add_argument("--n-query-sequences", type=int, default=3)
-    synth.add_argument("--frames-per-place", type=int, default=4)
-    synth.add_argument("--dim", type=int, default=64)
-    synth.add_argument("--noise-sigma", type=float, default=0.28)
-    synth.add_argument("--place-spacing-m", type=float, default=50.0)
-    synth.add_argument("--gps-jitter-m", type=float, default=8.0)
-    synth.set_defaults(func=cmd_synth)
-
-    run = commands.add_parser("run", help="full retrieval + evaluation run")
-    _add_common_flags(run)
-    _add_dataset_flags(run)
-    _add_pipeline_flags(run)
-    run.set_defaults(func=cmd_run)
-
-    ablate = commands.add_parser("ablate", help="evaluate all kernel subsets")
-    _add_common_flags(ablate)
-    _add_dataset_flags(ablate)
-    _add_pipeline_flags(ablate)
-    ablate.set_defaults(func=cmd_ablate)
-
-    sweep = commands.add_parser("sweep-m", help="evaluate a range of m values")
-    _add_common_flags(sweep)
-    _add_dataset_flags(sweep)
-    _add_pipeline_flags(sweep)
-    sweep.add_argument("--m-values", type=_ints, dest="m_values",
-                       help="comma-separated, e.g. 0,1,2,5,10")
-    sweep.set_defaults(func=cmd_sweep_m)
-
-    gridsearch = commands.add_parser("gridsearch",
-                                     help="exhaustive parameter search")
-    _add_common_flags(gridsearch)
-    _add_dataset_flags(gridsearch)
-    _add_pipeline_flags(gridsearch)
-    gridsearch.add_argument("--grid-alpha", type=_floats, dest="grid_alpha")
-    gridsearch.add_argument("--grid-betas", type=_beta_lists, dest="grid_betas")
-    gridsearch.add_argument("--grid-gamma", type=_floats, dest="grid_gamma")
-    gridsearch.add_argument("--grid-max-distance-m", type=_floats,
-                            dest="grid_max_distance_m")
-    gridsearch.add_argument("--grid-m", type=_ints, dest="grid_m")
-    gridsearch.set_defaults(func=cmd_gridsearch)
+    for name, (func, text) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        sub.add_argument("--config", help="JSON config file; flags override it")
+        for option in OPTIONS:
+            if name in option.commands:
+                sub.add_argument(option.flag, help=option.help,
+                                 **_flag_arguments(option))
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(resolve_config(args))
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

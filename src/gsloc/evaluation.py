@@ -21,9 +21,9 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError
-from .geodesy import GeoPoint, haversine_m, haversine_m_each
+from .geodesy import haversine_m_each
 from .graph import GraphParams, KernelGeometry, build_operator, kernel_geometry
-from .retrieval import Match, PoseEstimate, cosine_knn, infer_pose
+from .retrieval import Match, cosine_knn, infer_pose
 from .smoothing import SmoothConfig, smooth
 
 # The one regime table: which sides each regime smooths, each on its own graph.
@@ -70,11 +70,6 @@ class AblationRow:
     use_latent: bool
     median_error_m: float
     acc_at_threshold: float
-
-
-def localization_error(estimate: PoseEstimate, truth: GeoPoint) -> float:
-    """Great-circle distance in meters between an estimate and ground truth."""
-    return haversine_m(GeoPoint(estimate.lat, estimate.lon), truth)
 
 
 def query_graph_params(params: GraphParams, query_gps: bool) -> GraphParams:

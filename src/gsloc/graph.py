@@ -133,16 +133,17 @@ class WeightedGraph:
         return cls(mat)
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upper-triangle entries as (i, j, w) arrays with i < j."""
-        coo = self.matrix.tocoo()
-        keep = coo.row < coo.col
-        i, j, w = coo.row[keep], coo.col[keep], coo.data[keep]
-        order = np.lexsort((j, i))
-        return i[order].astype(np.int64), j[order].astype(np.int64), w[order]
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        i, j, _ = self.edges()
-        return set(zip(i.tolist(), j.tolist()))
+        """Upper-triangle entries as (i, j, w) arrays with i < j, in (i, j)
+        order: the stored order of a canonical CSR matrix, whose rows list
+        their columns sorted and unique."""
+        mat = self.matrix
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        i = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(mat.indptr))
+        j = mat.indices.astype(np.int64)
+        keep = i < j
+        return i[keep], j[keep], mat.data[keep]
 
 
 @dataclass

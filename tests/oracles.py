@@ -175,6 +175,28 @@ def random_weighted_graph(rng: np.random.Generator, n: int,
     return graph, dense
 
 
+def coo_edges(graph):
+    """Upper-triangle (i, j, w) arrays of a WeightedGraph by the COO route:
+    every stored entry with row < col, lexsorted into (i, j) order."""
+    coo = graph.matrix.tocoo()
+    keep = coo.row < coo.col
+    i, j, w = coo.row[keep], coo.col[keep], coo.data[keep]
+    order = np.lexsort((j, i))
+    return i[order].astype(np.int64), j[order].astype(np.int64), w[order]
+
+
+def edge_set(graph) -> set[tuple[int, int]]:
+    """The (i, j), i < j, pairs a WeightedGraph connects."""
+    i, j, _ = graph.edges()
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def localization_error(estimate, truth) -> float:
+    """Great-circle distance in meters between a PoseEstimate and a GeoPoint."""
+    from gsloc.geodesy import GeoPoint, haversine_m
+    return haversine_m(GeoPoint(estimate.lat, estimate.lon), truth)
+
+
 # ---------------------------------------------------------------------------
 # Graphs built cell by cell
 

@@ -3,6 +3,7 @@ config layering, exit codes, locking, and byte-identical reruns."""
 
 from __future__ import annotations
 
+import argparse
 import fcntl
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import gsloc.evaluation as evaluation
-from gsloc.cli import main
+from gsloc.cli import build_parser, main
 from gsloc.dataset import (filter_reachable_queries, load_dataset,
                            load_metadata, write_descriptors, write_metadata)
 from gsloc.evaluation import REGIMES, evaluate_regime, grid_search
@@ -284,6 +285,74 @@ def test_config_missing_file_exits_2(tmp_path, data_dir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("settings, key", [
+    ({"k": "x"}, "k"),
+    ({"k": 1.5}, "k"),
+    ({"graph": {"alpha": "x"}}, "graph.alpha"),
+    ({"m": None}, "m"),
+    ({"threshold_m": "25"}, "threshold_m"),
+    ({"graph": {"betas": 0.5}}, "graph.betas"),
+    ({"graph": 5}, "graph"),
+    ({"m_values": 3}, "m_values"),
+    ({"projection": {"enabled": True, "d_out": "a"}}, "projection.d_out"),
+    ({"threads": "two"}, "threads"),
+    ({"renormalize": 1}, "renormalize"),
+    ({"grid": {"m": [1.5]}}, "grid.m"),
+])
+def test_config_wrongly_typed_value_exits_2(tmp_path, data_dir, capsys,
+                                            settings, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(settings))
+    rc, out = _run(tmp_path, data_dir, "badtype", ["--config", str(config)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{config}: {key} must be " in err
+    assert not (out / "report.json").exists()
+
+
+def test_config_integers_for_floats_match_the_flags(tmp_path, data_dir):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"graph": {"alpha": 1, "max_distance_m": 25},
+                                  "threshold_m": 25}))
+    rc_file, out_file = _run(tmp_path, data_dir, "ints", ["--config", str(config)])
+    rc_flag, out_flag = _run(tmp_path, data_dir, "floats",
+                             ["--alpha", "1", "--max-distance-m", "25",
+                              "--threshold-m", "25"])
+    assert rc_file == rc_flag == 0
+    for name in ("manifest.json", "report.json", "report.csv", "matches.csv"):
+        assert (out_file / name).read_bytes() == (out_flag / name).read_bytes(), name
+    cached = {p.name for p in (tmp_path / "ints-cache").iterdir()}
+    assert cached == {p.name for p in (tmp_path / "floats-cache").iterdir()}
+
+
+def test_run_manifest_config_echo(tmp_path, data_dir):
+    """The whole config echo of a run layered from a file and flags."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "graph": {"alpha": 0.5, "betas": [0.5, 0.25], "include_seq": False},
+        "m": 1, "k": 2, "strategy": "weighted_topk", "threads": 2,
+        "projection": {"enabled": True, "d_out": 8}, "query_gps": True,
+        "m_values": [0, 1], "grid": {"m": [0, 1]}}))
+    rc, out = _run(tmp_path, data_dir, "echo",
+                   ["--config", str(config), "--alpha", "0.7", "--eps", "0.01",
+                    "--regime", "gs_support", "--threshold-m", "30",
+                    "--no-renormalize", "--seed", "5"])
+    assert rc == 0
+    flags = _dataset_flags(data_dir)
+    assert json.loads((out / "manifest.json").read_text())["config"] == {
+        "inputs": {"support_metadata": flags[1], "support_descriptors": flags[3],
+                   "query_metadata": flags[5], "query_descriptors": flags[7]},
+        "graph": {"alpha": 0.7, "max_distance_m": 25.0, "betas": [0.5, 0.25],
+                  "gamma": 0.33, "include_dist": True, "include_seq": False,
+                  "include_latent": True, "decay_sign": "negative",
+                  "include_self_edges": False},
+        "m": 1, "regime": "gs_support", "k": 2, "strategy": "weighted_topk",
+        "threshold_m": 30.0,
+        "projection": {"enabled": True, "d_out": 8, "eps": 0.01},
+        "renormalize": False, "query_gps": True, "seed": 5,
+    }
+
+
 # ---------------------------------------------------------------------------
 # CLI and library share one regime path
 
@@ -392,6 +461,59 @@ def test_gridsearch_without_grid_exits_2(tmp_path, data_dir, capsys):
 
 # ---------------------------------------------------------------------------
 # Misc
+
+
+_COMMON = ["-h", "--help", "--config", "--cache-dir", "--out-dir", "--threads",
+           "--seed"]
+_DATA = ["--support-metadata", "--support-descriptors", "--query-metadata",
+         "--query-descriptors"]
+_PIPELINE = ["--alpha", "--max-distance-m", "--betas", "--gamma",
+             "--include-dist", "--no-include-dist", "--include-seq",
+             "--no-include-seq", "--include-latent", "--no-include-latent",
+             "--decay-sign", "--include-self-edges", "--no-include-self-edges",
+             "--m", "--regime", "--k", "--strategy", "--threshold-m",
+             "--projection", "--no-projection", "--d-out", "--eps",
+             "--renormalize", "--no-renormalize", "--query-gps",
+             "--no-query-gps"]
+_FLAGS = {
+    "ingest": _COMMON + _DATA,
+    "synth": _COMMON + ["--n-places", "--n-support-sequences",
+                        "--n-query-sequences", "--frames-per-place", "--dim",
+                        "--noise-sigma", "--place-spacing-m", "--gps-jitter-m"],
+    "run": _COMMON + _DATA + _PIPELINE,
+    "ablate": _COMMON + _DATA + _PIPELINE,
+    "sweep-m": _COMMON + _DATA + _PIPELINE + ["--m-values"],
+    "gridsearch": _COMMON + _DATA + _PIPELINE + [
+        "--grid-alpha", "--grid-betas", "--grid-gamma", "--grid-max-distance-m",
+        "--grid-m"],
+}
+_HELP = {
+    "-h": "show this help message and exit",
+    "--config": "JSON config file; flags override it",
+    "--betas": "comma-separated, one weight per frame gap",
+    "--projection": "fit PCA+whitening on the support set",
+    "--query-gps": "allow GPS edges in the query graph (leaks truth)",
+    "--m-values": "comma-separated, e.g. 0,1,2,5,10",
+}
+
+
+def test_parser_flags_and_help_are_pinned():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(_FLAGS)
+    assert [(a.dest, a.help) for a in subparsers._choices_actions] == [
+        ("ingest", "validate datasets and write a manifest"),
+        ("synth", "generate a synthetic dataset"),
+        ("run", "full retrieval + evaluation run"),
+        ("ablate", "evaluate all kernel subsets"),
+        ("sweep-m", "evaluate a range of m values"),
+        ("gridsearch", "exhaustive parameter search"),
+    ]
+    for name, sub in subparsers.choices.items():
+        actions = sub._actions
+        assert [s for a in actions for s in a.option_strings] == _FLAGS[name], name
+        assert {a.option_strings[0]: a.help for a in actions if a.help} == {
+            flag: text for flag, text in _HELP.items() if flag in _FLAGS[name]}, name
 
 
 def test_version_flag():

@@ -17,7 +17,7 @@ from gsloc.errors import InputError
 from gsloc.evaluation import (ABLATION_ORDER, AblationRow, EvalReport,
                               ablation_table_csv, compute_report,
                               evaluate_regime, grid_search, grid_table_csv,
-                              localization_error, query_graph_params,
+                              query_graph_params,
                               render_report, run_ablation, sweep_m,
                               sweep_plot_data, sweep_table_csv,
                               write_report_json)
@@ -27,7 +27,7 @@ from gsloc.retrieval import Match, PoseEstimate
 from gsloc.smoothing import SmoothConfig
 from gsloc.spatial import LatLonGrid
 from gsloc.synth import SynthConfig, generate_synthetic
-from oracles import reference_operator
+from oracles import localization_error, reference_operator
 
 SMALL_SYNTH = SynthConfig(n_places=6, n_support_sequences=2,
                           n_query_sequences=1, frames_per_place=2, dim=16,

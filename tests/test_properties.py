@@ -26,11 +26,13 @@ import gsloc.spatial as spatial
 from gsloc.dataset import Dataset, ImageRecord
 from gsloc.evaluation import _memo_smoother, compute_report
 from gsloc.geodesy import METERS_PER_DEGREE, haversine_m_vectorized
-from gsloc.graph import GraphParams, build_operator, kernel_geometry
+from gsloc.graph import (GraphParams, WeightedGraph, build_operator,
+                         kernel_geometry)
 from gsloc.retrieval import Match, cosine_knn
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
-from oracles import quadratic_knn, reference_operator, scalar_errors_m
+from oracles import (coo_edges, quadratic_knn, random_weighted_graph,
+                     reference_operator, scalar_errors_m)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -357,6 +359,26 @@ def _descriptors(draw, n: int, dim: int = 8) -> np.ndarray:
     if n:
         x[draw(st.integers(0, n - 1))] = 0.0  # a zero row has cosine 0
     return x
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.0, 0.1, 0.5]),
+       st.integers(0, 3), st.booleans())
+def test_edges_equal_the_coo_route(seed, n, density, n_isolated, shuffled):
+    rng = np.random.default_rng(seed)
+    graph, _ = random_weighted_graph(rng, n + n_isolated, density, n_isolated)
+    if shuffled:  # the same entries with each row's columns out of order
+        mat = graph.matrix.copy()
+        for row in range(mat.shape[0]):
+            lo, hi = mat.indptr[row], mat.indptr[row + 1]
+            order = lo + rng.permutation(hi - lo)
+            mat.indices[lo:hi], mat.data[lo:hi] = mat.indices[order], mat.data[order]
+        mat.has_sorted_indices = False
+        graph = WeightedGraph(mat)
+    got, want = graph.edges(), coo_edges(graph)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
 
 
 @PROPERTY
