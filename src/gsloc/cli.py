@@ -383,35 +383,45 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
             apply_projection(projection, query.descriptors))
         info["projection_key"] = key
     if config.renormalize:
-        support = support.with_descriptors(l2_normalize(support.descriptors))
-        query = query.with_descriptors(l2_normalize(query.descriptors))
+        # Both arrays are this call's own (freshly read, filtered or
+        # projected), so they are normalized where they lie.
+        for split in (support, query):
+            l2_normalize(split.descriptors)
     return support, query, info
 
 
 def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
                           m: int, *, cache: Cache, info: dict) -> np.ndarray:
     """Cached graph build + smoothing for one side of the retrieval; the
-    smoother `run` hands to evaluation.regime_descriptors."""
-    desc_sha = _array_digest(dataset.descriptors)
+    smoother `run` hands to evaluation.regime_descriptors.
+
+    The smoothed descriptors replace the dataset's own in its buffer, so a
+    run holds one copy of them whatever the cache state: a miss smooths in
+    place and returns the array it wrote to the cache, a hit reads the cached
+    file into the buffer. Both cache keys are taken from the unsmoothed
+    descriptors, before either.
+    """
+    desc = dataset.descriptors
     graph_key = param_key({
         "metadata": info["input_sha256"][f"{side}_metadata"],
-        "descriptors": desc_sha,
+        "descriptors": _array_digest(desc),
         "params": asdict(params),
     })
     def build(tmp: Path) -> None:
-        save_operator(tmp, build_operator(dataset.records, dataset.descriptors,
-                                          params))
+        save_operator(tmp, build_operator(dataset.records, desc, params))
     op_path, hit = cache.get_or_create("graph", graph_key, ".adj1", build)
     print(f"{side} graph cache {'hit' if hit else 'miss'}: {op_path.name}")
     smooth_key = param_key({"graph": graph_key, "m": m})
     def run_smooth(tmp: Path) -> None:
-        op = load_operator(op_path)
-        write_descriptors(tmp, smooth(op, dataset.descriptors, SmoothConfig(m=m)))
+        smooth(load_operator(op_path), desc, SmoothConfig(m=m), out=desc)
+        write_descriptors(tmp, desc)
     emb_path, hit = cache.get_or_create("smoothed", smooth_key, ".emb1", run_smooth)
     print(f"{side} smoothing cache {'hit' if hit else 'miss'}: {emb_path.name}")
+    if hit:
+        load_descriptors(emb_path, expected_rows=dataset.n_images, out=desc)
     info[f"{side}_graph_key"] = graph_key
     info[f"{side}_smoothed_key"] = smooth_key
-    return load_descriptors(emb_path, expected_rows=dataset.n_images)
+    return desc
 
 
 # ---------------------------------------------------------------------------

@@ -168,11 +168,15 @@ def write_metadata(path: str | Path, records: Iterable[ImageRecord]) -> None:
                              repr(float(r.lat)), repr(float(r.lon))])
 
 
-def load_descriptors(path: str | Path, expected_rows: int | None) -> np.ndarray:
+def load_descriptors(path: str | Path, expected_rows: int | None, *,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Decode an EMB1 file into a float32 matrix, checking the row count.
 
     The payload size is checked against the header before anything is read,
-    and the payload is read straight into the returned array.
+    and the payload is read straight into the returned array: a new one, or
+    ``out`` when given (a C-contiguous little-endian float32 array of the
+    file's shape), whose old contents are then overwritten even when the
+    payload turns out to hold non-finite values.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -188,7 +192,14 @@ def load_descriptors(path: str | Path, expected_rows: int | None) -> np.ndarray:
                              f"header promises {rows * dim}")
         if expected_rows is not None and rows != expected_rows:
             raise InputError(f"{path}: {rows} descriptor rows, expected {expected_rows}")
-        data = np.fromfile(fh, dtype="<f4", count=rows * dim).reshape(rows, dim)
+        if out is not None and (out.shape != (rows, dim)
+                                or out.dtype != np.dtype("<f4")
+                                or not out.flags.c_contiguous):
+            raise InputError(f"{path}: cannot read {rows}x{dim} <f4 into "
+                             f"a {out.dtype} array of shape {out.shape}")
+        data = out if out is not None else np.empty((rows, dim), dtype="<f4")
+        if fh.readinto(data) != payload_bytes:
+            raise InputError(f"{path}: payload ended early")
     if data.size and not np.isfinite(data).all():
         bad = int(np.count_nonzero(~np.isfinite(data)))
         raise InputError(f"{path}: {bad} non-finite descriptor values")

@@ -36,6 +36,8 @@ SMOOTHED_SIDES = {
 REGIMES = tuple(SMOOTHED_SIDES)
 
 # (side, dataset, graph params, m) -> that side's descriptors smoothed m times.
+# `run`'s smoother writes them over the dataset's own; _memo_smoother keeps
+# the dataset's, since its m-ladder restarts from them.
 Smoother = Callable[[str, Dataset, GraphParams, int], np.ndarray]
 
 DEFAULT_THRESHOLD_M = 25.0
@@ -120,10 +122,12 @@ def _memo_smoother(geometry: dict[str, KernelGeometry] | None = None) -> Smoothe
 
     It walks an m-ladder: each side's float64 iterate A^m X is kept and
     advanced from the last m reached, so ascending m values cost max(m)
-    sparse products per side; a smaller m starts again from X. Each column's
-    float64 chain is the one a fresh smooth would take, so every result is
-    bitwise equal to smooth(A, X, m). Without a structural kernel the latent
-    gate is empty and the operator is the identity, so X comes back as is.
+    sparse products per side; a smaller m starts again from X. The iterate
+    is the memo's own float64 copy and is advanced in place; X is never
+    written. Each column's float64 chain is the one a fresh smooth would
+    take, so every result is bitwise equal to smooth(A, X, m). Without a
+    structural kernel the latent gate is empty and the operator is the
+    identity, so X comes back as is.
     """
     operators = {}
     ladders: dict[str, tuple[int, np.ndarray]] = {}
@@ -139,7 +143,7 @@ def _memo_smoother(geometry: dict[str, KernelGeometry] | None = None) -> Smoothe
         if iterate is None or m < done:
             done, iterate = 0, dataset.descriptors.astype(np.float64)
         if m > done:
-            iterate = smooth(operators[side], iterate, SmoothConfig(m=m - done))
+            smooth(operators[side], iterate, SmoothConfig(m=m - done), out=iterate)
         ladders[side] = (m, iterate)
         return iterate.astype(dataset.descriptors.dtype)
     return smoother

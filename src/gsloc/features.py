@@ -115,12 +115,14 @@ _NORM_BLOCK_BYTES = 16 << 20
 
 
 def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; zero rows pass through unchanged
-    (their count is logged as a warning)."""
+    """Scale each row to unit Euclidean norm in place and return the array;
+    zero rows pass through unchanged (their count is logged as a warning).
+
+    Each row block is copied to float64, normalized there and written back.
+    """
     x = np.asarray(descriptors)
     if x.ndim != 2:
         raise InputError("descriptors must be a 2-D array")
-    out = np.empty_like(x)
     n_zero = 0
     block = max(1, int(_NORM_BLOCK_BYTES // (8 * max(1, x.shape[1]))))
     for start in range(0, x.shape[0], block):
@@ -130,10 +132,10 @@ def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
         n_zero += int(np.count_nonzero(zero))
         norms[zero] = 1.0
         rows /= norms
-        out[start:start + block] = rows
+        x[start:start + block] = rows
     if n_zero:
         logger.warning("l2_normalize: %d zero rows left unnormalized", n_zero)
-    return out
+    return x
 
 
 def save_projection(path: str | Path, projection: Projection) -> None:

@@ -5,7 +5,8 @@ the support sets this pipeline targets stay tractable, and exactness keeps
 evaluation deterministic. Ties are broken toward the lower support index.
 The top k of each score row come from selection, not a full sort: ``argmax``
 for k = 1, and for larger k an ``np.partition`` threshold followed by a sort
-of only the columns that reach it.
+of only the columns that reach it, taken a slice of score rows at a time so
+that selection holds at most ``_SELECT_SLICE_BYTES`` beside the score block.
 
 No unit-normalized copy of the whole support set is made. For each block of
 queries (its float64 score block bounded by ``_SCORE_BLOCK_BYTES``), the
@@ -41,6 +42,12 @@ _SCORE_BLOCK_BYTES = 256 << 20
 # _CHUNK_ALIGN - 1 rows more.
 _SUPPORT_CHUNK_BYTES = 8 << 20
 _CHUNK_ALIGN = 64
+# Memory cap for the k > 1 selection working set of one row slice of a score
+# block: the float64 partition copy (8 bytes per score), then the contender
+# indices, their sort keys and lexsort's buffers, 48 bytes per score when
+# every score of a row ties. The worst case sizes the slice.
+_SELECT_SLICE_BYTES = 16 << 20
+_SELECT_BYTES_PER_SCORE = 48
 
 
 @dataclass
@@ -125,11 +132,21 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         # argmax returns the first maximum: the lowest-index tie rule.
         return np.argmax(scores, axis=1)[:, None]
+    picks = np.empty((n_rows, k), dtype=np.int64)
+    rows = max(1, _SELECT_SLICE_BYTES // (_SELECT_BYTES_PER_SCORE * n_cols))
+    for lo in range(0, n_rows, rows):
+        picks[lo:lo + rows] = _top_k_rows(scores[lo:lo + rows], k)
+    return picks
+
+
+def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """_top_k for k > 1 on a slice of rows, each row handled on its own."""
+    n_rows, n_cols = scores.shape
     if k == n_cols:
         return np.argsort(-scores, axis=1, kind="stable")
     # Every column scoring at least the row's k-th best value is a contender,
     # so ties straddling the k-th place are all kept before the ordering sort.
-    kth = np.partition(scores, n_cols - k, axis=1)[:, n_cols - k]
+    kth = np.partition(scores, n_cols - k, axis=1)[:, n_cols - k].copy()
     rows, cols = np.nonzero(scores >= kth[:, None])
     # nonzero lists columns in ascending order, and lexsort is stable, so
     # equal scores keep the lower column first.

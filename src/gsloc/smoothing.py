@@ -2,12 +2,14 @@
 descriptor matrix (m sparse-matrix x dense-matrix products; A^m is never
 materialized).
 
-Accumulation is always float64, with one final cast back to the input dtype,
-and the dense signal is processed in column blocks: besides the output (the
-size of the input), ``smooth`` holds one float64 input block and one float64
-product block, together at most ``_BLOCK_BUDGET_BYTES``. Column blocking does
-not change any value: each column's accumulation chain is independent of the
-block layout.
+Accumulation is always float64, with one final cast back to the output
+dtype, and the dense signal is processed in column blocks: besides the
+output, ``smooth`` holds one float64 input block and one float64 product
+block, together at most ``_BLOCK_BUDGET_BYTES``. Column blocking does not
+change any value: each column's accumulation chain is independent of the
+block layout. The output may be the input itself (``out=signal``): each
+block is copied to float64 before its columns are written back, so smoothing
+in place gives the same bits and holds no second copy of the signal.
 """
 
 from __future__ import annotations
@@ -35,20 +37,27 @@ class SmoothConfig:
             raise InputError(f"m must be nonnegative, got {self.m}")
 
 
-def smooth(op: SmoothingOperator, signal: np.ndarray,
-           cfg: SmoothConfig) -> np.ndarray:
-    """Apply the operator cfg.m times. The input is never mutated; m = 0
-    returns it as-is."""
+def smooth(op: SmoothingOperator, signal: np.ndarray, cfg: SmoothConfig, *,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the operator cfg.m times.
+
+    Without ``out`` the input is never mutated, and m = 0 returns it as-is.
+    With ``out`` (an array of the input's shape, which may be the input
+    itself) the result is written there and ``out`` is returned.
+    """
     s = np.asarray(signal)
     if s.ndim != 2:
         raise InputError("signal must be a 2-D array")
     if s.shape[0] != op.n:
         raise InputError(f"signal has {s.shape[0]} rows but operator expects {op.n}")
-    if cfg.m == 0:
-        return s
+    if out is None:
+        if cfg.m == 0:
+            return s
+        out = np.empty_like(s)
+    elif out.shape != s.shape:
+        raise InputError(f"out has shape {out.shape}, signal {s.shape}")
     n, d = s.shape
     block = max(1, int(_BLOCK_BUDGET_BYTES // (2 * 8 * max(1, n))))
-    out = np.empty_like(s)
     for start in range(0, d, block):
         cols = s[:, start:start + block].astype(np.float64)
         for _ in range(cfg.m):

@@ -20,8 +20,13 @@ import numpy as np
 
 from .geodesy import EARTH_RADIUS_M, METERS_PER_DEGREE, haversine_m_vectorized
 
-# Bound on one yielded chunk of candidate pairs (two int64 index arrays).
-_PAIR_CHUNK_BYTES = 64 << 20
+# Bound on the working set of one chunk of candidate pairs, from the index
+# expansion that yields it through the caller's exact-distance step on it
+# (coordinate gathers and haversine temporaries, in graph.distance_pairs and
+# in min_distance_within_reach_m alike). A chunk holds _PAIR_CHUNK_BYTES //
+# _PAIR_BYTES pairs: tracemalloc puts the step's peak near 128 bytes a pair.
+_PAIR_CHUNK_BYTES = 16 << 20
+_PAIR_BYTES = 160
 
 
 def _lon_span_deg(reach_m: float, max_abs_lat_deg: float) -> float:
@@ -121,20 +126,22 @@ class LatLonGrid:
         """Yield (left, point) chunks pairing each ``left[s]`` with the points
         at sorted positions ``first[s] .. first[s] + length[s] - 1``.
 
-        A chunk holds about ``_PAIR_CHUNK_BYTES`` of pairs; a run is never
-        split, so a chunk may overshoot by one run.
+        A chunk holds about ``_PAIR_CHUNK_BYTES // _PAIR_BYTES`` pairs; a run
+        is never split, so a chunk may overshoot by one run.
         """
         keep = length > 0
         left, first, length = left[keep], first[keep], length[keep]
         if not left.size:
             return
         ends = np.cumsum(length)
-        budget = max(1, _PAIR_CHUNK_BYTES // 16)
+        budget = max(1, _PAIR_CHUNK_BYTES // _PAIR_BYTES)
         cuts = np.searchsorted(ends, np.arange(budget, int(ends[-1]), budget), side="right")
         bounds = np.unique(np.concatenate([[0], cuts, [left.size]]))
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             seg, pos = _spans(first[lo:hi], length[lo:hi])
-            yield left[lo:hi][seg], self._order[pos]
+            chunk = left[lo:hi][seg], self._order[pos]
+            del seg, pos  # not held while the caller works on the chunk
+            yield chunk
 
     def pair_chunks(self, reach_m: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (i, j) index-array chunks covering every pair within reach_m, i < j.
@@ -167,7 +174,8 @@ class LatLonGrid:
         seg_first = np.concatenate([first[seg], own + 1])
         seg_len = np.concatenate([length[seg], own_end - own - 1])
         for i, j in self._expand(left, seg_first, seg_len):
-            yield np.minimum(i, j), np.maximum(i, j)
+            high = np.maximum(i, j)
+            yield np.minimum(i, j, out=i), high
 
     def min_distance_within_reach_m(self, qlats, qlons) -> np.ndarray:
         """Per query point, min haversine distance to any indexed point within

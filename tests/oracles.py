@@ -122,6 +122,20 @@ def dense_normalize(w_dense: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Row normalization
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """L2-normalize every row of a new float64 copy of the whole array at
+    once, leaving zero rows zero, and cast back to x's dtype; the input is
+    not touched."""
+    rows = np.array(x, dtype=np.float64)
+    norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    return (rows / norms).astype(x.dtype)
+
+
+# ---------------------------------------------------------------------------
 # Smoothing by a dense matrix power
 
 _DENSE_ORACLE_MAX_N = 2000

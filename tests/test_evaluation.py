@@ -306,9 +306,9 @@ def _count_products(monkeypatch) -> dict:
     products: dict[int, int] = {}
     real = evaluation.smooth
 
-    def counting(op, signal, cfg):
+    def counting(op, signal, cfg, **kwargs):
         products[signal.shape[0]] = products.get(signal.shape[0], 0) + cfg.m
-        return real(op, signal, cfg)
+        return real(op, signal, cfg, **kwargs)
     monkeypatch.setattr(evaluation, "smooth", counting)
     return products
 

@@ -185,12 +185,12 @@ def test_quantized_is_idempotent():
 def test_l2_normalize_unit_rows():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((50, 7))
-    out = l2_normalize(x)
-    assert out.dtype == x.dtype
-    assert np.linalg.norm(out, axis=1) == pytest.approx(np.ones(50), abs=1e-12)
     x32 = x.astype(np.float32)
+    out = l2_normalize(x)
+    assert out is x
+    assert np.linalg.norm(out, axis=1) == pytest.approx(np.ones(50), abs=1e-12)
     out32 = l2_normalize(x32)
-    assert out32.dtype == np.float32
+    assert out32 is x32
     assert np.linalg.norm(out32.astype(np.float64), axis=1) == pytest.approx(
         np.ones(50), abs=1e-6)
 

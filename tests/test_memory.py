@@ -1,6 +1,7 @@
-"""Memory bounds of the run path: the EMB1 loader, retrieval, normalization
-and smoothing stay within their documented block budgets, measured with
-tracemalloc, which sees numpy's buffers."""
+"""Memory bounds of the run path: the EMB1 loader, retrieval, normalization,
+smoothing, the spatial pair scan and a whole `run` stay within their
+documented block budgets, measured with tracemalloc, which sees numpy's
+buffers."""
 
 from __future__ import annotations
 
@@ -11,12 +12,20 @@ import pytest
 from scipy import sparse
 
 import gsloc.features as features_mod
+import gsloc.graph as graph_mod
+import gsloc.retrieval as retrieval_mod
 import gsloc.smoothing as smoothing_mod
-from gsloc.dataset import load_descriptors, write_descriptors
+import gsloc.spatial as spatial_mod
+from gsloc.cli import main
+from gsloc.dataset import (ImageRecord, load_descriptors, write_descriptors,
+                           write_metadata)
 from gsloc.features import l2_normalize
-from gsloc.graph import SmoothingOperator
+from gsloc.geodesy import METERS_PER_DEGREE
+from gsloc.graph import SmoothingOperator, distance_pairs
 from gsloc.retrieval import cosine_knn
 from gsloc.smoothing import SmoothConfig, smooth
+from gsloc.spatial import LatLonGrid
+from oracles import unit_rows
 
 # Room for interpreter and bookkeeping allocations next to the arrays.
 SLACK = 2 << 20
@@ -42,6 +51,14 @@ def support():
     return rng.standard_normal((N_SUPPORT, DIM), dtype=np.float32)
 
 
+def _ring(n: int) -> SmoothingOperator:
+    """Every vertex averages its two neighbours on a cycle."""
+    rows = np.repeat(np.arange(n), 2)
+    cols = np.stack([(np.arange(n) - 1) % n, (np.arange(n) + 1) % n], axis=1).ravel()
+    matrix = sparse.csr_matrix((np.full(2 * n, 0.5), (rows, cols)), shape=(n, n))
+    return SmoothingOperator(matrix=matrix, isolated_vertices=np.empty(0, np.int64))
+
+
 def test_load_descriptors_reads_straight_into_the_array(tmp_path, support):
     path = tmp_path / "support.emb1"
     write_descriptors(path, support)
@@ -51,6 +68,17 @@ def test_load_descriptors_reads_straight_into_the_array(tmp_path, support):
     assert peak <= support.nbytes + support.size + SLACK
 
 
+def test_load_descriptors_into_a_buffer_allocates_only_the_mask(tmp_path, support):
+    path = tmp_path / "support.emb1"
+    write_descriptors(path, support)
+    buffer = np.zeros_like(support)
+    loaded, peak = _peak_bytes(
+        lambda: load_descriptors(path, N_SUPPORT, out=buffer))
+    assert loaded is buffer
+    assert np.array_equal(buffer, support)
+    assert peak <= support.size + SLACK
+
+
 def test_cosine_knn_never_copies_the_support(support):
     queries = support[::100].copy()
     matches, peak = _peak_bytes(cosine_knn, queries, support, 1)
@@ -58,22 +86,203 @@ def test_cosine_knn_never_copies_the_support(support):
     assert peak < support.nbytes
 
 
+def test_cosine_knn_top_k_stays_within_one_score_block(support):
+    queries = support[::2].copy()
+    matches, peak = _peak_bytes(cosine_knn, queries, support, 5)
+    assert [m.neighbors[0][0] for m in matches] == list(range(0, N_SUPPORT, 2))
+    assert all(len(m.neighbors) == 5 for m in matches)
+    # One query block covers every query: its float64 scores and its
+    # float64 copy of the queries, one unit support chunk while scoring, and
+    # one selection slice after.
+    block = queries.shape[0] * N_SUPPORT * 8
+    q_hat = queries.shape[0] * DIM * 8
+    assert block <= retrieval_mod._SCORE_BLOCK_BYTES
+    assert peak <= (block + q_hat + retrieval_mod._SUPPORT_CHUNK_BYTES
+                    + retrieval_mod._SELECT_SLICE_BYTES + SLACK)
+
+
+def test_top_k_row_slices_do_not_change_the_neighbors(monkeypatch):
+    rng = np.random.default_rng(3)
+    # Coarse values, so that many scores tie across the k-th place.
+    support = rng.integers(-2, 3, size=(300, 8)).astype(np.float32)
+    queries = rng.integers(-2, 3, size=(50, 8)).astype(np.float32)
+    for k in (2, 7, 300):
+        whole = cosine_knn(queries, support, k)
+        with monkeypatch.context() as mp:
+            # One row per slice.
+            mp.setattr(retrieval_mod, "_SELECT_SLICE_BYTES", 1)
+            assert cosine_knn(queries, support, k) == whole
+
+
 def test_l2_normalize_stays_within_its_block_budget(support):
-    out, peak = _peak_bytes(l2_normalize, support)
+    x = support.copy()
+    out, peak = _peak_bytes(l2_normalize, x)
+    assert out is x
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-6)
-    assert peak <= out.nbytes + 2 * features_mod._NORM_BLOCK_BYTES + SLACK
+    assert peak <= 2 * features_mod._NORM_BLOCK_BYTES + SLACK
 
 
 def test_smooth_stays_within_its_block_budget(support):
-    # A ring: every vertex averages its two neighbours.
     n = N_SUPPORT
-    rows = np.repeat(np.arange(n), 2)
-    cols = np.stack([(np.arange(n) - 1) % n, (np.arange(n) + 1) % n], axis=1).ravel()
-    matrix = sparse.csr_matrix((np.full(2 * n, 0.5), (rows, cols)), shape=(n, n))
-    op = SmoothingOperator(matrix=matrix, isolated_vertices=np.empty(0, np.int64))
-    out, peak = _peak_bytes(smooth, op, support, SmoothConfig(m=2))
+    out, peak = _peak_bytes(smooth, _ring(n), support, SmoothConfig(m=2))
     x = support.astype(np.float64)
     want = 0.25 * x[(np.arange(n) - 2) % n] + 0.5 * x + 0.25 * x[(np.arange(n) + 2) % n]
     assert np.allclose(out, want, atol=1e-6)
     # The budget covers the float64 input block and product block together.
     assert peak <= out.nbytes + smoothing_mod._BLOCK_BUDGET_BYTES + SLACK
+
+
+def test_pair_cosines_stay_within_the_cosine_chunk_budget(support):
+    rng = np.random.default_rng(7)
+    i = np.sort(rng.integers(0, N_SUPPORT - 1, 50_000))
+    cos, peak = _peak_bytes(graph_mod.pair_cosines, support, i, i + 1)
+    x = support[i].astype(np.float64), support[i + 1].astype(np.float64)
+    want = np.einsum("ij,ij->i", *x) / (np.linalg.norm(x[0], axis=1)
+                                         * np.linalg.norm(x[1], axis=1))
+    assert np.allclose(cos, want, atol=1e-12)
+    # The norm pass holds one float64 row block twice (the block and its
+    # squares); the pair gathers after it take one budget. On top: the
+    # per-row norms and the result.
+    assert peak <= (2 * graph_mod._COSINE_CHUNK_BYTES + N_SUPPORT * 8
+                    + cos.nbytes + SLACK)
+
+
+def test_in_place_normalize_and_smooth_match_out_of_place(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((500, 96), dtype=np.float32)
+    x[7] = 0.0
+    # Small budgets, so that both walk several blocks.
+    monkeypatch.setattr(features_mod, "_NORM_BLOCK_BYTES", 64 * 96 * 8)
+    monkeypatch.setattr(smoothing_mod, "_BLOCK_BUDGET_BYTES", 2 * 8 * 500 * 10)
+    normalized = unit_rows(x)
+    assert l2_normalize(x) is x
+    assert x.tobytes() == normalized.tobytes()
+    op = _ring(500)
+    for m in (0, 1, 3):
+        smoothed = smooth(op, normalized, SmoothConfig(m=m))
+        work = normalized.copy()
+        assert smooth(op, work, SmoothConfig(m=m), out=work) is work
+        assert work.tobytes() == smoothed.tobytes()
+    assert x.tobytes() == normalized.tobytes()
+
+
+def _dense_points(n: int, side_m: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n points spread uniformly over a side_m square near 48 N."""
+    rng = np.random.default_rng(seed)
+    lats = 48.0 + rng.random(n) * side_m / METERS_PER_DEGREE
+    lons = 2.0 + rng.random(n) * side_m / (METERS_PER_DEGREE * np.cos(np.radians(48.0)))
+    return lats, lons
+
+
+def test_distance_pairs_stays_within_the_pair_budget(monkeypatch):
+    # Over half a million candidate pairs within 25 m cells, about one in
+    # six of them kept.
+    lats, lons = _dense_points(1600, 150.0, seed=11)
+    records = [ImageRecord(f"i{k}", "s", k, float(a), float(b))
+               for k, (a, b) in enumerate(zip(lats.tolist(), lons.tolist()))]
+    whole = distance_pairs(records, 25.0)
+    monkeypatch.setattr(spatial_mod, "_PAIR_CHUNK_BYTES", 8 << 20)
+    pairs, peak = _peak_bytes(distance_pairs, records, 25.0)
+    for got, want in ((pairs.i, whole.i), (pairs.j, whole.j), (pairs.d, whole.d)):
+        assert got.tobytes() == want.tobytes()
+    # The kept pairs exist twice while the chunks' pieces are joined.
+    result = pairs.i.nbytes + pairs.j.nbytes + pairs.d.nbytes
+    assert peak <= spatial_mod._PAIR_CHUNK_BYTES + 2 * result + SLACK
+
+
+def test_min_distance_within_reach_stays_within_the_pair_budget(monkeypatch):
+    lats, lons = _dense_points(1600, 150.0, seed=12)
+    q_lats, q_lons = _dense_points(1600, 150.0, seed=13)
+    grid = LatLonGrid(lats, lons, cell_m=25.0)
+    whole = grid.min_distance_within_reach_m(q_lats, q_lons)
+    monkeypatch.setattr(spatial_mod, "_PAIR_CHUNK_BYTES", 4 << 20)
+    got, peak = _peak_bytes(grid.min_distance_within_reach_m, q_lats, q_lons)
+    assert got.tobytes() == whole.tobytes()
+    assert peak <= spatial_mod._PAIR_CHUNK_BYTES + SLACK
+
+
+# A `run` on criterion 13's layout (sequences 100 m apart, frames 3 m apart).
+RUN_SUPPORT, RUN_QUERY, RUN_DIM, RUN_SEQUENCES = 4000, 64, 2048, 20
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    data = tmp_path_factory.mktemp("run_inputs")
+    rng = np.random.default_rng(17)
+    per_sequence = RUN_SUPPORT // RUN_SEQUENCES
+    support = [ImageRecord(f"s{s}f{f}", f"s{s}", f, s * 100.0 / METERS_PER_DEGREE,
+                           f * 3.0 / METERS_PER_DEGREE)
+               for s in range(RUN_SEQUENCES) for f in range(per_sequence)]
+    desc = rng.standard_normal((RUN_SUPPORT, RUN_DIM), dtype=np.float32)
+    picks = np.sort(rng.choice(RUN_SUPPORT, RUN_QUERY, replace=False)).tolist()
+    query = [ImageRecord(f"q{i}", "q", i, support[p].lat, support[p].lon)
+             for i, p in enumerate(picks)]
+    qdesc = desc[picks] + rng.standard_normal((RUN_QUERY, RUN_DIM), dtype=np.float32)
+    write_metadata(data / "support_metadata.csv", support)
+    write_descriptors(data / "support_descriptors.emb1", desc)
+    write_metadata(data / "query_metadata.csv", query)
+    write_descriptors(data / "query_descriptors.emb1", qdesc)
+    return data, desc.nbytes + qdesc.nbytes
+
+
+def _run(data, out_dir, cache_dir) -> int:
+    return main(["run", "--regime", "gs_support", "--m", "2",
+                 "--support-metadata", str(data / "support_metadata.csv"),
+                 "--support-descriptors", str(data / "support_descriptors.emb1"),
+                 "--query-metadata", str(data / "query_metadata.csv"),
+                 "--query-descriptors", str(data / "query_descriptors.emb1"),
+                 "--out-dir", str(out_dir), "--cache-dir", str(cache_dir)])
+
+
+# Block budgets a run goes through, each set to 1 MiB so that one extra copy
+# of the support descriptors stands out against their sum.
+_RUN_BUDGETS = [(features_mod, "_NORM_BLOCK_BYTES"),
+                (smoothing_mod, "_BLOCK_BUDGET_BYTES"),
+                (retrieval_mod, "_SCORE_BLOCK_BYTES"),
+                (retrieval_mod, "_SUPPORT_CHUNK_BYTES"),
+                (retrieval_mod, "_SELECT_SLICE_BYTES"),
+                (graph_mod, "_COSINE_CHUNK_BYTES"),
+                (spatial_mod, "_PAIR_CHUNK_BYTES")]
+# The support graph's operator, its kernels while they are combined, and the
+# metadata records: a few MB on these inputs.
+_RUN_GRAPH_AND_RECORDS = 8 << 20
+
+
+def test_run_holds_the_support_descriptors_once(run_inputs, tmp_path,
+                                                monkeypatch, capsys):
+    data, descriptor_bytes = run_inputs
+    for module, name in _RUN_BUDGETS:
+        monkeypatch.setattr(module, name, 1 << 20)
+    # Each budget is counted twice (a normalization block is held twice, and
+    # the unit support chunks are two while their norms are taken). On top
+    # come retrieval's float64 copy of the query block and the EMB1 loader's
+    # one-byte-per-value finiteness mask.
+    budgets = 2 * len(_RUN_BUDGETS) * (1 << 20) + RUN_QUERY * RUN_DIM * 8
+    mask = RUN_SUPPORT * RUN_DIM
+    bound = descriptor_bytes + budgets + mask + _RUN_GRAPH_AND_RECORDS + SLACK
+    for state in ("cold", "warm"):
+        code, peak = _peak_bytes(_run, data, tmp_path / state, tmp_path / "cache")
+        assert code == 0
+        assert f"support smoothing cache {'miss' if state == 'cold' else 'hit'}" \
+            in capsys.readouterr().out
+        assert peak <= bound, f"{state} run peaked at {peak} bytes, bound {bound}"
+
+
+def test_warm_run_writes_the_bytes_of_a_cold_run(run_inputs, tmp_path, capsys):
+    data, _ = run_inputs
+    cache = tmp_path / "cache"
+    assert _run(data, tmp_path / "cold", cache) == 0
+    cold_cache = {p.name: p.read_bytes() for p in cache.iterdir()}
+    assert _run(data, tmp_path / "warm", cache) == 0
+    assert "support smoothing cache hit" in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == cold_cache
+    for name in ("report.json", "report.csv", "matches.csv", "manifest.json"):
+        assert ((tmp_path / "warm" / name).read_bytes()
+                == (tmp_path / "cold" / name).read_bytes()), name
+    # The cached smoothed descriptors are those of an out-of-place route:
+    # normalize a copy, then smooth it on the cached operator.
+    (emb,) = cache.glob("smoothed-*.emb1")
+    (adj,) = cache.glob("graph-*.adj1")
+    raw = load_descriptors(data / "support_descriptors.emb1", RUN_SUPPORT)
+    want = smooth(graph_mod.load_operator(adj), unit_rows(raw), SmoothConfig(m=2))
+    assert load_descriptors(emb, RUN_SUPPORT).tobytes() == want.tobytes()

@@ -256,7 +256,7 @@ def test_pair_chunks_do_not_depend_on_the_chunk_budget(cloud):
     whole = _candidates(grid, cell_m)
     with pytest.MonkeyPatch.context() as mp:
         # A budget of three pairs splits chunks between member runs.
-        mp.setattr(spatial, "_PAIR_CHUNK_BYTES", 3 * 16)
+        mp.setattr(spatial, "_PAIR_CHUNK_BYTES", 3 * spatial._PAIR_BYTES)
         assert sorted(_candidates(grid, cell_m)) == sorted(whole)
 
 
