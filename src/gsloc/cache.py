@@ -53,6 +53,8 @@ class Cache:
         tmp = Path(tmp_name)
         try:
             producer(tmp)
+            # mkstemp makes the file 0600; a shared cache's users all read it.
+            os.chmod(tmp, 0o644)
             os.replace(tmp, final)
         finally:
             tmp.unlink(missing_ok=True)

@@ -40,7 +40,7 @@ from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, ablation_table_csv,
 from .features import (apply_projection, fit_projection, l2_normalize,
                        load_projection, save_projection)
 from .graph import GraphParams, build_operator, load_operator, save_operator
-from .retrieval import cosine_knn, write_matches
+from .retrieval import STRATEGIES, cosine_knn, write_matches
 from .smoothing import SmoothConfig, smooth
 from .synth import SynthConfig, generate_synthetic
 
@@ -109,10 +109,11 @@ _ALL = ("synth",) + _DATA
 _GRAPH, _SYNTH = GraphParams(), SynthConfig()
 
 OPTIONS: tuple[Option, ...] = (
-    Option("cache_dir", "--cache-dir", str, "cache", _ALL),
+    Option("cache_dir", "--cache-dir", str, "cache", _EVAL),
     Option("out_dir", "--out-dir", str, "out", _ALL),
     Option("threads", "--threads", int, 1, _ALL),
-    Option("seed", "--seed", int, 0, _ALL, "seed"),
+    # synth_manifest.json records the seed itself.
+    Option("seed", "--seed", int, 0, ("synth",)),
     Option("support_metadata", "--support-metadata", str, None, _DATA,
            "inputs.support_metadata"),
     Option("support_descriptors", "--support-descriptors", str, None, _DATA,
@@ -140,8 +141,7 @@ OPTIONS: tuple[Option, ...] = (
     Option("m", "--m", int, SmoothConfig().m, _EVAL, "m"),
     Option("regime", "--regime", REGIMES, "gs_both", _EVAL, "regime"),
     Option("k", "--k", int, 1, _EVAL, "k"),
-    Option("strategy", "--strategy", ("top1", "weighted_topk"), "top1", _EVAL,
-           "strategy"),
+    Option("strategy", "--strategy", STRATEGIES, "top1", _EVAL, "strategy"),
     Option("threshold_m", "--threshold-m", float, DEFAULT_THRESHOLD_M, _EVAL,
            "threshold_m"),
     Option("projection.enabled", "--projection", bool, False, _EVAL,
@@ -487,14 +487,15 @@ def cmd_run(config: SimpleNamespace) -> int:
             support, query, config.graph, config.m, config.regime,
             config.query_gps,
             functools.partial(_smoothed_descriptors, cache=cache, info=info))
-        matches = cosine_knn(query_desc, support_desc, config.k)
+        indices, scores = cosine_knn(query_desc, support_desc, config.k)
         snapshot = dict(config.echo, n_support=support.n_images,
                         n_query=query.n_images, dim=support.dim)
-        report = compute_report(matches, support, query, config.strategy,
-                                config.threshold_m, config.regime, snapshot)
+        report = compute_report(indices, scores, support, query,
+                                config.strategy, config.threshold_m,
+                                config.regime, snapshot)
         write_report_json(out_dir / "report.json", report)
         write_report_csv(out_dir / "report.csv", report)
-        write_matches(out_dir / "matches.csv", matches, query.records,
+        write_matches(out_dir / "matches.csv", indices, scores, query.records,
                       support.records)
         _write_json(out_dir / "manifest.json",
                     {"config": config.echo, "provenance": info})

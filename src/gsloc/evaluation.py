@@ -23,7 +23,7 @@ from .dataset import Dataset
 from .errors import InputError
 from .geodesy import haversine_m_each
 from .graph import GraphParams, KernelGeometry, build_operator, kernel_geometry
-from .retrieval import Match, cosine_knn, infer_pose
+from .retrieval import cosine_knn, estimate_positions
 from .smoothing import SmoothConfig, smooth
 
 # The one regime table: which sides each regime smooths, each on its own graph.
@@ -84,26 +84,20 @@ def query_graph_params(params: GraphParams, query_gps: bool) -> GraphParams:
     return replace(params, include_dist=params.include_dist and query_gps)
 
 
-def compute_report(matches: list[Match], support: Dataset, query: Dataset,
-                   strategy: str, threshold_m: float, regime: str,
-                   config_snapshot: dict) -> EvalReport:
-    """Score retrieved matches against the query split's own GPS."""
+def compute_report(indices: np.ndarray, scores: np.ndarray, support: Dataset,
+                   query: Dataset, strategy: str, threshold_m: float,
+                   regime: str, config_snapshot: dict) -> EvalReport:
+    """Score cosine_knn's (n_query, k) arrays, row i for query i, against
+    the query split's own GPS."""
     if threshold_m <= 0:
         raise InputError(f"threshold_m must be positive, got {threshold_m}")
-    if not matches:
+    if len(indices) == 0:
         raise InputError("cannot score an empty query set")
-    s_lat, s_lon = support.positions
-    q_lat, q_lon = query.positions
-    if strategy == "top1" and all(match.neighbors for match in matches):
-        # top1 copies the best neighbor's GPS, as infer_pose does.
-        best = [match.neighbors[0][0] for match in matches]
-        est_lat, est_lon = s_lat[best], s_lon[best]
-    else:
-        poses = [infer_pose(match, support.records, strategy) for match in matches]
-        est_lat = np.array([pose.lat for pose in poses])
-        est_lon = np.array([pose.lon for pose in poses])
-    truth = [match.query_index for match in matches]
-    err = haversine_m_each(est_lat, est_lon, q_lat[truth], q_lon[truth])
+    if len(indices) != query.n_images:
+        raise InputError(f"{len(indices)} result rows for {query.n_images} queries")
+    est_lat, est_lon = estimate_positions(indices, scores, *support.positions,
+                                          strategy)
+    err = haversine_m_each(est_lat, est_lon, *query.positions)
     return EvalReport(
         per_query_error_m=err.tolist(),
         median_error_m=float(np.median(err)),
@@ -189,7 +183,7 @@ def _evaluate(support: Dataset, query: Dataset, params: GraphParams,
     """Smooth per the regime, retrieve, and score one parameter cell."""
     support_desc, query_desc = regime_descriptors(
         support, query, params, cfg.m, regime, query_gps, smoother)
-    matches = cosine_knn(query_desc, support_desc, k)
+    indices, scores = cosine_knn(query_desc, support_desc, k)
     snapshot = {
         "graph": asdict(params),
         "smoothing": {"m": cfg.m},
@@ -202,8 +196,8 @@ def _evaluate(support: Dataset, query: Dataset, params: GraphParams,
         "n_query": query.n_images,
         "dim": support.dim,
     }
-    return compute_report(matches, support, query, strategy, threshold_m,
-                          regime, snapshot)
+    return compute_report(indices, scores, support, query, strategy,
+                          threshold_m, regime, snapshot)
 
 
 def evaluate_regime(support: Dataset, query: Dataset, params: GraphParams,
@@ -367,12 +361,8 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
 # Serialization
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return asdict(report)
-
-
 def write_report_json(path: str | Path, report: EvalReport) -> None:
-    text = json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+    text = json.dumps(asdict(report), sort_keys=True, indent=2)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

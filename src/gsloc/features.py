@@ -109,6 +109,21 @@ def apply_projection(projection: Projection, descriptors: np.ndarray) -> np.ndar
     return out.astype(x.dtype)
 
 
+def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
+    """Float64 Euclidean row norms of x, zeros replaced by 1 so that dividing
+    leaves zero rows zero, and the number of zero rows. Rows are cast to
+    float64 (unless they are) in blocks of at most block_bytes (one row at
+    least); the norm holds a second temporary of the same size."""
+    norms = np.empty(x.shape[0])
+    rows = max(1, int(block_bytes // (8 * max(1, x.shape[1]))))
+    for lo in range(0, x.shape[0], rows):
+        block = x[lo:lo + rows].astype(np.float64, copy=False)
+        norms[lo:lo + rows] = np.linalg.norm(block, axis=1)
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    return norms, int(np.count_nonzero(zero))
+
+
 # Bound on one row block of l2_normalize's float64 working set; the norm
 # computation holds a second temporary of the same size.
 _NORM_BLOCK_BYTES = 16 << 20
@@ -127,11 +142,9 @@ def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
     block = max(1, int(_NORM_BLOCK_BYTES // (8 * max(1, x.shape[1]))))
     for start in range(0, x.shape[0], block):
         rows = x[start:start + block].astype(np.float64)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        zero = norms[:, 0] == 0.0
-        n_zero += int(np.count_nonzero(zero))
-        norms[zero] = 1.0
-        rows /= norms
+        norms, zero = row_norms(rows, _NORM_BLOCK_BYTES)
+        n_zero += zero
+        rows /= norms[:, None]
         x[start:start + block] = rows
     if n_zero:
         logger.warning("l2_normalize: %d zero rows left unnormalized", n_zero)

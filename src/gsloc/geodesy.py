@@ -62,15 +62,18 @@ def haversine_m_vectorized(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
 
 
-def haversine_m_each(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """haversine_m of each element, bit for bit.
+def atan2_each(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """math.atan2 of each element pair of two 1-D float64 arrays. numpy's
+    radians, degrees, sin, cos and sqrt round as the math module's do, but
+    on AVX-512 hosts its arctan2 can differ from the C library's atan2 by
+    one ulp (in haversine_m_each, for some pairs over about 40 km apart)."""
+    angle = map(math.atan2, y.tolist(), x.tolist())
+    return np.fromiter(angle, dtype=np.float64, count=y.size)
 
-    numpy's radians, sin, cos and sqrt round as the math module's do, but
-    its arctan2 need not: on AVX-512 hosts it differs from the C library's
-    atan2 by one ulp for some pairs more than about 40 km apart. So the last
-    step calls math.atan2 once per element.
-    """
+
+def haversine_m_each(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """haversine_m of each element, bit for bit: numpy up to the last step,
+    which is atan2_each."""
     h = _hav(*(np.radians(np.asarray(x, dtype=np.float64))
                for x in (lat1, lon1, lat2, lon2)))
-    angle = map(math.atan2, np.sqrt(h).tolist(), np.sqrt(1.0 - h).tolist())
-    return 2.0 * EARTH_RADIUS_M * np.fromiter(angle, dtype=np.float64, count=h.size)
+    return 2.0 * EARTH_RADIUS_M * atan2_each(np.sqrt(h), np.sqrt(1.0 - h))

@@ -35,6 +35,7 @@ from scipy import sparse
 
 from .dataset import ImageRecord
 from .errors import InputError
+from .features import row_norms
 from .geodesy import haversine_m_vectorized
 from .spatial import LatLonGrid
 
@@ -237,12 +238,7 @@ def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
                  j: np.ndarray) -> np.ndarray:
     """Cosine of each pair (i[k], j[k]) of descriptor rows, in float64."""
     x = np.asarray(descriptors)
-    norms = np.empty(x.shape[0], dtype=np.float64)
-    norm_chunk = max(1, int(_COSINE_CHUNK_BYTES // (8 * max(1, x.shape[1]))))
-    for start in range(0, x.shape[0], norm_chunk):
-        block = x[start:start + norm_chunk].astype(np.float64)
-        norms[start:start + norm_chunk] = np.linalg.norm(block, axis=1)
-    norms[norms == 0.0] = 1.0
+    norms, _ = row_norms(x, _COSINE_CHUNK_BYTES)
     chunk = max(1, int(_COSINE_CHUNK_BYTES // (2 * x.itemsize * max(1, x.shape[1]))))
     cos = np.empty(i.size)
     for start in range(0, i.size, chunk):

@@ -1,4 +1,4 @@
-"""Exact cosine nearest-neighbor search and pose inference.
+"""Exact cosine nearest-neighbor search and position estimates.
 
 Search is brute-force (blocked dense dot products) rather than approximate:
 the support sets this pipeline targets stay tractable, and exactness keeps
@@ -7,6 +7,10 @@ The top k of each score row come from selection, not a full sort: ``argmax``
 for k = 1, and for larger k an ``np.partition`` threshold followed by a sort
 of only the columns that reach it, taken a slice of score rows at a time so
 that selection holds at most ``_SELECT_SLICE_BYTES`` beside the score block.
+
+Results are two (n_query, k) arrays, row i for query i, best first: support
+indices (int64) and cosines (float64). ``estimate_positions`` turns them
+into one position per query, and ``write_matches`` exports them.
 
 No unit-normalized copy of the whole support set is made. For each block of
 queries (its float64 score block bounded by ``_SCORE_BLOCK_BYTES``), the
@@ -24,13 +28,14 @@ of 8, the last (count mod 8) columns can move by one ulp (1,100 x 700 x
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import ImageRecord
 from .errors import InputError
+from .features import row_norms
+from .geodesy import atan2_each
 
 logger = logging.getLogger(__name__)
 
@@ -49,37 +54,14 @@ _CHUNK_ALIGN = 64
 _SELECT_SLICE_BYTES = 16 << 20
 _SELECT_BYTES_PER_SCORE = 48
 
-
-@dataclass
-class Match:
-    """Top-k neighbors of one query: (support_index, cosine) descending."""
-
-    query_index: int
-    neighbors: list[tuple[int, float]]
+STRATEGIES = ("top1", "weighted_topk")
 
 
-@dataclass(frozen=True)
-class PoseEstimate:
-    query_index: int
-    lat: float
-    lon: float
-
-
-def _row_norms(x: np.ndarray, chunk: int) -> tuple[np.ndarray, int]:
-    """Float64 Euclidean norm of each row of x as an (n, 1) column, taken
-    `chunk` rows at a time, with zero norms replaced by 1 so that dividing
-    leaves zero rows zero; and the number of zero rows."""
-    norms = np.empty((x.shape[0], 1))
-    for lo in range(0, x.shape[0], chunk):
-        norms[lo:lo + chunk] = np.linalg.norm(x[lo:lo + chunk].astype(np.float64),
-                                              axis=1, keepdims=True)
-    zero = norms[:, 0] == 0.0
-    norms[zero] = 1.0
-    return norms, int(np.count_nonzero(zero))
-
-
-def cosine_knn(queries: np.ndarray, support: np.ndarray, k: int) -> list[Match]:
-    """Exact top-k by cosine similarity for every query row.
+def cosine_knn(queries: np.ndarray, support: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k by cosine similarity for every query row: (indices,
+    scores), two (n_query, k) arrays whose row i lists query i's neighbors
+    best first.
 
     Zero rows (on either side) score 0 against everything and are counted in
     a log warning. Equal scores rank the smaller support index first.
@@ -102,27 +84,26 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray, k: int) -> list[Match]:
     starts = range(0, max(1, n_support - _CHUNK_ALIGN + 1), chunk)
     # Norms come first, so that their temporaries are gone before a score
     # block is allocated; each chunk then holds one float64 copy at a time.
-    q_norms, q_zero = _row_norms(q, chunk)
-    s_norms, s_zero = _row_norms(s, chunk)
+    q_norms, q_zero = row_norms(q, _SUPPORT_CHUNK_BYTES)
+    s_norms, s_zero = row_norms(s, _SUPPORT_CHUNK_BYTES)
     if q_zero:
         logger.warning("cosine_knn: %d zero query rows score 0 everywhere", q_zero)
     if s_zero:
         logger.warning("cosine_knn: %d zero support rows score 0 everywhere", s_zero)
-    matches: list[Match] = []
+    indices = np.empty((q.shape[0], k), dtype=np.int64)
+    top = np.empty((q.shape[0], k))
     for start in range(0, q.shape[0], block):
         q_hat = q[start:start + block].astype(np.float64)
-        q_hat /= q_norms[start:start + block]
+        q_hat /= q_norms[start:start + block, None]
         scores = np.empty((q_hat.shape[0], n_support))
         for lo, hi in zip(starts, [*starts[1:], n_support]):
             s_hat = s[lo:hi].astype(np.float64)
-            s_hat /= s_norms[lo:hi]
+            s_hat /= s_norms[lo:hi, None]
             np.matmul(q_hat, s_hat.T, out=scores[:, lo:hi])
         picks = _top_k(scores, k)
-        top = np.take_along_axis(scores, picks, axis=1)
-        for row, (idx, val) in enumerate(zip(picks.tolist(), top.tolist())):
-            matches.append(Match(query_index=start + row,
-                                 neighbors=list(zip(idx, val))))
-    return matches
+        indices[start:start + block] = picks
+        top[start:start + block] = np.take_along_axis(scores, picks, axis=1)
+    return indices, top
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -156,42 +137,53 @@ def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     return cols[order[take]]
 
 
-def infer_pose(match: Match, support_records: list[ImageRecord],
-               strategy: str = "top1") -> PoseEstimate:
-    """Turn retrieved neighbors into a position.
+def estimate_positions(indices: np.ndarray, scores: np.ndarray,
+                       lats: np.ndarray, lons: np.ndarray,
+                       strategy: str = "top1") -> tuple[np.ndarray, np.ndarray]:
+    """Each query's (lat, lon) estimate from its neighbors' GPS fixes, given
+    as support-indexed arrays of degrees.
 
-    top1 copies the best neighbor's GPS; weighted_topk takes the
-    similarity-weighted mean of neighbor lat/lon (negative weights clamped to
-    zero; if every weight clamps, falls back to top1). The weighted mean
-    averages raw degrees, which is fine at city scale but wrong across the
-    antimeridian.
+    top1 copies the best neighbor's fix. weighted_topk averages the fixes on
+    the sphere: each becomes a 3-D unit vector, the vectors are summed with
+    the scores clamped at zero as weights, adding the k columns left to
+    right, and the sum's direction is the estimate (math.atan2 per query,
+    through atan2_each). A query whose weights all clamp, or whose weighted
+    sum is the zero vector, falls back to top1.
     """
-    if not match.neighbors:
-        raise InputError("cannot infer a pose from an empty neighbor list")
-    if strategy not in ("top1", "weighted_topk"):
+    if strategy not in STRATEGIES:
         raise InputError(f"unknown pose strategy {strategy!r}")
+    indices, scores = np.asarray(indices), np.asarray(scores, dtype=np.float64)
+    if indices.ndim != 2 or indices.shape != scores.shape:
+        raise InputError(f"indices {indices.shape} and scores {scores.shape} "
+                         "must be (n_query, k) arrays of one shape")
+    if indices.shape[1] == 0:
+        raise InputError("cannot infer a pose from an empty neighbor list")
+    best_lat, best_lon = lats[indices[:, 0]], lons[indices[:, 0]]
     if strategy == "top1":
-        best = support_records[match.neighbors[0][0]]
-        return PoseEstimate(query_index=match.query_index, lat=best.lat, lon=best.lon)
-    weights = np.array([max(0.0, score) for _, score in match.neighbors])
-    total = weights.sum()
-    if total == 0.0:
-        best = support_records[match.neighbors[0][0]]
-        return PoseEstimate(query_index=match.query_index, lat=best.lat, lon=best.lon)
-    lats = np.array([support_records[i].lat for i, _ in match.neighbors])
-    lons = np.array([support_records[i].lon for i, _ in match.neighbors])
-    weights /= total
-    return PoseEstimate(query_index=match.query_index,
-                        lat=float(weights @ lats), lon=float(weights @ lons))
+        return best_lat, best_lon
+    phi, lam = np.radians(lats[indices]), np.radians(lons[indices])
+    cos_phi = np.cos(phi)
+    units = (cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi))
+    weights = np.maximum(scores, 0.0)
+    x, y, z = (np.zeros(indices.shape[0]) for _ in range(3))
+    for col in range(indices.shape[1]):
+        for total, unit in zip((x, y, z), units):
+            total += weights[:, col] * unit[:, col]
+    lat = np.degrees(atan2_each(z, np.sqrt(x * x + y * y)))
+    lon = np.degrees(atan2_each(y, x))
+    fallback = (x == 0.0) & (y == 0.0) & (z == 0.0)
+    return (np.where(fallback, best_lat, lat), np.where(fallback, best_lon, lon))
 
 
-def write_matches(path: str | Path, matches: list[Match],
+def write_matches(path: str | Path, indices: np.ndarray, scores: np.ndarray,
                   query_records: list[ImageRecord],
                   support_records: list[ImageRecord]) -> None:
-    """CSV export: query_id,rank,support_id,score with 1-based ranks."""
+    """CSV export of cosine_knn's arrays, one row of them per query record:
+    query_id,rank,support_id,score with 1-based ranks."""
     lines = ["query_id,rank,support_id,score"]
-    for match in matches:
-        qid = query_records[match.query_index].image_id
-        for rank, (sidx, score) in enumerate(match.neighbors, start=1):
-            lines.append(f"{qid},{rank},{support_records[sidx].image_id},{score!r}")
+    for record, row, row_scores in zip(query_records, indices.tolist(),
+                                       scores.tolist(), strict=True):
+        for rank, (sidx, score) in enumerate(zip(row, row_scores), start=1):
+            lines.append(f"{record.image_id},{rank},"
+                         f"{support_records[sidx].image_id},{score!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -205,10 +205,11 @@ def edge_set(graph) -> set[tuple[int, int]]:
     return set(zip(i.tolist(), j.tolist()))
 
 
-def localization_error(estimate, truth) -> float:
-    """Great-circle distance in meters between a PoseEstimate and a GeoPoint."""
+def localization_error(lat: float, lon: float, truth) -> float:
+    """Great-circle distance in meters between an estimated fix and a
+    GeoPoint."""
     from gsloc.geodesy import GeoPoint, haversine_m
-    return haversine_m(GeoPoint(estimate.lat, estimate.lon), truth)
+    return haversine_m(GeoPoint(lat, lon), truth)
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +301,37 @@ def _reference_w_latent(descriptors, gate, params):
 # Scoring one query at a time
 
 
-def scalar_errors_m(matches, support, query, strategy) -> list[float]:
-    """Localization errors through GeoPoint and the scalar haversine_m, one
-    query at a time."""
+def scalar_positions(indices, scores, lats, lons,
+                     strategy) -> list[tuple[float, float]]:
+    """Each query's (lat, lon) estimate, one query and one neighbor at a
+    time through the math module, in the operation order of
+    retrieval.estimate_positions: the clamped weights times unit vectors
+    summed from 0.0 neighbor by neighbor, then math.atan2 of the sum."""
+    out = []
+    for row, row_scores in zip(np.asarray(indices).tolist(),
+                               np.asarray(scores).tolist()):
+        best = (float(lats[row[0]]), float(lons[row[0]]))
+        x = y = z = 0.0
+        for i, score in zip(row, row_scores):
+            weight = max(score, 0.0)
+            phi, lam = math.radians(lats[i]), math.radians(lons[i])
+            cos_phi = math.cos(phi)
+            x += weight * (cos_phi * math.cos(lam))
+            y += weight * (cos_phi * math.sin(lam))
+            z += weight * math.sin(phi)
+        if strategy == "top1" or x == y == z == 0.0:
+            out.append(best)
+        else:
+            out.append((math.degrees(math.atan2(z, math.sqrt(x * x + y * y))),
+                        math.degrees(math.atan2(y, x))))
+    return out
+
+
+def scalar_errors_m(indices, scores, support, query, strategy) -> list[float]:
+    """Localization errors through scalar_positions, GeoPoint and the scalar
+    haversine_m, one query at a time; row i of the arrays is query i."""
     from gsloc.geodesy import GeoPoint, haversine_m
-    from gsloc.retrieval import infer_pose
-    errors = []
-    for match in matches:
-        pose = infer_pose(match, support.records, strategy)
-        rec = query.records[match.query_index]
-        errors.append(haversine_m(GeoPoint(pose.lat, pose.lon),
-                                  GeoPoint(rec.lat, rec.lon)))
-    return errors
+    lats, lons = support.positions
+    positions = scalar_positions(indices, scores, lats, lons, strategy)
+    return [haversine_m(GeoPoint(lat, lon), GeoPoint(rec.lat, rec.lon))
+            for (lat, lon), rec in zip(positions, query.records)]

@@ -207,14 +207,14 @@ def test_criterion_08_knn_matches_quadratic_oracle(capsys):
     rng = np.random.default_rng(108)
     queries = rng.standard_normal((1000, 64)).astype(np.float32)
     support = rng.standard_normal((5000, 64)).astype(np.float32)
-    got = cosine_knn(queries, support, k=5)
+    indices, scores = cosine_knn(queries, support, k=5)
     want = oracles.quadratic_knn(queries, support, k=5)
-    indices_equal = all(
-        [idx for idx, _ in match.neighbors] == [idx for idx, _ in oracle]
-        for match, oracle in zip(got, want))
+    indices_equal = len(indices) == len(want) and all(
+        row == [idx for idx, _ in oracle]
+        for row, oracle in zip(indices.tolist(), want))
     worst = max(abs(s_got - s_want)
-                for match, oracle in zip(got, want)
-                for (_, s_got), (_, s_want) in zip(match.neighbors, oracle))
+                for row_scores, oracle in zip(scores.tolist(), want)
+                for s_got, (_, s_want) in zip(row_scores, oracle))
     ok = indices_equal and worst <= 1e-9
     _verdict(capsys, "top-k retrieval exactness",
              ok, f"1000 queries x 5000 support, k=5: neighbor sets identical "

@@ -7,6 +7,7 @@ import argparse
 import fcntl
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -144,6 +145,15 @@ def test_run_reruns_are_byte_identical(tmp_path, data_dir):
         reference = (out1 / name).read_bytes()
         assert (out2 / name).read_bytes() == reference, f"{name} (warm cache)"
         assert (out3 / name).read_bytes() == reference, f"{name} (cold cache)"
+
+
+def test_cache_artifacts_are_readable_by_other_users(tmp_path, data_dir):
+    rc, _ = _run(tmp_path, data_dir, "modes", ["--projection", "--d-out", "8"])
+    assert rc == 0
+    artifacts = list((tmp_path / "modes-cache").iterdir())
+    assert {path.suffix for path in artifacts} == {".prj1", ".adj1", ".emb1"}
+    for path in artifacts:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
 
 def test_run_regime_none_warns_about_ignored_m(tmp_path, data_dir, capsys):
@@ -326,17 +336,18 @@ def test_config_integers_for_floats_match_the_flags(tmp_path, data_dir):
 
 
 def test_run_manifest_config_echo(tmp_path, data_dir):
-    """The whole config echo of a run layered from a file and flags."""
+    """The whole config echo of a run layered from a file and flags. A
+    file's seed, which only synth reads, is accepted and left out."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "graph": {"alpha": 0.5, "betas": [0.5, 0.25], "include_seq": False},
         "m": 1, "k": 2, "strategy": "weighted_topk", "threads": 2,
         "projection": {"enabled": True, "d_out": 8}, "query_gps": True,
-        "m_values": [0, 1], "grid": {"m": [0, 1]}}))
+        "m_values": [0, 1], "grid": {"m": [0, 1]}, "seed": 5}))
     rc, out = _run(tmp_path, data_dir, "echo",
                    ["--config", str(config), "--alpha", "0.7", "--eps", "0.01",
                     "--regime", "gs_support", "--threshold-m", "30",
-                    "--no-renormalize", "--seed", "5"])
+                    "--no-renormalize"])
     assert rc == 0
     flags = _dataset_flags(data_dir)
     assert json.loads((out / "manifest.json").read_text())["config"] == {
@@ -349,7 +360,7 @@ def test_run_manifest_config_echo(tmp_path, data_dir):
         "m": 1, "regime": "gs_support", "k": 2, "strategy": "weighted_topk",
         "threshold_m": 30.0,
         "projection": {"enabled": True, "d_out": 8, "eps": 0.01},
-        "renormalize": False, "query_gps": True, "seed": 5,
+        "renormalize": False, "query_gps": True,
     }
 
 
@@ -463,8 +474,9 @@ def test_gridsearch_without_grid_exits_2(tmp_path, data_dir, capsys):
 # Misc
 
 
-_COMMON = ["-h", "--help", "--config", "--cache-dir", "--out-dir", "--threads",
-           "--seed"]
+# --cache-dir only where a command caches, --seed only where it is read.
+_COMMON = ["-h", "--help", "--config", "--out-dir", "--threads"]
+_EVAL = ["-h", "--help", "--config", "--cache-dir", "--out-dir", "--threads"]
 _DATA = ["--support-metadata", "--support-descriptors", "--query-metadata",
          "--query-descriptors"]
 _PIPELINE = ["--alpha", "--max-distance-m", "--betas", "--gamma",
@@ -477,13 +489,13 @@ _PIPELINE = ["--alpha", "--max-distance-m", "--betas", "--gamma",
              "--no-query-gps"]
 _FLAGS = {
     "ingest": _COMMON + _DATA,
-    "synth": _COMMON + ["--n-places", "--n-support-sequences",
+    "synth": _COMMON + ["--seed", "--n-places", "--n-support-sequences",
                         "--n-query-sequences", "--frames-per-place", "--dim",
                         "--noise-sigma", "--place-spacing-m", "--gps-jitter-m"],
-    "run": _COMMON + _DATA + _PIPELINE,
-    "ablate": _COMMON + _DATA + _PIPELINE,
-    "sweep-m": _COMMON + _DATA + _PIPELINE + ["--m-values"],
-    "gridsearch": _COMMON + _DATA + _PIPELINE + [
+    "run": _EVAL + _DATA + _PIPELINE,
+    "ablate": _EVAL + _DATA + _PIPELINE,
+    "sweep-m": _EVAL + _DATA + _PIPELINE + ["--m-values"],
+    "gridsearch": _EVAL + _DATA + _PIPELINE + [
         "--grid-alpha", "--grid-betas", "--grid-gamma", "--grid-max-distance-m",
         "--grid-m"],
 }

@@ -23,7 +23,6 @@ from gsloc.evaluation import (ABLATION_ORDER, AblationRow, EvalReport,
                               write_report_json)
 from gsloc.geodesy import GeoPoint, METERS_PER_DEGREE
 from gsloc.graph import GraphParams, build_operator
-from gsloc.retrieval import Match, PoseEstimate
 from gsloc.smoothing import SmoothConfig
 from gsloc.spatial import LatLonGrid
 from gsloc.synth import SynthConfig, generate_synthetic
@@ -53,16 +52,20 @@ def _offset_dataset(offsets_m, role, prefix):
 # Scoring
 
 
+def _self_matches(n):
+    """cosine_knn's arrays for k=1 with query i matched to support i."""
+    return np.arange(n, dtype=np.int64)[:, None], np.ones((n, 1))
+
+
 def test_localization_error_zero_for_same_point():
-    est = PoseEstimate(query_index=0, lat=-34.9, lon=138.6)
-    assert localization_error(est, GeoPoint(-34.9, 138.6)) == 0.0
+    assert localization_error(-34.9, 138.6, GeoPoint(-34.9, 138.6)) == 0.0
 
 
 def test_compute_report_handcrafted_median_and_accuracy():
     support = _offset_dataset([0.0, 10.0, 20.0, 100.0], "support", "s")
     query = _offset_dataset([0.0, 0.0, 0.0, 0.0], "query", "q")
-    matches = [Match(query_index=i, neighbors=[(i, 1.0)]) for i in range(4)]
-    report = compute_report(matches, support, query, "top1", 25.0, "none", {})
+    report = compute_report(*_self_matches(4), support, query, "top1", 25.0,
+                            "none", {})
     assert report.per_query_error_m == pytest.approx([0.0, 10.0, 20.0, 100.0],
                                                      rel=1e-9, abs=1e-9)
     # Even-length median: mean of the two central values.
@@ -74,19 +77,30 @@ def test_compute_report_handcrafted_median_and_accuracy():
 def test_compute_report_threshold_is_strict():
     support = _offset_dataset([24.9, 25.1], "support", "s")
     query = _offset_dataset([0.0, 0.0], "query", "q")
-    matches = [Match(query_index=i, neighbors=[(i, 1.0)]) for i in range(2)]
-    report = compute_report(matches, support, query, "top1", 25.0, "none", {})
+    report = compute_report(*_self_matches(2), support, query, "top1", 25.0,
+                            "none", {})
     assert report.acc_at_threshold == 0.5
 
 
 def test_compute_report_validation():
-    support = _offset_dataset([0.0], "support", "s")
+    support = _offset_dataset([0.0, 5.0], "support", "s")
     query = _offset_dataset([0.0], "query", "q")
     with pytest.raises(InputError, match="threshold"):
-        compute_report([Match(0, [(0, 1.0)])], support, query, "top1", 0.0,
+        compute_report(*_self_matches(1), support, query, "top1", 0.0,
                        "none", {})
     with pytest.raises(InputError, match="empty"):
-        compute_report([], support, query, "top1", 25.0, "none", {})
+        compute_report(np.empty((0, 1), np.int64), np.empty((0, 1)), support,
+                       query, "top1", 25.0, "none", {})
+    # Row i is query i, so the rows must cover the query set exactly.
+    with pytest.raises(InputError, match="2 result rows for 1 queries"):
+        compute_report(*_self_matches(2), support, query, "top1", 25.0,
+                       "none", {})
+    with pytest.raises(InputError, match="one shape"):
+        compute_report(np.array([[0, 1]]), np.array([[1.0]]), support, query,
+                       "weighted_topk", 25.0, "none", {})
+    with pytest.raises(InputError, match="strategy"):
+        compute_report(*_self_matches(1), support, query, "centroid", 25.0,
+                       "none", {})
 
 
 # ---------------------------------------------------------------------------

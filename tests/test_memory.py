@@ -81,16 +81,16 @@ def test_load_descriptors_into_a_buffer_allocates_only_the_mask(tmp_path, suppor
 
 def test_cosine_knn_never_copies_the_support(support):
     queries = support[::100].copy()
-    matches, peak = _peak_bytes(cosine_knn, queries, support, 1)
-    assert [m.neighbors[0][0] for m in matches] == list(range(0, N_SUPPORT, 100))
+    (indices, _), peak = _peak_bytes(cosine_knn, queries, support, 1)
+    assert indices[:, 0].tolist() == list(range(0, N_SUPPORT, 100))
     assert peak < support.nbytes
 
 
 def test_cosine_knn_top_k_stays_within_one_score_block(support):
     queries = support[::2].copy()
-    matches, peak = _peak_bytes(cosine_knn, queries, support, 5)
-    assert [m.neighbors[0][0] for m in matches] == list(range(0, N_SUPPORT, 2))
-    assert all(len(m.neighbors) == 5 for m in matches)
+    (indices, scores), peak = _peak_bytes(cosine_knn, queries, support, 5)
+    assert indices[:, 0].tolist() == list(range(0, N_SUPPORT, 2))
+    assert indices.shape == scores.shape == (queries.shape[0], 5)
     # One query block covers every query: its float64 scores and its
     # float64 copy of the queries, one unit support chunk while scoring, and
     # one selection slice after.
@@ -107,11 +107,13 @@ def test_top_k_row_slices_do_not_change_the_neighbors(monkeypatch):
     support = rng.integers(-2, 3, size=(300, 8)).astype(np.float32)
     queries = rng.integers(-2, 3, size=(50, 8)).astype(np.float32)
     for k in (2, 7, 300):
-        whole = cosine_knn(queries, support, k)
+        whole_idx, whole = cosine_knn(queries, support, k)
         with monkeypatch.context() as mp:
             # One row per slice.
             mp.setattr(retrieval_mod, "_SELECT_SLICE_BYTES", 1)
-            assert cosine_knn(queries, support, k) == whole
+            sliced_idx, sliced = cosine_knn(queries, support, k)
+        assert np.array_equal(sliced_idx, whole_idx)
+        assert np.array_equal(sliced, whole)
 
 
 def test_l2_normalize_stays_within_its_block_budget(support):

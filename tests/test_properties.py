@@ -28,11 +28,11 @@ from gsloc.evaluation import _memo_smoother, compute_report
 from gsloc.geodesy import METERS_PER_DEGREE, haversine_m_vectorized
 from gsloc.graph import (GraphParams, WeightedGraph, build_operator,
                          kernel_geometry)
-from gsloc.retrieval import Match, cosine_knn
+from gsloc.retrieval import cosine_knn, estimate_positions
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
 from oracles import (coo_edges, quadratic_knn, random_weighted_graph,
-                     reference_operator, scalar_errors_m)
+                     reference_operator, scalar_errors_m, scalar_positions)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -86,29 +86,32 @@ def _copy_groups(support: np.ndarray) -> tuple[list[int], list[list[int]]]:
 
 
 def _assert_topk(queries: np.ndarray, support: np.ndarray,
-                 ks) -> dict[int, list]:
-    """Check cosine_knn at each k against the oracle; return its matches."""
+                 ks) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Check cosine_knn at each k against the oracle; return its arrays."""
     n = support.shape[0]
     results = {}
     logging.disable(logging.WARNING)
     try:
         # The full stable sort is the library's own reference order.
-        full = cosine_knn(queries, support, k=n)
+        full_idx, full_scores = cosine_knn(queries, support, k=n)
         oracle_full = quadratic_knn(queries, support, k=n)
         group_of, groups = _copy_groups(support)
         for k in ks:
-            got = results[k] = cosine_knn(queries, support, k=k)
+            got_idx, got_scores = results[k] = cosine_knn(queries, support, k=k)
             want = quadratic_knn(queries, support, k=k)
-            for qi, (match, oracle) in enumerate(zip(got, want)):
-                assert match.query_index == qi
-                idx = [i for i, _ in match.neighbors]
-                scores = [s for _, s in match.neighbors]
+            # Row i of both arrays is query i.
+            assert got_idx.shape == got_scores.shape == (queries.shape[0], k)
+            assert got_idx.dtype == np.int64 and got_scores.dtype == np.float64
+            for qi, oracle in enumerate(want):
+                idx = got_idx[qi].tolist()
+                scores = got_scores[qi].tolist()
                 # Selection must give exactly the stable sort's first k,
                 # including which of a tie group straddling place k is kept.
-                assert match.neighbors == full[qi].neighbors[:k]
+                assert idx == full_idx[qi, :k].tolist()
+                assert scores == full_scores[qi, :k].tolist()
                 assert len(set(idx)) == k
                 oracle_score = dict(oracle_full[qi])
-                for r, (i, s) in enumerate(match.neighbors):
+                for r, (i, s) in enumerate(zip(idx, scores)):
                     assert abs(s - oracle[r][1]) <= SCORE_EPS
                     assert abs(s - oracle_score[i]) <= SCORE_EPS
                 # Nothing left out beats anything kept.
@@ -163,10 +166,9 @@ def test_topk_does_not_depend_on_the_support_chunks(case):
         mp.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
         chunked = _assert_topk(queries, support, ks)
     for k in ks:
-        for a, b in zip(chunked[k], whole[k]):
-            assert [i for i, _ in a.neighbors] == [i for i, _ in b.neighbors]
-            for (_, x), (_, y) in zip(a.neighbors, b.neighbors):
-                assert abs(x - y) <= SCORE_EPS
+        (a_idx, a_scores), (b_idx, b_scores) = chunked[k], whole[k]
+        assert np.array_equal(a_idx, b_idx)
+        assert np.all(np.abs(a_scores - b_scores) <= SCORE_EPS)
 
 
 @pytest.mark.parametrize("n_support", [64 + 1, 3 * 64 + 1, 4 * 64])
@@ -178,16 +180,18 @@ def test_topk_with_a_short_last_support_chunk(monkeypatch, n_support):
     support = rng.integers(-3, 4, (n_support, 6)).astype(np.float64)
     support[0] = support[-1] = [0.0, 0.0, 0.0, 0.0, 2.0, 3.0]
     queries = np.vstack([support[[0, 5]], rng.standard_normal((2, 6))])
-    whole = cosine_knn(queries, support, k=3)
+    whole_idx, whole = cosine_knn(queries, support, k=3)
     monkeypatch.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
-    chunked = cosine_knn(queries, support, k=3)
+    chunked_idx, chunked = cosine_knn(queries, support, k=3)
     oracle = quadratic_knn(queries, support, k=3)
-    for a, b, want in zip(chunked, whole, oracle):
-        assert [i for i, _ in a.neighbors] == [i for i, _ in b.neighbors]
-        for (_, x), (_, y), (_, z) in zip(a.neighbors, b.neighbors, want):
+    assert np.array_equal(chunked_idx, whole_idx)
+    for row, x_row, y_row, want in zip(chunked_idx.tolist(), chunked.tolist(),
+                                       whole.tolist(), oracle):
+        assert row == [i for i, _ in want]
+        for x, y, (_, z) in zip(x_row, y_row, want):
             assert abs(x - y) <= SCORE_EPS and abs(x - z) <= SCORE_EPS
-    assert [i for i, _ in chunked[0].neighbors[:2]] == [0, n_support - 1]
-    assert chunked[0].neighbors[0][1] == chunked[0].neighbors[1][1]
+    assert chunked_idx[0, :2].tolist() == [0, n_support - 1]
+    assert chunked[0, 0] == chunked[0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +443,22 @@ def _scored_matches(draw):
     support = split(n_support, "support", "s")
     query = split(n_query, "query", "q")
     k = draw(st.integers(1, n_support))
-    matches = []
-    for qi in rng.permutation(n_query).tolist():
-        picks = rng.choice(n_support, k, replace=False).tolist()
-        scores = np.sort(rng.uniform(-1.0, 1.0, k))[::-1].tolist()
-        matches.append(Match(query_index=qi, neighbors=list(zip(picks, scores))))
-    return support, query, matches
+    indices = np.empty((n_query, k), dtype=np.int64)
+    scores = np.empty((n_query, k))
+    for qi in range(n_query):
+        indices[qi] = rng.choice(n_support, k, replace=False)
+        scores[qi] = np.sort(rng.uniform(-1.0, 1.0, k))[::-1]
+    return support, query, indices, scores
 
 
 @PROPERTY
 @given(_scored_matches(), st.sampled_from(["top1", "weighted_topk"]))
 def test_array_scoring_equals_scalar_haversine(case, strategy):
-    support, query, matches = case
-    report = compute_report(matches, support, query, strategy, 25.0, "none", {})
-    assert report.per_query_error_m == scalar_errors_m(matches, support, query,
-                                                       strategy)
+    support, query, indices, scores = case
+    lat, lon = estimate_positions(indices, scores, *support.positions, strategy)
+    assert list(zip(lat.tolist(), lon.tolist())) == scalar_positions(
+        indices, scores, *support.positions, strategy)
+    report = compute_report(indices, scores, support, query, strategy, 25.0,
+                            "none", {})
+    assert report.per_query_error_m == scalar_errors_m(indices, scores, support,
+                                                       query, strategy)

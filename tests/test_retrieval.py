@@ -1,5 +1,5 @@
 """Exact cosine retrieval against a quadratic oracle, tie-breaking rules,
-pose inference strategies, and the matches CSV export."""
+position estimates on the sphere, and the matches CSV export."""
 
 from __future__ import annotations
 
@@ -10,8 +10,14 @@ import pytest
 
 from gsloc.dataset import ImageRecord
 from gsloc.errors import InputError
-from gsloc.retrieval import Match, cosine_knn, infer_pose, write_matches
-from oracles import quadratic_knn
+from gsloc.geodesy import GeoPoint, haversine_m
+from gsloc.retrieval import cosine_knn, estimate_positions, write_matches
+from oracles import _unit_vectors, quadratic_knn
+
+
+def _positions(records):
+    return (np.array([r.lat for r in records]),
+            np.array([r.lon for r in records]))
 
 
 def _support_records(n):
@@ -19,32 +25,45 @@ def _support_records(n):
             for i in range(n)]
 
 
+def test_results_are_query_by_k_arrays():
+    rng = np.random.default_rng(1)
+    queries = rng.standard_normal((7, 4)).astype(np.float32)
+    support = rng.standard_normal((20, 4)).astype(np.float32)
+    indices, scores = cosine_knn(queries, support, k=3)
+    assert indices.shape == scores.shape == (7, 3)
+    assert indices.dtype == np.int64
+    assert scores.dtype == np.float64
+    # Row i belongs to query i, in the queries' own order.
+    flipped, _ = cosine_knn(queries[::-1], support, k=3)
+    assert np.array_equal(flipped, indices[::-1])
+
+
 def test_query_finds_itself():
     rng = np.random.default_rng(2)
     support = rng.standard_normal((20, 8))
     queries = support[[7]]
-    match = cosine_knn(queries, support, k=1)[0]
-    idx, score = match.neighbors[0]
-    assert idx == 7
-    assert abs(score - 1.0) < 1e-12
+    indices, scores = cosine_knn(queries, support, k=1)
+    assert indices[0, 0] == 7
+    assert abs(scores[0, 0] - 1.0) < 1e-12
 
 
 def test_orthogonal_vectors_score_zero():
     queries = np.array([[1.0, 0.0]])
     support = np.array([[0.0, 1.0]])
-    match = cosine_knn(queries, support, k=1)[0]
-    assert match.neighbors[0] == (0, 0.0)
+    indices, scores = cosine_knn(queries, support, k=1)
+    assert (indices[0, 0], scores[0, 0]) == (0, 0.0)
 
 
 def test_matches_quadratic_oracle():
     rng = np.random.default_rng(3)
     queries = rng.standard_normal((50, 16))
     support = rng.standard_normal((200, 16))
-    got = cosine_knn(queries, support, k=5)
+    indices, scores = cosine_knn(queries, support, k=5)
     want = quadratic_knn(queries, support, k=5)
-    for match, oracle in zip(got, want):
-        assert [idx for idx, _ in match.neighbors] == [idx for idx, _ in oracle]
-        for (_, s_got), (_, s_want) in zip(match.neighbors, oracle):
+    assert len(indices) == len(want)
+    for row, row_scores, oracle in zip(indices.tolist(), scores.tolist(), want):
+        assert row == [idx for idx, _ in oracle]
+        for s_got, (_, s_want) in zip(row_scores, oracle):
             assert s_got == pytest.approx(s_want, abs=1e-10)
 
 
@@ -54,8 +73,8 @@ def test_ties_break_toward_lower_support_index():
     support = base.copy()
     support[9] = support[3]  # exact duplicate later in the list
     queries = support[[3]] * 2.0
-    match = cosine_knn(queries, support, k=2)[0]
-    assert [idx for idx, _ in match.neighbors] == [3, 9]
+    indices, _ = cosine_knn(queries, support, k=2)
+    assert indices[0].tolist() == [3, 9]
 
 
 def test_cosine_ignores_positive_rescaling():
@@ -63,23 +82,21 @@ def test_cosine_ignores_positive_rescaling():
     queries = rng.standard_normal((10, 5))
     support = rng.standard_normal((30, 5))
     scales = rng.uniform(0.1, 10.0, (30, 1))
-    plain = cosine_knn(queries, support, k=3)
-    scaled = cosine_knn(queries, support * scales, k=3)
-    for a, b in zip(plain, scaled):
-        assert [i for i, _ in a.neighbors] == [i for i, _ in b.neighbors]
-        for (_, sa), (_, sb) in zip(a.neighbors, b.neighbors):
-            assert sa == pytest.approx(sb, abs=1e-12)
+    plain_idx, plain = cosine_knn(queries, support, k=3)
+    scaled_idx, scaled = cosine_knn(queries, support * scales, k=3)
+    assert np.array_equal(plain_idx, scaled_idx)
+    assert np.allclose(plain, scaled, rtol=0.0, atol=1e-12)
 
 
 def test_k_equals_n_gives_total_order():
     rng = np.random.default_rng(9)
     queries = rng.standard_normal((4, 6))
     support = rng.standard_normal((15, 6))
-    for match in cosine_knn(queries, support, k=15):
-        indices = [i for i, _ in match.neighbors]
-        scores = [s for _, s in match.neighbors]
-        assert sorted(indices) == list(range(15))
-        assert scores == sorted(scores, reverse=True)
+    indices, scores = cosine_knn(queries, support, k=15)
+    assert indices.shape == (4, 15)
+    for row, row_scores in zip(indices.tolist(), scores.tolist()):
+        assert sorted(row) == list(range(15))
+        assert row_scores == sorted(row_scores, reverse=True)
 
 
 def test_zero_query_rows_warn_and_rank_by_index(caplog):
@@ -87,9 +104,9 @@ def test_zero_query_rows_warn_and_rank_by_index(caplog):
     rng = np.random.default_rng(11)
     support = rng.standard_normal((6, 4))
     with caplog.at_level(logging.WARNING, logger="gsloc.retrieval"):
-        match = cosine_knn(queries, support, k=3)[0]
-    assert [i for i, _ in match.neighbors] == [0, 1, 2]
-    assert all(s == 0.0 for _, s in match.neighbors)
+        indices, scores = cosine_knn(queries, support, k=3)
+    assert indices[0].tolist() == [0, 1, 2]
+    assert all(s == 0.0 for s in scores[0].tolist())
     assert any("zero query rows" in rec.message for rec in caplog.records)
 
 
@@ -107,54 +124,105 @@ def test_knn_validation():
 
 
 # ---------------------------------------------------------------------------
-# Pose inference
+# Position estimates
+
+
+def _estimate(records, indices, scores, strategy):
+    lat, lon = estimate_positions(np.array(indices), np.array(scores, dtype=float),
+                                  *_positions(records), strategy)
+    assert lat.shape == lon.shape == (len(indices),)
+    return lat.tolist(), lon.tolist()
 
 
 def test_top1_copies_best_neighbor_gps():
     records = _support_records(5)
-    match = Match(query_index=0, neighbors=[(2, 0.9), (4, 0.8)])
-    pose = infer_pose(match, records, strategy="top1")
-    assert (pose.lat, pose.lon) == (records[2].lat, records[2].lon)
+    lat, lon = _estimate(records, [[2, 4], [4, 2]], [[0.9, 0.8], [0.7, 0.1]],
+                         "top1")
+    assert (lat, lon) == ([records[2].lat, records[4].lat],
+                          [records[2].lon, records[4].lon])
+
+
+def _sphere_mean(records, weights):
+    """Direction of the weighted sum of unit vectors, read back through
+    arcsin rather than the two atan2 calls under test."""
+    lats, lons = _positions(records)
+    v = np.asarray(weights) @ _unit_vectors(lats, lons)
+    v /= np.linalg.norm(v)
+    return np.degrees(np.arcsin(v[2])), np.degrees(np.arctan2(v[1], v[0]))
 
 
 def test_weighted_topk_is_convex_combination():
     records = [ImageRecord("a", "s", 0, 0.0, 10.0),
                ImageRecord("b", "s", 1, 1.0, 20.0)]
-    match = Match(query_index=0, neighbors=[(0, 0.75), (1, 0.25)])
-    pose = infer_pose(match, records, strategy="weighted_topk")
-    assert pose.lat == pytest.approx(0.25, abs=1e-15)
-    assert pose.lon == pytest.approx(12.5, abs=1e-12)
+    (lat,), (lon,) = _estimate(records, [[0, 1]], [[0.75, 0.25]],
+                               "weighted_topk")
+    want_lat, want_lon = _sphere_mean(records, [0.75, 0.25])
+    assert lat == pytest.approx(want_lat, abs=1e-12)
+    assert lon == pytest.approx(want_lon, abs=1e-12)
+    # A quarter of the way from a to b, near the degree-space mean.
+    assert lat == pytest.approx(0.25, abs=0.01)
+    assert lon == pytest.approx(12.5, abs=0.01)
 
 
 def test_weighted_topk_midpoint():
     records = [ImageRecord("a", "s", 0, 0.0004, 0.0),
                ImageRecord("b", "s", 1, 0.0006, 0.0)]
-    match = Match(query_index=0, neighbors=[(0, 0.5), (1, 0.5)])
-    pose = infer_pose(match, records, strategy="weighted_topk")
-    assert pose.lat == pytest.approx(0.0005, abs=1e-18)
+    (lat,), (lon,) = _estimate(records, [[0, 1]], [[0.5, 0.5]], "weighted_topk")
+    assert lat == pytest.approx(0.0005, abs=1e-18)
+    assert lon == 0.0
+
+
+def test_weighted_topk_across_the_antimeridian():
+    # The degree-space mean of these two fixes is lon 0, half the globe away.
+    records = [ImageRecord("a", "s", 0, 10.0, 179.9),
+               ImageRecord("b", "s", 1, 10.0, -179.9)]
+    (lat,), (lon,) = _estimate(records, [[0, 1]], [[0.5, 0.5]], "weighted_topk")
+    assert abs(lon) > 179.0
+    assert lat == pytest.approx(10.0, abs=1e-3)
+    estimate = GeoPoint(lat, lon)
+    assert haversine_m(estimate, GeoPoint(10.0, 179.9)) < 20_000.0
+
+
+def test_weighted_topk_near_a_pole_stays_near_it():
+    # Two fixes 0.1 degrees from the north pole on opposite meridians: the
+    # mean is the pole, not a point at their latitude a quarter turn away.
+    records = [ImageRecord("a", "s", 0, 89.9, 0.0),
+               ImageRecord("b", "s", 1, 89.9, 180.0)]
+    (lat,), (lon,) = _estimate(records, [[0, 1]], [[0.5, 0.5]], "weighted_topk")
+    assert lat > 89.999
+    for record in records:
+        distance = haversine_m(GeoPoint(lat, lon), GeoPoint(record.lat, record.lon))
+        assert distance == pytest.approx(0.1 * 111_195.0, rel=1e-3)
 
 
 def test_weighted_topk_clamps_negative_scores():
     records = _support_records(3)
-    match = Match(query_index=0, neighbors=[(0, -0.5), (2, 0.5)])
-    pose = infer_pose(match, records, strategy="weighted_topk")
-    assert (pose.lat, pose.lon) == (records[2].lat, records[2].lon)
+    clamped = _estimate(records, [[0, 2]], [[-0.5, 0.5]], "weighted_topk")
+    # The clamped neighbor adds exact zeros, so the estimate is the one
+    # from the remaining neighbor alone, which is that neighbor's fix.
+    assert clamped == _estimate(records, [[2]], [[0.5]], "weighted_topk")
+    assert clamped[0][0] == pytest.approx(records[2].lat, rel=1e-12)
+    assert clamped[1][0] == records[2].lon
 
 
 def test_weighted_topk_falls_back_to_top1_when_all_clamp():
     records = _support_records(3)
-    match = Match(query_index=0, neighbors=[(1, -0.1), (2, -0.9)])
-    pose = infer_pose(match, records, strategy="weighted_topk")
-    assert (pose.lat, pose.lon) == (records[1].lat, records[1].lon)
+    lat, lon = _estimate(records, [[1, 2]], [[-0.1, -0.9]], "weighted_topk")
+    assert (lat, lon) == ([records[1].lat], [records[1].lon])
 
 
-def test_infer_pose_validation():
-    records = _support_records(2)
+def test_estimate_positions_validation():
+    lats, lons = _positions(_support_records(2))
     with pytest.raises(InputError, match="empty"):
-        infer_pose(Match(query_index=0, neighbors=[]), records)
+        estimate_positions(np.empty((1, 0), np.int64), np.empty((1, 0)),
+                           lats, lons)
     with pytest.raises(InputError, match="strategy"):
-        infer_pose(Match(query_index=0, neighbors=[(0, 1.0)]), records,
-                   strategy="centroid")
+        estimate_positions(np.array([[0]]), np.array([[1.0]]), lats, lons,
+                           strategy="centroid")
+    with pytest.raises(InputError, match="one shape"):
+        estimate_positions(np.array([[0, 1]]), np.array([[1.0]]), lats, lons)
+    with pytest.raises(InputError, match="one shape"):
+        estimate_positions(np.array([0, 1]), np.array([1.0, 0.5]), lats, lons)
 
 
 def test_write_matches_golden_csv(tmp_path):
@@ -162,10 +230,10 @@ def test_write_matches_golden_csv(tmp_path):
                ImageRecord("sup_b", "s", 1, 0.0, 0.0)]
     queries = [ImageRecord("qry_a", "q", 0, 0.0, 0.0),
                ImageRecord("qry_b", "q", 1, 0.0, 0.0)]
-    matches = [Match(query_index=0, neighbors=[(1, 1.0), (0, 0.5)]),
-               Match(query_index=1, neighbors=[(0, 0.25), (1, -0.125)])]
+    indices = np.array([[1, 0], [0, 1]])
+    scores = np.array([[1.0, 0.5], [0.25, -0.125]])
     path = tmp_path / "matches.csv"
-    write_matches(path, matches, queries, support)
+    write_matches(path, indices, scores, queries, support)
     assert path.read_text() == (
         "query_id,rank,support_id,score\n"
         "qry_a,1,sup_b,1.0\n"
@@ -173,3 +241,5 @@ def test_write_matches_golden_csv(tmp_path):
         "qry_b,1,sup_a,0.25\n"
         "qry_b,2,sup_b,-0.125\n"
     )
+    with pytest.raises(ValueError):
+        write_matches(path, indices[:1], scores[:1], queries, support)
