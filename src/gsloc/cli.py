@@ -297,6 +297,8 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     config.graph = GraphParams(**config.graph)
     if config.threshold_m <= 0:
         raise InputError(f"threshold_m must be positive, got {config.threshold_m}")
+    if config.threads < 1:
+        raise InputError(f"threads must be at least 1, got {config.threads}")
     if config.projection["enabled"] and config.projection["d_out"] is None:
         raise InputError("projection enabled but projection.d_out not set")
     config.smoothing = SmoothConfig(m=config.m)

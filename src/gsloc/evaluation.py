@@ -6,6 +6,10 @@ localization error and the fraction of queries strictly inside the threshold
 radius. Support and query graphs are always built independently, each from its
 own split's metadata, and the query graph leaves GPS out unless explicitly
 allowed (the query positions are what we are trying to predict).
+
+The ablation (eight kernel subsets at one m), the m-sweep (one cell at many
+m) and the grid search (many cells at many m) all score through
+``_evaluate_cells``, the one place that decides what their cells share.
 """
 
 from __future__ import annotations
@@ -111,8 +115,8 @@ def compute_report(indices: np.ndarray, scores: np.ndarray, support: Dataset,
 def _memo_smoother(geometry: dict[str, KernelGeometry] | None = None) -> Smoother:
     """In-memory smoother that builds each side's operator once, from the
     command's shared kernel geometry for that side when given. A memo serves
-    one graph-parameter set (one evaluation, sweep or grid group), so it is
-    keyed by side alone and never needs invalidation.
+    one graph-parameter set (one evaluation, or one cell of _evaluate_cells),
+    so it is keyed by side alone and never needs invalidation.
 
     It walks an m-ladder: each side's float64 iterate A^m X is kept and
     advanced from the last m reached, so ascending m values cost max(m)
@@ -147,19 +151,6 @@ def _regime_sides(regime: str) -> tuple[str, ...]:
     if regime not in SMOOTHED_SIDES:
         raise InputError(f"unknown regime {regime!r}, expected one of {REGIMES}")
     return SMOOTHED_SIDES[regime]
-
-
-def _shared_geometry(support: Dataset, query: Dataset, cells: list[GraphParams],
-                     regime: str, query_gps: bool) -> dict[str, KernelGeometry]:
-    """Kernel geometry of each side the regime smooths, covering every cell
-    of a command, so that no cell recomputes pairs, distances or cosines."""
-    datasets = {"support": (support, cells),
-                "query": (query, [query_graph_params(p, query_gps) for p in cells])}
-    out = {}
-    for side in _regime_sides(regime):
-        dataset, side_cells = datasets[side]
-        out[side] = kernel_geometry(dataset.records, dataset.descriptors, side_cells)
-    return out
 
 
 def regime_descriptors(support: Dataset, query: Dataset, params: GraphParams,
@@ -214,30 +205,73 @@ def evaluate_regime(support: Dataset, query: Dataset, params: GraphParams,
                      query_gps=query_gps)
 
 
+def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
+                    m_values: list[int], regime: str, *, threshold_m: float,
+                    k: int, strategy: str, query_gps: bool,
+                    threads: int = 1) -> list[list[tuple[float, float]]]:
+    """Score every graph cell at every m under the regime: one
+    (acc_at_threshold, median_error_m) per cell and m, cell-major.
+
+    This is the one place that decides what cells share. With more than one
+    cell and some m > 0, every cell builds from one kernel geometry per
+    smoothed side; a single cell builds its own kernels, as `run` does. Each
+    cell walks its m values as one ladder. The m = 0 scores never touch a
+    graph, so every cell shares one retrieval. The geometry and that
+    retrieval are computed before the cells run, so a thread pool
+    (threads > 1, more than one cell) runs the cells in parallel without a
+    lock and without changing any number.
+    """
+    sides = _regime_sides(regime)
+    geometry = {}
+    if len(cells) > 1 and max(m_values, default=0) > 0:
+        datasets = {"support": (support, cells),
+                    "query": (query, [query_graph_params(p, query_gps)
+                                      for p in cells])}
+        for side in sides:
+            dataset, side_cells = datasets[side]
+            geometry[side] = kernel_geometry(dataset.records,
+                                             dataset.descriptors, side_cells)
+
+    def score(cell: GraphParams, m: int, smoother: Smoother) -> tuple[float, float]:
+        report = _evaluate(support, query, cell, SmoothConfig(m=m), regime,
+                           smoother, threshold_m=threshold_m, k=k,
+                           strategy=strategy, query_gps=query_gps)
+        return report.acc_at_threshold, report.median_error_m
+
+    unsmoothed = score(cells[0], 0, _memo_smoother()) if 0 in m_values else None
+    # Scoring reads both splits' positions; build them before any pool.
+    support.positions, query.positions
+
+    def score_cell(cell: GraphParams) -> list[tuple[float, float]]:
+        smoother = _memo_smoother(geometry)
+        return [unsmoothed if m == 0 else score(cell, m, smoother)
+                for m in m_values]
+
+    if threads > 1 and len(cells) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(score_cell, cells))
+    return [score_cell(cell) for cell in cells]
+
+
 def run_ablation(support: Dataset, query: Dataset, params: GraphParams,
                  cfg: SmoothConfig, *, threshold_m: float = DEFAULT_THRESHOLD_M,
                  k: int = 1, strategy: str = "top1") -> list[AblationRow]:
     """Evaluate every kernel subset (8 rows) under gs_support.
 
     The rows without a structural kernel (all-off and latent-only) have an
-    identity operator, i.e. the no-smoothing baseline. All rows share one
-    kernel geometry.
+    identity operator, i.e. the no-smoothing baseline.
     """
     cells = [replace(params, include_dist=use_dist, include_seq=use_seq,
                      include_latent=use_latent)
              for use_dist, use_seq, use_latent in ABLATION_ORDER]
-    geometry = _shared_geometry(support, query, cells, "gs_support",
-                                False) if cfg.m > 0 else {}
-    rows: list[AblationRow] = []
-    for (use_dist, use_seq, use_latent), cell in zip(ABLATION_ORDER, cells):
-        report = _evaluate(support, query, cell, cfg, "gs_support",
-                           _memo_smoother(geometry), threshold_m=threshold_m,
-                           k=k, strategy=strategy, query_gps=False)
-        rows.append(AblationRow(use_dist=use_dist, use_seq=use_seq,
-                                use_latent=use_latent,
-                                median_error_m=report.median_error_m,
-                                acc_at_threshold=report.acc_at_threshold))
-    return rows
+    scores = _evaluate_cells(support, query, cells, [cfg.m], "gs_support",
+                             threshold_m=threshold_m, k=k, strategy=strategy,
+                             query_gps=False)
+    return [AblationRow(use_dist=use_dist, use_seq=use_seq,
+                        use_latent=use_latent, median_error_m=median,
+                        acc_at_threshold=acc)
+            for (use_dist, use_seq, use_latent), [(acc, median)]
+            in zip(ABLATION_ORDER, scores)]
 
 
 def sweep_m(support: Dataset, query: Dataset, params: GraphParams,
@@ -249,14 +283,10 @@ def sweep_m(support: Dataset, query: Dataset, params: GraphParams,
     rows."""
     if any(m < 0 for m in m_values):
         raise InputError("m values must be nonnegative")
-    smoother = _memo_smoother()
-    rows = []
-    for m in m_values:
-        report = _evaluate(support, query, params, SmoothConfig(m=m), "gs_both",
-                           smoother, threshold_m=threshold_m, k=k,
-                           strategy=strategy, query_gps=query_gps)
-        rows.append((int(m), report.acc_at_threshold, report.median_error_m))
-    return rows
+    [scores] = _evaluate_cells(support, query, [params], m_values, "gs_both",
+                               threshold_m=threshold_m, k=k, strategy=strategy,
+                               query_gps=query_gps)
+    return [(int(m), acc, median) for m, (acc, median) in zip(m_values, scores)]
 
 
 # Grid axes in canonical order; ties in the search resolve toward the
@@ -277,12 +307,9 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
 
     Maximizes acc_at_threshold; ties break to the lower median error, then to
     the earliest cell in canonical product order. Axes missing from the grid
-    stay at their base values. Cells sharing graph parameters reuse one graph
-    build and walk the m axis as one ladder; every group builds from one
-    shared kernel geometry per smoothed side, and the m = 0 cells, which
-    never touch a graph, share one retrieval. All of that is computed before
-    the groups run, so a thread pool may run them in parallel without a lock
-    and without changing any numbers.
+    stay at their base values. Each graph-parameter combination is one cell
+    of _evaluate_cells, which walks the m axis as that cell's ladder; the
+    threads run combinations in parallel.
     """
     if not grid:
         raise InputError("grid must name at least one parameter axis")
@@ -301,60 +328,22 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
     for name in GRID_AXES:
         if not axes[name]:
             raise InputError(f"grid axis {name!r} is empty")
-    graph_combos = list(product(axes["alpha"], axes["betas"], axes["gamma"],
-                                axes["max_distance_m"]))
-    m_axis = axes["m"]
-    cells = [replace(base_params, alpha=alpha, betas=betas, gamma=gamma,
-                     max_distance_m=max_distance_m)
-             for alpha, betas, gamma, max_distance_m in graph_combos]
-    scoring = dict(threshold_m=threshold_m, k=k, strategy=strategy,
-                   query_gps=query_gps)
-    geometry = (_shared_geometry(support, validation_query, cells, regime,
-                                 query_gps) if max(m_axis) > 0 else {})
-    unsmoothed = (_evaluate(support, validation_query, base_params,
-                            SmoothConfig(m=0), regime, _memo_smoother(),
-                            **scoring) if 0 in m_axis else None)
-    # Scoring reads both splits' positions; build them before the pool.
-    support.positions, validation_query.positions
-
-    def eval_group(combo: tuple, cell_params: GraphParams) -> list[dict]:
-        alpha, betas, gamma, max_distance_m = combo
-        smoother = _memo_smoother(geometry)
-        rows = []
-        for m in m_axis:
-            report = unsmoothed if m == 0 else _evaluate(
-                support, validation_query, cell_params, SmoothConfig(m=m),
-                regime, smoother, **scoring)
-            rows.append({
-                "alpha": alpha,
-                "betas": list(betas),
-                "gamma": gamma,
-                "max_distance_m": max_distance_m,
-                "m": m,
-                "acc_at_threshold": report.acc_at_threshold,
-                "median_error_m": report.median_error_m,
-            })
-        return rows
-
-    if threads > 1 and len(graph_combos) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_group = list(pool.map(eval_group, graph_combos, cells))
-    else:
-        per_group = [eval_group(combo, cell) for combo, cell in zip(graph_combos, cells)]
-    table = [row for rows in per_group for row in rows]
-
-    best = 0
-    for idx in range(1, len(table)):
-        row, champ = table[idx], table[best]
-        if (row["acc_at_threshold"] > champ["acc_at_threshold"]
-                or (row["acc_at_threshold"] == champ["acc_at_threshold"]
-                    and row["median_error_m"] < champ["median_error_m"])):
-            best = idx
-    winner = table[best]
-    best_params = replace(base_params, alpha=winner["alpha"],
-                          betas=tuple(winner["betas"]), gamma=winner["gamma"],
-                          max_distance_m=winner["max_distance_m"])
-    return best_params, SmoothConfig(m=winner["m"]), table
+    graph_axes = GRID_AXES[:-1]
+    cells = [replace(base_params, **dict(zip(graph_axes, combo)))
+             for combo in product(*(axes[name] for name in graph_axes))]
+    scores = _evaluate_cells(support, validation_query, cells, axes["m"], regime,
+                             threshold_m=threshold_m, k=k, strategy=strategy,
+                             query_gps=query_gps, threads=threads)
+    table = [{"alpha": cell.alpha, "betas": list(cell.betas),
+              "gamma": cell.gamma, "max_distance_m": cell.max_distance_m,
+              "m": m, "acc_at_threshold": acc, "median_error_m": median}
+             for cell, cell_scores in zip(cells, scores)
+             for m, (acc, median) in zip(axes["m"], cell_scores)]
+    best = max(range(len(table)),
+               key=lambda i: (table[i]["acc_at_threshold"],
+                              -table[i]["median_error_m"], -i))
+    return (cells[best // len(axes["m"])], SmoothConfig(m=table[best]["m"]),
+            table)
 
 
 # ---------------------------------------------------------------------------

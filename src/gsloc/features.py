@@ -62,9 +62,11 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
                    eps: float | None = None) -> Projection:
     """Fit PCA + whitening on support descriptors.
 
-    eps is the ridge added to eigenvalues before inversion; default is
-    1e-9 times the mean eigenvalue.
+    eps is the ridge added to eigenvalues before inversion, finite and
+    nonnegative; default is 1e-9 times the mean eigenvalue.
     """
+    if eps is not None and not (np.isfinite(eps) and eps >= 0):
+        raise InputError(f"eps must be finite and nonnegative, got {eps}")
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2:
         raise InputError("descriptors must be a 2-D array")

@@ -194,19 +194,23 @@ def distance_pairs(records: list[ImageRecord], reach_m: float) -> DistancePairs:
 def sequence_pairs(records: list[ImageRecord],
                    max_gap: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(i, j) arrays, i < j, of the same-sequence pairs exactly k frame
-    indices apart, for k = 1..max_gap in that order."""
+    indices apart, for k = 1..max_gap in that order. Each sequence's frame
+    indices must be strictly increasing in record order."""
     by_seq: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):
         by_seq.setdefault(rec.sequence_id, []).append(idx)
     out: list[tuple[list[np.ndarray], list[np.ndarray]]] = [
         ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)])
         for _ in range(max_gap)]
-    for members in by_seq.values():
+    for seq_id, members in by_seq.items():
         idx = np.asarray(members, dtype=np.int64)
         frames = np.array([records[m].frame_index for m in members], dtype=np.int64)
+        if np.any(np.diff(frames) <= 0):
+            raise InputError(f"sequence {seq_id!r}: frame indices are not "
+                             "strictly increasing in record order")
         for k, (out_i, out_j) in enumerate(out, start=1):
-            # frames are strictly increasing within a sequence, so a pair at
-            # gap exactly k can be located by binary search.
+            # frames are strictly increasing, so a pair at gap exactly k can
+            # be located by binary search.
             pos = np.searchsorted(frames, frames + k)
             ok = pos < frames.size
             ok[ok] &= frames[pos[ok]] == frames[np.flatnonzero(ok)] + k
@@ -415,7 +419,7 @@ def build_graph(records: list[ImageRecord], descriptors: np.ndarray | None,
         if descriptors.shape[0] != n:
             raise InputError(f"descriptor rows {descriptors.shape[0]} != {n} records")
         gate = combine(parts) if parts else WeightedGraph.empty(n)
-        parts.append(build_w_latent(descriptors, gate, params, geometry.cosines))
+        parts = [gate, build_w_latent(descriptors, gate, params, geometry.cosines)]
     if not parts:
         return WeightedGraph.empty(n)
     return combine(parts)

@@ -193,6 +193,15 @@ def test_run_projection_without_d_out_exits_2(tmp_path, data_dir, capsys):
     assert "d_out" in capsys.readouterr().err
 
 
+def test_run_negative_eps_exits_2_and_caches_nothing(tmp_path, data_dir,
+                                                     capsys):
+    rc, _ = _run(tmp_path, data_dir, "eps",
+                 ["--projection", "--d-out", "8", "--eps=-1e9"])
+    assert rc == 2
+    assert "eps must be finite and nonnegative" in capsys.readouterr().err
+    assert list((tmp_path / "eps-cache").iterdir()) == []
+
+
 def _lock_is_free(out_dir):
     fd = os.open(out_dir / ".lock", os.O_WRONLY)
     try:
@@ -468,6 +477,30 @@ def test_gridsearch_without_grid_exits_2(tmp_path, data_dir, capsys):
                str(tmp_path / "c")] + _dataset_flags(data_dir))
     assert rc == 2
     assert "grid" in capsys.readouterr().err
+
+
+def test_gridsearch_threads_do_not_change_any_output(tmp_path, data_dir):
+    outputs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"grid-{threads}"
+        rc = main(["gridsearch", "--out-dir", str(out), "--cache-dir",
+                   str(tmp_path / f"c-{threads}"), "--grid-alpha", "0.2,0.3",
+                   "--grid-gamma", "0.0,0.33", "--grid-m", "0,1,2",
+                   "--regime", "gs_both", "--threads", threads]
+                  + _dataset_flags(data_dir))
+        assert rc == 0
+        outputs.append({name: (out / name).read_bytes() for name in
+                        ("gridsearch.csv", "best_params.json", "manifest.json")})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exit_2(tmp_path, data_dir, capsys, threads):
+    rc = main(["gridsearch", "--out-dir", str(tmp_path / "g"), "--cache-dir",
+               str(tmp_path / "c"), "--grid-m", "0,2", f"--threads={threads}"]
+              + _dataset_flags(data_dir))
+    assert rc == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

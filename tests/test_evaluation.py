@@ -454,6 +454,67 @@ def test_ablation_skips_identity_rows_and_shares_geometry(monkeypatch):
             fresh.median_error_m, fresh.acc_at_threshold)
 
 
+def _count_retrievals(monkeypatch) -> list:
+    """Record the (query rows, support rows) of every cosine_knn call."""
+    calls = []
+    real = evaluation.cosine_knn
+
+    def counting(query_desc, support_desc, k):
+        calls.append((query_desc.shape[0], support_desc.shape[0]))
+        return real(query_desc, support_desc, k)
+    monkeypatch.setattr(evaluation, "cosine_knn", counting)
+    return calls
+
+
+def _count_geometries(monkeypatch) -> list:
+    """Record the row count of every kernel_geometry the evaluation layer
+    builds: one per smoothed side of a shared build."""
+    built = []
+    real = evaluation.kernel_geometry
+
+    def counting(records, descriptors, cells):
+        built.append(len(records))
+        return real(records, descriptors, cells)
+    monkeypatch.setattr(evaluation, "kernel_geometry", counting)
+    return built
+
+
+def test_ablation_at_m_zero_shares_one_retrieval(monkeypatch):
+    support, query = _small_world()
+    calls = _count_retrievals(monkeypatch)
+    rows = run_ablation(support, query, GraphParams(), SmoothConfig(m=0))
+    assert calls == [(query.n_images, support.n_images)]
+    assert len({(row.acc_at_threshold, row.median_error_m) for row in rows}) == 1
+    calls.clear()
+    run_ablation(support, query, GraphParams(), SmoothConfig(m=2))
+    assert len(calls) == 8
+
+
+def test_one_cell_evaluations_build_no_shared_geometry(monkeypatch):
+    support, query = _small_world()
+    built = _count_geometries(monkeypatch)
+    grid_search(support, query, {"m": [0, 1, 2]}, regime="gs_both")
+    sweep_m(support, query, GraphParams(), [0, 1, 2])
+    evaluate_regime(support, query, GraphParams(), SmoothConfig(m=2), "gs_both")
+    assert built == []
+    grid_search(support, query, {"alpha": [0.1, 0.2], "m": [0, 2]},
+                regime="gs_both")
+    assert built == [support.n_images, query.n_images]
+    built.clear()
+    grid_search(support, query, {"alpha": [0.1, 0.2], "m": [0, 2]},
+                regime="gs_query")
+    assert built == [query.n_images]
+    built.clear()
+    grid_search(support, query, {"alpha": [0.1, 0.2], "m": [0]},
+                regime="gs_both")
+    assert built == []  # nothing is smoothed
+
+
+def test_sweep_m_without_m_values_is_empty():
+    support, query = _small_world()
+    assert sweep_m(support, query, GraphParams(), []) == []
+
+
 def test_grid_search_validation():
     support, query = _small_world()
     with pytest.raises(InputError, match="at least one"):

@@ -85,6 +85,14 @@ def test_fit_rejects_degenerate_inputs():
         fit_projection(np.ones((10, 4)), d_out=2)
 
 
+def test_fit_rejects_a_negative_or_nonfinite_eps():
+    x = np.random.default_rng(10).standard_normal((20, 6))
+    for eps in (-1e9, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="eps"):
+            fit_projection(x, d_out=4, eps=eps)
+    assert np.all(np.isfinite(fit_projection(x, d_out=4, eps=0.0).scale))
+
+
 def test_fit_rejects_rank_deficient_d_out():
     rng = np.random.default_rng(8)
     # Rank-2 data embedded in 5 dims: the third eigenvalue is numerically zero.

@@ -167,6 +167,19 @@ def test_seq_kernel_interleaved_sequences():
     assert edge_set(graph) == {(0, 2)}
 
 
+def test_sequence_frames_out_of_record_order_are_rejected():
+    params = GraphParams(include_dist=False, include_latent=False)
+    op = build_operator(_seq_records([0, 1, 2]), None, params)
+    assert op.isolated_vertices.size == 0
+    # Reversed or repeated frames would otherwise lose their sequence edges.
+    for frames in ([2, 1, 0], [0, 1, 1]):
+        with pytest.raises(InputError, match="sequence 'q'.*strictly increasing"):
+            build_operator(_seq_records(frames, "q"), None, params)
+    interleaved = _seq_records([0, 1], "a") + _seq_records([5, 3], "b")
+    with pytest.raises(InputError, match="sequence 'b'"):
+        build_w_seq(interleaved, params)
+
+
 # ---------------------------------------------------------------------------
 # Latent kernel
 
