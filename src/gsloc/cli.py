@@ -111,7 +111,7 @@ _GRAPH, _SYNTH = GraphParams(), SynthConfig()
 OPTIONS: tuple[Option, ...] = (
     Option("cache_dir", "--cache-dir", str, "cache", _EVAL),
     Option("out_dir", "--out-dir", str, "out", _ALL),
-    Option("threads", "--threads", int, 1, _ALL),
+    Option("threads", "--threads", int, 1, _EVAL),
     # synth_manifest.json records the seed itself.
     Option("seed", "--seed", int, 0, ("synth",)),
     Option("support_metadata", "--support-metadata", str, None, _DATA,
@@ -375,7 +375,7 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
         })
         def produce(tmp: Path) -> None:
             fitted = fit_projection(support.descriptors, d_out, eps=eps)
-            save_projection(tmp, fitted.quantized())
+            save_projection(tmp, fitted)
         path, hit = cache.get_or_create("projection", key, ".prj1", produce)
         print(f"projection cache {'hit' if hit else 'miss'}: {path.name}")
         projection = load_projection(path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -128,14 +129,19 @@ def load_metadata(path: str | Path) -> list[ImageRecord]:
     Errors name the offending line (1-based, header is line 1).
     """
     path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
     records: list[ImageRecord] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
             raise InputError(f"{path}: empty file, expected header "
-                             f"{','.join(METADATA_HEADER)}") from None
+                             f"{','.join(METADATA_HEADER)}")
         if header != METADATA_HEADER:
             raise InputError(f"{path}: bad header {header!r}, expected {METADATA_HEADER!r}")
         for lineno, row in enumerate(reader, start=2):
@@ -151,6 +157,8 @@ def load_metadata(path: str | Path) -> list[ImageRecord]:
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
             records.append(ImageRecord(image_id, sequence_id, frame_index, lat, lon))
+    except csv.Error as exc:
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     try:
         validate_records(records)
     except InputError as exc:

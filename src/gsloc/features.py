@@ -45,18 +45,6 @@ class Projection:
     def d_out(self) -> int:
         return int(self.basis.shape[1])
 
-    def quantized(self) -> "Projection":
-        """Round parameters through float32, the PRJ1 storage precision.
-
-        The pipeline applies the quantized form so that a cached-and-reloaded
-        projection reproduces byte-identical descriptors.
-        """
-        return Projection(
-            mean=self.mean.astype(np.float32).astype(np.float64),
-            basis=self.basis.astype(np.float32).astype(np.float64),
-            scale=self.scale.astype(np.float32).astype(np.float64),
-        )
-
 
 def fit_projection(descriptors: np.ndarray, d_out: int,
                    eps: float | None = None) -> Projection:

@@ -1,8 +1,10 @@
-"""Great-circle distances between GPS fixes on a spherical Earth.
+"""Great-circle distances between GPS fixes on a spherical Earth, and the
+fixes' 3-D unit vectors.
 
-Used by graph construction, query filtering, and localization error scoring.
-Spherical haversine is accurate to well under a meter at city scale, which is
-all the pipeline's thresholds (tens of meters) ever ask of it.
+Distances serve graph construction, query filtering, and localization error
+scoring. Spherical haversine is accurate to well under a meter at city scale,
+which is all the pipeline's thresholds (tens of meters) ever ask of it. Unit
+vectors serve the neighbor index's cubes and the weighted position estimate.
 """
 
 from __future__ import annotations
@@ -60,6 +62,15 @@ def haversine_m_vectorized(lat1, lon1, lat2, lon2) -> np.ndarray:
                               for x in (lat1, lon1, lat2, lon2))
     h = _hav(lat1, lon1, lat2, lon2)
     return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
+
+
+def unit_vectors(lats, lons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, z) of each fix's 3-D unit vector (its n-vector), from arrays of
+    decimal degrees, element by element."""
+    phi = np.radians(np.asarray(lats, dtype=np.float64))
+    lam = np.radians(np.asarray(lons, dtype=np.float64))
+    cos_phi = np.cos(phi)
+    return cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)
 
 
 def atan2_each(y: np.ndarray, x: np.ndarray) -> np.ndarray:

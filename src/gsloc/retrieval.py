@@ -35,7 +35,7 @@ import numpy as np
 from .dataset import ImageRecord
 from .errors import InputError
 from .features import row_norms
-from .geodesy import atan2_each
+from .geodesy import atan2_each, unit_vectors
 
 logger = logging.getLogger(__name__)
 
@@ -161,9 +161,7 @@ def estimate_positions(indices: np.ndarray, scores: np.ndarray,
     best_lat, best_lon = lats[indices[:, 0]], lons[indices[:, 0]]
     if strategy == "top1":
         return best_lat, best_lon
-    phi, lam = np.radians(lats[indices]), np.radians(lons[indices])
-    cos_phi = np.cos(phi)
-    units = (cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi))
+    units = unit_vectors(lats[indices], lons[indices])
     weights = np.maximum(scores, 0.0)
     x, y, z = (np.zeros(indices.shape[0]) for _ in range(3))
     for col in range(indices.shape[1]):

@@ -122,7 +122,7 @@ def dense_normalize(w_dense: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Row normalization
+# Row normalization and projections
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:
@@ -133,6 +133,17 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     return (rows / norms).astype(x.dtype)
+
+
+def quantized(projection):
+    """The projection with its parameters rounded through float32, the PRJ1
+    storage precision: what a saved and reloaded projection holds."""
+    from gsloc.features import Projection
+    return Projection(
+        mean=projection.mean.astype(np.float32).astype(np.float64),
+        basis=projection.basis.astype(np.float32).astype(np.float64),
+        scale=projection.scale.astype(np.float32).astype(np.float64),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,24 @@ def test_ingest_row_count_mismatch_exits_2(tmp_path, capsys):
     assert "2 descriptor rows, expected 3" in err
 
 
+@pytest.mark.parametrize("bad_row, reason", [
+    (b"y,s\xff,1,0.0,0.0\n", "not UTF-8"),
+    # A csv.Error; on Python 3.10 a NUL byte raises one too.
+    (b"y,s," + b"1" * 200_000 + b",0.0,0.0\n", "field larger than field limit"),
+], ids=["not-utf8", "csv-error"])
+def test_ingest_unreadable_metadata_exits_2(tmp_path, data_dir, capsys,
+                                            bad_row, reason):
+    meta = tmp_path / "m.csv"
+    meta.write_bytes(b"image_id,sequence_id,frame_index,lat,lon\n"
+                     b"x,s,0,0.0,0.0\n" + bad_row)
+    rc = main(["ingest", "--out-dir", str(tmp_path / "out"),
+               "--support-metadata", str(meta), "--support-descriptors",
+               str(data_dir / "support_descriptors.emb1")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{meta}:3: " in err and reason in err
+
+
 def test_missing_input_file_exits_2(tmp_path, data_dir, capsys):
     flags = _dataset_flags(data_dir)
     flags[1] = str(tmp_path / "nope.csv")
@@ -507,8 +525,9 @@ def test_threads_below_one_exit_2(tmp_path, data_dir, capsys, threads):
 # Misc
 
 
-# --cache-dir only where a command caches, --seed only where it is read.
-_COMMON = ["-h", "--help", "--config", "--out-dir", "--threads"]
+# --cache-dir and --threads only on the evaluating commands, --seed only where
+# it is read.
+_COMMON = ["-h", "--help", "--config", "--out-dir"]
 _EVAL = ["-h", "--help", "--config", "--cache-dir", "--out-dir", "--threads"]
 _DATA = ["--support-metadata", "--support-descriptors", "--query-metadata",
          "--query-descriptors"]
@@ -559,6 +578,14 @@ def test_parser_flags_and_help_are_pinned():
         assert [s for a in actions for s in a.option_strings] == _FLAGS[name], name
         assert {a.option_strings[0]: a.help for a in actions if a.help} == {
             flag: text for flag, text in _HELP.items() if flag in _FLAGS[name]}, name
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # Importing scipy.spatial would add about 0.2 s and 16 MB of peak RSS to
+    # every command.
+    code = "import sys, gsloc.cli; sys.exit('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_version_flag():

@@ -1,4 +1,4 @@
-"""Spatial hash grid: candidate generation must never miss a qualifying pair,
+"""Cube cell list: candidate generation must never miss a qualifying pair,
 never duplicate one, and the reach-limited nearest-distance query must agree
 with brute force for threshold decisions.
 """
@@ -8,7 +8,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gsloc.geodesy import METERS_PER_DEGREE, haversine_m_vectorized
+from gsloc.geodesy import (EARTH_RADIUS_M, METERS_PER_DEGREE,
+                           haversine_m_vectorized)
 from gsloc.spatial import LatLonGrid
 from oracles import chord_distance_matrix_m
 
@@ -60,8 +61,8 @@ def test_verified_candidates_equal_bruteforce():
 
 
 def test_near_pole_coverage():
-    # Longitude degrees shrink to nothing at 89.9N; the column math must not
-    # drop neighbors that straddle many longitude degrees.
+    # Longitude degrees shrink to nothing at 89.9N; neighbors that straddle
+    # many longitude degrees must not be dropped.
     rng = np.random.default_rng(13)
     n = 150
     lats = 89.9 + rng.uniform(-0.004, 0.004, n)
@@ -92,21 +93,52 @@ def test_antimeridian_cluster_coverage():
     assert truth <= candidates
 
 
-def test_antimeridian_pair_across_the_narrow_last_column():
-    # 360 degrees is not a whole number of columns, so the last column is
-    # narrower than the rest; a pair 8.4 m apart across the seam sits two
-    # columns apart although the stencil reach is one column.
-    cell = 25.0
-    probe = LatLonGrid(np.array([45.0]), np.array([0.0]), cell_m=cell)
-    width = probe.cell_lon_deg
-    last = 360.0 - (probe.n_cols - 1) * width
-    assert last < 0.5 * width
+def test_antimeridian_seam_pair_is_the_only_candidate():
+    # A pair 7.86 m apart across the antimeridian at 45 N.
     lats = np.array([45.0, 45.0])
-    lons = np.array([-180.0, 180.0 - last - 0.05 * width])
-    reach = cell / 2.0
+    lons = np.array([-180.0, 179.9999])
+    reach = 12.5
     assert haversine_m_vectorized(lats[0], lons[0], lats[1], lons[1]) < reach
-    grid = LatLonGrid(lats, lons, cell_m=cell)
+    grid = LatLonGrid(lats, lons, cell_m=25.0)
     assert _collect_candidates(grid, reach) == [(0, 1)]
+
+
+def _clusters_over_the_globe(rng, n_clusters, per_cluster, spread_m):
+    """Dense clusters of fixes at random places, the poles and the
+    antimeridian, each within about spread_m of its center."""
+    centers = rng.standard_normal((n_clusters, 3))
+    centers[:4] = [[0, 0, 1], [0, 0, -1], [-1, 0, 0], [-0.7, 0, 0.7]]
+    points = (np.repeat(centers / np.linalg.norm(centers, axis=1, keepdims=True),
+                        per_cluster, axis=0)
+              + rng.uniform(-1, 1, (n_clusters * per_cluster, 3))
+              * spread_m / EARTH_RADIUS_M)
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    lats = np.degrees(np.arcsin(np.clip(points[:, 2], -1.0, 1.0)))
+    lons = np.degrees(np.arctan2(points[:, 1], points[:, 0]))
+    return lats, lons
+
+
+@pytest.mark.parametrize("cell", [1.0, 0.3])
+def test_cells_below_the_smallest_cube_keep_the_bruteforce_pairs(cell):
+    # Cells this small get the smallest cube side, and the clusters spread
+    # cube keys over the whole sphere.
+    rng = np.random.default_rng(41)
+    lats, lons = _clusters_over_the_globe(rng, 30, 40, 1.0)
+    grid = LatLonGrid(lats, lons, cell_m=cell)
+    candidates = _collect_candidates(grid, cell)
+    assert len(candidates) == len(set(candidates)), "duplicate candidate pair"
+    ci, cj = np.array(candidates).T
+    d = haversine_m_vectorized(lats[ci], lons[ci], lats[cj], lons[cj])
+    kept = set(zip(ci[d < cell].tolist(), cj[d < cell].tolist()))
+    truth = _true_pairs(lats, lons, cell)
+    assert len(truth) > 1000
+    assert kept == truth
+
+
+def test_pair_chunks_reject_a_reach_beyond_the_cell():
+    grid = LatLonGrid(np.array([0.0, 0.0]), np.array([0.0, 1e-4]), cell_m=25.0)
+    with pytest.raises(ValueError, match="exceeds the cell size"):
+        next(grid.pair_chunks(25.5))
 
 
 def test_min_distance_within_reach_matches_bruteforce():
