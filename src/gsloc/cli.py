@@ -514,7 +514,7 @@ def cmd_ablate(config: SimpleNamespace) -> int:
         support, query, info = _prepare(config, cache)
         rows = run_ablation(support, query, config.graph, config.smoothing,
                             threshold_m=config.threshold_m, k=config.k,
-                            strategy=config.strategy)
+                            strategy=config.strategy, threads=config.threads)
         table = ablation_table_csv(rows)
         (out_dir / "ablation.csv").write_text(table, encoding="utf-8")
         _write_json(out_dir / "manifest.json",

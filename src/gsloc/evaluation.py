@@ -255,18 +255,20 @@ def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
 
 def run_ablation(support: Dataset, query: Dataset, params: GraphParams,
                  cfg: SmoothConfig, *, threshold_m: float = DEFAULT_THRESHOLD_M,
-                 k: int = 1, strategy: str = "top1") -> list[AblationRow]:
+                 k: int = 1, strategy: str = "top1",
+                 threads: int = 1) -> list[AblationRow]:
     """Evaluate every kernel subset (8 rows) under gs_support.
 
     The rows without a structural kernel (all-off and latent-only) have an
-    identity operator, i.e. the no-smoothing baseline.
+    identity operator, i.e. the no-smoothing baseline. With threads > 1 the
+    rows are scored in a pool of that many threads, with the same results.
     """
     cells = [replace(params, include_dist=use_dist, include_seq=use_seq,
                      include_latent=use_latent)
              for use_dist, use_seq, use_latent in ABLATION_ORDER]
     scores = _evaluate_cells(support, query, cells, [cfg.m], "gs_support",
                              threshold_m=threshold_m, k=k, strategy=strategy,
-                             query_gps=False)
+                             query_gps=False, threads=threads)
     return [AblationRow(use_dist=use_dist, use_seq=use_seq,
                         use_latent=use_latent, median_error_m=median,
                         acc_at_threshold=acc)

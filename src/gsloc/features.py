@@ -115,8 +115,10 @@ def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
 
 
 # Bound on one row block of l2_normalize's float64 working set; the norm
-# computation holds a second temporary of the same size.
-_NORM_BLOCK_BYTES = 16 << 20
+# computation holds a second temporary of the same size. Both together fit a
+# 2 MiB per-core L2 cache, so the block is normalized and written back while
+# resident.
+_NORM_BLOCK_BYTES = 1 << 20
 
 
 def l2_normalize(descriptors: np.ndarray) -> np.ndarray:

@@ -42,9 +42,11 @@ from .spatial import LatLonGrid
 ADJ1_MAGIC = b"ADJ1"
 _ADJ1_HEADER = struct.Struct("<4sIQ")
 
-# Cosine evaluation for the latent kernel walks the gated pairs in chunks;
-# this bounds the temporary row-gather buffers (two of chunk x dim, in the
-# descriptors' own dtype; einsum accumulates the dot products in float64).
+# Cosine evaluation for the latent kernel groups the gated pairs by source
+# row and walks them in blocks of at most `chunk` pairs; this bounds one
+# block's two row gathers (its neighbour rows, and its source rows, each read
+# once however many neighbours they have), each at most chunk x dim in the
+# descriptors' own dtype; einsum accumulates the dot products in float64.
 # Small blocks stay in cache, and freeing them leaves no large heap region
 # resident for the rest of the run.
 _COSINE_CHUNK_BYTES = 4 << 20
@@ -238,18 +240,49 @@ class PairCosines:
         return self.cos[pos]
 
 
+def _row_pieces(i: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """(start, length) of each piece of the pair list: the runs of equal
+    i[k], each cut every ``chunk`` pairs."""
+    first = np.flatnonzero(np.concatenate(([True], i[1:] != i[:-1])))
+    run = np.diff(np.append(first, i.size))
+    pieces = -(-run // chunk)
+    # The number of each piece within its run.
+    nth = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    start = np.repeat(first, pieces) + chunk * nth
+    return start, np.minimum(chunk, np.repeat(first + run, pieces) - start)
+
+
 def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
                  j: np.ndarray) -> np.ndarray:
-    """Cosine of each pair (i[k], j[k]) of descriptor rows, in float64."""
+    """Cosine of each pair (i[k], j[k]) of descriptor rows, in float64.
+
+    Pairs are grouped by source row: each run of equal i[k] reads row i once
+    and dots it with the gathered rows of its neighbours, instead of
+    gathering it once per pair. Callers pass pairs sorted by i, so each row
+    is one run. A run longer than one chunk is split into chunk-sized
+    pieces, and pieces of equal length D are stacked, as many as fit a
+    chunk, into one (R, D, dim) gather against their (R, dim) source rows.
+    Each dot product accumulates along dim as a pair-by-pair einsum does, so
+    every cosine is bitwise the same whatever the grouping (the property
+    tests pin this against the pair-by-pair route).
+    """
     x = np.asarray(descriptors)
     norms, _ = row_norms(x, _COSINE_CHUNK_BYTES)
     chunk = max(1, int(_COSINE_CHUNK_BYTES // (2 * x.itemsize * max(1, x.shape[1]))))
     cos = np.empty(i.size)
-    for start in range(0, i.size, chunk):
-        ci = i[start:start + chunk]
-        cj = j[start:start + chunk]
-        dots = np.einsum("ij,ij->i", x[ci], x[cj], dtype=np.float64)
-        cos[start:start + chunk] = dots / (norms[ci] * norms[cj])
+    if not i.size:
+        return cos
+    start, length = _row_pieces(i, chunk)
+    order = np.argsort(length, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(length[order])) + 1):
+        degree = int(length[group[0]])
+        per_block = chunk // degree
+        for lo in range(0, group.size, per_block):
+            s = start[group[lo:lo + per_block]]
+            pairs = s[:, None] + np.arange(degree)
+            rows, cols = i[s], j[pairs]
+            dots = np.einsum("rkj,rj->rk", x[cols], x[rows], dtype=np.float64)
+            cos[pairs] = dots / (norms[rows][:, None] * norms[cols])
     return cos
 
 

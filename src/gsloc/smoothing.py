@@ -7,9 +7,16 @@ dtype, and the dense signal is processed in column blocks: besides the
 output, ``smooth`` holds one float64 input block and one float64 product
 block, together at most ``_BLOCK_BUDGET_BYTES``. Column blocking does not
 change any value: each column's accumulation chain is independent of the
-block layout. The output may be the input itself (``out=signal``): each
-block is copied to float64 before its columns are written back, so smoothing
-in place gives the same bits and holds no second copy of the signal.
+block layout. The budget is set by speed as well as memory: a narrower
+block repeats, once per block, scipy's per-nonzero loop setup in every
+product and numpy's per-row setup when it casts a strided column slice,
+while blocks of 32 MiB ran slower than blocks of 8 to 16 MiB on an
+8,000-row, 124,832-nonzero operator at m = 2 (paired fresh-process runs on
+a 2-core Xeon with 2 MiB of L2 per core).
+
+The output may be the input itself (``out=signal``): each block is copied
+to float64 before its columns are written back, so smoothing in place gives
+the same bits and holds no second copy of the signal.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .graph import SmoothingOperator
 
 # Upper bound on the float64 working set (input block + product) per column
 # block.
-_BLOCK_BUDGET_BYTES = 32 << 20
+_BLOCK_BUDGET_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)

@@ -308,6 +308,24 @@ def _reference_w_latent(descriptors, gate, params):
     return _graph(gate.n, out_i, out_j, out_w)
 
 
+def chunked_pair_cosines(descriptors: np.ndarray, i: np.ndarray,
+                         j: np.ndarray, chunk_bytes: int = 4 << 20) -> np.ndarray:
+    """The latent kernel's cosines by the route that gathers both rows of
+    every pair, in chunks of pairs taken in list order (the library's route
+    before it grouped pairs by source row), kept verbatim to pin its bits."""
+    from gsloc.features import row_norms
+    x = np.asarray(descriptors)
+    norms, _ = row_norms(x, chunk_bytes)
+    chunk = max(1, int(chunk_bytes // (2 * x.itemsize * max(1, x.shape[1]))))
+    cos = np.empty(i.size)
+    for start in range(0, i.size, chunk):
+        ci = i[start:start + chunk]
+        cj = j[start:start + chunk]
+        dots = np.einsum("ij,ij->i", x[ci], x[cj], dtype=np.float64)
+        cos[start:start + chunk] = dots / (norms[ci] * norms[cj])
+    return cos
+
+
 # ---------------------------------------------------------------------------
 # Scoring one query at a time
 

@@ -512,6 +512,30 @@ def test_gridsearch_threads_do_not_change_any_output(tmp_path, data_dir):
     assert outputs[0] == outputs[1]
 
 
+def test_ablate_threads_do_not_change_any_output(tmp_path, data_dir,
+                                                 monkeypatch):
+    pools = []
+
+    class Pool(evaluation.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Pool)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ablate-{threads}"
+        rc = main(["ablate", "--out-dir", str(out), "--cache-dir",
+                   str(tmp_path / f"c-{threads}"), "--m", "2",
+                   "--threads", threads] + _dataset_flags(data_dir))
+        assert rc == 0
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("ablation.csv", "manifest.json")})
+    assert outputs[0] == outputs[1]
+    # Only the two-thread run scores its rows in a pool.
+    assert pools == [2]
+
+
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_threads_below_one_exit_2(tmp_path, data_dir, capsys, threads):
     rc = main(["gridsearch", "--out-dir", str(tmp_path / "g"), "--cache-dir",

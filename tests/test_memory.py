@@ -25,7 +25,7 @@ from gsloc.graph import SmoothingOperator, distance_pairs
 from gsloc.retrieval import cosine_knn
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
-from oracles import unit_rows
+from oracles import chunked_pair_cosines, unit_rows
 
 # Room for interpreter and bookkeeping allocations next to the arrays.
 SLACK = 2 << 20
@@ -147,6 +147,23 @@ def test_pair_cosines_stay_within_the_cosine_chunk_budget(support):
     # per-row norms and the result.
     assert peak <= (2 * graph_mod._COSINE_CHUNK_BYTES + N_SUPPORT * 8
                     + cos.nbytes + SLACK)
+
+
+def test_pair_cosines_of_a_star_stay_within_the_cosine_chunk_budget(support):
+    # One hub row paired with every other row: the gather of its neighbours
+    # alone is over ten chunk budgets, so its run is split across blocks.
+    j = np.arange(1, N_SUPPORT)
+    i = np.zeros_like(j)
+    assert j.size * DIM * support.itemsize > 10 * graph_mod._COSINE_CHUNK_BYTES
+    cos, peak = _peak_bytes(graph_mod.pair_cosines, support, i, j)
+    assert np.array_equal(cos, chunked_pair_cosines(support, i, j))
+    # The bound above, with the grouping's index arrays counted: three int64
+    # per piece of the pair list (its start, its length and its place in the
+    # order by length), one piece per chunk of the hub's pairs.
+    chunk = graph_mod._COSINE_CHUNK_BYTES // (2 * support.itemsize * DIM)
+    index_arrays = 3 * 8 * -(-j.size // chunk)
+    assert peak <= (2 * graph_mod._COSINE_CHUNK_BYTES + N_SUPPORT * 8
+                    + cos.nbytes + index_arrays + SLACK)
 
 
 def test_in_place_normalize_and_smooth_match_out_of_place(monkeypatch):

@@ -5,7 +5,9 @@ copies in different support chunks), points near the poles and across the
 antimeridian, and cells from 5 m to 2 km. The evaluation engine's shortcuts
 are checked bit for bit against the routes they replace: the m-ladder against
 a fresh smooth, operators built on shared kernel geometry against a build for
-the cell alone, and array scoring against one scalar haversine per query.
+the cell alone, and array scoring against one scalar haversine per query. The
+latent cosines, grouped by source row, are checked bit for bit against the
+route that gathers both rows of every pair.
 
 Examples are derandomized so a run is reproducible; raise ``max_examples``
 locally to search wider.
@@ -20,18 +22,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsloc.graph as graph_mod
 import gsloc.retrieval as retrieval
 import gsloc.spatial as spatial
 from gsloc.dataset import Dataset, ImageRecord
 from gsloc.evaluation import _memo_smoother, compute_report
 from gsloc.geodesy import METERS_PER_DEGREE, haversine_m_vectorized
 from gsloc.graph import (GraphParams, WeightedGraph, build_operator,
-                         kernel_geometry)
+                         kernel_geometry, pair_cosines)
 from gsloc.retrieval import cosine_knn, estimate_positions
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
-from oracles import (coo_edges, quadratic_knn, random_weighted_graph,
-                     reference_operator, scalar_errors_m, scalar_positions)
+from oracles import (chunked_pair_cosines, coo_edges, quadratic_knn,
+                     random_weighted_graph, reference_operator, scalar_errors_m,
+                     scalar_positions)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -301,6 +305,67 @@ def test_two_kilometre_cells_around_the_pole():
             q_lats[qi], q_lons[qi], lats, lons)))
         assert (got[qi] <= 2000.0) == (true_min <= 2000.0)
         assert got[qi] == pytest.approx(true_min, rel=1e-12, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Latent cosines grouped by source row
+
+
+@st.composite
+def _pair_lists(draw):
+    """(descriptors, i, j, chunk budget): rows of degree 0 to 9 and at most
+    one hub of degree up to 3,000, with zero rows, in either float dtype at
+    dim 1 to 4,096. Pairs are sorted by i, as the graph builders pass them,
+    or shuffled, so that a row comes back in several runs."""
+    dim = draw(st.one_of(st.integers(1, 70), st.integers(71, 4096)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 12))
+    degrees = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    hub = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if hub is not None:
+        degrees[hub] = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, dim)).astype(dtype)
+    x[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    i = np.repeat(np.arange(n), degrees)
+    j = rng.integers(0, n, i.size)
+    if draw(st.booleans()):
+        order = rng.permutation(i.size)
+        i, j = i[order], j[order]
+    # Chunks of 1, 7 or 64 pairs, or the library's own budget.
+    pairs = draw(st.sampled_from([1, 7, 64, None]))
+    budget = (graph_mod._COSINE_CHUNK_BYTES if pairs is None
+              else 2 * x.itemsize * dim * pairs)
+    return x, i, j, budget
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_pair_lists())
+def test_grouped_cosines_equal_the_pair_by_pair_route(case):
+    x, i, j, budget = case
+    want = chunked_pair_cosines(x, i, j, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "_COSINE_CHUNK_BYTES", budget)
+        got = pair_cosines(x, i, j)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 17, 256, 4095, 4096])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grouped_cosines_of_hubs_and_isolated_rows(dim, dtype):
+    # Hubs of 3,000 and 257 pairs: from dim 256 up the first is split
+    # across chunks, and at 4,095 and 4,096 the second too. Rows 5 and 6
+    # have no pairs, rows 3 and 17 are zero.
+    rng = np.random.default_rng(dim)
+    n = 40
+    x = rng.standard_normal((n, dim)).astype(dtype)
+    x[[3, 17]] = 0.0
+    degrees = rng.integers(1, 9, n)
+    degrees[[0, 1, 5, 6]] = 3000, 257, 0, 0
+    i = np.repeat(np.arange(n), degrees)
+    j = rng.integers(0, n, i.size)
+    assert np.array_equal(pair_cosines(x, i, j), chunked_pair_cosines(x, i, j))
 
 
 # ---------------------------------------------------------------------------
