@@ -368,10 +368,13 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
     }
     d_out, eps = config.projection["d_out"], config.projection["eps"]
     if config.projection["enabled"]:
+        # v2: fitted through the Gram matrix; an SVD-fitted v1 file differs
+        # in a few float32 bits, so it is never served in its place.
         key = param_key({
             "support_descriptors": info["input_sha256"]["support_descriptors"],
             "d_out": d_out,
             "eps": eps,
+            "v": 2,
         })
         def produce(tmp: Path) -> None:
             fitted = fit_projection(support.descriptors, d_out, eps=eps)

@@ -5,10 +5,19 @@ The fitted projection maps a row x to scale * (basis.T @ (x - mean)), where
 scale[j] = 1/sqrt(eigenvalue_j + eps). Eigenvector signs are fixed (largest-
 magnitude component positive) so identical inputs always give identical
 projections.
+
+The fit eigendecomposes the d_in x d_in Gram matrix of the centered support
+rather than taking an SVD of the whole n x d_in support, and falls back to
+the SVD when the kept spectrum is too ill-conditioned for the Gram (the rule
+is in ``fit_projection``). The small symmetric eigensolve runs at one
+OpenBLAS thread, so the fitted bits are the same at any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import logging
 import os
 import struct
@@ -52,10 +61,23 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
 
     eps is the ridge added to eigenvalues before inversion, finite and
     nonnegative; default is 1e-9 times the mean eigenvalue.
+
+    The principal directions come from ``np.linalg.eigh`` of the float64
+    d_in x d_in Gram matrix ``c.T @ c`` of the centered rows c, reversed to
+    descending order. The Gram squares the condition number: its eigenvalue
+    errors are about machine epsilon times the largest eigenvalue. So the
+    Gram route is kept only when its d_out-th eigenvalue is above both
+    ``_GRAM_CONDITION_FLOOR`` (1e-6) times the largest, where it is good to
+    about 2e-10 relative, and ``_GRAM_FLOOR_MARGIN`` (1e3) times the
+    ``_EIGENVALUE_FLOOR`` rejection bound, and the Gram is finite. Otherwise
+    the fit takes the thin SVD of c, which alone then decides every
+    rejection. The eigh runs at one BLAS thread (see ``_one_blas_thread``),
+    so that the fitted bits do not depend on the BLAS thread count.
     """
     if eps is not None and not (np.isfinite(eps) and eps >= 0):
         raise InputError(f"eps must be finite and nonnegative, got {eps}")
-    x = np.asarray(descriptors, dtype=np.float64)
+    # The one float64 copy, centered in place below.
+    x = np.array(descriptors, dtype=np.float64)
     if x.ndim != 2:
         raise InputError("descriptors must be a 2-D array")
     n, d_in = x.shape
@@ -65,11 +87,16 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
         raise InputError(f"d_out={d_out} must be in [1, min(rows-1={n - 1}, dim={d_in})]")
 
     mean = x.mean(axis=0)
-    centered = x - mean
-    # Thin SVD of the centered data: right singular vectors are the principal
-    # directions, singular values give eigenvalues of the 1/(n-1) covariance.
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    eigenvalues = (svals ** 2) / (n - 1)
+    x -= mean
+    eigenvalues, basis = _gram_eigenpairs(x, d_out)
+    if eigenvalues is None:
+        # Thin SVD of the centered data: right singular vectors are the
+        # principal directions, singular values give eigenvalues of the
+        # 1/(n-1) covariance.
+        _, svals, vt = np.linalg.svd(x, full_matrices=False)
+        eigenvalues = svals ** 2
+        basis = vt[:d_out].T.copy()
+    eigenvalues = eigenvalues / (n - 1)
     total = float(eigenvalues.sum())
     if not np.isfinite(total) or total <= 0.0:
         raise InputError("zero-variance descriptors: nothing to project")
@@ -80,7 +107,6 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
             f"total variance {total:.3g}; reduce d_out")
     if eps is None:
         eps = 1e-9 * total / len(eigenvalues)
-    basis = vt[:d_out].T.copy()
     # Deterministic sign: largest-magnitude component of each column positive.
     anchor = np.argmax(np.abs(basis), axis=0)
     flip = basis[anchor, np.arange(d_out)] < 0
@@ -89,14 +115,116 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
     return Projection(mean=mean, basis=basis, scale=scale)
 
 
+# The Gram route's acceptance bounds (see fit_projection).
+_GRAM_CONDITION_FLOOR = 1e-6
+_GRAM_FLOOR_MARGIN = 1e3
+
+
+def _gram_eigenpairs(centered: np.ndarray,
+                     d_out: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The min(rows, dim) largest eigenvalues of centered.T @ centered,
+    descending (as many as the thin SVD has singular values), and the first
+    d_out eigenvectors as columns; or (None, None) when the d_out-th
+    eigenvalue is too small for the Gram route."""
+    gram = centered.T @ centered
+    if not np.isfinite(gram).all():
+        return None, None
+    with _one_blas_thread():
+        values, vectors = np.linalg.eigh(gram)
+    values = values[::-1][:min(centered.shape)]
+    bound = max(_GRAM_CONDITION_FLOOR * values[0],
+                _GRAM_FLOOR_MARGIN * _EIGENVALUE_FLOOR * values.sum())
+    if not values[d_out - 1] > bound:
+        return None, None
+    return values, vectors[:, ::-1][:, :d_out].copy()
+
+
+@functools.cache
+def _blas_thread_control():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
+    None when that build's symbols are absent (older numpy wheels, or another
+    BLAS); then eigh runs at whatever thread count BLAS has."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.restype = ctypes.c_int
+    get.argtypes = []
+    set_.restype = None
+    set_.argtypes = [ctypes.c_int]
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one BLAS thread and restore the count after.
+
+    LAPACK's symmetric eigensolver rounds differently at different thread
+    counts. The count is process-wide, so BLAS calls made by other threads
+    meanwhile also run at one thread.
+    """
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+# Bound on one row block of apply_projection's float64 working set: the
+# block's centered copy and its product with the basis, together (see
+# aligned_row_blocks for the block edges).
+_PROJECTION_BLOCK_BYTES = 4 << 20
+# Row blocks that feed a matrix product are whole multiples of this many rows.
+_ROW_ALIGN = 64
+
+
+def aligned_row_blocks(n_rows: int, rows: int) -> list[tuple[int, int]]:
+    """(lo, hi) edges of row blocks of about `rows` rows for a matrix product.
+
+    Blocks are whole multiples of _ROW_ALIGN rows (one multiple at least), so
+    BLAS tiles them as it would tile the whole matrix; a remainder shorter
+    than _ROW_ALIGN joins the last block, since a one-row block would go
+    through a matrix-vector product, which rounds differently.
+    """
+    rows = max(_ROW_ALIGN, rows - rows % _ROW_ALIGN)
+    starts = range(0, max(1, n_rows - _ROW_ALIGN + 1), rows)
+    return list(zip(starts, [*starts[1:], n_rows]))
+
+
 def apply_projection(projection: Projection, descriptors: np.ndarray) -> np.ndarray:
-    """Map rows to the whitened space; output dtype matches the input."""
+    """Map rows to the whitened space; output dtype matches the input.
+
+    Rows are projected in float64 blocks of at most
+    ``_PROJECTION_BLOCK_BYTES``, each written into the output as it is done.
+    """
     x = np.asarray(descriptors)
     if x.ndim != 2 or x.shape[1] != projection.d_in:
         raise InputError(f"descriptor dim {x.shape[1] if x.ndim == 2 else '?'} "
                          f"does not match projection d_in {projection.d_in}")
-    out = (x.astype(np.float64) - projection.mean) @ projection.basis * projection.scale
-    return out.astype(x.dtype)
+    out = np.empty((x.shape[0], projection.d_out), dtype=x.dtype)
+    rows = _PROJECTION_BLOCK_BYTES // (8 * (projection.d_in + projection.d_out))
+    for lo, hi in aligned_row_blocks(x.shape[0], rows):
+        out[lo:hi] = _project_rows(projection, x[lo:hi])
+    return out
+
+
+def _project_rows(projection: Projection, rows: np.ndarray) -> np.ndarray:
+    """One float64 block of projected rows; its centered copy is freed on
+    return."""
+    centered = rows.astype(np.float64)
+    centered -= projection.mean
+    product = centered @ projection.basis
+    product *= projection.scale
+    return product
 
 
 def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
@@ -168,11 +296,12 @@ def load_projection(path: str | Path) -> Projection:
             raise InputError(f"{path}: payload is {payload_bytes} bytes, "
                              f"expected {n_floats * 4}")
         floats = np.fromfile(fh, dtype="<f4", count=n_floats)
+    # Checked before the casts: casting a signalling NaN warns.
+    if not np.isfinite(floats).all():
+        raise InputError(f"{path}: non-finite projection values")
     mean = floats[:d_in].astype(np.float64)
     basis = floats[d_in:d_in + d_in * d_out].reshape(d_in, d_out, order="F").astype(np.float64)
     scale = floats[d_in + d_in * d_out:].astype(np.float64)
-    if not np.isfinite(floats).all():
-        raise InputError(f"{path}: non-finite projection values")
     if np.any(scale <= 0):
         raise InputError(f"{path}: non-positive whitening scales")
     gram = basis.T @ basis

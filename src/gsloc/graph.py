@@ -35,6 +35,7 @@ from scipy import sparse
 
 from .dataset import ImageRecord
 from .errors import InputError
+from . import features
 from .features import row_norms
 from .geodesy import haversine_m_vectorized
 from .spatial import LatLonGrid
@@ -48,7 +49,8 @@ _ADJ1_HEADER = struct.Struct("<4sIQ")
 # once however many neighbours they have), each at most chunk x dim in the
 # descriptors' own dtype; einsum accumulates the dot products in float64.
 # Small blocks stay in cache, and freeing them leaves no large heap region
-# resident for the rest of the run.
+# resident for the rest of the run. The norm pass before them casts rows in
+# features._NORM_BLOCK_BYTES blocks.
 _COSINE_CHUNK_BYTES = 4 << 20
 
 
@@ -267,7 +269,7 @@ def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
     tests pin this against the pair-by-pair route).
     """
     x = np.asarray(descriptors)
-    norms, _ = row_norms(x, _COSINE_CHUNK_BYTES)
+    norms, _ = row_norms(x, features._NORM_BLOCK_BYTES)
     chunk = max(1, int(_COSINE_CHUNK_BYTES // (2 * x.itemsize * max(1, x.shape[1]))))
     cos = np.empty(i.size)
     if not i.size:

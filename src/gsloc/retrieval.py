@@ -34,7 +34,7 @@ import numpy as np
 
 from .dataset import ImageRecord
 from .errors import InputError
-from .features import row_norms
+from .features import aligned_row_blocks, row_norms
 from .geodesy import atan2_each, unit_vectors
 
 logger = logging.getLogger(__name__)
@@ -42,11 +42,9 @@ logger = logging.getLogger(__name__)
 # Memory cap for one block of the query x support score matrix.
 _SCORE_BLOCK_BYTES = 256 << 20
 # Memory cap for one float64 chunk of unit support rows (taking the norms of
-# a chunk holds two). Chunks are whole multiples of _CHUNK_ALIGN rows (at
-# least one multiple), apart from the last, which may hold up to
-# _CHUNK_ALIGN - 1 rows more.
+# a chunk holds two). Chunk edges come from features.aligned_row_blocks, so
+# the last chunk may hold up to 63 rows more.
 _SUPPORT_CHUNK_BYTES = 8 << 20
-_CHUNK_ALIGN = 64
 # Memory cap for the k > 1 selection working set of one row slice of a score
 # block: the float64 partition copy (8 bytes per score), then the contender
 # indices, their sort keys and lexsort's buffers, 48 bytes per score when
@@ -76,12 +74,8 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
         raise InputError(f"k={k} must be in [1, {s.shape[0]}]")
     n_support = s.shape[0]
     block = max(1, int(_SCORE_BLOCK_BYTES // (8 * n_support)))
-    chunk = _SUPPORT_CHUNK_BYTES // (8 * max(1, s.shape[1]))
-    chunk = max(_CHUNK_ALIGN, chunk - chunk % _CHUNK_ALIGN)
-    # A remainder shorter than _CHUNK_ALIGN joins the last chunk: a one-row
-    # chunk would go through a matrix-vector product, which rounds an exact
-    # copy of a row differently from the matrix product.
-    starts = range(0, max(1, n_support - _CHUNK_ALIGN + 1), chunk)
+    chunks = aligned_row_blocks(
+        n_support, _SUPPORT_CHUNK_BYTES // (8 * max(1, s.shape[1])))
     # Norms come first, so that their temporaries are gone before a score
     # block is allocated; each chunk then holds one float64 copy at a time.
     q_norms, q_zero = row_norms(q, _SUPPORT_CHUNK_BYTES)
@@ -96,7 +90,7 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
         q_hat = q[start:start + block].astype(np.float64)
         q_hat /= q_norms[start:start + block, None]
         scores = np.empty((q_hat.shape[0], n_support))
-        for lo, hi in zip(starts, [*starts[1:], n_support]):
+        for lo, hi in chunks:
             s_hat = s[lo:hi].astype(np.float64)
             s_hat /= s_norms[lo:hi, None]
             np.matmul(q_hat, s_hat.T, out=scores[:, lo:hi])

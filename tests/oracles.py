@@ -135,6 +135,49 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return (rows / norms).astype(x.dtype)
 
 
+def svd_projection(descriptors: np.ndarray, d_out: int,
+                   eps: float | None = None):
+    """PCA + whitening by a thin SVD of the whole centered support, the
+    library's fit before it went through the Gram matrix, kept verbatim: the
+    fit's SVD fallback must equal it bit for bit."""
+    from gsloc.errors import InputError
+    from gsloc.features import _EIGENVALUE_FLOOR, Projection
+    if eps is not None and not (np.isfinite(eps) and eps >= 0):
+        raise InputError(f"eps must be finite and nonnegative, got {eps}")
+    x = np.asarray(descriptors, dtype=np.float64)
+    if x.ndim != 2:
+        raise InputError("descriptors must be a 2-D array")
+    n, d_in = x.shape
+    if n < 2:
+        raise InputError(f"need at least 2 rows to fit a projection, got {n}")
+    if not (1 <= d_out <= min(n - 1, d_in)):
+        raise InputError(f"d_out={d_out} must be in [1, min(rows-1={n - 1}, dim={d_in})]")
+
+    mean = x.mean(axis=0)
+    centered = x - mean
+    # Thin SVD of the centered data: right singular vectors are the principal
+    # directions, singular values give eigenvalues of the 1/(n-1) covariance.
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    eigenvalues = (svals ** 2) / (n - 1)
+    total = float(eigenvalues.sum())
+    if not np.isfinite(total) or total <= 0.0:
+        raise InputError("zero-variance descriptors: nothing to project")
+    kept = eigenvalues[:d_out]
+    if kept[-1] <= _EIGENVALUE_FLOOR * total:
+        raise InputError(
+            f"eigenvalue {d_out} is {kept[-1]:.3g}, effectively zero next to "
+            f"total variance {total:.3g}; reduce d_out")
+    if eps is None:
+        eps = 1e-9 * total / len(eigenvalues)
+    basis = vt[:d_out].T.copy()
+    # Deterministic sign: largest-magnitude component of each column positive.
+    anchor = np.argmax(np.abs(basis), axis=0)
+    flip = basis[anchor, np.arange(d_out)] < 0
+    basis[:, flip] *= -1.0
+    scale = 1.0 / np.sqrt(kept + eps)
+    return Projection(mean=mean, basis=basis, scale=scale)
+
+
 def quantized(projection):
     """The projection with its parameters rounded through float32, the PRJ1
     storage precision: what a saved and reloaded projection holds."""

@@ -1,18 +1,23 @@
 """PCA + whitening: analytic solutions, covariance identity, deterministic
-signs, PRJ1 persistence, and L2 renormalization."""
+signs, bytes that do not depend on the BLAS thread count, PRJ1 persistence,
+and L2 renormalization."""
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from gsloc.errors import InputError
-from gsloc.features import (Projection, apply_projection, fit_projection,
-                            l2_normalize, load_projection, save_projection)
+from gsloc.features import (Projection, _blas_thread_control, apply_projection,
+                            fit_projection, l2_normalize, load_projection,
+                            save_projection)
 from oracles import quantized
 
 
@@ -100,6 +105,38 @@ def test_fit_rejects_rank_deficient_d_out():
     x = rng.standard_normal((50, 2)) @ rng.standard_normal((2, 5))
     with pytest.raises(InputError, match="effectively zero"):
         fit_projection(x, d_out=3)
+
+
+# Fits the synthetic support of the benchmark's `localize` workload for seeds
+# 1-3 and saves each as <out-dir>/<seed>.prj1. A thin SVD of these supports,
+# and an unpinned eigh of their Gram, round differently at one and at two
+# OpenBLAS threads (seed 2 for the eigh).
+_FIT_SYNTH_SUPPORTS = """
+import sys
+from gsloc.features import fit_projection, save_projection
+from gsloc.synth import SynthConfig, generate_synthetic
+config = SynthConfig(n_places=60, n_support_sequences=20, n_query_sequences=5,
+                     dim=256)
+for seed in (1, 2, 3):
+    support, _, _ = generate_synthetic(config, seed=seed)
+    save_projection(f"{sys.argv[1]}/{seed}.prj1",
+                    fit_projection(support.descriptors, 128))
+"""
+
+
+@pytest.mark.skipif(_blas_thread_control() is None,
+                    reason="numpy's bundled OpenBLAS thread-count symbols are absent")
+def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    fitted = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", _FIT_SYNTH_SUPPORTS, str(out)],
+                       env=env, check=True)
+        fitted[threads] = [(out / f"{seed}.prj1").read_bytes() for seed in (1, 2, 3)]
+    assert fitted["1"] == fitted["2"]
 
 
 def test_apply_projection_checks_dim_and_keeps_dtype():

@@ -1,7 +1,7 @@
-"""Memory bounds of the run path: the EMB1 loader, retrieval, normalization,
-smoothing, the spatial pair scan and a whole `run` stay within their
-documented block budgets, measured with tracemalloc, which sees numpy's
-buffers."""
+"""Memory bounds of the run path: the EMB1 loader, the projection fit and
+its application, retrieval, normalization, smoothing, the spatial pair scan
+and a whole `run` stay within their documented block budgets, measured with
+tracemalloc, which sees numpy's buffers."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import gsloc.spatial as spatial_mod
 from gsloc.cli import main
 from gsloc.dataset import (ImageRecord, load_descriptors, write_descriptors,
                            write_metadata)
-from gsloc.features import l2_normalize
+from gsloc.features import apply_projection, fit_projection, l2_normalize
 from gsloc.geodesy import METERS_PER_DEGREE
 from gsloc.graph import SmoothingOperator, distance_pairs
 from gsloc.retrieval import cosine_knn
@@ -124,6 +124,49 @@ def test_l2_normalize_stays_within_its_block_budget(support):
     assert peak <= 2 * features_mod._NORM_BLOCK_BYTES + SLACK
 
 
+# The shape of the benchmark's `localize` support and its projection.
+PROJ_ROWS, PROJ_DIM, PROJ_OUT = 4800, 256, 128
+
+
+@pytest.fixture(scope="module")
+def projection_support():
+    rng = np.random.default_rng(43)
+    mixing = rng.standard_normal((PROJ_DIM, PROJ_DIM), dtype=np.float32)
+    return rng.standard_normal((PROJ_ROWS, PROJ_DIM), dtype=np.float32) @ mixing
+
+
+def test_fit_projection_holds_one_float64_copy(projection_support):
+    x = projection_support
+    proj, peak = _peak_bytes(fit_projection, x, PROJ_OUT)
+    assert proj.basis.shape == (PROJ_DIM, PROJ_OUT)
+    # One float64 copy of the support, centered in place; beside it the
+    # d_in x d_in Gram, its eigenvectors and the kept basis.
+    assert peak <= 8 * x.size + 3 * 8 * PROJ_DIM ** 2 + SLACK
+
+
+def test_apply_projection_stays_within_its_block_budget(projection_support):
+    x = projection_support
+    proj = fit_projection(x, PROJ_OUT)
+    out, peak = _peak_bytes(apply_projection, proj, x)
+    assert out.dtype == np.float32
+    assert 8 * x.size > features_mod._PROJECTION_BLOCK_BYTES + SLACK
+    assert peak <= out.nbytes + features_mod._PROJECTION_BLOCK_BYTES + SLACK
+
+
+def test_projection_blocks_do_not_change_the_bits(projection_support,
+                                                  monkeypatch):
+    x = projection_support[:1000]
+    proj = fit_projection(x, PROJ_OUT)
+    whole = ((x.astype(np.float64) - proj.mean) @ proj.basis
+             * proj.scale).astype(np.float32)
+    # Blocks of 64 rows, and of 128 with the last 104 rows joining the
+    # final block.
+    for rows in (64, 128):
+        monkeypatch.setattr(features_mod, "_PROJECTION_BLOCK_BYTES",
+                            rows * 8 * (PROJ_DIM + PROJ_OUT))
+        assert apply_projection(proj, x).tobytes() == whole.tobytes()
+
+
 def test_smooth_stays_within_its_block_budget(support):
     n = N_SUPPORT
     out, peak = _peak_bytes(smooth, _ring(n), support, SmoothConfig(m=2))
@@ -134,6 +177,10 @@ def test_smooth_stays_within_its_block_budget(support):
     assert peak <= out.nbytes + smoothing_mod._BLOCK_BUDGET_BYTES + SLACK
 
 
+_PAIR_COSINE_WORK = max(2 * features_mod._NORM_BLOCK_BYTES,
+                        graph_mod._COSINE_CHUNK_BYTES)
+
+
 def test_pair_cosines_stay_within_the_cosine_chunk_budget(support):
     rng = np.random.default_rng(7)
     i = np.sort(rng.integers(0, N_SUPPORT - 1, 50_000))
@@ -142,11 +189,10 @@ def test_pair_cosines_stay_within_the_cosine_chunk_budget(support):
     want = np.einsum("ij,ij->i", *x) / (np.linalg.norm(x[0], axis=1)
                                          * np.linalg.norm(x[1], axis=1))
     assert np.allclose(cos, want, atol=1e-12)
-    # The norm pass holds one float64 row block twice (the block and its
-    # squares); the pair gathers after it take one budget. On top: the
-    # per-row norms and the result.
-    assert peak <= (2 * graph_mod._COSINE_CHUNK_BYTES + N_SUPPORT * 8
-                    + cos.nbytes + SLACK)
+    # The norm pass holds one float64 row block of l2_normalize's budget
+    # twice (the block and its squares); the pair gathers after it take one
+    # cosine budget. On top: the per-row norms and the result.
+    assert peak <= (_PAIR_COSINE_WORK + N_SUPPORT * 8 + cos.nbytes + SLACK)
 
 
 def test_pair_cosines_of_a_star_stay_within_the_cosine_chunk_budget(support):
@@ -162,8 +208,8 @@ def test_pair_cosines_of_a_star_stay_within_the_cosine_chunk_budget(support):
     # order by length), one piece per chunk of the hub's pairs.
     chunk = graph_mod._COSINE_CHUNK_BYTES // (2 * support.itemsize * DIM)
     index_arrays = 3 * 8 * -(-j.size // chunk)
-    assert peak <= (2 * graph_mod._COSINE_CHUNK_BYTES + N_SUPPORT * 8
-                    + cos.nbytes + index_arrays + SLACK)
+    assert peak <= (_PAIR_COSINE_WORK + N_SUPPORT * 8 + cos.nbytes
+                    + index_arrays + SLACK)
 
 
 def test_in_place_normalize_and_smooth_match_out_of_place(monkeypatch):

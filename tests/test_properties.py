@@ -7,7 +7,10 @@ are checked bit for bit against the routes they replace: the m-ladder against
 a fresh smooth, operators built on shared kernel geometry against a build for
 the cell alone, and array scoring against one scalar haversine per query. The
 latent cosines, grouped by source row, are checked bit for bit against the
-route that gathers both rows of every pair.
+route that gathers both rows of every pair. The projection fit through the
+Gram matrix is checked against a thin SVD of the whole support, and a
+damaged PRJ1 file either loads or is refused without a floating-point
+warning.
 
 Examples are derandomized so a run is reproducible; raise ``max_examples``
 locally to search wider.
@@ -16,17 +19,22 @@ locally to search wider.
 from __future__ import annotations
 
 import logging
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gsloc.features as features_mod
 import gsloc.graph as graph_mod
 import gsloc.retrieval as retrieval
 import gsloc.spatial as spatial
 from gsloc.dataset import Dataset, ImageRecord
+from gsloc.errors import InputError
 from gsloc.evaluation import _memo_smoother, compute_report
+from gsloc.features import Projection, load_projection, save_projection
 from gsloc.geodesy import METERS_PER_DEGREE, haversine_m_vectorized
 from gsloc.graph import (GraphParams, WeightedGraph, build_operator,
                          kernel_geometry, pair_cosines)
@@ -35,7 +43,7 @@ from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
 from oracles import (chunked_pair_cosines, coo_edges, quadratic_knn,
                      random_weighted_graph, reference_operator, scalar_errors_m,
-                     scalar_positions)
+                     scalar_positions, svd_projection)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -523,3 +531,126 @@ def test_array_scoring_equals_scalar_haversine(case, strategy):
                             "none", {})
     assert report.per_query_error_m == scalar_errors_m(indices, scores, support,
                                                        query, strategy)
+
+
+# ---------------------------------------------------------------------------
+# The projection fit
+
+
+@st.composite
+def _spectral_supports(draw, d_out_at=None):
+    """(descriptors, d_out) whose centered sample Gram has a drawn spectrum,
+    with every eigenvalue at least 1.3 times the next, along random
+    orthonormal directions, shifted off the origin, in float32 or float64.
+    With d_out_at, the d_out-th eigenvalue is that fraction of the largest."""
+    n = draw(st.integers(3 if d_out_at else 2, 80))
+    d_in = draw(st.integers(2 if d_out_at else 1, 24))
+    rank = min(n - 1, d_in)
+    d_out = draw(st.integers(2 if d_out_at else 1, rank))
+    ratios = draw(st.lists(st.floats(1.3, 30.0), min_size=rank - 1,
+                           max_size=rank - 1))
+    spectrum = draw(st.floats(1e-3, 1e3)) / np.cumprod([1.0, *ratios])
+    if d_out_at:
+        spectrum[d_out - 1:] *= d_out_at * spectrum[0] / spectrum[d_out - 1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Orthonormal columns of a centered matrix are centered themselves.
+    z = rng.standard_normal((n, rank))
+    rows, _ = np.linalg.qr(z - z.mean(axis=0))
+    directions, _ = np.linalg.qr(rng.standard_normal((d_in, d_in)))
+    x = (rows * np.sqrt(spectrum)) @ directions[:, :rank].T
+    x += rng.uniform(-3.0, 3.0, d_in) * np.sqrt(spectrum[0])
+    return x.astype(draw(st.sampled_from([np.float32, np.float64]))), d_out
+
+
+def _fit_and_route(x, d_out):
+    """(fit_projection's result or its InputError message, whether it took
+    the SVD)."""
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        try:
+            return features_mod.fit_projection(x, d_out), svd.called
+        except InputError as exc:
+            return str(exc), svd.called
+
+
+def _oracle(x, d_out):
+    try:
+        return svd_projection(x, d_out)
+    except InputError as exc:
+        return str(exc)
+
+
+def _bitwise_equal(got, want) -> bool:
+    if isinstance(want, str):
+        return got == want
+    return all(np.array_equal(getattr(got, f), getattr(want, f))
+               for f in ("mean", "basis", "scale"))
+
+
+@PROPERTY
+@given(_spectral_supports())
+def test_gram_fit_agrees_with_the_svd_fit(case):
+    x, d_out = case
+    got, took_svd = _fit_and_route(x, d_out)
+    want = _oracle(x, d_out)
+    if took_svd:
+        assert _bitwise_equal(got, want)
+        return
+    assert np.array_equal(got.mean, want.mean)
+    cross = got.basis.T @ want.basis
+    # The same directions with the same signs.
+    assert np.allclose(cross, np.eye(d_out), rtol=0.0, atol=1e-8)
+    assert np.allclose(got.scale, want.scale, rtol=1e-9, atol=0.0)
+
+
+@PROPERTY
+@given(_spectral_supports(d_out_at=1e-10))
+def test_ill_conditioned_fit_falls_back_to_the_svd(case):
+    x, d_out = case
+    got, took_svd = _fit_and_route(x, d_out)
+    assert took_svd
+    assert _bitwise_equal(got, _oracle(x, d_out))
+
+
+# ---------------------------------------------------------------------------
+# Damaged PRJ1 files
+
+
+@pytest.fixture(scope="module")
+def prj1_blob(tmp_path_factory) -> bytes:
+    """A saved 5 -> 3 projection whose scales are 1.25 (0x3FA00000):
+    flipping bit 6 of a scale's top byte makes the signalling NaN
+    0x7FA00000."""
+    basis, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((5, 3)))
+    path = tmp_path_factory.mktemp("prj1") / "p.prj1"
+    save_projection(path, Projection(mean=np.linspace(-1.0, 1.0, 5),
+                                     basis=basis, scale=np.full(3, 1.25)))
+    return path.read_bytes()
+
+
+_PRJ1_SIZE = 12 + 4 * (5 + 15 + 3)
+_damage = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, _PRJ1_SIZE - 1), st.just(0)),
+    st.tuples(st.just("flip"), st.integers(0, _PRJ1_SIZE - 1), st.integers(1, 255)))
+
+
+@PROPERTY
+@given(damage=_damage)
+@example(damage=("flip", _PRJ1_SIZE - 1, 0x40))
+def test_damaged_prj1_loads_or_is_refused_without_warnings(prj1_blob,
+                                                           tmp_path_factory,
+                                                           damage):
+    blob = bytearray(prj1_blob)
+    assert len(blob) == _PRJ1_SIZE
+    kind, at, mask = damage
+    if kind == "truncate":
+        del blob[at:]
+    else:
+        blob[at] ^= mask
+    path = tmp_path_factory.mktemp("damaged") / "damaged.prj1"
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            load_projection(path)
+        except InputError as exc:
+            assert str(path) in str(exc)
