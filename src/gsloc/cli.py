@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import fcntl
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -29,8 +28,9 @@ import numpy as np
 
 from . import __version__
 from .cache import Cache, param_key, sha256_file
-from .dataset import (Dataset, filter_reachable_queries, load_dataset,
-                      load_descriptors, write_descriptors, write_metadata)
+from .dataset import (Dataset, descriptor_file_shape,
+                      filter_reachable_queries, load_dataset, load_descriptors,
+                      write_descriptors, write_metadata)
 from .errors import InputError
 from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, ablation_table_csv,
                          compute_report, grid_search, grid_table_csv,
@@ -38,8 +38,9 @@ from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, ablation_table_csv,
                          sweep_m, sweep_plot_data, sweep_table_csv,
                          write_report_csv, write_report_json)
 from .features import (apply_projection, fit_projection, l2_normalize,
-                       load_projection, save_projection)
-from .graph import GraphParams, build_operator, load_operator, save_operator
+                       load_projection, projection_file_shape, save_projection)
+from .graph import (GraphParams, build_operator, load_operator,
+                    operator_file_shape, save_operator)
 from .retrieval import STRATEGIES, cosine_knn, write_matches
 from .smoothing import SmoothConfig, smooth
 from .synth import SynthConfig, generate_synthetic
@@ -331,12 +332,18 @@ def _require_paths(config: SimpleNamespace, *, query: bool = True) -> None:
 # Shared pipeline stages
 
 
-def _array_digest(arr: np.ndarray) -> str:
-    """SHA-256 of dtype and shape, then the C-order bytes, hashed from the
-    array's own buffer."""
-    digest = hashlib.sha256(f"{arr.dtype.str}:{arr.shape[0]}x{arr.shape[1]}:".encode())
-    digest.update(np.ascontiguousarray(arr))
-    return digest.hexdigest()
+def _read_cached(load, path: Path, *args, **kwargs):
+    """load(path, ...) of a cache hit. An artifact that passed the cache's
+    size check but fails the loader's own (a non-finite value, say) may
+    already have been read into the caller's buffer, so it cannot be
+    rebuilt within this run: it is removed, so that the next run rebuilds
+    it, and the InputError (which names the file) ends this one."""
+    try:
+        return load(path, *args, **kwargs)
+    except InputError as exc:
+        path.unlink(missing_ok=True)
+        raise InputError(f"{exc}; removed it from the cache, so the next run "
+                         "rebuilds it") from None
 
 
 def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, dict]:
@@ -379,9 +386,10 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
         def produce(tmp: Path) -> None:
             fitted = fit_projection(support.descriptors, d_out, eps=eps)
             save_projection(tmp, fitted)
-        path, hit = cache.get_or_create("projection", key, ".prj1", produce)
+        path, hit = cache.get_or_create("projection", key, ".prj1", produce,
+                                        projection_file_shape)
         print(f"projection cache {'hit' if hit else 'miss'}: {path.name}")
-        projection = load_projection(path)
+        projection = _read_cached(load_projection, path)
         support = support.with_descriptors(
             apply_projection(projection, support.descriptors))
         query = query.with_descriptors(
@@ -395,35 +403,56 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
     return support, query, info
 
 
+def _graph_key(side: str, params: GraphParams, config: SimpleNamespace,
+               info: dict) -> str:
+    """Cache key of one side's graph, from what produced its descriptors and
+    records rather than from their bytes: the side's input files, the
+    projection and renormalization applied to them, and the graph params.
+    The query side's rows are those within threshold_m of the support
+    fixes, so its key also covers the support metadata and threshold_m."""
+    inputs = info["input_sha256"]
+    provenance = {
+        "metadata": inputs[f"{side}_metadata"],
+        "descriptors": inputs[f"{side}_descriptors"],
+        "projection": info["projection_key"],
+        "renormalize": config.renormalize,
+    }
+    if side == "query":
+        provenance.update(support_metadata=inputs["support_metadata"],
+                          threshold_m=config.threshold_m)
+    return param_key({"inputs": provenance, "params": asdict(params), "v": 2})
+
+
 def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
-                          m: int, *, cache: Cache, info: dict) -> np.ndarray:
+                          m: int, *, cache: Cache, config: SimpleNamespace,
+                          info: dict) -> np.ndarray:
     """Cached graph build + smoothing for one side of the retrieval; the
     smoother `run` hands to evaluation.regime_descriptors.
 
     The smoothed descriptors replace the dataset's own in its buffer, so a
     run holds one copy of them whatever the cache state: a miss smooths in
     place and returns the array it wrote to the cache, a hit reads the cached
-    file into the buffer. Both cache keys are taken from the unsmoothed
-    descriptors, before either.
+    file into the buffer once its size has been checked.
     """
     desc = dataset.descriptors
-    graph_key = param_key({
-        "metadata": info["input_sha256"][f"{side}_metadata"],
-        "descriptors": _array_digest(desc),
-        "params": asdict(params),
-    })
+    graph_key = _graph_key(side, params, config, info)
     def build(tmp: Path) -> None:
         save_operator(tmp, build_operator(dataset.records, desc, params))
-    op_path, hit = cache.get_or_create("graph", graph_key, ".adj1", build)
+    op_path, hit = cache.get_or_create("graph", graph_key, ".adj1", build,
+                                       operator_file_shape)
     print(f"{side} graph cache {'hit' if hit else 'miss'}: {op_path.name}")
-    smooth_key = param_key({"graph": graph_key, "m": m})
+    # The graph key covers the graph params.
+    smooth_key = param_key({"graph": graph_key, "m": m, "v": 2})
     def run_smooth(tmp: Path) -> None:
-        smooth(load_operator(op_path), desc, SmoothConfig(m=m), out=desc)
+        smooth(_read_cached(load_operator, op_path), desc, SmoothConfig(m=m),
+               out=desc)
         write_descriptors(tmp, desc)
-    emb_path, hit = cache.get_or_create("smoothed", smooth_key, ".emb1", run_smooth)
+    emb_path, hit = cache.get_or_create("smoothed", smooth_key, ".emb1",
+                                        run_smooth, descriptor_file_shape)
     print(f"{side} smoothing cache {'hit' if hit else 'miss'}: {emb_path.name}")
     if hit:
-        load_descriptors(emb_path, expected_rows=dataset.n_images, out=desc)
+        _read_cached(load_descriptors, emb_path,
+                     expected_rows=dataset.n_images, out=desc)
     info[f"{side}_graph_key"] = graph_key
     info[f"{side}_smoothed_key"] = smooth_key
     return desc
@@ -491,7 +520,8 @@ def cmd_run(config: SimpleNamespace) -> int:
         support_desc, query_desc = regime_descriptors(
             support, query, config.graph, config.m, config.regime,
             config.query_gps,
-            functools.partial(_smoothed_descriptors, cache=cache, info=info))
+            functools.partial(_smoothed_descriptors, cache=cache,
+                              config=config, info=info))
         indices, scores = cosine_knn(query_desc, support_desc, config.k)
         snapshot = dict(config.echo, n_support=support.n_images,
                         n_query=query.n_images, dim=support.dim)

@@ -27,6 +27,9 @@ METADATA_HEADER = ["image_id", "sequence_id", "frame_index", "lat", "lon"]
 
 EMB1_MAGIC = b"EMB1"
 _EMB1_HEADER = struct.Struct("<4sII")
+# Bound on the one-byte-per-value finiteness mask of one row block: small
+# enough to stay in a per-core L2 cache, so that no n x d bool array is made.
+_FINITE_BLOCK_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,18 @@ def check_descriptors(arr: np.ndarray) -> None:
         raise InputError("descriptors must be a 2-D array")
     if not np.issubdtype(arr.dtype, np.floating):
         raise InputError(f"descriptors must be floating point, got dtype {arr.dtype}")
-    if arr.size and not np.isfinite(arr).all():
+    if _nonfinite_count(arr):
         raise InputError("descriptors contain non-finite values")
+
+
+def _nonfinite_count(arr: np.ndarray) -> int:
+    """Number of non-finite values in a 2-D array, tested a row block of
+    at most ``_FINITE_BLOCK_BYTES`` mask bytes (one row at least) at a
+    time."""
+    rows = max(1, _FINITE_BLOCK_BYTES // max(1, arr.shape[1]))
+    return sum(arr[lo:lo + rows].size
+               - int(np.count_nonzero(np.isfinite(arr[lo:lo + rows])))
+               for lo in range(0, arr.shape[0], rows))
 
 
 def validate_records(records: Sequence[ImageRecord]) -> None:
@@ -188,16 +201,8 @@ def load_descriptors(path: str | Path, expected_rows: int | None, *,
     """
     path = Path(path)
     with path.open("rb") as fh:
-        header = fh.read(_EMB1_HEADER.size)
-        if len(header) < _EMB1_HEADER.size:
-            raise InputError(f"{path}: file too short for an EMB1 header")
-        magic, rows, dim = _EMB1_HEADER.unpack(header)
-        if magic != EMB1_MAGIC:
-            raise InputError(f"{path}: bad magic {magic!r}, expected {EMB1_MAGIC!r}")
-        payload_bytes = os.fstat(fh.fileno()).st_size - _EMB1_HEADER.size
-        if payload_bytes != rows * dim * 4:
-            raise InputError(f"{path}: payload holds {payload_bytes // 4} floats, "
-                             f"header promises {rows * dim}")
+        rows, dim = _read_emb1_header(fh, path)
+        payload_bytes = rows * dim * 4
         if expected_rows is not None and rows != expected_rows:
             raise InputError(f"{path}: {rows} descriptor rows, expected {expected_rows}")
         if out is not None and (out.shape != (rows, dim)
@@ -208,10 +213,32 @@ def load_descriptors(path: str | Path, expected_rows: int | None, *,
         data = out if out is not None else np.empty((rows, dim), dtype="<f4")
         if fh.readinto(data) != payload_bytes:
             raise InputError(f"{path}: payload ended early")
-    if data.size and not np.isfinite(data).all():
-        bad = int(np.count_nonzero(~np.isfinite(data)))
+    bad = _nonfinite_count(data)
+    if bad:
         raise InputError(f"{path}: {bad} non-finite descriptor values")
     return data
+
+
+def descriptor_file_shape(path: str | Path) -> tuple[int, int]:
+    """(rows, dim) of an EMB1 file, from its header, once the magic and the
+    payload size have been checked against it; no payload byte is read."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        return _read_emb1_header(fh, path)
+
+
+def _read_emb1_header(fh, path: Path) -> tuple[int, int]:
+    header = fh.read(_EMB1_HEADER.size)
+    if len(header) < _EMB1_HEADER.size:
+        raise InputError(f"{path}: file too short for an EMB1 header")
+    magic, rows, dim = _EMB1_HEADER.unpack(header)
+    if magic != EMB1_MAGIC:
+        raise InputError(f"{path}: bad magic {magic!r}, expected {EMB1_MAGIC!r}")
+    payload_bytes = os.fstat(fh.fileno()).st_size - _EMB1_HEADER.size
+    if payload_bytes != rows * dim * 4:
+        raise InputError(f"{path}: payload holds {payload_bytes // 4} floats, "
+                         f"header promises {rows * dim}")
+    return rows, dim
 
 
 def write_descriptors(path: str | Path, descriptors: np.ndarray) -> None:

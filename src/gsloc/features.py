@@ -242,11 +242,12 @@ def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
     return norms, int(np.count_nonzero(zero))
 
 
-# Bound on one row block of l2_normalize's float64 working set; the norm
-# computation holds a second temporary of the same size. Both together fit a
-# 2 MiB per-core L2 cache, so the block is normalized and written back while
-# resident.
-_NORM_BLOCK_BYTES = 1 << 20
+# Bound on one row block of a norm pass's float64 working set (l2_normalize,
+# the latent kernel's norms, and the retrieval chunks' norms); the norm
+# computation holds a second temporary of the same size. Both together sit
+# well inside a 2 MiB per-core L2 cache, so the block is normalized and
+# written back while resident: 256 KiB measured faster than 1 MiB and 4 MiB.
+_NORM_BLOCK_BYTES = 256 << 10
 
 
 def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
@@ -284,17 +285,8 @@ def save_projection(path: str | Path, projection: Projection) -> None:
 def load_projection(path: str | Path) -> Projection:
     path = Path(path)
     with path.open("rb") as fh:
-        header = fh.read(_PRJ1_HEADER.size)
-        if len(header) < _PRJ1_HEADER.size:
-            raise InputError(f"{path}: file too short for a PRJ1 header")
-        magic, d_in, d_out = _PRJ1_HEADER.unpack(header)
-        if magic != PRJ1_MAGIC:
-            raise InputError(f"{path}: bad magic {magic!r}, expected {PRJ1_MAGIC!r}")
+        d_in, d_out = _read_prj1_header(fh, path)
         n_floats = d_in + d_in * d_out + d_out
-        payload_bytes = os.fstat(fh.fileno()).st_size - _PRJ1_HEADER.size
-        if payload_bytes != n_floats * 4:
-            raise InputError(f"{path}: payload is {payload_bytes} bytes, "
-                             f"expected {n_floats * 4}")
         floats = np.fromfile(fh, dtype="<f4", count=n_floats)
     # Checked before the casts: casting a signalling NaN warns.
     if not np.isfinite(floats).all():
@@ -308,3 +300,26 @@ def load_projection(path: str | Path) -> Projection:
     if not np.allclose(gram, np.eye(d_out), atol=1e-4):
         raise InputError(f"{path}: basis columns are not orthonormal")
     return Projection(mean=mean, basis=basis, scale=scale)
+
+
+def projection_file_shape(path: str | Path) -> tuple[int, int]:
+    """(d_in, d_out) of a PRJ1 file, from its header, once the magic and the
+    payload size have been checked against it; no payload byte is read."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        return _read_prj1_header(fh, path)
+
+
+def _read_prj1_header(fh, path: Path) -> tuple[int, int]:
+    header = fh.read(_PRJ1_HEADER.size)
+    if len(header) < _PRJ1_HEADER.size:
+        raise InputError(f"{path}: file too short for a PRJ1 header")
+    magic, d_in, d_out = _PRJ1_HEADER.unpack(header)
+    if magic != PRJ1_MAGIC:
+        raise InputError(f"{path}: bad magic {magic!r}, expected {PRJ1_MAGIC!r}")
+    n_floats = d_in + d_in * d_out + d_out
+    payload_bytes = os.fstat(fh.fileno()).st_size - _PRJ1_HEADER.size
+    if payload_bytes != n_floats * 4:
+        raise InputError(f"{path}: payload is {payload_bytes} bytes, "
+                         f"expected {n_floats * 4}")
+    return d_in, d_out

@@ -481,16 +481,7 @@ def save_operator(path: str | Path, op: SmoothingOperator) -> None:
 def load_operator(path: str | Path) -> SmoothingOperator:
     path = Path(path)
     with path.open("rb") as fh:
-        header = fh.read(_ADJ1_HEADER.size)
-        if len(header) < _ADJ1_HEADER.size:
-            raise InputError(f"{path}: file too short for an ADJ1 header")
-        magic, n, nnz = _ADJ1_HEADER.unpack(header)
-        if magic != ADJ1_MAGIC:
-            raise InputError(f"{path}: bad magic {magic!r}, expected {ADJ1_MAGIC!r}")
-        expected = (n + 1) * 8 + nnz * 4 + nnz * 8
-        payload_bytes = os.fstat(fh.fileno()).st_size - _ADJ1_HEADER.size
-        if payload_bytes != expected:
-            raise InputError(f"{path}: payload is {payload_bytes} bytes, expected {expected}")
+        n, nnz = _read_adj1_header(fh, path)
         indptr = np.fromfile(fh, dtype="<u8", count=n + 1).astype(np.int64)
         indices = np.fromfile(fh, dtype="<u4", count=nnz).astype(np.int32)
         values = np.fromfile(fh, dtype="<f8", count=nnz).astype(np.float64, copy=False)
@@ -510,3 +501,25 @@ def load_operator(path: str | Path) -> SmoothingOperator:
     diag_one = single[(indices[indptr[single]] == single)
                       & (values[indptr[single]] == 1.0)]
     return SmoothingOperator(matrix=mat, isolated_vertices=diag_one.astype(np.int64))
+
+
+def operator_file_shape(path: str | Path) -> tuple[int, int]:
+    """(n, nnz) of an ADJ1 file, from its header, once the magic and the
+    payload size have been checked against it; no payload byte is read."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        return _read_adj1_header(fh, path)
+
+
+def _read_adj1_header(fh, path: Path) -> tuple[int, int]:
+    header = fh.read(_ADJ1_HEADER.size)
+    if len(header) < _ADJ1_HEADER.size:
+        raise InputError(f"{path}: file too short for an ADJ1 header")
+    magic, n, nnz = _ADJ1_HEADER.unpack(header)
+    if magic != ADJ1_MAGIC:
+        raise InputError(f"{path}: bad magic {magic!r}, expected {ADJ1_MAGIC!r}")
+    expected = (n + 1) * 8 + nnz * 4 + nnz * 8
+    payload_bytes = os.fstat(fh.fileno()).st_size - _ADJ1_HEADER.size
+    if payload_bytes != expected:
+        raise InputError(f"{path}: payload is {payload_bytes} bytes, expected {expected}")
+    return n, nnz

@@ -16,7 +16,10 @@ No unit-normalized copy of the whole support set is made. For each block of
 queries (its float64 score block bounded by ``_SCORE_BLOCK_BYTES``), the
 support rows are normalized in float64 chunks of about
 ``_SUPPORT_CHUNK_BYTES`` each, and every chunk's scores are written straight
-into the score block. Chunk edges fall on multiples of 64 support rows, so
+into the score block. The norms are taken from those float64 copies, in
+``features._NORM_BLOCK_BYTES`` sub-blocks, on the first query block, and
+kept for the others; no pass over the support is made for them alone.
+Chunk edges fall on multiples of 64 support rows, so
 the BLAS kernels tile the columns as they would in one product against the
 whole normalized support, and the scores are bitwise equal to that product
 for the shapes measured (8,000 x 4,096 support among them). The exception
@@ -34,6 +37,7 @@ import numpy as np
 
 from .dataset import ImageRecord
 from .errors import InputError
+from . import features
 from .features import aligned_row_blocks, row_norms
 from .geodesy import atan2_each, unit_vectors
 
@@ -41,9 +45,9 @@ logger = logging.getLogger(__name__)
 
 # Memory cap for one block of the query x support score matrix.
 _SCORE_BLOCK_BYTES = 256 << 20
-# Memory cap for one float64 chunk of unit support rows (taking the norms of
-# a chunk holds two). Chunk edges come from features.aligned_row_blocks, so
-# the last chunk may hold up to 63 rows more.
+# Memory cap for one float64 chunk of unit support rows. Chunk edges come
+# from features.aligned_row_blocks, so the last chunk may hold up to 63 rows
+# more.
 _SUPPORT_CHUNK_BYTES = 8 << 20
 # Memory cap for the k > 1 selection working set of one row slice of a score
 # block: the float64 partition copy (8 bytes per score), then the contender
@@ -76,27 +80,36 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
     block = max(1, int(_SCORE_BLOCK_BYTES // (8 * n_support)))
     chunks = aligned_row_blocks(
         n_support, _SUPPORT_CHUNK_BYTES // (8 * max(1, s.shape[1])))
-    # Norms come first, so that their temporaries are gone before a score
-    # block is allocated; each chunk then holds one float64 copy at a time.
-    q_norms, q_zero = row_norms(q, _SUPPORT_CHUNK_BYTES)
-    s_norms, s_zero = row_norms(s, _SUPPORT_CHUNK_BYTES)
-    if q_zero:
-        logger.warning("cosine_knn: %d zero query rows score 0 everywhere", q_zero)
-    if s_zero:
-        logger.warning("cosine_knn: %d zero support rows score 0 everywhere", s_zero)
+    # Each float64 row copy yields its own norms, in sub-blocks of
+    # features._NORM_BLOCK_BYTES: the support's on the first query block,
+    # kept for the others.
+    norm_bytes = features._NORM_BLOCK_BYTES
+    s_norms, s_zero, q_zero = None, 0, 0
     indices = np.empty((q.shape[0], k), dtype=np.int64)
     top = np.empty((q.shape[0], k))
     for start in range(0, q.shape[0], block):
         q_hat = q[start:start + block].astype(np.float64)
-        q_hat /= q_norms[start:start + block, None]
+        q_norms, zero = row_norms(q_hat, norm_bytes)
+        q_zero += zero
+        q_hat /= q_norms[:, None]
         scores = np.empty((q_hat.shape[0], n_support))
+        first = s_norms is None
+        if first:
+            s_norms = np.empty(n_support)
         for lo, hi in chunks:
             s_hat = s[lo:hi].astype(np.float64)
+            if first:
+                s_norms[lo:hi], zero = row_norms(s_hat, norm_bytes)
+                s_zero += zero
             s_hat /= s_norms[lo:hi, None]
             np.matmul(q_hat, s_hat.T, out=scores[:, lo:hi])
         picks = _top_k(scores, k)
         indices[start:start + block] = picks
         top[start:start + block] = np.take_along_axis(scores, picks, axis=1)
+    if q_zero:
+        logger.warning("cosine_knn: %d zero query rows score 0 everywhere", q_zero)
+    if s_zero:
+        logger.warning("cosine_knn: %d zero support rows score 0 everywhere", s_zero)
     return indices, top
 
 

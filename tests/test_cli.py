@@ -4,9 +4,12 @@ config layering, exit codes, locking, and byte-identical reruns."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fcntl
 import json
+import logging
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -17,7 +20,8 @@ import pytest
 import gsloc.evaluation as evaluation
 from gsloc.cli import build_parser, main
 from gsloc.dataset import (filter_reachable_queries, load_dataset,
-                           load_metadata, write_descriptors, write_metadata)
+                           load_descriptors, load_metadata, write_descriptors,
+                           write_metadata)
 from gsloc.evaluation import REGIMES, evaluate_regime, grid_search
 from gsloc.graph import GraphParams
 from gsloc.smoothing import SmoothConfig
@@ -172,6 +176,167 @@ def test_cache_artifacts_are_readable_by_other_users(tmp_path, data_dir):
     assert {path.suffix for path in artifacts} == {".prj1", ".adj1", ".emb1"}
     for path in artifacts:
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+
+
+# ---------------------------------------------------------------------------
+# Cache keys by provenance, and damaged artifacts
+
+
+def _graph_keys(tmp_path, data_dir, name, extra=()):
+    """(support, query) graph keys of a gs_both run in a fresh cache."""
+    rc, out = _run(tmp_path, data_dir, name, ["--regime", "gs_both", *extra])
+    assert rc == 0
+    provenance = json.loads((out / "manifest.json").read_text())["provenance"]
+    return provenance["support_graph_key"], provenance["query_graph_key"]
+
+
+def _changed_input(tmp_path, data_dir, split, kind):
+    """A copy of the dataset with one value of one input file moved a little;
+    every query stays reachable."""
+    changed = tmp_path / f"{split}-{kind}"
+    shutil.copytree(data_dir, changed)
+    if kind == "metadata":
+        path = changed / f"{split}_metadata.csv"
+        records = load_metadata(path)
+        records[0] = dataclasses.replace(records[0], lon=records[0].lon + 1e-7)
+        write_metadata(path, records)
+    else:
+        path = changed / f"{split}_descriptors.emb1"
+        desc = load_descriptors(path, expected_rows=None)
+        desc[0, 0] += 0.25
+        write_descriptors(path, desc)
+    return changed
+
+
+@pytest.mark.parametrize("split, kind, changes", [
+    # The query rows are those near the support fixes.
+    ("support", "metadata", (True, True)),
+    ("support", "descriptors", (True, False)),
+    ("query", "metadata", (False, True)),
+    ("query", "descriptors", (False, True)),
+])
+def test_graph_keys_follow_the_input_files(tmp_path, data_dir, split, kind,
+                                           changes):
+    base = _graph_keys(tmp_path, data_dir, "base")
+    changed = _graph_keys(tmp_path, _changed_input(tmp_path, data_dir, split, kind),
+                          "changed")
+    assert tuple(a != b for a, b in zip(changed, base)) == changes
+
+
+@pytest.mark.parametrize("base_flags, flags, changes", [
+    ((), ("--threshold-m", "40"), (False, True)),
+    ((), ("--no-renormalize",), (True, True)),
+    ((), ("--alpha", "0.3"), (True, True)),
+    ((), ("--betas", "0.5,0.25"), (True, True)),
+    ((), ("--query-gps",), (False, True)),
+    ((), ("--projection", "--d-out", "8"), (True, True)),
+    (("--projection", "--d-out", "8"), ("--projection", "--d-out", "6"),
+     (True, True)),
+    (("--projection", "--d-out", "8"),
+     ("--projection", "--d-out", "8", "--eps", "1e-6"), (True, True)),
+])
+def test_graph_keys_follow_the_settings(tmp_path, data_dir, base_flags, flags,
+                                        changes):
+    base = _graph_keys(tmp_path, data_dir, "base", base_flags)
+    changed = _graph_keys(tmp_path, data_dir, "changed", flags)
+    assert tuple(a != b for a, b in zip(changed, base)) == changes
+
+
+def _cache_states(text):
+    return [line.split(":")[0] for line in text.splitlines()
+            if " cache " in line]
+
+
+def test_warm_rerun_hits_every_stage_and_writes_the_same_bytes(
+        tmp_path, data_dir, capsys):
+    flags = ["--regime", "gs_both", "--projection", "--d-out", "8",
+             "--query-gps"]
+    rc, cold = _run(tmp_path, data_dir, "prov", flags)
+    assert rc == 0
+    assert _cache_states(capsys.readouterr().out) == [
+        "projection cache miss", "support graph cache miss",
+        "support smoothing cache miss", "query graph cache miss",
+        "query smoothing cache miss"]
+    cache = tmp_path / "prov-cache"
+    cached = {p.name: p.read_bytes() for p in cache.iterdir()}
+    warm = tmp_path / "prov-warm"
+    assert main(["run", "--out-dir", str(warm), "--cache-dir", str(cache)]
+                + _dataset_flags(data_dir) + flags) == 0
+    assert _cache_states(capsys.readouterr().out) == [
+        "projection cache hit", "support graph cache hit",
+        "support smoothing cache hit", "query graph cache hit",
+        "query smoothing cache hit"]
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == cached
+    for name in ("report.json", "report.csv", "matches.csv", "manifest.json"):
+        assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
+
+
+def _rerun(tmp_path, data_dir, name, flags):
+    """A run into out dir `name` on the cache of _run(..., "damaged")."""
+    return main(["run", "--out-dir", str(tmp_path / name), "--cache-dir",
+                 str(tmp_path / "damaged-cache")]
+                + _dataset_flags(data_dir) + flags)
+
+
+@pytest.mark.parametrize("pattern, flags", [
+    ("smoothed-*.emb1", ["--regime", "gs_support"]),
+    ("projection-*.prj1", ["--regime", "none", "--projection", "--d-out", "8"]),
+    # The graph is read when smoothing misses: a new m.
+    ("graph-*.adj1", ["--regime", "gs_support"]),
+])
+def test_a_truncated_artifact_is_rebuilt(tmp_path, data_dir, caplog, pattern,
+                                         flags):
+    rc, cold = _run(tmp_path, data_dir, "damaged", flags)
+    assert rc == 0
+    (artifact,) = (tmp_path / "damaged-cache").glob(pattern)
+    whole = artifact.read_bytes()
+    artifact.write_bytes(whole[:len(whole) // 2])
+    rerun = flags + (["--m", "1"] if pattern.startswith("graph") else [])
+    with caplog.at_level(logging.WARNING, logger="gsloc.cache"):
+        assert _rerun(tmp_path, data_dir, "rebuilt", rerun) == 0
+    assert any(artifact.name in rec.getMessage() and "rebuilding" in rec.getMessage()
+               for rec in caplog.records)
+    assert artifact.read_bytes() == whole
+    if not pattern.startswith("graph"):
+        for name in ("report.json", "report.csv", "matches.csv", "manifest.json"):
+            assert ((tmp_path / "rebuilt" / name).read_bytes()
+                    == (cold / name).read_bytes()), name
+
+
+def test_a_non_finite_cached_payload_exits_2_and_is_removed(tmp_path, data_dir,
+                                                            capsys):
+    flags = ["--regime", "gs_support"]
+    rc, cold = _run(tmp_path, data_dir, "damaged", flags)
+    assert rc == 0
+    (artifact,) = (tmp_path / "damaged-cache").glob("smoothed-*.emb1")
+    whole = artifact.read_bytes()
+    # The size still matches the header; the last value is a NaN.
+    artifact.write_bytes(whole[:-4] + np.array([np.nan], "<f4").tobytes())
+    assert _rerun(tmp_path, data_dir, "nan", flags) == 2
+    err = capsys.readouterr().err
+    assert artifact.name in err and "non-finite" in err
+    assert not artifact.exists()
+    # The next run rebuilds it.
+    assert _rerun(tmp_path, data_dir, "after", flags) == 0
+    assert artifact.read_bytes() == whole
+    for name in ("report.json", "report.csv", "matches.csv", "manifest.json"):
+        assert ((tmp_path / "after" / name).read_bytes()
+                == (cold / name).read_bytes()), name
+
+
+def test_a_corrupt_cached_graph_exits_2_and_is_removed(tmp_path, data_dir,
+                                                       capsys):
+    flags = ["--regime", "gs_support"]
+    assert _run(tmp_path, data_dir, "damaged", flags)[0] == 0
+    (artifact,) = (tmp_path / "damaged-cache").glob("graph-*.adj1")
+    whole = artifact.read_bytes()
+    # The last operator value, a float64, becomes a NaN.
+    artifact.write_bytes(whole[:-8] + np.array([np.nan], "<f8").tobytes())
+    assert _rerun(tmp_path, data_dir, "nan", flags + ["--m", "1"]) == 2
+    assert artifact.name in capsys.readouterr().err
+    assert not artifact.exists()
+    assert _rerun(tmp_path, data_dir, "after", flags + ["--m", "1"]) == 0
+    assert artifact.read_bytes() == whole
 
 
 def test_run_regime_none_warns_about_ignored_m(tmp_path, data_dir, capsys):

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+import gsloc.dataset as dataset_mod
 from gsloc.dataset import (Dataset, ImageRecord, filter_reachable_queries,
                            load_dataset, load_metadata, load_descriptors,
                            validate_records, write_metadata, write_descriptors)
@@ -160,6 +161,43 @@ def test_descriptors_reject_non_finite(tmp_path):
     path.write_bytes(b"EMB1" + struct.pack("<II", 1, 2) + payload)
     with pytest.raises(InputError, match="non-finite"):
         load_descriptors(path, expected_rows=None)
+
+
+# 10 rows of 4 values in blocks of 3 rows: a short last block of one row.
+_BLOCKED_ROWS, _BLOCKED_DIM, _BLOCK_ROWS = 10, 4, 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cells", [
+    # The first row; the last row, alone in the short last block; the end of
+    # the full block before it; one value in each of three blocks.
+    [(0, 0)], [(9, 3)], [(8, 1)], [(0, 3), (4, 0), (9, 2)],
+])
+def test_blockwise_finiteness_checks_raise_as_before(tmp_path, monkeypatch,
+                                                     bad, cells):
+    monkeypatch.setattr(dataset_mod, "_FINITE_BLOCK_BYTES",
+                        _BLOCK_ROWS * _BLOCKED_DIM)
+    data = np.arange(_BLOCKED_ROWS * _BLOCKED_DIM, dtype="<f4").reshape(
+        _BLOCKED_ROWS, _BLOCKED_DIM)
+    for row, col in cells:
+        data[row, col] = bad
+    path = tmp_path / "d.emb1"
+    path.write_bytes(b"EMB1" + struct.pack("<II", *data.shape) + data.tobytes())
+    with pytest.raises(InputError, match=rf"d\.emb1: {len(cells)} non-finite "
+                                         "descriptor values"):
+        load_descriptors(path, expected_rows=None)
+    buffer = np.zeros_like(data)
+    with pytest.raises(InputError, match="non-finite descriptor values"):
+        load_descriptors(path, expected_rows=None, out=buffer)
+    with pytest.raises(InputError, match="^descriptors contain non-finite values$"):
+        write_descriptors(tmp_path / "w.emb1", data)
+    with pytest.raises(InputError, match="^descriptors contain non-finite values$"):
+        Dataset(records=[ImageRecord(f"i{k}", "s", k, 0.0, 0.0)
+                         for k in range(_BLOCKED_ROWS)], descriptors=data)
+    # The same values all finite pass every check.
+    data[~np.isfinite(data)] = 0.0
+    write_descriptors(path, data)
+    assert load_descriptors(path, expected_rows=None).tobytes() == data.tobytes()
 
 
 def test_write_descriptors_rejects_bad_input(tmp_path):

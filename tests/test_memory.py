@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import gsloc.dataset as dataset_mod
 import gsloc.features as features_mod
 import gsloc.graph as graph_mod
 import gsloc.retrieval as retrieval_mod
 import gsloc.smoothing as smoothing_mod
 import gsloc.spatial as spatial_mod
 from gsloc.cli import main
-from gsloc.dataset import (ImageRecord, load_descriptors, write_descriptors,
-                           write_metadata)
+from gsloc.dataset import (ImageRecord, check_descriptors, load_descriptors,
+                           write_descriptors, write_metadata)
 from gsloc.features import apply_projection, fit_projection, l2_normalize
 from gsloc.geodesy import METERS_PER_DEGREE
 from gsloc.graph import SmoothingOperator, distance_pairs
@@ -64,8 +65,10 @@ def test_load_descriptors_reads_straight_into_the_array(tmp_path, support):
     write_descriptors(path, support)
     loaded, peak = _peak_bytes(load_descriptors, path, N_SUPPORT)
     assert np.array_equal(loaded, support)
-    # The array itself, plus the one-byte-per-value finiteness mask.
-    assert peak <= support.nbytes + support.size + SLACK
+    # The array itself, plus the finiteness mask of one row block: no
+    # one-byte-per-value mask of the whole array.
+    assert support.size > dataset_mod._FINITE_BLOCK_BYTES + SLACK
+    assert peak <= support.nbytes + dataset_mod._FINITE_BLOCK_BYTES + SLACK
 
 
 def test_load_descriptors_into_a_buffer_allocates_only_the_mask(tmp_path, support):
@@ -76,7 +79,12 @@ def test_load_descriptors_into_a_buffer_allocates_only_the_mask(tmp_path, suppor
         lambda: load_descriptors(path, N_SUPPORT, out=buffer))
     assert loaded is buffer
     assert np.array_equal(buffer, support)
-    assert peak <= support.size + SLACK
+    assert peak <= dataset_mod._FINITE_BLOCK_BYTES + SLACK
+
+
+def test_check_descriptors_allocates_only_a_block_mask(support):
+    _, peak = _peak_bytes(check_descriptors, support)
+    assert peak <= dataset_mod._FINITE_BLOCK_BYTES + SLACK
 
 
 def test_cosine_knn_never_copies_the_support(support):
@@ -319,11 +327,11 @@ def test_run_holds_the_support_descriptors_once(run_inputs, tmp_path,
     for module, name in _RUN_BUDGETS:
         monkeypatch.setattr(module, name, 1 << 20)
     # Each budget is counted twice (a normalization block is held twice, and
-    # the unit support chunks are two while their norms are taken). On top
-    # come retrieval's float64 copy of the query block and the EMB1 loader's
-    # one-byte-per-value finiteness mask.
+    # a unit support chunk sits beside the score block and its norm
+    # sub-block). On top come retrieval's float64 copy of the query block
+    # and the finiteness mask of one row block.
     budgets = 2 * len(_RUN_BUDGETS) * (1 << 20) + RUN_QUERY * RUN_DIM * 8
-    mask = RUN_SUPPORT * RUN_DIM
+    mask = dataset_mod._FINITE_BLOCK_BYTES
     bound = descriptor_bytes + budgets + mask + _RUN_GRAPH_AND_RECORDS + SLACK
     for state in ("cold", "warm"):
         code, peak = _peak_bytes(_run, data, tmp_path / state, tmp_path / "cache")

@@ -5,8 +5,10 @@ copies in different support chunks), points near the poles and across the
 antimeridian, and cells from 5 m to 2 km. The evaluation engine's shortcuts
 are checked bit for bit against the routes they replace: the m-ladder against
 a fresh smooth, operators built on shared kernel geometry against a build for
-the cell alone, and array scoring against one scalar haversine per query. The
-latent cosines, grouped by source row, are checked bit for bit against the
+the cell alone, and array scoring against one scalar haversine per query.
+Retrieval, which takes the support norms from the chunks it scores, is
+checked bit for bit against norms taken in a pass of their own. The latent
+cosines, grouped by source row, are checked bit for bit against the
 route that gathers both rows of every pair. The projection fit through the
 Gram matrix is checked against a thin SVD of the whole support, and a
 damaged PRJ1 file either loads or is refused without a floating-point
@@ -43,7 +45,8 @@ from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
 from oracles import (chunked_pair_cosines, coo_edges, quadratic_knn,
                      random_weighted_graph, reference_operator, scalar_errors_m,
-                     scalar_positions, svd_projection)
+                     scalar_positions, svd_projection,
+                     two_pass_cosine_knn)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -180,6 +183,32 @@ def test_topk_does_not_depend_on_the_support_chunks(case):
         (a_idx, a_scores), (b_idx, b_scores) = chunked[k], whole[k]
         assert np.array_equal(a_idx, b_idx)
         assert np.all(np.abs(a_scores - b_scores) <= SCORE_EPS)
+
+
+@PROPERTY
+@given(_multi_chunk_sets(), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 64, 1 << 20]))
+def test_topk_equals_the_two_pass_norm_route(case, block_rows, norm_bytes):
+    # 64-row support chunks, query blocks of one to three rows, and norm
+    # sub-blocks from one row up to whole chunks: the norms taken from each
+    # chunk's float64 copy on the first query block give the bits of norms
+    # taken in a pass of their own.
+    queries, support = case
+    n = support.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "_SCORE_BLOCK_BYTES", 8 * n * block_rows)
+        mp.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
+        mp.setattr(features_mod, "_NORM_BLOCK_BYTES", norm_bytes)
+        logging.disable(logging.WARNING)
+        try:
+            for k in sorted({k for k in (1, 2, 3, n) if k <= n}):
+                got_idx, got = cosine_knn(queries, support, k)
+                want_idx, want = two_pass_cosine_knn(
+                    queries, support, k, 8 * n * block_rows, 1)
+                assert np.array_equal(got_idx, want_idx)
+                assert got.tobytes() == want.tobytes()
+        finally:
+            logging.disable(logging.NOTSET)
 
 
 @pytest.mark.parametrize("n_support", [64 + 1, 3 * 64 + 1, 4 * 64])

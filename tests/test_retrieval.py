@@ -8,6 +8,7 @@ import logging
 import numpy as np
 import pytest
 
+import gsloc.retrieval as retrieval
 from gsloc.dataset import ImageRecord
 from gsloc.errors import InputError
 from gsloc.geodesy import GeoPoint, haversine_m
@@ -108,6 +109,25 @@ def test_zero_query_rows_warn_and_rank_by_index(caplog):
     assert indices[0].tolist() == [0, 1, 2]
     assert all(s == 0.0 for s in scores[0].tolist())
     assert any("zero query rows" in rec.message for rec in caplog.records)
+
+
+def test_zero_rows_are_counted_once_across_query_blocks(caplog, monkeypatch):
+    rng = np.random.default_rng(12)
+    support = rng.standard_normal((200, 5))
+    support[[3, 70, 199]] = 0.0
+    queries = rng.standard_normal((7, 5))
+    queries[[0, 6]] = 0.0
+    # One query per block and 64-row support chunks: the support norms are
+    # taken on the first query block only, and counted there.
+    monkeypatch.setattr(retrieval, "_SCORE_BLOCK_BYTES", 8 * 200)
+    monkeypatch.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
+    with caplog.at_level(logging.WARNING, logger="gsloc.retrieval"):
+        indices, scores = cosine_knn(queries, support, k=2)
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert messages == ["cosine_knn: 2 zero query rows score 0 everywhere",
+                        "cosine_knn: 3 zero support rows score 0 everywhere"]
+    assert indices[0].tolist() == [0, 1] and scores[0].tolist() == [0.0, 0.0]
+    assert np.all(scores[:, 0] >= scores[:, 1])
 
 
 def test_knn_validation():
