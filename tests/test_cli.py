@@ -278,26 +278,27 @@ def _rerun(tmp_path, data_dir, name, flags):
                 + _dataset_flags(data_dir) + flags)
 
 
-@pytest.mark.parametrize("pattern, flags", [
-    ("smoothed-*.emb1", ["--regime", "gs_support"]),
-    ("projection-*.prj1", ["--regime", "none", "--projection", "--d-out", "8"]),
+@pytest.mark.parametrize("pattern, flags, new_m", [
+    ("smoothed-*.emb1", ["--regime", "gs_support"], False),
+    ("projection-*.prj1", ["--regime", "none", "--projection", "--d-out", "8"],
+     False),
     # The graph is read when smoothing misses: a new m.
-    ("graph-*.adj1", ["--regime", "gs_support"]),
+    ("graph-*.adj1", ["--regime", "gs_support"], True),
 ])
 def test_a_truncated_artifact_is_rebuilt(tmp_path, data_dir, caplog, pattern,
-                                         flags):
+                                         flags, new_m):
     rc, cold = _run(tmp_path, data_dir, "damaged", flags)
     assert rc == 0
     (artifact,) = (tmp_path / "damaged-cache").glob(pattern)
     whole = artifact.read_bytes()
     artifact.write_bytes(whole[:len(whole) // 2])
-    rerun = flags + (["--m", "1"] if pattern.startswith("graph") else [])
     with caplog.at_level(logging.WARNING, logger="gsloc.cache"):
-        assert _rerun(tmp_path, data_dir, "rebuilt", rerun) == 0
+        assert _rerun(tmp_path, data_dir, "rebuilt",
+                      flags + (["--m", "1"] if new_m else [])) == 0
     assert any(artifact.name in rec.getMessage() and "rebuilding" in rec.getMessage()
                for rec in caplog.records)
     assert artifact.read_bytes() == whole
-    if not pattern.startswith("graph"):
+    if not new_m:
         for name in ("report.json", "report.csv", "matches.csv", "manifest.json"):
             assert ((tmp_path / "rebuilt" / name).read_bytes()
                     == (cold / name).read_bytes()), name
