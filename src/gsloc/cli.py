@@ -3,10 +3,13 @@
 Every setting is declared once, as a row of OPTIONS. The subcommands' flags,
 the layering (defaults, then a JSON config file given with --config, then
 explicit flags, which always win), the type checks on config-file values and
-the config echo in manifest.json all come from that table. Every command that
-writes takes ownership of its output directory through a lock file, and `run`
-caches its intermediates (projection, operator, smoothed descriptors) under
-content+parameter hashes so repeated or swept runs skip finished stages.
+the config echo in manifest.json all come from that table. Every command runs
+in one skeleton, `main`: the config is checked (input paths and grid too)
+before anything is made, then the output directory is locked. For the
+evaluating commands `main` also opens the cache, prepares both splits and
+writes manifest.json; `run` caches its intermediates (projection, operator,
+smoothed descriptors) under content+parameter hashes so repeated or swept
+runs skip finished stages.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input.
 """
@@ -108,6 +111,9 @@ _EVAL = ("run", "ablate", "sweep-m", "gridsearch")
 _DATA = ("ingest",) + _EVAL
 _ALL = ("synth",) + _DATA
 _GRAPH, _SYNTH = GraphParams(), SynthConfig()
+# The input files' options, the support split's first.
+_INPUTS = ("support_metadata", "support_descriptors", "query_metadata",
+           "query_descriptors")
 
 OPTIONS: tuple[Option, ...] = (
     Option("cache_dir", "--cache-dir", str, "cache", _EVAL),
@@ -115,14 +121,8 @@ OPTIONS: tuple[Option, ...] = (
     Option("threads", "--threads", int, 1, _EVAL),
     # synth_manifest.json records the seed itself.
     Option("seed", "--seed", int, 0, ("synth",)),
-    Option("support_metadata", "--support-metadata", str, None, _DATA,
-           "inputs.support_metadata"),
-    Option("support_descriptors", "--support-descriptors", str, None, _DATA,
-           "inputs.support_descriptors"),
-    Option("query_metadata", "--query-metadata", str, None, _DATA,
-           "inputs.query_metadata"),
-    Option("query_descriptors", "--query-descriptors", str, None, _DATA,
-           "inputs.query_descriptors"),
+    *(Option(key, "--" + key.replace("_", "-"), str, None, _DATA, "inputs." + key)
+      for key in _INPUTS),
     Option("graph.alpha", "--alpha", float, _GRAPH.alpha, _EVAL, "graph.alpha"),
     Option("graph.max_distance_m", "--max-distance-m", float,
            _GRAPH.max_distance_m, _EVAL, "graph.max_distance_m"),
@@ -256,7 +256,7 @@ def _read_config(path: Path) -> dict:
                     raise InputError(f"{path}: {key} must be a JSON object")
                 walk(value, key + ".")
             elif option is None:
-                raise InputError(f"unknown config key {key!r}")
+                raise InputError(f"{path}: unknown config key {key!r}")
             elif value is None and option.default is None:
                 values[key] = None
             else:
@@ -281,12 +281,27 @@ def _nest(pairs) -> dict:
     return out
 
 
+def _require_paths(config: SimpleNamespace, command: str) -> None:
+    """The input files the command reads are set and exist; ingest reads the
+    query split only when either of its paths is given."""
+    if command not in _DATA:
+        return
+    query = command in _EVAL or config.query_metadata or config.query_descriptors
+    for key in _INPUTS if query else _INPUTS[:2]:
+        label, value = key.replace("_", " "), getattr(config, key)
+        if not value:
+            raise InputError(f"{label} path not set (flag or config)")
+        if not Path(value).exists():
+            raise InputError(f"{label} file not found: {value}")
+
+
 def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     """The table's options layered as defaults, then the --config file, then
     the flags given. Sections (``graph``, ``projection``, ``grid``,
     ``synth``) are dicts; ``graph``, ``smoothing`` and ``synth`` are built
     into the library's objects, ``grid`` keeps only the axes given, and
-    ``echo`` is the manifest's config echo."""
+    ``echo`` is the manifest's config echo. Everything that the config alone
+    can show wrong is checked here, before ``main`` makes anything."""
     values = {option.key: option.default for option in OPTIONS}
     if args.config:
         values.update(_read_config(Path(args.config)))
@@ -305,6 +320,10 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     config.smoothing = SmoothConfig(m=config.m)
     config.synth = SynthConfig(**config.synth)
     config.grid = {axis: v for axis, v in config.grid.items() if v is not None}
+    if args.command == "gridsearch" and not config.grid:
+        raise InputError("gridsearch needs at least one grid axis "
+                         "(config `grid` object or --grid-* flags)")
+    _require_paths(config, args.command)
     config.echo = _nest((option.echo, values[option.key])
                         for option in OPTIONS if option.echo)
     return config
@@ -313,19 +332,6 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
-
-
-def _require_paths(config: SimpleNamespace, *, query: bool = True) -> None:
-    needed = [("support metadata", config.support_metadata),
-              ("support descriptors", config.support_descriptors)]
-    if query:
-        needed += [("query metadata", config.query_metadata),
-                   ("query descriptors", config.query_descriptors)]
-    for label, value in needed:
-        if not value:
-            raise InputError(f"{label} path not set (flag or config)")
-        if not Path(value).exists():
-            raise InputError(f"{label} file not found: {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +358,6 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
     Returns the prepared datasets plus a provenance dict (input hashes, filter
     counts, projection cache key) for the manifest.
     """
-    _require_paths(config)
     support = load_dataset(config.support_metadata, config.support_descriptors,
                            role="support")
     query = load_dataset(config.query_metadata, config.query_descriptors,
@@ -363,12 +368,8 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
         raise InputError(
             f"no query image lies within {config.threshold_m} m of the support set")
     info = {
-        "input_sha256": {
-            "support_metadata": sha256_file(config.support_metadata),
-            "support_descriptors": sha256_file(config.support_descriptors),
-            "query_metadata": sha256_file(config.query_metadata),
-            "query_descriptors": sha256_file(config.query_descriptors),
-        },
+        "input_sha256": {key: sha256_file(getattr(config, key))
+                         for key in _INPUTS},
         "n_query_raw": n_query_raw,
         "n_query_reachable": query.n_images,
         "projection_key": None,
@@ -462,143 +463,102 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
 # Commands
 
 
-def cmd_ingest(config: SimpleNamespace) -> int:
-    has_query = bool(config.query_metadata or config.query_descriptors)
-    _require_paths(config, query=has_query)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    splits = [("support", config.support_metadata, config.support_descriptors)]
-    if has_query:
-        splits.append(("query", config.query_metadata, config.query_descriptors))
+def cmd_ingest(config: SimpleNamespace, out_dir: Path) -> None:
     manifest: dict = {"splits": {}}
     print(f"{'split':<10}{'sequences':>10}{'images':>10}")
-    with OutDirLock(out_dir):
-        for role, meta_path, desc_path in splits:
-            ds = load_dataset(meta_path, desc_path, role=role)
-            stats = ds.stats()
-            print(f"{role:<10}{stats.n_sequences:>10}{stats.n_images:>10}")
-            manifest["splits"][role] = {
-                "metadata": meta_path,
-                "descriptors": desc_path,
-                "metadata_sha256": sha256_file(meta_path),
-                "descriptors_sha256": sha256_file(desc_path),
-                "n_sequences": stats.n_sequences,
-                "n_images": stats.n_images,
-                "dim": ds.dim,
-            }
-        _write_json(out_dir / "ingest_manifest.json", manifest)
+    for role in ("support", "query"):
+        meta_path = getattr(config, f"{role}_metadata")
+        desc_path = getattr(config, f"{role}_descriptors")
+        if not meta_path:  # the query split is optional
+            continue
+        ds = load_dataset(meta_path, desc_path, role=role)
+        stats = ds.stats()
+        print(f"{role:<10}{stats.n_sequences:>10}{stats.n_images:>10}")
+        manifest["splits"][role] = {
+            "metadata": meta_path,
+            "descriptors": desc_path,
+            "metadata_sha256": sha256_file(meta_path),
+            "descriptors_sha256": sha256_file(desc_path),
+            "n_sequences": stats.n_sequences,
+            "n_images": stats.n_images,
+            "dim": ds.dim,
+        }
+    _write_json(out_dir / "ingest_manifest.json", manifest)
     print(f"wrote {out_dir / 'ingest_manifest.json'}")
-    return 0
 
 
-def cmd_synth(config: SimpleNamespace) -> int:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with OutDirLock(out_dir):
-        support, query, truth = generate_synthetic(config.synth, seed=config.seed)
-        write_metadata(out_dir / "support_metadata.csv", support.records)
-        write_descriptors(out_dir / "support_descriptors.emb1", support.descriptors)
-        write_metadata(out_dir / "query_metadata.csv", query.records)
-        write_descriptors(out_dir / "query_descriptors.emb1", query.descriptors)
-        _write_json(out_dir / "ground_truth.json", truth)
-        _write_json(out_dir / "synth_manifest.json",
-                    {"config": asdict(config.synth), "seed": config.seed})
+def cmd_synth(config: SimpleNamespace, out_dir: Path) -> None:
+    support, query, truth = generate_synthetic(config.synth, seed=config.seed)
+    write_metadata(out_dir / "support_metadata.csv", support.records)
+    write_descriptors(out_dir / "support_descriptors.emb1", support.descriptors)
+    write_metadata(out_dir / "query_metadata.csv", query.records)
+    write_descriptors(out_dir / "query_descriptors.emb1", query.descriptors)
+    _write_json(out_dir / "ground_truth.json", truth)
+    _write_json(out_dir / "synth_manifest.json",
+                {"config": asdict(config.synth), "seed": config.seed})
     print(f"synthetic dataset written to {out_dir}: "
           f"support {support.n_images} images, query {query.n_images} images, "
           f"dim {support.dim}")
-    return 0
 
 
-def cmd_run(config: SimpleNamespace) -> int:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cache = Cache(config.cache_dir)
+def cmd_run(config: SimpleNamespace, out_dir: Path, support: Dataset,
+            query: Dataset, info: dict, cache: Cache) -> None:
     if config.regime == "none" and config.m > 0:
         print(f"warning: regime=none ignores m={config.m}", file=sys.stderr)
-    with OutDirLock(out_dir):
-        support, query, info = _prepare(config, cache)
-        support_desc, query_desc = regime_descriptors(
-            support, query, config.graph, config.m, config.regime,
-            config.query_gps,
-            functools.partial(_smoothed_descriptors, cache=cache,
-                              config=config, info=info))
-        indices, scores = cosine_knn(query_desc, support_desc, config.k)
-        snapshot = dict(config.echo, n_support=support.n_images,
-                        n_query=query.n_images, dim=support.dim)
-        report = compute_report(indices, scores, support, query,
-                                config.strategy, config.threshold_m,
-                                config.regime, snapshot)
-        write_report_json(out_dir / "report.json", report)
-        write_report_csv(out_dir / "report.csv", report)
-        write_matches(out_dir / "matches.csv", indices, scores, query.records,
-                      support.records)
-        _write_json(out_dir / "manifest.json",
-                    {"config": config.echo, "provenance": info})
+    support_desc, query_desc = regime_descriptors(
+        support, query, config.graph, config.m, config.regime,
+        config.query_gps,
+        functools.partial(_smoothed_descriptors, cache=cache,
+                          config=config, info=info))
+    indices, scores = cosine_knn(query_desc, support_desc, config.k)
+    snapshot = dict(config.echo, n_support=support.n_images,
+                    n_query=query.n_images, dim=support.dim)
+    report = compute_report(indices, scores, support, query,
+                            config.strategy, config.threshold_m,
+                            config.regime, snapshot)
+    write_report_json(out_dir / "report.json", report)
+    write_report_csv(out_dir / "report.csv", report)
+    write_matches(out_dir / "matches.csv", indices, scores, query.records,
+                  support.records)
     print(render_report(report))
     print(f"reports written to {out_dir}")
-    return 0
 
 
-def cmd_ablate(config: SimpleNamespace) -> int:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cache = Cache(config.cache_dir)
-    with OutDirLock(out_dir):
-        support, query, info = _prepare(config, cache)
-        rows = run_ablation(support, query, config.graph, config.smoothing,
-                            threshold_m=config.threshold_m, k=config.k,
-                            strategy=config.strategy, threads=config.threads)
-        table = ablation_table_csv(rows)
-        (out_dir / "ablation.csv").write_text(table, encoding="utf-8")
-        _write_json(out_dir / "manifest.json",
-                    {"config": config.echo, "provenance": info})
+def cmd_ablate(config: SimpleNamespace, out_dir: Path, support: Dataset,
+               query: Dataset, info: dict, cache: Cache) -> None:
+    rows = run_ablation(support, query, config.graph, config.smoothing,
+                        threshold_m=config.threshold_m, k=config.k,
+                        strategy=config.strategy, threads=config.threads)
+    table = ablation_table_csv(rows)
+    (out_dir / "ablation.csv").write_text(table, encoding="utf-8")
     print(table, end="")
     print(f"ablation table written to {out_dir / 'ablation.csv'}")
-    return 0
 
 
-def cmd_sweep_m(config: SimpleNamespace) -> int:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cache = Cache(config.cache_dir)
-    with OutDirLock(out_dir):
-        support, query, info = _prepare(config, cache)
-        rows = sweep_m(support, query, config.graph, config.m_values,
-                       threshold_m=config.threshold_m, k=config.k,
-                       strategy=config.strategy, query_gps=config.query_gps)
-        table = sweep_table_csv(rows)
-        (out_dir / "sweep.csv").write_text(table, encoding="utf-8")
-        (out_dir / "sweep_plot.dat").write_text(sweep_plot_data(rows),
-                                                encoding="utf-8")
-        _write_json(out_dir / "manifest.json",
-                    {"config": config.echo, "m_values": config.m_values,
-                     "provenance": info})
+def cmd_sweep_m(config: SimpleNamespace, out_dir: Path, support: Dataset,
+                query: Dataset, info: dict, cache: Cache) -> None:
+    rows = sweep_m(support, query, config.graph, config.m_values,
+                   threshold_m=config.threshold_m, k=config.k,
+                   strategy=config.strategy, query_gps=config.query_gps)
+    table = sweep_table_csv(rows)
+    (out_dir / "sweep.csv").write_text(table, encoding="utf-8")
+    (out_dir / "sweep_plot.dat").write_text(sweep_plot_data(rows),
+                                            encoding="utf-8")
     print(table, end="")
     print(f"sweep written to {out_dir / 'sweep.csv'}")
-    return 0
 
 
-def cmd_gridsearch(config: SimpleNamespace) -> int:
-    if not config.grid:
-        raise InputError("gridsearch needs at least one grid axis "
-                         "(config `grid` object or --grid-* flags)")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cache = Cache(config.cache_dir)
-    with OutDirLock(out_dir):
-        support, query, info = _prepare(config, cache)
-        best_params, best_cfg, table = grid_search(
-            support, query, config.grid, base_params=config.graph,
-            base_cfg=config.smoothing, threshold_m=config.threshold_m,
-            k=config.k, strategy=config.strategy, query_gps=config.query_gps,
-            threads=config.threads)
-        csv_text = grid_table_csv(table)
-        (out_dir / "gridsearch.csv").write_text(csv_text, encoding="utf-8")
-        best = {"graph": asdict(best_params), "m": best_cfg.m}
-        _write_json(out_dir / "best_params.json", best)
-        _write_json(out_dir / "manifest.json",
-                    {"config": config.echo, "grid": config.grid,
-                     "provenance": info})
+def cmd_gridsearch(config: SimpleNamespace, out_dir: Path, support: Dataset,
+                   query: Dataset, info: dict, cache: Cache) -> None:
+    best_params, best_cfg, table = grid_search(
+        support, query, config.grid, base_params=config.graph,
+        base_cfg=config.smoothing, threshold_m=config.threshold_m,
+        k=config.k, strategy=config.strategy, query_gps=config.query_gps,
+        threads=config.threads)
+    csv_text = grid_table_csv(table)
+    (out_dir / "gridsearch.csv").write_text(csv_text, encoding="utf-8")
+    best = {"graph": asdict(best_params), "m": best_cfg.m}
+    _write_json(out_dir / "best_params.json", best)
     print(f"evaluated {len(table)} grid cells")
     echo = [f"alpha={best_params.alpha!r}"]
     echo += [f"beta{i}={b!r}" for i, b in enumerate(best_params.betas, start=1)]
@@ -607,19 +567,22 @@ def cmd_gridsearch(config: SimpleNamespace) -> int:
              f"m={best_cfg.m}"]
     print("best: " + " ".join(echo))
     print(f"score table written to {out_dir / 'gridsearch.csv'}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser and skeleton
 
+# name -> (command, help, manifest extras). An evaluating command is called
+# with the prepared splits, their provenance and the open cache, and its
+# manifest.json repeats the extras (config values) beside the config echo and
+# the provenance. A command whose extras are None evaluates nothing.
 _COMMANDS = {
-    "ingest": (cmd_ingest, "validate datasets and write a manifest"),
-    "synth": (cmd_synth, "generate a synthetic dataset"),
-    "run": (cmd_run, "full retrieval + evaluation run"),
-    "ablate": (cmd_ablate, "evaluate all kernel subsets"),
-    "sweep-m": (cmd_sweep_m, "evaluate a range of m values"),
-    "gridsearch": (cmd_gridsearch, "exhaustive parameter search"),
+    "ingest": (cmd_ingest, "validate datasets and write a manifest", None),
+    "synth": (cmd_synth, "generate a synthetic dataset", None),
+    "run": (cmd_run, "full retrieval + evaluation run", ()),
+    "ablate": (cmd_ablate, "evaluate all kernel subsets", ()),
+    "sweep-m": (cmd_sweep_m, "evaluate a range of m values", ("m_values",)),
+    "gridsearch": (cmd_gridsearch, "exhaustive parameter search", ("grid",)),
 }
 
 
@@ -629,21 +592,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph-smoothed descriptor retrieval for visual localization.")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text) in _COMMANDS.items():
+    for name, (_, text, _) in _COMMANDS.items():
         sub = commands.add_parser(name, help=text)
         sub.add_argument("--config", help="JSON config file; flags override it")
         for option in OPTIONS:
             if name in option.commands:
                 sub.add_argument(option.flag, help=option.help,
                                  **_flag_arguments(option))
-        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, _, extras = _COMMANDS[args.command]
     try:
-        return args.func(resolve_config(args))
+        config = resolve_config(args)
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with OutDirLock(out_dir):
+            if extras is None:
+                command(config, out_dir)
+            else:
+                cache = Cache(config.cache_dir)
+                support, query, info = _prepare(config, cache)
+                command(config, out_dir, support, query, info, cache)
+                # Written last: run's smoother adds its graph keys to info.
+                _write_json(out_dir / "manifest.json",
+                            {"config": config.echo, "provenance": info,
+                             **{key: getattr(config, key) for key in extras}})
+        return 0
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

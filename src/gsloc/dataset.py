@@ -200,6 +200,14 @@ def load_descriptors(path: str | Path, expected_rows: int | None, *,
     payload turns out to hold non-finite values.
     """
     path = Path(path)
+    data = _read_emb1(path, expected_rows, out)
+    _refuse_nonfinite(path, data)
+    return data
+
+
+def _read_emb1(path: Path, expected_rows: int | None,
+               out: np.ndarray | None) -> np.ndarray:
+    """load_descriptors without the finiteness test."""
     with path.open("rb") as fh:
         rows, dim = _read_emb1_header(fh, path)
         payload_bytes = rows * dim * 4
@@ -213,10 +221,13 @@ def load_descriptors(path: str | Path, expected_rows: int | None, *,
         data = out if out is not None else np.empty((rows, dim), dtype="<f4")
         if fh.readinto(data) != payload_bytes:
             raise InputError(f"{path}: payload ended early")
+    return data
+
+
+def _refuse_nonfinite(path: Path, data: np.ndarray) -> None:
     bad = _nonfinite_count(data)
     if bad:
         raise InputError(f"{path}: {bad} non-finite descriptor values")
-    return data
 
 
 def descriptor_file_shape(path: str | Path) -> tuple[int, int]:
@@ -253,8 +264,15 @@ def write_descriptors(path: str | Path, descriptors: np.ndarray) -> None:
 def load_dataset(metadata_path: str | Path, descriptors_path: str | Path,
                  role: str) -> Dataset:
     records = load_metadata(metadata_path)
-    descriptors = load_descriptors(descriptors_path, expected_rows=len(records))
-    return Dataset(records=records, descriptors=descriptors, role=role)
+    path = Path(descriptors_path)
+    descriptors = _read_emb1(path, len(records), None)
+    try:
+        # Dataset tests the values' finiteness; only a refusal scans them
+        # again, to name the file and count them.
+        return Dataset(records=records, descriptors=descriptors, role=role)
+    except InputError:
+        _refuse_nonfinite(path, descriptors)
+        raise
 
 
 def filter_reachable_queries(query: Dataset, support: Dataset,

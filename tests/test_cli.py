@@ -45,6 +45,19 @@ def _dataset_flags(data_dir):
             "--query-descriptors", str(data_dir / "query_descriptors.emb1")]
 
 
+def _command_argv(command, data_dir, out, cache):
+    """Arguments that run ``command`` on data_dir into out, with cache as
+    the cache directory of an evaluating command."""
+    argv = [command, "--out-dir", str(out)]
+    if command == "synth":
+        return argv + SYNTH_ARGS
+    argv += _dataset_flags(data_dir)
+    if command == "ingest":
+        return argv
+    argv += ["--cache-dir", str(cache)]
+    return argv + (["--grid-m", "0,2"] if command == "gridsearch" else [])
+
+
 def _run(tmp_path, data_dir, name, extra=()):
     out = tmp_path / name
     cache = tmp_path / f"{name}-cache"
@@ -128,6 +141,25 @@ def test_missing_input_file_exits_2(tmp_path, data_dir, capsys):
     rc = main(["run", "--out-dir", str(tmp_path / "o")] + flags)
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, broken", [
+    ("run", "missing-file"), ("ablate", "missing-file"),
+    ("sweep-m", "missing-file"), ("gridsearch", "missing-file"),
+    ("gridsearch", "no-grid"),
+])
+def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
+                                                  command, broken):
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    argv = _command_argv(command, data_dir, out, cache)
+    if broken == "missing-file":
+        argv[argv.index("--query-descriptors") + 1] = str(tmp_path / "nope.emb1")
+    else:
+        argv = argv[:argv.index("--grid-m")]
+    assert main(argv) == 2
+    assert ("not found" if broken == "missing-file" else "grid axis") in \
+        capsys.readouterr().err
+    assert not out.exists() and not cache.exists()
 
 
 def test_unset_input_path_exits_2(tmp_path, capsys):
@@ -397,19 +429,21 @@ def _lock_is_free(out_dir):
         os.close(fd)
 
 
-def test_locked_out_dir_exits_1(tmp_path, data_dir, capsys):
-    out = tmp_path / "locked"
+@pytest.mark.parametrize("command", ["ingest", "synth", "run", "ablate",
+                                     "sweep-m", "gridsearch"])
+def test_locked_out_dir_exits_1(tmp_path, data_dir, capsys, command):
+    out, cache = tmp_path / "locked", tmp_path / "c"
     out.mkdir()
     fd = os.open(out / ".lock", os.O_CREAT | os.O_WRONLY)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        rc = main(["run", "--out-dir", str(out), "--cache-dir",
-                   str(tmp_path / "c")] + _dataset_flags(data_dir))
+        rc = main(_command_argv(command, data_dir, out, cache))
     finally:
         os.close(fd)
     assert rc == 1
     assert "locked" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert [path.name for path in out.iterdir()] == [".lock"]
+    assert not cache.exists()
 
 
 def test_leftover_lock_file_does_not_block_a_run(tmp_path, data_dir):
@@ -460,7 +494,7 @@ def test_config_unknown_key_exits_2(tmp_path, data_dir, capsys):
     config.write_text(json.dumps({"graph": {"alhpa": 0.5}}))
     rc, _ = _run(tmp_path, data_dir, "badcfg", ["--config", str(config)])
     assert rc == 2
-    assert "unknown config key 'graph.alhpa'" in capsys.readouterr().err
+    assert f"{config}: unknown config key 'graph.alhpa'" in capsys.readouterr().err
 
 
 def test_config_invalid_json_exits_2(tmp_path, data_dir, capsys):

@@ -218,6 +218,26 @@ def test_load_dataset_checks_alignment(tmp_path):
         load_dataset(tmp_path / "m.csv", tmp_path / "d.emb1", role="support")
 
 
+def test_load_dataset_scans_finiteness_once(tmp_path, monkeypatch):
+    scanned = []
+    count = dataset_mod._nonfinite_count
+    monkeypatch.setattr(dataset_mod, "_nonfinite_count",
+                        lambda arr: scanned.append(arr.shape) or count(arr))
+    data = np.ones((3, 4), dtype="<f4")
+    write_metadata(tmp_path / "m.csv", _records())
+    write_descriptors(tmp_path / "d.emb1", data)
+    scanned.clear()
+    load_dataset(tmp_path / "m.csv", tmp_path / "d.emb1", role="support")
+    assert scanned == [(3, 4)]
+    # A refusal still names the file and counts the values.
+    data[[0, 2], 1] = np.nan
+    (tmp_path / "d.emb1").write_bytes(
+        b"EMB1" + struct.pack("<II", *data.shape) + data.tobytes())
+    with pytest.raises(InputError,
+                       match=r"d\.emb1: 2 non-finite descriptor values$"):
+        load_dataset(tmp_path / "m.csv", tmp_path / "d.emb1", role="support")
+
+
 def test_dataset_validation():
     with pytest.raises(InputError, match="role"):
         Dataset(records=[], descriptors=np.zeros((0, 4), dtype=np.float32),

@@ -11,8 +11,8 @@ checked bit for bit against norms taken in a pass of their own. The latent
 cosines, grouped by source row, are checked bit for bit against the
 route that gathers both rows of every pair. The projection fit through the
 Gram matrix is checked against a thin SVD of the whole support, and a
-damaged PRJ1 file either loads or is refused without a floating-point
-warning.
+damaged PRJ1, EMB1 or ADJ1 file either loads or is refused, naming the file,
+without a warning.
 
 Examples are derandomized so a run is reproducible; raise ``max_examples``
 locally to search wider.
@@ -28,18 +28,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import gsloc.features as features_mod
 import gsloc.graph as graph_mod
 import gsloc.retrieval as retrieval
 import gsloc.spatial as spatial
-from gsloc.dataset import Dataset, ImageRecord
+from gsloc.dataset import (Dataset, ImageRecord, load_descriptors,
+                           write_descriptors)
 from gsloc.errors import InputError
 from gsloc.evaluation import _memo_smoother, compute_report
 from gsloc.features import Projection, load_projection, save_projection
 from gsloc.geodesy import METERS_PER_DEGREE, haversine_m_vectorized
-from gsloc.graph import (GraphParams, WeightedGraph, build_operator,
-                         kernel_geometry, pair_cosines)
+from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
+                         build_operator, kernel_geometry, load_operator,
+                         pair_cosines, save_operator)
 from gsloc.retrieval import cosine_knn, estimate_positions
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
@@ -641,45 +644,68 @@ def test_ill_conditioned_fit_falls_back_to_the_svd(case):
 
 
 # ---------------------------------------------------------------------------
-# Damaged PRJ1 files
+# Damaged PRJ1, EMB1 and ADJ1 files
 
 
 @pytest.fixture(scope="module")
-def prj1_blob(tmp_path_factory) -> bytes:
-    """A saved 5 -> 3 projection whose scales are 1.25 (0x3FA00000):
+def blobs(tmp_path_factory) -> dict:
+    """The bytes of a small saved file of each binary format, by suffix.
+
+    The PRJ1 holds a 5 -> 3 projection whose scales are 1.25 (0x3FA00000):
     flipping bit 6 of a scale's top byte makes the signalling NaN
-    0x7FA00000."""
+    0x7FA00000. The EMB1 holds 3 x 4 descriptors of 1.25, for the same flip.
+    The ADJ1 holds a 4-vertex operator with an isolated vertex (row 2 is
+    [2 -> 1.0]); the same flip of its last value, 0.5, makes it about 9e307,
+    and the row no longer sums to 1."""
+    root = tmp_path_factory.mktemp("blobs")
     basis, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((5, 3)))
-    path = tmp_path_factory.mktemp("prj1") / "p.prj1"
-    save_projection(path, Projection(mean=np.linspace(-1.0, 1.0, 5),
-                                     basis=basis, scale=np.full(3, 1.25)))
-    return path.read_bytes()
+    save_projection(root / "p.prj1", Projection(
+        mean=np.linspace(-1.0, 1.0, 5), basis=basis, scale=np.full(3, 1.25)))
+    write_descriptors(root / "d.emb1", np.full((3, 4), 1.25, dtype=np.float32))
+    matrix = sparse.csr_matrix(np.array([[0.5, 0.5, 0.0, 0.0],
+                                         [0.25, 0.75, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0, 0.0],
+                                         [0.0, 0.0, 0.5, 0.5]]))
+    save_operator(root / "g.adj1", SmoothingOperator(
+        matrix=matrix, isolated_vertices=np.array([2])))
+    return {path.suffix: path.read_bytes() for path in root.iterdir()}
 
 
-_PRJ1_SIZE = 12 + 4 * (5 + 15 + 3)
-_damage = st.one_of(
-    st.tuples(st.just("truncate"), st.integers(0, _PRJ1_SIZE - 1), st.just(0)),
-    st.tuples(st.just("flip"), st.integers(0, _PRJ1_SIZE - 1), st.integers(1, 255)))
+_BLOB_SIZES = {".prj1": 12 + 4 * (5 + 15 + 3), ".emb1": 12 + 4 * 12,
+               ".adj1": 16 + 8 * 5 + 12 * 7}
+_LOADERS = {".prj1": load_projection,
+            ".emb1": lambda path: load_descriptors(path, expected_rows=None),
+            ".adj1": load_operator}
 
 
-@PROPERTY
-@given(damage=_damage)
-@example(damage=("flip", _PRJ1_SIZE - 1, 0x40))
-def test_damaged_prj1_loads_or_is_refused_without_warnings(prj1_blob,
+def _damage_of(suffix: str):
+    size = _BLOB_SIZES[suffix]
+    return st.tuples(st.just(suffix), st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, size - 1), st.just(0)),
+        st.tuples(st.just("flip"), st.integers(0, size - 1),
+                  st.integers(1, 255))))
+
+
+@settings(PROPERTY, max_examples=PROPERTY.max_examples * len(_BLOB_SIZES))
+@given(damage=st.sampled_from(sorted(_BLOB_SIZES)).flatmap(_damage_of))
+@example(damage=(".prj1", ("flip", _BLOB_SIZES[".prj1"] - 1, 0x40)))
+@example(damage=(".emb1", ("flip", _BLOB_SIZES[".emb1"] - 1, 0x40)))
+@example(damage=(".adj1", ("flip", _BLOB_SIZES[".adj1"] - 1, 0x40)))
+def test_damaged_file_loads_or_is_refused_without_warnings(blobs,
                                                            tmp_path_factory,
                                                            damage):
-    blob = bytearray(prj1_blob)
-    assert len(blob) == _PRJ1_SIZE
-    kind, at, mask = damage
+    suffix, (kind, at, mask) = damage
+    blob = bytearray(blobs[suffix])
+    assert len(blob) == _BLOB_SIZES[suffix]
     if kind == "truncate":
         del blob[at:]
     else:
         blob[at] ^= mask
-    path = tmp_path_factory.mktemp("damaged") / "damaged.prj1"
+    path = tmp_path_factory.mktemp("damaged") / f"damaged{suffix}"
     path.write_bytes(bytes(blob))
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error")
         try:
-            load_projection(path)
+            _LOADERS[suffix](path)
         except InputError as exc:
             assert str(path) in str(exc)
