@@ -319,6 +319,7 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
         raise InputError("projection enabled but projection.d_out not set")
     config.smoothing = SmoothConfig(m=config.m)
     config.synth = SynthConfig(**config.synth)
+    config.synth.validate()
     config.grid = {axis: v for axis, v in config.grid.items() if v is not None}
     if args.command == "gridsearch" and not config.grid:
         raise InputError("gridsearch needs at least one grid axis "

@@ -71,8 +71,9 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
     about 2e-10 relative, and ``_GRAM_FLOOR_MARGIN`` (1e3) times the
     ``_EIGENVALUE_FLOOR`` rejection bound, and the Gram is finite. Otherwise
     the fit takes the thin SVD of c, which alone then decides every
-    rejection. The eigh runs at one BLAS thread (see ``_one_blas_thread``),
-    so that the fitted bits do not depend on the BLAS thread count.
+    rejection. The Gram product and the eigh run at one BLAS thread (see
+    ``_one_blas_thread``), so that the fitted bits do not depend on the BLAS
+    thread count.
     """
     if eps is not None and not (np.isfinite(eps) and eps >= 0):
         raise InputError(f"eps must be finite and nonnegative, got {eps}")
@@ -126,10 +127,10 @@ def _gram_eigenpairs(centered: np.ndarray,
     descending (as many as the thin SVD has singular values), and the first
     d_out eigenvectors as columns; or (None, None) when the d_out-th
     eigenvalue is too small for the Gram route."""
-    gram = centered.T @ centered
-    if not np.isfinite(gram).all():
-        return None, None
     with _one_blas_thread():
+        gram = centered.T @ centered
+        if not np.isfinite(gram).all():
+            return None, None
         values, vectors = np.linalg.eigh(gram)
     values = values[::-1][:min(centered.shape)]
     bound = max(_GRAM_CONDITION_FLOOR * values[0],
@@ -163,8 +164,11 @@ def _one_blas_thread():
     """Run the block at one BLAS thread and restore the count after.
 
     LAPACK's symmetric eigensolver rounds differently at different thread
-    counts. The count is process-wide, so BLAS calls made by other threads
-    meanwhile also run at one thread.
+    counts. The Gram product before it does not, but it runs faster at one
+    thread: as the first product of a fresh process on a 2-vCPU VM, the
+    4,800 x 256 Gram of the benchmark's `localize` support took 105-113 ms
+    at two OpenBLAS threads and 10-14 ms at one. The count is process-wide,
+    so BLAS calls made by other threads meanwhile also run at one thread.
     """
     control = _blas_thread_control()
     if control is None:

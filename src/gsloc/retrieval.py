@@ -3,29 +3,47 @@
 Search is brute-force (blocked dense dot products) rather than approximate:
 the support sets this pipeline targets stay tractable, and exactness keeps
 evaluation deterministic. Ties are broken toward the lower support index.
-The top k of each score row come from selection, not a full sort: ``argmax``
-for k = 1, and for larger k an ``np.partition`` threshold followed by a sort
-of only the columns that reach it, taken a slice of score rows at a time so
-that selection holds at most ``_SELECT_SLICE_BYTES`` beside the score block.
 
 Results are two (n_query, k) arrays, row i for query i, best first: support
 indices (int64) and cosines (float64). ``estimate_positions`` turns them
 into one position per query, and ``write_matches`` exports them.
 
-No unit-normalized copy of the whole support set is made. For each block of
-queries (its float64 score block bounded by ``_SCORE_BLOCK_BYTES``), the
-support rows are normalized in float64 chunks of about
-``_SUPPORT_CHUNK_BYTES`` each, and every chunk's scores are written straight
-into the score block. The norms are taken from those float64 copies, in
+No score row is held whole. As in a flat index (Johnson, Douze and Jegou,
+"Billion-scale similarity search with GPUs", 2017), each block of queries,
+cast to float64 and normalized, meets the support one chunk at a time in a
+score tile, one buffer reused for every tile. Each tile is reduced to its
+own top k, which is merged into the block's running top k by a stable sort
+on descending score of the running k followed by the tile's. Every running
+index is lower than every index of the tile, so a tie keeps the running
+entry, and the result is a stable sort of the whole score row cut at k. A
+tile's top k come from selection, not a full sort: ``argmax`` for k = 1,
+and for larger k an ``np.argpartition`` of the k best, then a sort of only
+those k; where a tie straddles place k, its lowest columns are kept.
+
+``_SCORE_TILE_BYTES`` sizes the walk. A query block's float64 copy fits in
+it, and so does the block's tile against one 64-row support chunk: the
+tile's float64 scores and the int64 partition that a k > 1 selection
+holds, 16 bytes per score whatever k, so that the tile shapes, and
+with them the score bits, do not depend on k. Chunks are then as wide as
+the tile allows, and at most ``_SUPPORT_CHUNK_BYTES`` as float64 rows.
+
+No unit-normalized copy of the whole support set is made. The support rows
+are cast to float64 and normalized one chunk at a time, in one reused
+buffer. The norms are taken from those float64 copies, in
 ``features._NORM_BLOCK_BYTES`` sub-blocks, on the first query block, and
 kept for the others; no pass over the support is made for them alone.
-Chunk edges fall on multiples of 64 support rows, so
-the BLAS kernels tile the columns as they would in one product against the
-whole normalized support, and the scores are bitwise equal to that product
-for the shapes measured (8,000 x 4,096 support among them). The exception
-seen: when the last chunk is short and the support count is not a multiple
-of 8, the last (count mod 8) columns can move by one ulp (1,100 x 700 x
-4,096 under OpenBLAS 0.3.31).
+
+Block and chunk edges fall on multiples of 64 rows, so the BLAS kernels
+tile the product as they would one product of the whole normalized query
+and support sets, and the scores are bitwise equal to that product for the
+shapes measured (1,200 x 4,800 x 128 and 256 x 8,000 x 4,096 among them).
+Two exceptions were seen under OpenBLAS 0.3.31 (shapes are queries x
+support x dimension). When the support count is not a multiple of 8, the
+last (count mod 8) columns can move in their last bits, by up to 3e-16
+(1,100 x 700 x 4,096, and 3,000 x 1,100 x 64 when the tile splits the
+support into four chunks). And products small enough for BLAS's
+small-matrix kernels round differently in most columns (150 x 300 x 8
+against 64-row chunks).
 """
 
 from __future__ import annotations
@@ -43,18 +61,16 @@ from .geodesy import atan2_each, unit_vectors
 
 logger = logging.getLogger(__name__)
 
-# Memory cap for one block of the query x support score matrix.
-_SCORE_BLOCK_BYTES = 256 << 20
+# Memory cap for one score tile: its float64 scores and the int64 partition
+# that a k > 1 selection holds, together (16 bytes per score); and,
+# apart from the tile, for the float64 copy of one block of query rows.
+# Chunk edges come from features.aligned_row_blocks, so the last tile of a
+# block may hold up to 63 columns more.
+_SCORE_TILE_BYTES = 16 << 20
 # Memory cap for one float64 chunk of unit support rows. Chunk edges come
 # from features.aligned_row_blocks, so the last chunk may hold up to 63 rows
 # more.
 _SUPPORT_CHUNK_BYTES = 8 << 20
-# Memory cap for the k > 1 selection working set of one row slice of a score
-# block: the float64 partition copy (8 bytes per score), then the contender
-# indices, their sort keys and lexsort's buffers, 48 bytes per score when
-# every score of a row ties. The worst case sizes the slice.
-_SELECT_SLICE_BYTES = 16 << 20
-_SELECT_BYTES_PER_SCORE = 48
 
 STRATEGIES = ("top1", "weighted_topk")
 
@@ -76,10 +92,15 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
         raise InputError(f"dim mismatch: queries {q.shape[1]} vs support {s.shape[1]}")
     if not (1 <= k <= s.shape[0]):
         raise InputError(f"k={k} must be in [1, {s.shape[0]}]")
-    n_support = s.shape[0]
-    block = max(1, int(_SCORE_BLOCK_BYTES // (8 * n_support)))
-    chunks = aligned_row_blocks(
-        n_support, _SUPPORT_CHUNK_BYTES // (8 * max(1, s.shape[1])))
+    n_support, dim = s.shape
+    blocks, chunks = _tile_shape(q.shape[0], n_support, dim)
+    # One float64 buffer each for the query block, the support chunk and the
+    # score tile, reused for every block, chunk and tile.
+    tallest = max((hi - lo for lo, hi in blocks), default=0)
+    widest = max(hi - lo for lo, hi in chunks)
+    q_buffer = np.empty((tallest, dim))
+    s_buffer = np.empty((widest, dim))
+    tile_buffer = np.empty(tallest * widest)
     # Each float64 row copy yields its own norms, in sub-blocks of
     # features._NORM_BLOCK_BYTES: the support's on the first query block,
     # kept for the others.
@@ -87,25 +108,29 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
     s_norms, s_zero, q_zero = None, 0, 0
     indices = np.empty((q.shape[0], k), dtype=np.int64)
     top = np.empty((q.shape[0], k))
-    for start in range(0, q.shape[0], block):
-        q_hat = q[start:start + block].astype(np.float64)
+    for start, stop in blocks:
+        q_hat = q_buffer[:stop - start]
+        np.copyto(q_hat, q[start:stop], casting="unsafe")
         q_norms, zero = row_norms(q_hat, norm_bytes)
         q_zero += zero
         q_hat /= q_norms[:, None]
-        scores = np.empty((q_hat.shape[0], n_support))
+        rows, best = q_hat.shape[0], None
         first = s_norms is None
         if first:
             s_norms = np.empty(n_support)
         for lo, hi in chunks:
-            s_hat = s[lo:hi].astype(np.float64)
+            s_hat = s_buffer[:hi - lo]
+            np.copyto(s_hat, s[lo:hi], casting="unsafe")
             if first:
                 s_norms[lo:hi], zero = row_norms(s_hat, norm_bytes)
                 s_zero += zero
             s_hat /= s_norms[lo:hi, None]
-            np.matmul(q_hat, s_hat.T, out=scores[:, lo:hi])
-        picks = _top_k(scores, k)
-        indices[start:start + block] = picks
-        top[start:start + block] = np.take_along_axis(scores, picks, axis=1)
+            tile = tile_buffer[:rows * (hi - lo)].reshape(rows, hi - lo)
+            np.matmul(q_hat, s_hat.T, out=tile)
+            picks = _tile_top_k(tile, k)
+            found = (picks + lo, np.take_along_axis(tile, picks, axis=1))
+            best = found if best is None else _merge_top_k(best, found, k)
+        indices[start:stop], top[start:stop] = best
     if q_zero:
         logger.warning("cosine_knn: %d zero query rows score 0 everywhere", q_zero)
     if s_zero:
@@ -113,35 +138,69 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
     return indices, top
 
 
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k best scores, descending, ties to the
-    lower column; the same order as a stable argsort of -scores cut at k."""
-    n_rows, n_cols = scores.shape
+def _tile_shape(n_query: int, n_support: int,
+                dim: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(lo, hi) edges of cosine_knn's query blocks and of its support
+    chunks. A block's float64 copy fits in _SCORE_TILE_BYTES, and so does a
+    tile of its scores against one 64-row chunk; chunks are as wide as the
+    widest block's tile then allows, and at most _SUPPORT_CHUNK_BYTES as
+    float64. Both come from features.aligned_row_blocks: a block or chunk
+    of a few rows goes through BLAS kernels that round differently."""
+    blocks = aligned_row_blocks(
+        n_query, _SCORE_TILE_BYTES // max(8 * dim, 16 * features._ROW_ALIGN))
+    rows = max(1, *(hi - lo for lo, hi in blocks))
+    chunks = aligned_row_blocks(
+        n_support, min(_SUPPORT_CHUNK_BYTES // (8 * max(1, dim)),
+                       _SCORE_TILE_BYTES // (16 * rows)))
+    return (blocks if n_query else []), chunks
+
+
+def _tile_top_k(tile: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each tile row's min(k, columns) best scores,
+    descending, ties to the lower column; the same order as a stable argsort
+    of -tile cut at k. Beside its result, the selection holds at most one
+    float64 or int64 copy of the tile, or a few one-byte masks and an int32
+    count of it."""
+    n_rows, n_cols = tile.shape
     if k == 1:
         # argmax returns the first maximum: the lowest-index tie rule.
-        return np.argmax(scores, axis=1)[:, None]
-    picks = np.empty((n_rows, k), dtype=np.int64)
-    rows = max(1, _SELECT_SLICE_BYTES // (_SELECT_BYTES_PER_SCORE * n_cols))
-    for lo in range(0, n_rows, rows):
-        picks[lo:lo + rows] = _top_k_rows(scores[lo:lo + rows], k)
-    return picks
+        return np.argmax(tile, axis=1)[:, None]
+    if k >= n_cols:
+        return np.argsort(-tile, axis=1, kind="stable")
+    # k columns of each row that reach its k-th best score, the first of
+    # them holding that score; which of a tie at it they are is arbitrary.
+    cols = np.argpartition(tile, n_cols - k, axis=1)[:, n_cols - k:].copy()
+    kth = np.take_along_axis(tile, cols[:, :1], axis=1)
+    if np.count_nonzero(tile >= kth) > n_rows * k:
+        # A tie straddles place k in some row. Fewer than k columns beat
+        # the k-th best score there; the rest of the k are the lowest
+        # columns that equal it.
+        keep = tile > kth
+        tied = tile == kth
+        room = k - np.count_nonzero(keep, axis=1, keepdims=True)
+        tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= room
+        keep |= tied
+        cols = np.nonzero(keep)[1].reshape(n_rows, k)
+    else:
+        cols.sort(axis=1)
+    # Columns in ascending order and a stable sort: equal scores keep the
+    # lower column first.
+    order = np.argsort(-np.take_along_axis(tile, cols, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
-def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """_top_k for k > 1 on a slice of rows, each row handled on its own."""
-    n_rows, n_cols = scores.shape
-    if k == n_cols:
-        return np.argsort(-scores, axis=1, kind="stable")
-    # Every column scoring at least the row's k-th best value is a contender,
-    # so ties straddling the k-th place are all kept before the ordering sort.
-    kth = np.partition(scores, n_cols - k, axis=1)[:, n_cols - k].copy()
-    rows, cols = np.nonzero(scores >= kth[:, None])
-    # nonzero lists columns in ascending order, and lexsort is stable, so
-    # equal scores keep the lower column first.
-    order = np.lexsort((-scores[rows, cols], rows))
-    first = np.searchsorted(rows, np.arange(n_rows))
-    take = first[:, None] + np.arange(k)
-    return cols[order[take]]
+def _merge_top_k(running: tuple[np.ndarray, np.ndarray],
+                 tile: tuple[np.ndarray, np.ndarray],
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The best k of a block's running (indices, scores) and a later tile's,
+    both ordered best first: a stable sort of the two side by side, so that
+    a tie keeps the running entry, whose support index is the lower."""
+    indices = np.concatenate([running[0], tile[0]], axis=1)
+    scores = np.concatenate([running[1], tile[1]], axis=1)
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return (np.take_along_axis(indices, order, axis=1),
+            np.take_along_axis(scores, order, axis=1))
 
 
 def estimate_positions(indices: np.ndarray, scores: np.ndarray,

@@ -95,36 +95,36 @@ def quadratic_knn(queries: np.ndarray, support: np.ndarray,
     return out
 
 
-def two_pass_cosine_knn(queries: np.ndarray, support: np.ndarray, k: int,
-                        score_block_bytes: int,
-                        chunk_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+def two_pass_cosine_knn(queries: np.ndarray, support: np.ndarray,
+                        k: int) -> tuple[np.ndarray, np.ndarray]:
     """cosine_knn's (indices, scores) by the route that takes every row norm
     in a pass of its own before scoring (the library's route before it took
-    the support norms from the chunks it casts for the product): the same
-    query blocks and 64-row-aligned support chunks, so the products tile
-    alike, and a stable argsort of each score row cut at k."""
-    from gsloc.features import aligned_row_blocks
+    the support norms from the chunks it casts for the product), and that
+    holds each query block's whole score rows: the library's query blocks
+    and 64-row-aligned support chunks (retrieval._tile_shape), so the
+    products tile alike, each written into its columns of the score rows,
+    and a stable argsort of each score row cut at k."""
+    from gsloc.retrieval import _tile_shape
     q, s = np.asarray(queries), np.asarray(support)
     q_norms, s_norms = (np.linalg.norm(x.astype(np.float64), axis=1)
                         for x in (q, s))
     q_norms[q_norms == 0.0] = 1.0
     s_norms[s_norms == 0.0] = 1.0
     n_support = s.shape[0]
-    block = max(1, int(score_block_bytes // (8 * n_support)))
-    chunks = aligned_row_blocks(n_support, chunk_bytes // (8 * max(1, s.shape[1])))
+    blocks, chunks = _tile_shape(q.shape[0], n_support, s.shape[1])
     indices = np.empty((q.shape[0], k), dtype=np.int64)
     top = np.empty((q.shape[0], k))
-    for start in range(0, q.shape[0], block):
-        q_hat = q[start:start + block].astype(np.float64)
-        q_hat /= q_norms[start:start + block, None]
+    for start, stop in blocks:
+        q_hat = q[start:stop].astype(np.float64)
+        q_hat /= q_norms[start:stop, None]
         scores = np.empty((q_hat.shape[0], n_support))
         for lo, hi in chunks:
             s_hat = s[lo:hi].astype(np.float64)
             s_hat /= s_norms[lo:hi, None]
             np.matmul(q_hat, s_hat.T, out=scores[:, lo:hi])
         picks = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-        indices[start:start + block] = picks
-        top[start:start + block] = np.take_along_axis(scores, picks, axis=1)
+        indices[start:stop] = picks
+        top[start:stop] = np.take_along_axis(scores, picks, axis=1)
     return indices, top
 
 

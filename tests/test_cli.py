@@ -143,10 +143,14 @@ def test_missing_input_file_exits_2(tmp_path, data_dir, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+_BROKEN_MESSAGES = {"missing-file": "not found", "no-grid": "grid axis",
+                    "dim-0": "dim must be positive"}
+
+
 @pytest.mark.parametrize("command, broken", [
     ("run", "missing-file"), ("ablate", "missing-file"),
     ("sweep-m", "missing-file"), ("gridsearch", "missing-file"),
-    ("gridsearch", "no-grid"),
+    ("gridsearch", "no-grid"), ("synth", "dim-0"),
 ])
 def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
                                                   command, broken):
@@ -154,11 +158,12 @@ def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
     argv = _command_argv(command, data_dir, out, cache)
     if broken == "missing-file":
         argv[argv.index("--query-descriptors") + 1] = str(tmp_path / "nope.emb1")
-    else:
+    elif broken == "no-grid":
         argv = argv[:argv.index("--grid-m")]
+    else:
+        argv += ["--dim", "0"]
     assert main(argv) == 2
-    assert ("not found" if broken == "missing-file" else "grid axis") in \
-        capsys.readouterr().err
+    assert _BROKEN_MESSAGES[broken] in capsys.readouterr().err
     assert not out.exists() and not cache.exists()
 
 

@@ -26,7 +26,7 @@ from gsloc.graph import SmoothingOperator, distance_pairs
 from gsloc.retrieval import cosine_knn
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
-from oracles import chunked_pair_cosines, unit_rows
+from oracles import chunked_pair_cosines, two_pass_cosine_knn, unit_rows
 
 # Room for interpreter and bookkeeping allocations next to the arrays.
 SLACK = 2 << 20
@@ -94,34 +94,45 @@ def test_cosine_knn_never_copies_the_support(support):
     assert peak < support.nbytes
 
 
-def test_cosine_knn_top_k_stays_within_one_score_block(support):
+def test_cosine_knn_top_k_stays_within_one_tile(support):
     queries = support[::2].copy()
     (indices, scores), peak = _peak_bytes(cosine_knn, queries, support, 5)
     assert indices[:, 0].tolist() == list(range(0, N_SUPPORT, 2))
     assert indices.shape == scores.shape == (queries.shape[0], 5)
-    # One query block covers every query: its float64 scores and its
-    # float64 copy of the queries, one unit support chunk while scoring, and
-    # one selection slice after.
-    block = queries.shape[0] * N_SUPPORT * 8
-    q_hat = queries.shape[0] * DIM * 8
-    assert block <= retrieval_mod._SCORE_BLOCK_BYTES
-    assert peak <= (block + q_hat + retrieval_mod._SUPPORT_CHUNK_BYTES
-                    + retrieval_mod._SELECT_SLICE_BYTES + SLACK)
+    # Several query blocks and support chunks: the query x support scores
+    # would take more than eight tile budgets.
+    blocks, chunks = retrieval_mod._tile_shape(queries.shape[0], N_SUPPORT, DIM)
+    assert len(blocks) > 1 and len(chunks) > 1
+    assert queries.shape[0] * N_SUPPORT * 8 > 8 * retrieval_mod._SCORE_TILE_BYTES
+    # One score tile with its selection's partition, the float64 copy of
+    # one query block, and one unit support chunk.
+    q_block = max(hi - lo for lo, hi in blocks) * DIM * 8
+    chunk = max(hi - lo for lo, hi in chunks) * DIM * 8
+    assert q_block <= retrieval_mod._SCORE_TILE_BYTES
+    assert chunk <= retrieval_mod._SUPPORT_CHUNK_BYTES
+    assert peak <= retrieval_mod._SCORE_TILE_BYTES + q_block + chunk + SLACK
 
 
-def test_top_k_row_slices_do_not_change_the_neighbors(monkeypatch):
+def test_score_tiles_do_not_change_the_neighbors(monkeypatch):
     rng = np.random.default_rng(3)
     # Coarse values, so that many scores tie across the k-th place.
     support = rng.integers(-2, 3, size=(300, 8)).astype(np.float32)
-    queries = rng.integers(-2, 3, size=(50, 8)).astype(np.float32)
-    for k in (2, 7, 300):
-        whole_idx, whole = cosine_knn(queries, support, k)
+    queries = rng.integers(-2, 3, size=(150, 8)).astype(np.float32)
+    for k in (1, 2, 7, 300):
+        _, whole = cosine_knn(queries, support, k)
         with monkeypatch.context() as mp:
-            # One row per slice.
-            mp.setattr(retrieval_mod, "_SELECT_SLICE_BYTES", 1)
-            sliced_idx, sliced = cosine_knn(queries, support, k)
-        assert np.array_equal(sliced_idx, whole_idx)
-        assert np.array_equal(sliced, whole)
+            # One 64 x 64 tile per query block and support chunk.
+            mp.setattr(retrieval_mod, "_SCORE_TILE_BYTES", 16 * 64 * 64)
+            tiled_idx, tiled = cosine_knn(queries, support, k)
+            want_idx, want = two_pass_cosine_knn(queries, support, k)
+        # The selection over tiles gives a stable sort of the same tiles'
+        # products, bit for bit.
+        assert np.array_equal(tiled_idx, want_idx)
+        assert tiled.tobytes() == want.tobytes()
+        # Products this narrow go through BLAS's small-matrix kernels, which
+        # round differently from one wide product: the ranked scores agree
+        # to rounding, and scores tied in exact arithmetic may swap places.
+        assert np.all(np.abs(tiled - whole) <= 1e-12)
 
 
 def test_l2_normalize_stays_within_its_block_budget(support):
@@ -311,9 +322,8 @@ def _run(data, out_dir, cache_dir) -> int:
 # of the support descriptors stands out against their sum.
 _RUN_BUDGETS = [(features_mod, "_NORM_BLOCK_BYTES"),
                 (smoothing_mod, "_BLOCK_BUDGET_BYTES"),
-                (retrieval_mod, "_SCORE_BLOCK_BYTES"),
+                (retrieval_mod, "_SCORE_TILE_BYTES"),
                 (retrieval_mod, "_SUPPORT_CHUNK_BYTES"),
-                (retrieval_mod, "_SELECT_SLICE_BYTES"),
                 (graph_mod, "_COSINE_CHUNK_BYTES"),
                 (spatial_mod, "_PAIR_CHUNK_BYTES")]
 # The support graph's operator, its kernels while they are combined, and the
@@ -326,11 +336,11 @@ def test_run_holds_the_support_descriptors_once(run_inputs, tmp_path,
     data, descriptor_bytes = run_inputs
     for module, name in _RUN_BUDGETS:
         monkeypatch.setattr(module, name, 1 << 20)
-    # Each budget is counted twice (a normalization block is held twice, and
-    # a unit support chunk sits beside the score block and its norm
-    # sub-block). On top come retrieval's float64 copy of the query block
-    # and the finiteness mask of one row block.
-    budgets = 2 * len(_RUN_BUDGETS) * (1 << 20) + RUN_QUERY * RUN_DIM * 8
+    # Each budget is counted twice (a normalization block is held twice, a
+    # unit support chunk sits beside the score tile and its norm sub-block,
+    # and the tile budget also bounds the float64 copy of a query block). On
+    # top comes the finiteness mask of one row block.
+    budgets = 2 * len(_RUN_BUDGETS) * (1 << 20)
     mask = dataset_mod._FINITE_BLOCK_BYTES
     bound = descriptor_bytes + budgets + mask + _RUN_GRAPH_AND_RECORDS + SLACK
     for state in ("cold", "warm"):

@@ -6,8 +6,10 @@ antimeridian, and cells from 5 m to 2 km. The evaluation engine's shortcuts
 are checked bit for bit against the routes they replace: the m-ladder against
 a fresh smooth, operators built on shared kernel geometry against a build for
 the cell alone, and array scoring against one scalar haversine per query.
-Retrieval, which takes the support norms from the chunks it scores, is
-checked bit for bit against norms taken in a pass of their own. The latent
+Retrieval, which takes the support norms from the chunks it scores and
+merges each score tile's top k into a running top k, is checked bit for bit
+against norms taken in a pass of their own and a stable sort of whole score
+rows over the same tiles. The latent
 cosines, grouped by source row, are checked bit for bit against the
 route that gathers both rows of every pair. The projection fit through the
 Gram matrix is checked against a thin SVD of the whole support, and a
@@ -188,28 +190,86 @@ def test_topk_does_not_depend_on_the_support_chunks(case):
         assert np.all(np.abs(a_scores - b_scores) <= SCORE_EPS)
 
 
+# A score tile budget of one 64 x 64 tile: query blocks and support chunks
+# of 64 rows each (the alignment's smallest), so a few hundred rows on each
+# side make many tiles.
+_SMALL_TILE_BYTES = 16 * 64 * 64
+
+
+def _more_queries(queries: np.ndarray, support: np.ndarray, n_query: int,
+                  seed: int) -> np.ndarray:
+    """queries, then exact and scaled copies of support rows, then the
+    queries again, up to n_query rows (the queries alone if fewer)."""
+    if n_query <= queries.shape[0]:
+        return queries
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, support.shape[0], n_query)
+    extra = support[picks] * rng.choice([1.0, 0.5, 3.0], (n_query, 1))
+    extra[1::3] = queries[np.arange(1, n_query, 3) % queries.shape[0]]
+    return np.vstack([queries, extra])[:n_query].astype(queries.dtype)
+
+
 @PROPERTY
-@given(_multi_chunk_sets(), st.sampled_from([1, 2, 3]),
+@given(_multi_chunk_sets(), st.sampled_from([1, 130]),
        st.sampled_from([1, 64, 1 << 20]))
-def test_topk_equals_the_two_pass_norm_route(case, block_rows, norm_bytes):
-    # 64-row support chunks, query blocks of one to three rows, and norm
-    # sub-blocks from one row up to whole chunks: the norms taken from each
-    # chunk's float64 copy on the first query block give the bits of norms
-    # taken in a pass of their own.
+def test_topk_equals_the_two_pass_norm_route(case, n_query, norm_bytes):
+    # 64-row query blocks and support chunks, and norm sub-blocks from one
+    # row up to whole chunks: the norms taken from each chunk's float64 copy
+    # on the first query block give the bits of norms taken in a pass of
+    # their own.
     queries, support = case
+    queries = _more_queries(queries, support, n_query, n_query)
     n = support.shape[0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(retrieval, "_SCORE_BLOCK_BYTES", 8 * n * block_rows)
-        mp.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
+        mp.setattr(retrieval, "_SCORE_TILE_BYTES", _SMALL_TILE_BYTES)
         mp.setattr(features_mod, "_NORM_BLOCK_BYTES", norm_bytes)
         logging.disable(logging.WARNING)
         try:
             for k in sorted({k for k in (1, 2, 3, n) if k <= n}):
                 got_idx, got = cosine_knn(queries, support, k)
-                want_idx, want = two_pass_cosine_knn(
-                    queries, support, k, 8 * n * block_rows, 1)
+                want_idx, want = two_pass_cosine_knn(queries, support, k)
                 assert np.array_equal(got_idx, want_idx)
                 assert got.tobytes() == want.tobytes()
+        finally:
+            logging.disable(logging.NOTSET)
+
+
+def _straddled_places(scores: np.ndarray, limit: int) -> list[int]:
+    """Up to `limit` places k of a row of sorted scores where a tie group
+    straddles place k: the k-th and (k+1)-th best scores are equal."""
+    return (np.flatnonzero(scores[:-1] == scores[1:])[:limit] + 1).tolist()
+
+
+@PROPERTY
+@given(_multi_chunk_sets(), st.sampled_from([1, 2, 3, 64, 65, 127, 200]),
+       st.integers(0, 2**32 - 1))
+@example(case=(np.ones((1, 2)), np.ones((200, 2))), n_query=130, seed=0)
+def test_tile_walk_equals_a_stable_sort_of_the_whole_product(case, n_query,
+                                                              seed):
+    # One 64 x 64 tile per block and chunk: a query's copies, the zero rows
+    # and the rows a tied set repeats down the support fall in different
+    # tiles, and k is also set where such a tie straddles place k, so the
+    # running top k meets ties from later tiles at its last place.
+    queries, support = case
+    queries = _more_queries(queries, support, n_query, seed)
+    n = support.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "_SCORE_TILE_BYTES", _SMALL_TILE_BYTES)
+        mp.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
+        logging.disable(logging.WARNING)
+        try:
+            blocks, chunks = retrieval._tile_shape(*queries.shape[:1],
+                                                   *support.shape)
+            assert all(hi - lo < 128 for lo, hi in blocks + chunks)
+            # The whole product's rows, stably sorted: the oracle at k = n.
+            whole_idx, whole = two_pass_cosine_knn(queries, support, n)
+            ks = {1, 2, 3, 63, 64, 65, n // 2, n - 1, n}
+            for row in whole[:: max(1, queries.shape[0] // 4)]:
+                ks.update(_straddled_places(row, 3))
+            for k in sorted(k for k in ks if 1 <= k <= n):
+                got_idx, got = cosine_knn(queries, support, k)
+                assert np.array_equal(got_idx, whole_idx[:, :k])
+                assert got.tobytes() == np.ascontiguousarray(whole[:, :k]).tobytes()
         finally:
             logging.disable(logging.NOTSET)
 

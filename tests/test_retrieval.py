@@ -115,12 +115,14 @@ def test_zero_rows_are_counted_once_across_query_blocks(caplog, monkeypatch):
     rng = np.random.default_rng(12)
     support = rng.standard_normal((200, 5))
     support[[3, 70, 199]] = 0.0
-    queries = rng.standard_normal((7, 5))
-    queries[[0, 6]] = 0.0
-    # One query per block and 64-row support chunks: the support norms are
-    # taken on the first query block only, and counted there.
-    monkeypatch.setattr(retrieval, "_SCORE_BLOCK_BYTES", 8 * 200)
-    monkeypatch.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
+    queries = rng.standard_normal((130, 5))
+    queries[[0, 129]] = 0.0
+    # A tile budget of one 64 x 64 tile: query blocks of 64 and 66 rows and
+    # 64-row support chunks. The support norms are taken on the first query
+    # block only, and counted there.
+    monkeypatch.setattr(retrieval, "_SCORE_TILE_BYTES", 16 * 64 * 64)
+    assert retrieval._tile_shape(130, 200, 5) == (
+        [(0, 64), (64, 130)], [(0, 64), (64, 128), (128, 200)])
     with caplog.at_level(logging.WARNING, logger="gsloc.retrieval"):
         indices, scores = cosine_knn(queries, support, k=2)
     messages = [rec.getMessage() for rec in caplog.records]
