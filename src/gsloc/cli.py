@@ -33,7 +33,8 @@ from . import __version__
 from .cache import Cache, param_key, sha256_file
 from .dataset import (Dataset, descriptor_file_shape,
                       filter_reachable_queries, load_dataset, load_descriptors,
-                      write_descriptors, write_metadata)
+                      write_descriptors, write_finite_descriptors,
+                      write_metadata)
 from .errors import InputError
 from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, ablation_table_csv,
                          compute_report, grid_search, grid_table_csv,
@@ -448,7 +449,8 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
     def run_smooth(tmp: Path) -> None:
         smooth(_read_cached(load_operator, op_path), desc, SmoothConfig(m=m),
                out=desc)
-        write_descriptors(tmp, desc)
+        # Row-stochastic averages of finite rows are finite.
+        write_finite_descriptors(tmp, desc)
     emb_path, hit = cache.get_or_create("smoothed", smooth_key, ".emb1",
                                         run_smooth, descriptor_file_shape)
     print(f"{side} smoothing cache {'hit' if hit else 'miss'}: {emb_path.name}")

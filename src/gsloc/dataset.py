@@ -92,6 +92,16 @@ class Dataset:
         """Same records with a replacement descriptor matrix (row-aligned)."""
         return Dataset(records=self.records, descriptors=descriptors, role=self.role)
 
+    def subset(self, keep: np.ndarray) -> "Dataset":
+        """The rows where the boolean mask ``keep`` is true, in order. Their
+        values were checked when this dataset was made, so they are not
+        scanned again."""
+        rows = object.__new__(Dataset)
+        rows.records = [r for r, k in zip(self.records, keep.tolist()) if k]
+        rows.descriptors = self.descriptors[keep]
+        rows.role = self.role
+        return rows
+
 
 def check_descriptors(arr: np.ndarray) -> None:
     """Validate a descriptor matrix: 2-D, floating, all values finite."""
@@ -139,7 +149,10 @@ def validate_records(records: Sequence[ImageRecord]) -> None:
 def load_metadata(path: str | Path) -> list[ImageRecord]:
     """Read image records from a metadata CSV, in file order.
 
-    Errors name the offending line (1-based, header is line 1).
+    Errors name the offending line (1-based, header is line 1). Every row
+    ends with a line break, the last one too: a file that does not is
+    refused as cut short, since a cut inside a number can leave another
+    valid number.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -148,6 +161,10 @@ def load_metadata(path: str | Path) -> list[ImageRecord]:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
+    if text and not text.endswith(("\n", "\r")):
+        line = text.count("\n") + 1
+        raise InputError(f"{path}:{line}: no line break after the last row; "
+                         "the file looks cut short")
     records: list[ImageRecord] = []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -255,6 +272,13 @@ def _read_emb1_header(fh, path: Path) -> tuple[int, int]:
 def write_descriptors(path: str | Path, descriptors: np.ndarray) -> None:
     """Encode a descriptor matrix to EMB1 (float32 little-endian, row-major)."""
     check_descriptors(descriptors)
+    write_finite_descriptors(path, descriptors)
+
+
+def write_finite_descriptors(path: str | Path, descriptors: np.ndarray) -> None:
+    """write_descriptors for a 2-D floating array whose values are known to
+    be finite, such as row-stochastic averages of checked rows: they are
+    not scanned again."""
     rows, dim = descriptors.shape
     with Path(path).open("wb") as fh:
         fh.write(_EMB1_HEADER.pack(EMB1_MAGIC, rows, dim))
@@ -283,10 +307,5 @@ def filter_reachable_queries(query: Dataset, support: Dataset,
         raise InputError(f"radius must be positive, got {radius_m}")
     if support.n_images == 0:
         raise InputError("cannot filter queries against an empty support set")
-    if query.n_images == 0:
-        return Dataset(records=[], descriptors=query.descriptors[:0], role=query.role)
     grid = LatLonGrid(*support.positions, cell_m=radius_m)
-    nearest = grid.min_distance_within_reach_m(*query.positions)
-    keep = nearest <= radius_m
-    records = [r for r, k in zip(query.records, keep) if k]
-    return Dataset(records=records, descriptors=query.descriptors[keep], role=query.role)
+    return query.subset(grid.min_distance_within_reach_m(*query.positions) <= radius_m)

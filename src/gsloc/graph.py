@@ -38,7 +38,7 @@ from .errors import InputError
 from . import features
 from .features import row_norms
 from .geodesy import haversine_m_vectorized
-from .spatial import LatLonGrid
+from .spatial import LatLonGrid, index_dtype
 
 ADJ1_MAGIC = b"ADJ1"
 _ADJ1_HEADER = struct.Struct("<4sIQ")
@@ -115,9 +115,15 @@ class WeightedGraph:
     def from_pairs(cls, n: int, i: np.ndarray, j: np.ndarray,
                    w: np.ndarray) -> "WeightedGraph":
         """Build from unordered unique pairs; both (i,j) and (j,i) are stored
-        with the same weight so symmetry is exact."""
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
+        with the same weight so symmetry is exact.
+
+        The pairs make one matrix in the orientation given, which is added to
+        its transpose: no coordinate list of both orientations is made, and
+        indices at the width scipy keeps (int32 while n fits it) are used
+        without a copy."""
+        # Integer indices keep their width; others are read as int64.
+        i, j = (a if a.dtype.kind == "i" else a.astype(np.int64)
+                for a in map(np.asarray, (i, j)))
         w = np.asarray(w, dtype=np.float64)
         if not (i.shape == j.shape == w.shape):
             raise InputError("pair arrays must have equal length")
@@ -128,12 +134,12 @@ class WeightedGraph:
                 raise InputError("self edges are not allowed in W")
             if not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise InputError("edge weights must be positive and finite")
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        data = np.concatenate([w, w])
-        mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.float64)
-        # CSR construction sums duplicate entries, so a repeated pair, in
-        # either orientation, shows up as a missing stored entry.
+        once = sparse.csr_matrix((w, (i, j)), shape=(n, n), dtype=np.float64)
+        # For unique pairs the two orientations share no entry, so every
+        # stored value is a weight as given. Both the construction and the
+        # sum add up duplicate entries, so a repeated pair, in either
+        # orientation, shows up as a missing stored entry.
+        mat = (once + once.T).tocsr()
         if mat.nnz != 2 * i.size:
             raise InputError("duplicate edges in pair list")
         return cls(mat)
@@ -141,15 +147,16 @@ class WeightedGraph:
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Upper-triangle entries as (i, j, w) arrays with i < j, in (i, j)
         order: the stored order of a canonical CSR matrix, whose rows list
-        their columns sorted and unique."""
+        their columns sorted and unique. The indices are int64; they are
+        filtered at their stored width and widened after."""
         mat = self.matrix
         if not mat.has_canonical_format:
             mat = mat.copy()
             mat.sum_duplicates()
-        i = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(mat.indptr))
-        j = mat.indices.astype(np.int64)
-        keep = i < j
-        return i[keep], j[keep], mat.data[keep]
+        i = np.repeat(np.arange(self.n, dtype=mat.indices.dtype), np.diff(mat.indptr))
+        keep = i < mat.indices
+        return (i[keep].astype(np.int64, copy=False),
+                mat.indices[keep].astype(np.int64, copy=False), mat.data[keep])
 
 
 @dataclass
@@ -168,7 +175,8 @@ class SmoothingOperator:
 class DistancePairs:
     """Every pair (i < j) strictly closer than ``reach_m``, with its
     haversine distance. It serves any radius up to ``reach_m``: a smaller one
-    keeps the pairs with ``d`` below it."""
+    keeps the pairs with ``d`` below it. The indices have the width of the
+    cell list's (``spatial.index_dtype``)."""
 
     reach_m: float
     i: np.ndarray
@@ -181,8 +189,9 @@ def distance_pairs(records: list[ImageRecord], reach_m: float) -> DistancePairs:
     their exact distance is below reach_m."""
     lats = np.array([r.lat for r in records])
     lons = np.array([r.lon for r in records])
-    out_i: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    out_j: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    idx = index_dtype(len(records))
+    out_i: list[np.ndarray] = [np.empty(0, dtype=idx)]
+    out_j: list[np.ndarray] = [np.empty(0, dtype=idx)]
     out_d: list[np.ndarray] = [np.empty(0)]
     if len(records) >= 2:
         grid = LatLonGrid(lats, lons, cell_m=reach_m)
@@ -199,16 +208,18 @@ def distance_pairs(records: list[ImageRecord], reach_m: float) -> DistancePairs:
 def sequence_pairs(records: list[ImageRecord],
                    max_gap: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(i, j) arrays, i < j, of the same-sequence pairs exactly k frame
-    indices apart, for k = 1..max_gap in that order. Each sequence's frame
-    indices must be strictly increasing in record order."""
+    indices apart, for k = 1..max_gap in that order, at
+    ``spatial.index_dtype`` width. Each sequence's frame indices must be
+    strictly increasing in record order."""
     by_seq: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):
         by_seq.setdefault(rec.sequence_id, []).append(idx)
+    width = index_dtype(len(records))
     out: list[tuple[list[np.ndarray], list[np.ndarray]]] = [
-        ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)])
+        ([np.empty(0, dtype=width)], [np.empty(0, dtype=width)])
         for _ in range(max_gap)]
     for seq_id, members in by_seq.items():
-        idx = np.asarray(members, dtype=np.int64)
+        idx = np.asarray(members, dtype=width)
         frames = np.array([records[m].frame_index for m in members], dtype=np.int64)
         if np.any(np.diff(frames) <= 0):
             raise InputError(f"sequence {seq_id!r}: frame indices are not "
@@ -225,6 +236,11 @@ def sequence_pairs(records: list[ImageRecord],
     return [(np.concatenate(i), np.concatenate(j)) for i, j in out]
 
 
+def _pair_keys(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The key i * n + j of each pair, in int64 whatever the indices' width."""
+    return i.astype(np.int64, copy=False) * n + j
+
+
 @dataclass(frozen=True)
 class PairCosines:
     """Cosine similarity of each pair in an ascending pair list, keyed
@@ -235,7 +251,7 @@ class PairCosines:
     cos: np.ndarray
 
     def take(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        keys = i * self.n + j
+        keys = _pair_keys(self.n, i, j)
         pos = np.searchsorted(self.keys, keys)
         if keys.size and (pos.max() >= self.keys.size
                           or np.any(self.keys[pos] != keys)):
@@ -317,10 +333,10 @@ def kernel_geometry(records: list[ImageRecord], descriptors: np.ndarray | None,
     latent_radii = [p.max_distance_m for p in latent if p.include_dist]
     if latent_radii:
         keep = dist.d < max(latent_radii)
-        keys.append(dist.i[keep] * n + dist.j[keep])
+        keys.append(_pair_keys(n, dist.i[keep], dist.j[keep]))
     latent_gaps = [len(p.betas) for p in latent if p.include_seq]
     if latent_gaps:
-        keys += [i * n + j for i, j in seq[:max(latent_gaps)]]
+        keys += [_pair_keys(n, i, j) for i, j in seq[:max(latent_gaps)]]
     cosines = None
     if keys:
         union = np.unique(np.concatenate(keys))
@@ -342,9 +358,11 @@ def build_w_dist(records: list[ImageRecord], params: GraphParams,
     keep = pairs.d < params.max_distance_m
     if not keep.any():
         return WeightedGraph.empty(n)
-    factor = params.decay_factor * params.alpha
-    return WeightedGraph.from_pairs(n, pairs.i[keep], pairs.j[keep],
-                                    np.exp(factor * pairs.d[keep]))
+    i, j, w = pairs.i[keep], pairs.j[keep], pairs.d[keep]
+    # Pairs computed here, and the mask, are freed before the graph is built.
+    del pairs, keep
+    w *= params.decay_factor * params.alpha
+    return WeightedGraph.from_pairs(n, i, j, np.exp(w, out=w))
 
 
 def build_w_seq(records: list[ImageRecord], params: GraphParams,
@@ -379,15 +397,20 @@ def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
     x = np.asarray(descriptors)
     if x.ndim != 2 or x.shape[0] != gate.n:
         raise InputError(f"descriptors must be 2-D with {gate.n} rows")
-    gi, gj, _ = gate.edges()
+    gi, gj = gate.edges()[:2]
     if gi.size == 0 or params.gamma == 0.0:
         return WeightedGraph.empty(gate.n)
     cos = pair_cosines(x, gi, gj) if cosines is None else cosines.take(gi, gj)
     keep = cos > 0.0
     if not keep.any():
         return WeightedGraph.empty(gate.n)
-    return WeightedGraph.from_pairs(gate.n, gi[keep], gj[keep],
-                                    params.gamma * cos[keep])
+    width = index_dtype(gate.n)
+    i, j, w = gi[keep].astype(width), gj[keep].astype(width), cos[keep]
+    w *= params.gamma
+    # Only the kept pairs, at index width, are held while they are turned
+    # into a graph.
+    del gi, gj, cos, keep
+    return WeightedGraph.from_pairs(gate.n, i, j, w)
 
 
 def combine(parts: list[WeightedGraph]) -> WeightedGraph:
@@ -409,20 +432,26 @@ def combine(parts: list[WeightedGraph]) -> WeightedGraph:
 def normalize(w: WeightedGraph, params: GraphParams) -> SmoothingOperator:
     """Divide each row by its degree (plus a unit self-weight when
     include_self_edges). Vertices with no incident W edges get an identity
-    row and are listed in isolated_vertices."""
+    row and are listed in isolated_vertices. W itself is not changed."""
     n = w.n
     w_degree = np.asarray(w.matrix.sum(axis=1)).ravel()
     isolated = np.flatnonzero(w_degree == 0.0).astype(np.int64)
-    mat = w.matrix.astype(np.float64)
+    mat = w.matrix
     if params.include_self_edges:
         mat = (mat + sparse.identity(n, format="csr", dtype=np.float64)).tocsr()
+    elif not mat.has_sorted_indices:
+        mat = mat.copy()
+    # A row's degree sums its entries in column order.
     mat.sort_indices()
     degree = np.asarray(mat.sum(axis=1)).ravel()
     fallback = np.flatnonzero(degree == 0.0)
     inv = np.ones_like(degree)
     np.divide(1.0, degree, out=inv, where=degree > 0.0)
-    mat = mat.copy()
-    mat.data *= np.repeat(inv, np.diff(mat.indptr))
+    # The scaled values are written to a new array, so W keeps its own.
+    data = np.repeat(inv, np.diff(mat.indptr))
+    data *= mat.data
+    mat = sparse.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
+                            shape=(n, n))
     if fallback.size:
         eye = sparse.csr_matrix(
             (np.ones(fallback.size), (fallback, fallback)), shape=(n, n))
@@ -454,8 +483,10 @@ def build_graph(records: list[ImageRecord], descriptors: np.ndarray | None,
             raise InputError("latent kernel enabled but no descriptors given")
         if descriptors.shape[0] != n:
             raise InputError(f"descriptor rows {descriptors.shape[0]} != {n} records")
-        gate = combine(parts) if parts else WeightedGraph.empty(n)
-        parts = [gate, build_w_latent(descriptors, gate, params, geometry.cosines)]
+        # The gate holds the structural kernels' sum, and they are freed
+        # before the latent kernel is built.
+        parts = [combine(parts) if parts else WeightedGraph.empty(n)]
+        parts.append(build_w_latent(descriptors, parts[0], params, geometry.cosines))
     if not parts:
         return WeightedGraph.empty(n)
     return combine(parts)

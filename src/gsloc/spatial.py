@@ -27,13 +27,25 @@ from .geodesy import EARTH_RADIUS_M, haversine_m_vectorized, unit_vectors
 # expansion that yields it through the caller's exact-distance step on it
 # (coordinate gathers and haversine temporaries, in graph.distance_pairs and
 # in min_distance_within_reach_m alike). A chunk holds _PAIR_CHUNK_BYTES //
-# _PAIR_BYTES pairs: tracemalloc puts the step's peak near 128 bytes a pair.
-_PAIR_CHUNK_BYTES = 16 << 20
+# _PAIR_BYTES pairs: tracemalloc puts the step's peak near 80 bytes a pair in
+# the query filter and 50 in the distance kernel. The size was picked by
+# paired fresh-process runs, since the heap that the chunks leave resident is
+# what later stages build on: 4 MiB chunks took the benchmark's `city` peak
+# RSS 3 MB below 16 MiB ones and left `localize` no higher, and 2 MiB chunks
+# raised the `localize` peak again.
+_PAIR_CHUNK_BYTES = 4 << 20
 _PAIR_BYTES = 160
 
 # Smallest cube side on the unit sphere, about 12 m. With a cube of padding on
 # each side an axis has at most 2**20 + 3 cubes, so cube keys fit in int64.
 _MIN_SIDE = 2.0 ** -19
+
+
+def index_dtype(count: int) -> type[np.signedinteger]:
+    """int32 when every index below ``count`` fits it, else int64: the
+    width that scipy keeps for sparse indices, and that point indices are
+    held at from the cell list to the graph's coordinates."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
 
 
 def _spans(first: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +79,7 @@ class LatLonGrid:
         self._n = int(2.0 / self._side) + 3
         keys = self._cube_keys(self.lats, self.lons)
         # Stable, so members of a cube stay in ascending point order.
-        self._order = np.argsort(keys, kind="stable")
+        self._order = np.argsort(keys, kind="stable").astype(index_dtype(keys.size))
         self._keys, start = np.unique(keys[self._order], return_index=True)
         # Occupied cube c holds the sorted points _bounds[c] .. _bounds[c+1]-1.
         self._bounds = np.append(start, self._order.size)
@@ -139,7 +151,8 @@ class LatLonGrid:
         qlons = np.asarray(qlons, dtype=np.float64)
         out = np.full(qlats.shape[0], np.inf)
         first, length = self._runs(self._cube_keys(qlats, qlons))
-        queries = np.tile(np.arange(qlats.shape[0]), 9)
+        n_query = qlats.shape[0]
+        queries = np.tile(np.arange(n_query, dtype=index_dtype(n_query)), 9)
         for qi, pj in self._expand(queries, first, length):
             d = haversine_m_vectorized(qlats[qi], qlons[qi], self.lats[pj], self.lons[pj])
             np.minimum.at(out, qi, d)

@@ -276,6 +276,63 @@ def random_weighted_graph(rng: np.random.Generator, n: int,
     return graph, dense
 
 
+def coo_from_pairs(n, i, j, w):
+    """WeightedGraph.from_pairs by the route the library took before it
+    built one triangle and added its transpose: both orientations
+    concatenated as int64 coordinates and handed to scipy's COO
+    constructor, which copies them down to its own index width. Kept
+    verbatim to pin its bits."""
+    from scipy import sparse
+    from gsloc.errors import InputError
+    from gsloc.graph import WeightedGraph
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    if not (i.shape == j.shape == w.shape):
+        raise InputError("pair arrays must have equal length")
+    if i.size:
+        if i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n:
+            raise InputError("vertex index out of range")
+        if np.any(i == j):
+            raise InputError("self edges are not allowed in W")
+        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise InputError("edge weights must be positive and finite")
+    rows = np.concatenate([i, j])
+    cols = np.concatenate([j, i])
+    data = np.concatenate([w, w])
+    mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.float64)
+    if mat.nnz != 2 * i.size:
+        raise InputError("duplicate edges in pair list")
+    return WeightedGraph(mat)
+
+
+def copying_normalize(w, params):
+    """graph.normalize by the route the library took before it wrote the
+    scaled values to a new array: W cast (which copies it) and then copied
+    again, and the copy scaled in place. Kept verbatim to pin its bits."""
+    from scipy import sparse
+    from gsloc.graph import SmoothingOperator
+    n = w.n
+    w_degree = np.asarray(w.matrix.sum(axis=1)).ravel()
+    isolated = np.flatnonzero(w_degree == 0.0).astype(np.int64)
+    mat = w.matrix.astype(np.float64)
+    if params.include_self_edges:
+        mat = (mat + sparse.identity(n, format="csr", dtype=np.float64)).tocsr()
+    mat.sort_indices()
+    degree = np.asarray(mat.sum(axis=1)).ravel()
+    fallback = np.flatnonzero(degree == 0.0)
+    inv = np.ones_like(degree)
+    np.divide(1.0, degree, out=inv, where=degree > 0.0)
+    mat = mat.copy()
+    mat.data *= np.repeat(inv, np.diff(mat.indptr))
+    if fallback.size:
+        eye = sparse.csr_matrix(
+            (np.ones(fallback.size), (fallback, fallback)), shape=(n, n))
+        mat = (mat + eye).tocsr()
+        mat.sort_indices()
+    return SmoothingOperator(matrix=mat, isolated_vertices=isolated)
+
+
 def coo_edges(graph):
     """Upper-triangle (i, j, w) arrays of a WeightedGraph by the COO route:
     every stored entry with row < col, lexsorted into (i, j) order."""

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 import pytest
 
+import gsloc.dataset as dataset_mod
 import gsloc.evaluation as evaluation
 from gsloc.cli import build_parser, main
 from gsloc.dataset import (filter_reachable_queries, load_dataset,
@@ -204,6 +205,19 @@ def test_run_reruns_are_byte_identical(tmp_path, data_dir):
         reference = (out1 / name).read_bytes()
         assert (out2 / name).read_bytes() == reference, f"{name} (warm cache)"
         assert (out3 / name).read_bytes() == reference, f"{name} (cold cache)"
+
+
+def test_cold_run_scans_each_loaded_split_once(tmp_path, data_dir,
+                                               monkeypatch):
+    scanned = []
+    count = dataset_mod._nonfinite_count
+    monkeypatch.setattr(dataset_mod, "_nonfinite_count",
+                        lambda arr: scanned.append(arr.shape) or count(arr))
+    rc, _ = _run(tmp_path, data_dir, "scans", ["--regime", "gs_support", "--m", "2"])
+    assert rc == 0
+    # Neither the reachable query rows nor the smoothed support written to
+    # the cache are scanned again: both come from checked rows.
+    assert scanned == [(24, 16), (12, 16)]
 
 
 def test_cache_artifacts_are_readable_by_other_users(tmp_path, data_dir):

@@ -72,6 +72,15 @@ def test_metadata_trailing_newline_ok(tmp_path):
     assert load_metadata(path) == [ImageRecord("x", "s", 0, 1.5, 2.5)]
 
 
+def test_metadata_without_a_final_line_break_is_refused(tmp_path):
+    # Cut inside the last number: "2.5" became "2.".
+    path = tmp_path / "meta.csv"
+    path.write_text("image_id,sequence_id,frame_index,lat,lon\n"
+                    "x,s,0,1.5,2.")
+    with pytest.raises(InputError, match=r"meta\.csv:2: no line break"):
+        load_metadata(path)
+
+
 def test_validate_duplicate_image_id():
     records = [ImageRecord("x", "s", 0, 0, 0), ImageRecord("x", "t", 0, 0, 0)]
     with pytest.raises(InputError, match="duplicate image_id"):

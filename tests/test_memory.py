@@ -1,7 +1,7 @@
 """Memory bounds of the run path: the EMB1 loader, the projection fit and
-its application, retrieval, normalization, smoothing, the spatial pair scan
-and a whole `run` stay within their documented block budgets, measured with
-tracemalloc, which sees numpy's buffers."""
+its application, retrieval, normalization, smoothing, the spatial pair scan,
+the graph build and a whole `run` stay within their documented block
+budgets, measured with tracemalloc, which sees numpy's buffers."""
 
 from __future__ import annotations
 
@@ -22,10 +22,11 @@ from gsloc.dataset import (ImageRecord, check_descriptors, load_descriptors,
                            write_descriptors, write_metadata)
 from gsloc.features import apply_projection, fit_projection, l2_normalize
 from gsloc.geodesy import METERS_PER_DEGREE
-from gsloc.graph import SmoothingOperator, distance_pairs
+from gsloc.graph import GraphParams, SmoothingOperator, build_operator, distance_pairs
 from gsloc.retrieval import cosine_knn
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
+from gsloc.synth import SynthConfig, generate_synthetic
 from oracles import chunked_pair_cosines, two_pass_cosine_knn, unit_rows
 
 # Room for interpreter and bookkeeping allocations next to the arrays.
@@ -285,6 +286,26 @@ def test_min_distance_within_reach_stays_within_the_pair_budget(monkeypatch):
     assert peak <= spatial_mod._PAIR_CHUNK_BYTES + SLACK
 
 
+# What the graph build holds beyond its inputs, in operators of the size it
+# returns: the gate and the latent kernel with their sum, which scipy
+# allocates for every entry of both before it drops the overlap.
+GRAPH_BUILD_OPERATORS = 4
+
+
+def test_build_operator_holds_about_four_operators():
+    # The benchmark's `localize` support: 4,800 fixes, 369,218 entries.
+    support, _, _ = generate_synthetic(
+        SynthConfig(n_places=60, n_support_sequences=20, n_query_sequences=5,
+                    dim=256), seed=1)
+    assert support.n_images == 4800
+    op, peak = _peak_bytes(build_operator, support.records, support.descriptors,
+                           GraphParams())
+    size = op.matrix.data.nbytes + op.matrix.indices.nbytes + op.matrix.indptr.nbytes
+    assert op.matrix.indices.dtype == np.int32
+    assert peak <= GRAPH_BUILD_OPERATORS * size, \
+        f"graph build peaked at {peak / size:.2f} operators"
+
+
 # A `run` on criterion 13's layout (sequences 100 m apart, frames 3 m apart).
 RUN_SUPPORT, RUN_QUERY, RUN_DIM, RUN_SEQUENCES = 4000, 64, 2048, 20
 
@@ -326,9 +347,9 @@ _RUN_BUDGETS = [(features_mod, "_NORM_BLOCK_BYTES"),
                 (retrieval_mod, "_SUPPORT_CHUNK_BYTES"),
                 (graph_mod, "_COSINE_CHUNK_BYTES"),
                 (spatial_mod, "_PAIR_CHUNK_BYTES")]
-# The support graph's operator, its kernels while they are combined, and the
-# metadata records: a few MB on these inputs.
-_RUN_GRAPH_AND_RECORDS = 8 << 20
+# The graph build's GRAPH_BUILD_OPERATORS operators (0.7 MiB each on these
+# inputs) and the metadata records.
+_RUN_GRAPH_AND_RECORDS = 4 << 20
 
 
 def test_run_holds_the_support_descriptors_once(run_inputs, tmp_path,

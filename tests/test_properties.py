@@ -11,10 +11,13 @@ merges each score tile's top k into a running top k, is checked bit for bit
 against norms taken in a pass of their own and a stable sort of whole score
 rows over the same tiles. The latent
 cosines, grouped by source row, are checked bit for bit against the
-route that gathers both rows of every pair. The projection fit through the
+route that gathers both rows of every pair, and the graph stages (pairs to
+W, its edges, the sum of kernels and the normalization) against the COO
+route and the copying normalization they replace. The projection fit through the
 Gram matrix is checked against a thin SVD of the whole support, and a
 damaged PRJ1, EMB1 or ADJ1 file either loads or is refused, naming the file,
-without a warning.
+without a warning. A damaged metadata CSV is refused naming the file, or
+loads; a cut one that loads holds the original's first records.
 
 Examples are derandomized so a run is reproducible; raise ``max_examples``
 locally to search wider.
@@ -37,21 +40,22 @@ import gsloc.graph as graph_mod
 import gsloc.retrieval as retrieval
 import gsloc.spatial as spatial
 from gsloc.dataset import (Dataset, ImageRecord, load_descriptors,
-                           write_descriptors)
+                           load_metadata, write_descriptors, write_metadata)
 from gsloc.errors import InputError
 from gsloc.evaluation import _memo_smoother, compute_report
 from gsloc.features import Projection, load_projection, save_projection
 from gsloc.geodesy import METERS_PER_DEGREE, haversine_m_vectorized
 from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
-                         build_operator, kernel_geometry, load_operator,
-                         pair_cosines, save_operator)
+                         build_operator, combine, kernel_geometry,
+                         load_operator, normalize, pair_cosines,
+                         save_operator)
 from gsloc.retrieval import cosine_knn, estimate_positions
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
-from oracles import (chunked_pair_cosines, coo_edges, quadratic_knn,
-                     random_weighted_graph, reference_operator, scalar_errors_m,
-                     scalar_positions, svd_projection,
-                     two_pass_cosine_knn)
+from oracles import (chunked_pair_cosines, coo_edges, coo_from_pairs,
+                     copying_normalize, quadratic_knn, random_weighted_graph,
+                     reference_operator, scalar_errors_m, scalar_positions,
+                     svd_projection, two_pass_cosine_knn)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -526,6 +530,25 @@ def _descriptors(draw, n: int, dim: int = 8) -> np.ndarray:
     return x
 
 
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _shuffled_rows(mat, rng):
+    """A copy of a CSR matrix with each row's entries in random order."""
+    mat = mat.copy()
+    for row in range(mat.shape[0]):
+        lo, hi = mat.indptr[row], mat.indptr[row + 1]
+        order = lo + rng.permutation(hi - lo)
+        mat.indices[lo:hi], mat.data[lo:hi] = mat.indices[order], mat.data[order]
+    mat.has_sorted_indices = False
+    return mat
+
+
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.0, 0.1, 0.5]),
        st.integers(0, 3), st.booleans())
@@ -533,17 +556,55 @@ def test_edges_equal_the_coo_route(seed, n, density, n_isolated, shuffled):
     rng = np.random.default_rng(seed)
     graph, _ = random_weighted_graph(rng, n + n_isolated, density, n_isolated)
     if shuffled:  # the same entries with each row's columns out of order
-        mat = graph.matrix.copy()
-        for row in range(mat.shape[0]):
-            lo, hi = mat.indptr[row], mat.indptr[row + 1]
-            order = lo + rng.permutation(hi - lo)
-            mat.indices[lo:hi], mat.data[lo:hi] = mat.indices[order], mat.data[order]
-        mat.has_sorted_indices = False
-        graph = WeightedGraph(mat)
+        graph = WeightedGraph(_shuffled_rows(graph.matrix, rng))
     got, want = graph.edges(), coo_edges(graph)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 3),
+       st.sampled_from([np.int32, np.int64]), st.booleans(), st.booleans())
+def test_graph_stages_equal_the_coo_route(seed, live, n_isolated, width,
+                                          self_edges, shuffled):
+    """Two kernels on the same vertices, each from unique pairs in random
+    orientation and order at either index width; the last n_isolated
+    vertices have no pair, and so may some of the others."""
+    rng = np.random.default_rng(seed)
+    n = live + n_isolated
+    iu, ju = np.triu_indices(live, k=1)
+    got, want = [], []
+    for density in (0.2, 0.6):
+        pick = rng.random(iu.size) < density
+        flip = rng.random(iu.size) < 0.5
+        i, j = np.where(flip, ju, iu)[pick], np.where(flip, iu, ju)[pick]
+        order = rng.permutation(i.size)
+        i, j = i[order].astype(width), j[order].astype(width)
+        w = rng.uniform(1e-3, 10.0, i.size)
+        graph = WeightedGraph.from_pairs(n, i, j, w)
+        reference = coo_from_pairs(n, i, j, w)
+        _assert_same_csr(graph.matrix, reference.matrix)
+        for g, r in zip(graph.edges(), coo_edges(reference)):
+            assert g.dtype == r.dtype
+            assert g.tobytes() == r.tobytes()
+        got.append(graph)
+        want.append(reference)
+    total = combine(got)
+    summed = want[0].matrix + want[1].matrix
+    summed.sort_indices()
+    _assert_same_csr(total.matrix, summed)
+    if shuffled:  # the same entries with each row's columns out of order
+        total = WeightedGraph(_shuffled_rows(total.matrix, rng))
+    params = GraphParams(include_self_edges=self_edges)
+    before = total.matrix.copy()
+    op = normalize(total, params)
+    reference = copying_normalize(WeightedGraph(before.copy()), params)
+    _assert_same_csr(op.matrix, reference.matrix)
+    assert np.array_equal(op.isolated_vertices, reference.isolated_vertices)
+    # W is left as it was: normalize writes the scaled values elsewhere.
+    _assert_same_csr(total.matrix, before)
+    assert not np.shares_memory(op.matrix.data, total.matrix.data)
 
 
 @PROPERTY
@@ -769,3 +830,44 @@ def test_damaged_file_loads_or_is_refused_without_warnings(blobs,
             _LOADERS[suffix](path)
         except InputError as exc:
             assert str(path) in str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Damaged metadata CSV
+
+
+# A quoted id, negative and many-digit coordinates, and a second sequence.
+_CSV_RECORDS = [ImageRecord("a", "s1", 0, 48.5, 2.25),
+                ImageRecord("b,c", "s1", 3, -33.875, 151.2093),
+                ImageRecord("d", "s2", 10, 89.99, -179.99),
+                ImageRecord("e", "s2", 11, 0.0, 1e-05)]
+
+
+@pytest.fixture(scope="module")
+def metadata_csv(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    write_metadata(path, _CSV_RECORDS)
+    return path.read_bytes()
+
+
+@PROPERTY
+@given(st.data())
+def test_damaged_metadata_loads_or_is_refused(metadata_csv, tmp_path_factory,
+                                              data):
+    blob = bytearray(metadata_csv)
+    kind = data.draw(st.sampled_from(["truncate", "flip"]))
+    at = data.draw(st.integers(0, len(blob) - 1))
+    if kind == "truncate":
+        del blob[at:]
+    else:
+        blob[at] ^= data.draw(st.integers(1, 255))
+    path = tmp_path_factory.mktemp("damaged") / "m.csv"
+    path.write_bytes(bytes(blob))
+    try:
+        records = load_metadata(path)
+    except InputError as exc:
+        assert str(path) in str(exc)
+        return
+    if kind == "truncate":
+        # No cut passes for a different file: a shortened number included.
+        assert records == _CSV_RECORDS[:len(records)]
