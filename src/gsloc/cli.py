@@ -589,6 +589,8 @@ _COMMANDS = {
 }
 
 
+# Parsing leaves no state in the parser, so one serves every main() call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsloc",

@@ -168,13 +168,26 @@ def regime_descriptors(support: Dataset, query: Dataset, params: GraphParams,
 
 
 def _evaluate(support: Dataset, query: Dataset, params: GraphParams,
-              cfg: SmoothConfig, regime: str, smoother: Smoother, *,
-              threshold_m: float, k: int, strategy: str,
-              query_gps: bool) -> EvalReport:
+              cfg: SmoothConfig, regime: str, smoother: Smoother,
+              config_snapshot: dict, *, threshold_m: float, k: int,
+              strategy: str, query_gps: bool) -> EvalReport:
     """Smooth per the regime, retrieve, and score one parameter cell."""
     support_desc, query_desc = regime_descriptors(
         support, query, params, cfg.m, regime, query_gps, smoother)
     indices, scores = cosine_knn(query_desc, support_desc, k)
+    return compute_report(indices, scores, support, query, strategy,
+                          threshold_m, regime, config_snapshot)
+
+
+def evaluate_regime(support: Dataset, query: Dataset, params: GraphParams,
+                    cfg: SmoothConfig, regime: str, *,
+                    threshold_m: float = DEFAULT_THRESHOLD_M, k: int = 1,
+                    strategy: str = "top1", query_gps: bool = False) -> EvalReport:
+    """Run retrieval with smoothing applied per the regime and score it.
+
+    Regimes: none (raw descriptors), gs_support (support smoothed on the
+    support graph), gs_query (query smoothed on the query graph), gs_both.
+    """
     snapshot = {
         "graph": asdict(params),
         "smoothing": {"m": cfg.m},
@@ -187,22 +200,9 @@ def _evaluate(support: Dataset, query: Dataset, params: GraphParams,
         "n_query": query.n_images,
         "dim": support.dim,
     }
-    return compute_report(indices, scores, support, query, strategy,
-                          threshold_m, regime, snapshot)
-
-
-def evaluate_regime(support: Dataset, query: Dataset, params: GraphParams,
-                    cfg: SmoothConfig, regime: str, *,
-                    threshold_m: float = DEFAULT_THRESHOLD_M, k: int = 1,
-                    strategy: str = "top1", query_gps: bool = False) -> EvalReport:
-    """Run retrieval with smoothing applied per the regime and score it.
-
-    Regimes: none (raw descriptors), gs_support (support smoothed on the
-    support graph), gs_query (query smoothed on the query graph), gs_both.
-    """
     return _evaluate(support, query, params, cfg, regime, _memo_smoother(),
-                     threshold_m=threshold_m, k=k, strategy=strategy,
-                     query_gps=query_gps)
+                     snapshot, threshold_m=threshold_m, k=k,
+                     strategy=strategy, query_gps=query_gps)
 
 
 def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
@@ -213,10 +213,12 @@ def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
     (acc_at_threshold, median_error_m) per cell and m, cell-major.
 
     This is the one place that decides what cells share. With more than one
-    cell and some m > 0, every cell builds from one kernel geometry per
-    smoothed side; a single cell builds its own kernels, as `run` does. Each
-    cell walks its m values as one ladder. The m = 0 scores never touch a
-    graph, so every cell shares one retrieval. The geometry and that
+    cell and some m > 0, one kernel geometry per smoothed side holds a gate
+    pattern for each distinct gate, and each cell's graph is weight
+    arithmetic on its gate's pattern; a single cell's build makes a geometry
+    of its own, as `run` does. The geometries are freed when the cells are
+    done. Each cell walks its m values as one ladder. The m = 0 scores never
+    touch a graph, so every cell shares one retrieval. The geometry and that
     retrieval are computed before the cells run, so a thread pool
     (threads > 1, more than one cell) runs the cells in parallel without a
     lock and without changing any number.
@@ -233,8 +235,9 @@ def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
                                              dataset.descriptors, side_cells)
 
     def score(cell: GraphParams, m: int, smoother: Smoother) -> tuple[float, float]:
+        # Only the accuracy and median are kept, so no config snapshot.
         report = _evaluate(support, query, cell, SmoothConfig(m=m), regime,
-                           smoother, threshold_m=threshold_m, k=k,
+                           smoother, {}, threshold_m=threshold_m, k=k,
                            strategy=strategy, query_gps=query_gps)
         return report.acc_at_threshold, report.median_error_m
 

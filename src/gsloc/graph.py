@@ -17,17 +17,22 @@ normalization. Normalizing divides each row by its degree, giving a
 row-stochastic operator whose eigenvalues lie in [-1, 1]; vertices with no
 edges at all fall back to an identity row and are reported.
 
-Graphs for many parameter cells share what does not depend on the weights
-(``kernel_geometry``): distance pairs found once at the largest radius,
-sequence pairs once per frame gap, and cosines once on the union of the
-latent gates. Each cell's graph is bitwise the one it would get alone.
+Graphs are built on gate patterns (``kernel_geometry``). A pattern is the
+symmetric CSR structure of the pairs a cell's structural kernels connect,
+made once per distinct gate and shared by every parameter cell with that
+gate: distance pairs are found once at the largest radius, sequence pairs
+once up to the longest betas, and cosines once on the union of the latent
+gates. A cell's kernels and their sum are then weight arrays on its
+pattern, and its operator is the one CSR matrix it builds. A single cell
+gets a geometry of its own, and each cell's graph is bitwise the one the
+kernels would give as separate sparse matrices summed in turn.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,18 +99,37 @@ class GraphParams:
 
 
 class WeightedGraph:
-    """Symmetric weighted graph stored as CSR; diagonal always empty."""
+    """Symmetric weighted graph; diagonal always empty.
 
-    def __init__(self, matrix: sparse.csr_matrix):
-        self.matrix = matrix
+    It is stored as a CSR matrix, or as one weight per pair of a
+    PairStructure, zero for a pair it does not connect. A cell's kernels are
+    built on its gate's structure, so their sum adds weight arrays, and
+    ``matrix`` is made from the structure only when it is read."""
+
+    def __init__(self, matrix: sparse.csr_matrix | None = None,
+                 structure: PairStructure | None = None,
+                 weights: np.ndarray | None = None):
+        self._matrix = matrix
+        self.structure = structure
+        self.weights = weights
+
+    @property
+    def matrix(self) -> sparse.csr_matrix:
+        if self.structure is None:
+            return self._matrix
+        return self.structure.matrix(self.weights)
 
     @property
     def n(self) -> int:
-        return int(self.matrix.shape[0])
+        if self.structure is not None:
+            return self.structure.n
+        return int(self._matrix.shape[0])
 
     @property
     def n_edges(self) -> int:
-        return int(self.matrix.nnz) // 2
+        if self.structure is not None:
+            return int(np.count_nonzero(self.weights))
+        return int(self._matrix.nnz) // 2
 
     @classmethod
     def empty(cls, n: int) -> "WeightedGraph":
@@ -158,6 +182,73 @@ class WeightedGraph:
         return (i[keep].astype(np.int64, copy=False),
                 mat.indices[keep].astype(np.int64, copy=False), mat.data[keep])
 
+    def on_pairs(self, weights: np.ndarray) -> "WeightedGraph":
+        """The graph on this graph's pairs, in (i, j) order, with the given
+        weights; a pair weighted zero is left out."""
+        if self.structure is not None:
+            return WeightedGraph(structure=self.structure, weights=weights)
+        i, j, _ = self.edges()
+        keep = weights != 0.0
+        return WeightedGraph.from_pairs(self.n, i[keep], j[keep], weights[keep])
+
+
+@dataclass(frozen=True)
+class PairStructure:
+    """The symmetric CSR structure of a list of pairs (i < j, in (i, j)
+    order): each row lists its columns sorted, and ``entry_pair`` names the
+    pair of each stored entry."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    entry_pair: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    def matrix(self, weights: np.ndarray) -> sparse.csr_matrix:
+        """Canonical CSR matrix of one weight per pair. With no zero weight
+        it shares the structure's index arrays, which must not be written;
+        otherwise the zeros are dropped from a copy."""
+        data = weights.take(self.entry_pair)
+        shape = (self.n, self.n)
+        if np.all(weights):
+            mat = sparse.csr_matrix((data, self.indices, self.indptr), shape=shape)
+            mat.has_canonical_format = True
+            return mat
+        mat = sparse.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                                shape=shape)
+        mat.eliminate_zeros()
+        return mat
+
+
+@dataclass(frozen=True)
+class GatePattern:
+    """The pairs one gate connects, which every cell with that gate shares:
+    the distance pairs below ``radius`` (None when the distance kernel is
+    off) and the sequence pairs up to ``gaps`` frames apart (None when the
+    sequence kernel is off), as a PairStructure.
+
+    A pair's distance (inf unless it is a distance pair), frame gap (0 unless
+    it is a sequence pair) and cosine are rows ``rows`` of per-pair arrays
+    that all patterns of a geometry share; ``cos`` is None unless a cell with
+    this gate has a latent kernel."""
+
+    radius: float | None
+    gaps: int | None
+    structure: PairStructure
+    rows: np.ndarray | slice
+    d: np.ndarray
+    gap: np.ndarray
+    cos: np.ndarray | None
+
+    def take(self, values: np.ndarray) -> np.ndarray:
+        """This pattern's rows of a per-pair array (a pattern that holds every
+        pair gets the array itself)."""
+        if isinstance(self.rows, slice):
+            return values
+        return values.take(self.rows)
+
 
 @dataclass
 class SmoothingOperator:
@@ -173,12 +264,11 @@ class SmoothingOperator:
 
 @dataclass(frozen=True)
 class DistancePairs:
-    """Every pair (i < j) strictly closer than ``reach_m``, with its
-    haversine distance. It serves any radius up to ``reach_m``: a smaller one
-    keeps the pairs with ``d`` below it. The indices have the width of the
-    cell list's (``spatial.index_dtype``)."""
+    """Every pair (i < j) strictly closer than the reach it was found at,
+    with its haversine distance. It serves any radius up to that reach: a
+    smaller one keeps the pairs with ``d`` below it. The indices have the
+    width of the cell list's (``spatial.index_dtype``)."""
 
-    reach_m: float
     i: np.ndarray
     j: np.ndarray
     d: np.ndarray
@@ -201,8 +291,8 @@ def distance_pairs(records: list[ImageRecord], reach_m: float) -> DistancePairs:
             out_i.append(ci[keep])
             out_j.append(cj[keep])
             out_d.append(d[keep])
-    return DistancePairs(float(reach_m), np.concatenate(out_i),
-                         np.concatenate(out_j), np.concatenate(out_d))
+    return DistancePairs(np.concatenate(out_i), np.concatenate(out_j),
+                         np.concatenate(out_d))
 
 
 def sequence_pairs(records: list[ImageRecord],
@@ -234,29 +324,6 @@ def sequence_pairs(records: list[ImageRecord],
             out_i.append(idx[src])
             out_j.append(idx[pos[src]])
     return [(np.concatenate(i), np.concatenate(j)) for i, j in out]
-
-
-def _pair_keys(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The key i * n + j of each pair, in int64 whatever the indices' width."""
-    return i.astype(np.int64, copy=False) * n + j
-
-
-@dataclass(frozen=True)
-class PairCosines:
-    """Cosine similarity of each pair in an ascending pair list, keyed
-    ``i * n + j`` for pairs i < j, which any subset of the pairs looks up."""
-
-    n: int
-    keys: np.ndarray
-    cos: np.ndarray
-
-    def take(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        keys = _pair_keys(self.n, i, j)
-        pos = np.searchsorted(self.keys, keys)
-        if keys.size and (pos.max() >= self.keys.size
-                          or np.any(self.keys[pos] != keys)):
-            raise InputError("cosines were not computed for every gated pair")
-        return self.cos[pos]
 
 
 def _row_pieces(i: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,122 +372,220 @@ def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
     return cos
 
 
+def _gate_key(params: GraphParams) -> tuple[float | None, int | None]:
+    """What a cell's structural kernels connect: its radius if the distance
+    kernel is on, and its number of gaps if the sequence kernel is on."""
+    return (params.max_distance_m if params.include_dist else None,
+            len(params.betas) if params.include_seq else None)
+
+
 @dataclass(frozen=True)
 class KernelGeometry:
-    """What one split's graphs share across kernel weights: distance pairs
-    at the largest radius, sequence pairs up to the longest betas, and the
-    cosines on the union of every latent gate. A piece that is None is
-    computed by each kernel for its own cell, and freed when it returns."""
+    """What one split's graphs share across kernel weights: the gate pattern
+    of each distinct gate among its cells."""
 
-    dist: DistancePairs | None = None
-    seq: list[tuple[np.ndarray, np.ndarray]] | None = None
-    cosines: PairCosines | None = None
+    patterns: dict[tuple[float | None, int | None], GatePattern]
+
+    def pattern(self, params: GraphParams) -> GatePattern | None:
+        """The pattern of params' gate; None when no structural kernel is on."""
+        key = _gate_key(params)
+        if key == (None, None):
+            return None
+        if key not in self.patterns:
+            raise InputError(f"no gate pattern for radius {key[0]} and "
+                             f"{key[1]} gaps in this geometry")
+        return self.patterns[key]
+
+
+def _pair_table(n: int, dist: DistancePairs | None,
+                seq: list[tuple[np.ndarray, np.ndarray]]):
+    """(i, j, d, gap) of every pair that dist or seq names, once, in (i, j)
+    order: d is inf unless it is a distance pair, gap 0 unless it is a
+    sequence pair. The pairs are sorted and merged by scipy's COO to CSR
+    conversion, each carrying its distance pair's number in the high 32
+    bits of an int64 and its gap in the low ones."""
+    width = index_dtype(n)
+    rows, cols = [np.empty(0, dtype=width)], [np.empty(0, dtype=width)]
+    codes = [np.empty(0, dtype=np.int64)]
+    if dist is not None:
+        rows.append(dist.i)
+        cols.append(dist.j)
+        codes.append(np.arange(1, dist.d.size + 1, dtype=np.int64) << 32)
+    for k, (gi, gj) in enumerate(seq, start=1):
+        rows.append(gi)
+        cols.append(gj)
+        codes.append(np.full(gi.size, k, dtype=np.int64))
+    n_dist = codes[1].size if dist is not None else 0
+    n_seq = sum(gi.size for gi, _ in seq)
+    table = sparse.csr_matrix(
+        (np.concatenate(codes), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+    del rows, cols, codes
+    dist_id = (table.data >> 32) - 1
+    gap = (table.data & 0xFFFFFFFF).astype(np.min_scalar_type(len(seq)))
+    is_dist = dist_id >= 0
+    # Each pair is named at most once by each list; a repeat would merge
+    # two names into one stored pair.
+    if np.count_nonzero(is_dist) != n_dist or np.count_nonzero(gap) != n_seq:
+        raise InputError("duplicate edges in pair list")
+    d = np.full(gap.size, np.inf)
+    if dist is not None:
+        d[is_dist] = dist.d[dist_id[is_dist]]
+    i = np.repeat(np.arange(n, dtype=table.indices.dtype), np.diff(table.indptr))
+    return i, table.indices, d, gap
+
+
+def _symmetric_structure(n: int, i: np.ndarray, j: np.ndarray) -> PairStructure:
+    """The PairStructure of the pairs (i[k], j[k]), i < j, in (i, j) order:
+    the upper triangle is laid out as given and added to its transpose,
+    which scipy sorts by counting, so each row lists its columns sorted."""
+    width = index_dtype(n)
+    indptr = np.zeros(n + 1, dtype=width)
+    np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+    # Pair numbers start at 1, since the sum drops zeros.
+    once = sparse.csr_matrix(
+        (np.arange(1, i.size + 1, dtype=index_dtype(i.size + 1)), j, indptr),
+        shape=(n, n))
+    both = (once + once.T).tocsr()
+    both.data -= 1
+    return PairStructure(both.indptr, both.indices, both.data)
 
 
 def kernel_geometry(records: list[ImageRecord], descriptors: np.ndarray | None,
                     cells: list[GraphParams]) -> KernelGeometry:
-    """The geometry every cell's graph is built from, each piece computed
-    once: a cell keeps the distance pairs below its own radius, weights the
-    sequence gaps its betas name, and looks up the cosines of its own gate."""
+    """The gate pattern of every cell with a structural kernel, each computed
+    once: distance pairs are found once at the largest radius, sequence
+    pairs once up to the longest betas, and both are merged into one sorted
+    table of pairs, from which every gate's pattern is cut. Cosines are
+    computed once on the union of the latent gates."""
     n = len(records)
-    radii = [p.max_distance_m for p in cells if p.include_dist]
-    gaps = [len(p.betas) for p in cells if p.include_seq]
+    keys = {_gate_key(p) for p in cells} - {(None, None)}
+    if not keys:
+        return KernelGeometry({})
+    latent = {_gate_key(p) for p in cells
+              if p.include_latent and p.gamma != 0.0} & keys
+    radii = [r for r, _ in keys if r is not None]
+    gaps = [g for _, g in keys if g is not None]
     dist = distance_pairs(records, max(radii)) if radii else None
-    seq = sequence_pairs(records, max(gaps)) if gaps else None
-    # A latent gate is the union of its cell's structural kernels.
-    latent = [p for p in cells if p.include_latent and p.gamma != 0.0]
-    keys = []
-    latent_radii = [p.max_distance_m for p in latent if p.include_dist]
-    if latent_radii:
-        keep = dist.d < max(latent_radii)
-        keys.append(_pair_keys(n, dist.i[keep], dist.j[keep]))
-    latent_gaps = [len(p.betas) for p in latent if p.include_seq]
-    if latent_gaps:
-        keys += [_pair_keys(n, i, j) for i, j in seq[:max(latent_gaps)]]
-    cosines = None
-    if keys:
-        union = np.unique(np.concatenate(keys))
-        cosines = PairCosines(n, union, pair_cosines(descriptors, *np.divmod(union, n)))
-    return KernelGeometry(dist, seq, cosines)
+    seq = sequence_pairs(records, max(gaps)) if gaps else []
+    i, j, d, gap = _pair_table(n, dist, seq)
+    del dist, seq
+    masks = {}
+    for radius, n_gaps in keys:
+        mask = np.zeros(d.size, dtype=bool)
+        if radius is not None:
+            mask |= d < radius
+        if n_gaps is not None:
+            mask |= (gap != 0) & (gap <= n_gaps)
+        masks[radius, n_gaps] = mask
+    cos = None
+    if latent:
+        x = np.asarray(descriptors)
+        if x.ndim != 2 or x.shape[0] != n:
+            raise InputError(f"descriptors must be 2-D with {n} rows")
+        union = np.logical_or.reduce([masks[key] for key in latent])
+        cos = np.zeros(d.size)
+        cos[union] = pair_cosines(x, i[union], j[union])
+    patterns = {}
+    for key, mask in masks.items():
+        rows = slice(None) if mask.all() else np.flatnonzero(mask).astype(i.dtype)
+        patterns[key] = GatePattern(
+            *key, _symmetric_structure(n, i[rows], j[rows]), rows, d, gap,
+            cos if key in latent else None)
+    return KernelGeometry(patterns)
+
+
+def _cell_pattern(records: list[ImageRecord], params: GraphParams) -> GatePattern:
+    """The gate pattern of one cell, for a kernel built without a geometry."""
+    return kernel_geometry(records, None, [params]).pattern(params)
+
+
+def _check_weights(w: np.ndarray) -> None:
+    # A NaN fails both comparisons.
+    if w.size and not (w.min() > 0.0 and w.max() < np.inf):
+        raise InputError("edge weights must be positive and finite")
 
 
 def build_w_dist(records: list[ImageRecord], params: GraphParams,
-                 pairs: DistancePairs | None = None) -> WeightedGraph:
+                 pairs: GatePattern | None = None) -> WeightedGraph:
     """Distance kernel: exp(decay * alpha * d) for pairs with d strictly below
-    max_distance_m, taken from ``pairs`` (computed at this radius when not
-    given; a larger reach serves too)."""
-    n = len(records)
+    max_distance_m, as weights on ``pairs``, a gate pattern at this radius
+    (the distance kernel's own when not given)."""
     if pairs is None:
-        pairs = distance_pairs(records, params.max_distance_m)
-    elif pairs.reach_m < params.max_distance_m:
-        raise InputError(f"distance pairs reach {pairs.reach_m} m, "
-                         f"below max_distance_m {params.max_distance_m}")
-    keep = pairs.d < params.max_distance_m
-    if not keep.any():
-        return WeightedGraph.empty(n)
-    i, j, w = pairs.i[keep], pairs.j[keep], pairs.d[keep]
-    # Pairs computed here, and the mask, are freed before the graph is built.
-    del pairs, keep
-    w *= params.decay_factor * params.alpha
-    return WeightedGraph.from_pairs(n, i, j, np.exp(w, out=w))
+        pairs = _cell_pattern(records, replace(params, include_seq=False,
+                                               include_latent=False))
+    elif pairs.radius != params.max_distance_m:
+        raise InputError(f"gate pattern radius {pairs.radius} m, "
+                         f"max_distance_m {params.max_distance_m}")
+    d = pairs.take(pairs.d)
+    keep = d < params.max_distance_m
+    x = d[keep]
+    x *= params.decay_factor * params.alpha
+    np.exp(x, out=x)
+    _check_weights(x)
+    w = np.zeros(d.size)
+    w[keep] = x
+    return WeightedGraph(structure=pairs.structure, weights=w)
 
 
 def build_w_seq(records: list[ImageRecord], params: GraphParams,
-                pairs: list[tuple[np.ndarray, np.ndarray]] | None = None,
-                ) -> WeightedGraph:
+                pairs: GatePattern | None = None) -> WeightedGraph:
     """Sequence kernel: beta_k between same-sequence images exactly k frame
-    indices apart, k = 1..len(betas). Never crosses sequence boundaries.
-    ``pairs`` are sequence_pairs for at least len(betas) gaps."""
-    n = len(records)
+    indices apart, k = 1..len(betas), as weights on ``pairs``, a gate pattern
+    for len(betas) gaps (the sequence kernel's own when not given). Never
+    crosses sequence boundaries."""
     if pairs is None:
-        pairs = sequence_pairs(records, len(params.betas))
-    elif len(pairs) < len(params.betas):
-        raise InputError(f"sequence pairs cover {len(pairs)} gaps, "
+        pairs = _cell_pattern(records, replace(params, include_dist=False,
+                                               include_latent=False))
+    elif pairs.gaps != len(params.betas):
+        raise InputError(f"gate pattern covers {pairs.gaps} gaps, "
                          f"betas name {len(params.betas)}")
-    gaps = pairs[:len(params.betas)]
-    if not sum(gi.size for gi, _ in gaps):
-        return WeightedGraph.empty(n)
-    w = np.concatenate([np.full(gi.size, beta, dtype=np.float64)
-                        for (gi, _), beta in zip(gaps, params.betas)])
-    return WeightedGraph.from_pairs(n, np.concatenate([gi for gi, _ in gaps]),
-                                    np.concatenate([gj for _, gj in gaps]), w)
+    betas = np.array((0.0,) + params.betas + (0.0,))
+    _check_weights(betas[1:-1])
+    # Gaps beyond the betas clip to the trailing zero.
+    return WeightedGraph(structure=pairs.structure,
+                         weights=np.take(betas, pairs.take(pairs.gap), mode="clip"))
 
 
 def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
                    params: GraphParams,
-                   cosines: PairCosines | None = None) -> WeightedGraph:
+                   cosines: np.ndarray | None = None) -> WeightedGraph:
     """Latent kernel: gamma * max(0, cosine) on exactly the gated pairs.
 
     The gate must be the union support of the structural kernels; pairs whose
-    cosine clamps to zero are dropped rather than stored. ``cosines`` must
-    cover every gated pair; they are computed on the gate when not given."""
+    cosine clamps to zero are dropped. ``cosines`` are those of the gate's
+    pairs in (i, j) order; they are computed on the gate when not given."""
     x = np.asarray(descriptors)
     if x.ndim != 2 or x.shape[0] != gate.n:
         raise InputError(f"descriptors must be 2-D with {gate.n} rows")
-    gi, gj = gate.edges()[:2]
-    if gi.size == 0 or params.gamma == 0.0:
-        return WeightedGraph.empty(gate.n)
-    cos = pair_cosines(x, gi, gj) if cosines is None else cosines.take(gi, gj)
-    keep = cos > 0.0
-    if not keep.any():
-        return WeightedGraph.empty(gate.n)
-    width = index_dtype(gate.n)
-    i, j, w = gi[keep].astype(width), gj[keep].astype(width), cos[keep]
-    w *= params.gamma
-    # Only the kept pairs, at index width, are held while they are turned
-    # into a graph.
-    del gi, gj, cos, keep
-    return WeightedGraph.from_pairs(gate.n, i, j, w)
+    if params.gamma == 0.0:
+        return gate.on_pairs(np.zeros(gate.n_edges))
+    if cosines is None:
+        cosines = pair_cosines(x, *gate.edges()[:2])
+    keep = cosines > 0.0
+    x = cosines[keep]
+    x *= params.gamma
+    _check_weights(x)
+    w = np.zeros(cosines.size)
+    w[keep] = x
+    return gate.on_pairs(w)
 
 
 def combine(parts: list[WeightedGraph]) -> WeightedGraph:
-    """Entrywise sum of weight graphs over the same vertex set."""
+    """Entrywise sum of weight graphs over the same vertex set, in the order
+    given; graphs on one pair structure add their weight arrays."""
     if not parts:
         raise InputError("combine needs at least one graph")
     n = parts[0].n
     for p in parts[1:]:
         if p.n != n:
             raise InputError(f"vertex count mismatch: {p.n} != {n}")
+    structure = parts[0].structure
+    if structure is not None and all(p.structure is structure for p in parts):
+        weights = parts[0].weights
+        for p in parts[1:]:
+            weights = weights + p.weights
+        return WeightedGraph(structure=structure, weights=weights)
     total = parts[0].matrix
     for p in parts[1:]:
         total = total + p.matrix
@@ -434,59 +599,75 @@ def normalize(w: WeightedGraph, params: GraphParams) -> SmoothingOperator:
     include_self_edges). Vertices with no incident W edges get an identity
     row and are listed in isolated_vertices. W itself is not changed."""
     n = w.n
-    w_degree = np.asarray(w.matrix.sum(axis=1)).ravel()
-    isolated = np.flatnonzero(w_degree == 0.0).astype(np.int64)
     mat = w.matrix
-    if params.include_self_edges:
-        mat = (mat + sparse.identity(n, format="csr", dtype=np.float64)).tocsr()
-    elif not mat.has_sorted_indices:
-        mat = mat.copy()
-    # A row's degree sums its entries in column order.
-    mat.sort_indices()
-    degree = np.asarray(mat.sum(axis=1)).ravel()
-    fallback = np.flatnonzero(degree == 0.0)
+    degree = _row_sums(mat)
+    isolated = fallback = np.flatnonzero(degree == 0.0)
+    if params.include_self_edges or not mat.has_sorted_indices:
+        if params.include_self_edges:
+            mat = (mat + sparse.identity(n, format="csr", dtype=np.float64)).tocsr()
+        else:
+            mat = mat.copy()
+        # A row's degree sums its entries in column order.
+        mat.sort_indices()
+        degree = _row_sums(mat)
+        fallback = np.flatnonzero(degree == 0.0)
     inv = np.ones_like(degree)
     np.divide(1.0, degree, out=inv, where=degree > 0.0)
-    # The scaled values are written to a new array, so W keeps its own.
+    # The scaled values are written to a new array, so W keeps its own; the
+    # index arrays, which nothing writes, are shared with W.
     data = np.repeat(inv, np.diff(mat.indptr))
     data *= mat.data
-    mat = sparse.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
-                            shape=(n, n))
+    mat = sparse.csr_matrix((data, mat.indices, mat.indptr), shape=(n, n))
     if fallback.size:
         eye = sparse.csr_matrix(
             (np.ones(fallback.size), (fallback, fallback)), shape=(n, n))
         mat = (mat + eye).tocsr()
         mat.sort_indices()
-    return SmoothingOperator(matrix=mat, isolated_vertices=isolated)
+    return SmoothingOperator(matrix=mat, isolated_vertices=isolated.astype(np.int64))
+
+
+def _row_sums(mat: sparse.csr_matrix) -> np.ndarray:
+    """Each row's sum of its stored values, in stored order: the
+    np.add.reduceat that scipy's CSR sum(axis=1) runs, without its matrix
+    wrapping."""
+    sums = np.zeros(mat.shape[0])
+    rows = np.flatnonzero(np.diff(mat.indptr))
+    sums[rows] = np.add.reduceat(mat.data, mat.indptr[rows])
+    return sums
 
 
 def build_graph(records: list[ImageRecord], descriptors: np.ndarray | None,
                 params: GraphParams,
                 geometry: KernelGeometry | None = None) -> WeightedGraph:
-    """Assemble W from the kernels enabled in params, on ``geometry`` (a
-    kernel_geometry covering params; without it each kernel computes its
-    own pairs and cosines, as for a single cell).
+    """Assemble W from the kernels enabled in params, on the pattern of its
+    gate in ``geometry`` (a kernel_geometry covering params; without it one
+    is computed for this cell alone).
 
     The latent kernel is gated to pairs connected by the *enabled* structural
     kernels, so with both of those off it contributes nothing. Descriptors are
     only required when the latent kernel is on.
     """
     n = len(records)
-    geometry = geometry or KernelGeometry()
-    parts: list[WeightedGraph] = []
-    if params.include_dist:
-        parts.append(build_w_dist(records, params, geometry.dist))
-    if params.include_seq:
-        parts.append(build_w_seq(records, params, geometry.seq))
     if params.include_latent:
         if descriptors is None:
             raise InputError("latent kernel enabled but no descriptors given")
         if descriptors.shape[0] != n:
             raise InputError(f"descriptor rows {descriptors.shape[0]} != {n} records")
+    geometry = geometry or kernel_geometry(records, descriptors, [params])
+    pattern = geometry.pattern(params)
+    parts: list[WeightedGraph] = []
+    if params.include_dist:
+        parts.append(build_w_dist(records, params, pattern))
+    if params.include_seq:
+        parts.append(build_w_seq(records, params, pattern))
+    if params.include_latent:
         # The gate holds the structural kernels' sum, and they are freed
         # before the latent kernel is built.
         parts = [combine(parts) if parts else WeightedGraph.empty(n)]
-        parts.append(build_w_latent(descriptors, parts[0], params, geometry.cosines))
+        cosines = None
+        if pattern is not None and pattern.cos is not None:
+            cosines = pattern.take(pattern.cos)
+        parts.append(build_w_latent(descriptors, parts[0], params, cosines))
     if not parts:
         return WeightedGraph.empty(n)
     return combine(parts)

@@ -357,7 +357,119 @@ def localization_error(lat: float, lon: float, truth) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Graphs built cell by cell
+# Graphs built cell by cell, one sparse matrix per kernel
+
+
+class SparseGraph:
+    """graph.WeightedGraph as the library had it before a cell's kernels
+    became weight arrays on a shared gate pattern: every kernel its own CSR
+    matrix, built from its pairs and added to its transpose. The class body
+    is kept verbatim, as are sparse_combine and sparse_normalize below, to
+    pin the bits of that route."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    @property
+    def n(self) -> int:
+        return int(self.matrix.shape[0])
+
+    @property
+    def n_edges(self) -> int:
+        return int(self.matrix.nnz) // 2
+
+    @classmethod
+    def empty(cls, n: int) -> "SparseGraph":
+        from scipy import sparse
+        return cls(sparse.csr_matrix((n, n), dtype=np.float64))
+
+    @classmethod
+    def from_pairs(cls, n: int, i: np.ndarray, j: np.ndarray,
+                   w: np.ndarray) -> "SparseGraph":
+        from scipy import sparse
+        from gsloc.errors import InputError
+        # Integer indices keep their width; others are read as int64.
+        i, j = (a if a.dtype.kind == "i" else a.astype(np.int64)
+                for a in map(np.asarray, (i, j)))
+        w = np.asarray(w, dtype=np.float64)
+        if not (i.shape == j.shape == w.shape):
+            raise InputError("pair arrays must have equal length")
+        if i.size:
+            if i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n:
+                raise InputError("vertex index out of range")
+            if np.any(i == j):
+                raise InputError("self edges are not allowed in W")
+            if not np.all(np.isfinite(w)) or np.any(w <= 0):
+                raise InputError("edge weights must be positive and finite")
+        once = sparse.csr_matrix((w, (i, j)), shape=(n, n), dtype=np.float64)
+        # For unique pairs the two orientations share no entry, so every
+        # stored value is a weight as given. Both the construction and the
+        # sum add up duplicate entries, so a repeated pair, in either
+        # orientation, shows up as a missing stored entry.
+        mat = (once + once.T).tocsr()
+        if mat.nnz != 2 * i.size:
+            raise InputError("duplicate edges in pair list")
+        return cls(mat)
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        mat = self.matrix
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        i = np.repeat(np.arange(self.n, dtype=mat.indices.dtype), np.diff(mat.indptr))
+        keep = i < mat.indices
+        return (i[keep].astype(np.int64, copy=False),
+                mat.indices[keep].astype(np.int64, copy=False), mat.data[keep])
+
+
+def sparse_combine(parts: list[SparseGraph]) -> SparseGraph:
+    """Entrywise sum of weight graphs over the same vertex set."""
+    from gsloc.errors import InputError
+    if not parts:
+        raise InputError("combine needs at least one graph")
+    n = parts[0].n
+    for p in parts[1:]:
+        if p.n != n:
+            raise InputError(f"vertex count mismatch: {p.n} != {n}")
+    total = parts[0].matrix
+    for p in parts[1:]:
+        total = total + p.matrix
+    total = total.tocsr()
+    total.sort_indices()
+    return SparseGraph(total)
+
+
+def sparse_normalize(w: SparseGraph, params):
+    """Divide each row by its degree (plus a unit self-weight when
+    include_self_edges). Vertices with no incident W edges get an identity
+    row and are listed in isolated_vertices. W itself is not changed."""
+    from scipy import sparse
+    from gsloc.graph import SmoothingOperator
+    n = w.n
+    w_degree = np.asarray(w.matrix.sum(axis=1)).ravel()
+    isolated = np.flatnonzero(w_degree == 0.0).astype(np.int64)
+    mat = w.matrix
+    if params.include_self_edges:
+        mat = (mat + sparse.identity(n, format="csr", dtype=np.float64)).tocsr()
+    elif not mat.has_sorted_indices:
+        mat = mat.copy()
+    # A row's degree sums its entries in column order.
+    mat.sort_indices()
+    degree = np.asarray(mat.sum(axis=1)).ravel()
+    fallback = np.flatnonzero(degree == 0.0)
+    inv = np.ones_like(degree)
+    np.divide(1.0, degree, out=inv, where=degree > 0.0)
+    # The scaled values are written to a new array, so W keeps its own.
+    data = np.repeat(inv, np.diff(mat.indptr))
+    data *= mat.data
+    mat = sparse.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
+                            shape=(n, n))
+    if fallback.size:
+        eye = sparse.csr_matrix(
+            (np.ones(fallback.size), (fallback, fallback)), shape=(n, n))
+        mat = (mat + eye).tocsr()
+        mat.sort_indices()
+    return SmoothingOperator(matrix=mat, isolated_vertices=isolated)
 
 
 def reference_operator(records, descriptors, params):
@@ -365,8 +477,7 @@ def reference_operator(records, descriptors, params):
     library did before its kernels shared geometry across cells: candidate
     pairs from a spatial grid at this cell's own radius, sequence pairs for
     this cell's betas, and cosines on this cell's own gate, each kernel a
-    separate graph summed in dist, seq, latent order."""
-    from gsloc.graph import WeightedGraph, combine, normalize
+    separate sparse matrix summed in dist, seq, latent order."""
     n = len(records)
     parts = []
     if params.include_dist:
@@ -374,18 +485,17 @@ def reference_operator(records, descriptors, params):
     if params.include_seq:
         parts.append(_reference_w_seq(records, params))
     if params.include_latent:
-        gate = combine(parts) if parts else WeightedGraph.empty(n)
+        gate = sparse_combine(parts) if parts else SparseGraph.empty(n)
         parts.append(_reference_w_latent(descriptors, gate, params))
-    w = combine(parts) if parts else WeightedGraph.empty(n)
-    return normalize(w, params)
+    w = sparse_combine(parts) if parts else SparseGraph.empty(n)
+    return sparse_normalize(w, params)
 
 
 def _graph(n, out_i, out_j, out_w):
-    from gsloc.graph import WeightedGraph
     if not out_i:
-        return WeightedGraph.empty(n)
-    return WeightedGraph.from_pairs(n, np.concatenate(out_i),
-                                    np.concatenate(out_j), np.concatenate(out_w))
+        return SparseGraph.empty(n)
+    return SparseGraph.from_pairs(n, np.concatenate(out_i),
+                                  np.concatenate(out_j), np.concatenate(out_w))
 
 
 def _reference_w_dist(records, params):

@@ -13,6 +13,7 @@ import shutil
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -835,6 +836,52 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _in_process(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of main(argv) in this process; argparse
+    rejects bad arguments by raising SystemExit, as a fresh process exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _fresh_process(argv) -> tuple:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "gsloc.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, data_dir,
+                                                        capsys):
+    # One parser serves every main() call of a process, so no call may leave
+    # anything in it: not a flag it set, nor a flag it rejected.
+    calls = [
+        _command_argv("run", data_dir, tmp_path / "toggled", tmp_path / "cache")
+        + ["--no-include-latent", "--include-self-edges", "--m", "1"],
+        ["run", "--no-such-flag"],
+        _command_argv("run", data_dir, tmp_path / "plain", tmp_path / "cache"),
+        _command_argv("gridsearch", data_dir, tmp_path / "grid", tmp_path / "cache"),
+    ]
+    outputs = {}
+    for label, call in (("in process", lambda argv: _in_process(argv, capsys)),
+                        ("fresh", _fresh_process)):
+        results = [call(argv) for argv in calls]
+        files = {path.relative_to(tmp_path): path.read_bytes()
+                 for path in sorted(tmp_path.rglob("*"))
+                 if path.is_file() and path.parts[len(tmp_path.parts)] != "cache"}
+        outputs[label] = results, files
+        shutil.rmtree(tmp_path)
+        tmp_path.mkdir()
+    results, files = outputs["fresh"]
+    assert [code for code, _, _ in results] == [0, 2, 0, 0]
+    assert {Path("toggled", "report.json"), Path("plain", "report.json"),
+            Path("grid", "gridsearch.csv")} <= set(files)
+    assert outputs["in process"] == outputs["fresh"]
 
 
 def test_run_flag_toggles_reach_the_manifest(tmp_path, data_dir):

@@ -378,6 +378,44 @@ def test_grid_search_scans_candidate_pairs_once_per_side(monkeypatch):
     assert scans == [(support.n_images, 40.0)]  # no query GPS, no query scan
 
 
+def _count_structures(monkeypatch) -> list:
+    """Record (builder, vertex count) of every sparse structure built from
+    pairs: a kernel matrix (WeightedGraph.from_pairs), the sorted table of a
+    geometry's pairs (graph._pair_table), or a gate pattern
+    (graph._symmetric_structure)."""
+    built = []
+    real_from_pairs = graph.WeightedGraph.from_pairs.__func__
+
+    def from_pairs(cls, n, i, j, w):
+        built.append(("from_pairs", n))
+        return real_from_pairs(cls, n, i, j, w)
+    monkeypatch.setattr(graph.WeightedGraph, "from_pairs", classmethod(from_pairs))
+    for name in ("_pair_table", "_symmetric_structure"):
+        def counting(n, *args, _name=name, _real=getattr(graph, name)):
+            built.append((_name, n))
+            return _real(n, *args)
+        monkeypatch.setattr(graph, name, counting)
+    return built
+
+
+def test_grid_search_builds_one_structure_per_gate_and_side(monkeypatch):
+    support, query = _small_world()
+    assert support.n_images != query.n_images
+    built = _count_structures(monkeypatch)
+    grid = {"max_distance_m": [15.0, 40.0],
+            "betas": [[0.75, 0.0625, 0.0625], [0.5, 0.25]],
+            "gamma": [0.0, 0.33], "m": [0, 2]}
+    grid_search(support, query, grid, regime="gs_both", threads=2)
+    # Eight cells once built two or three kernel matrices each per side. Now
+    # each side sorts its pairs once, and builds one pattern per gate: four
+    # (radius, gaps) gates on the support, and two gap-only gates on the
+    # query, whose graph leaves GPS out.
+    assert sorted(built) == sorted(
+        [("_pair_table", support.n_images), ("_pair_table", query.n_images)]
+        + [("_symmetric_structure", support.n_images)] * 4
+        + [("_symmetric_structure", query.n_images)] * 2)
+
+
 def test_grid_search_threads_share_geometry_under_fast_switching():
     support, query = _small_world()
     _, _, serial = grid_search(support, query, _SHARED_GRID, regime="gs_both",

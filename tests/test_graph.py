@@ -14,10 +14,10 @@ from gsloc.errors import InputError
 from gsloc.geodesy import GeoPoint, METERS_PER_DEGREE, haversine_m
 from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
                          build_graph, build_operator, build_w_dist,
-                         build_w_latent, build_w_seq, combine, load_operator,
-                         normalize, save_operator)
+                         build_w_latent, build_w_seq, combine, kernel_geometry,
+                         load_operator, normalize, save_operator)
 from oracles import (all_pairs_dist_edges, dense_normalize, edge_set,
-                     random_weighted_graph)
+                     random_weighted_graph, reference_operator)
 
 
 def _gps_records(offsets_m, sequence="s"):
@@ -227,6 +227,23 @@ def test_latent_kernel_empty_gate_and_zero_rows():
 def test_latent_kernel_checks_row_count():
     with pytest.raises(InputError, match="2 rows"):
         build_w_latent(np.zeros((3, 2)), _gate(2, [(0, 1)]), GraphParams())
+
+
+@pytest.mark.parametrize("params", [
+    GraphParams(alpha=1000.0, decay_sign="positive"),  # exp(4000) overflows
+    GraphParams(alpha=1000.0),                         # exp(-4000) underflows
+    GraphParams(gamma=5e-324),                         # gamma * 0.3 underflows
+], ids=["exp-overflow", "exp-underflow", "latent-underflow"])
+def test_weights_that_overflow_or_underflow_are_rejected(params):
+    # Two frames of one sequence 4 m apart, with a cosine of 0.3.
+    records = _gps_records([0.0, 4.0])
+    desc = np.array([[1.0, 0.0], [0.3, math.sqrt(1.0 - 0.09)]])
+    geometry = kernel_geometry(records, desc, [params, GraphParams()])
+    for build in (lambda: reference_operator(records, desc, params),
+                  lambda: build_operator(records, desc, params),
+                  lambda: build_operator(records, desc, params, geometry)):
+        with pytest.raises(InputError, match="positive and finite"):
+            build()
 
 
 # ---------------------------------------------------------------------------

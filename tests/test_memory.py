@@ -287,12 +287,12 @@ def test_min_distance_within_reach_stays_within_the_pair_budget(monkeypatch):
 
 
 # What the graph build holds beyond its inputs, in operators of the size it
-# returns: the gate and the latent kernel with their sum, which scipy
-# allocates for every entry of both before it drops the overlap.
-GRAPH_BUILD_OPERATORS = 4
+# returns: the peak comes while the cell's geometry merges its distance and
+# sequence pairs into one sorted table, with the pairs themselves held.
+GRAPH_BUILD_OPERATORS = 3
 
 
-def test_build_operator_holds_about_four_operators():
+def test_build_operator_holds_about_three_operators():
     # The benchmark's `localize` support: 4,800 fixes, 369,218 entries.
     support, _, _ = generate_synthetic(
         SynthConfig(n_places=60, n_support_sequences=20, n_query_sequences=5,
