@@ -415,7 +415,7 @@ def _pair_table(n: int, dist: DistancePairs | None,
         rows.append(gi)
         cols.append(gj)
         codes.append(np.full(gi.size, k, dtype=np.int64))
-    n_dist = codes[1].size if dist is not None else 0
+    n_dist = dist.d.size if dist is not None else 0
     n_seq = sum(gi.size for gi, _ in seq)
     table = sparse.csr_matrix(
         (np.concatenate(codes), (np.concatenate(rows), np.concatenate(cols))),
