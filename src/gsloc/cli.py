@@ -312,7 +312,7 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
             values[option.key] = flagged
     config = SimpleNamespace(**_nest(values.items()))
     config.graph = GraphParams(**config.graph)
-    if config.threshold_m <= 0:
+    if not config.threshold_m > 0:
         raise InputError(f"threshold_m must be positive, got {config.threshold_m}")
     if config.threads < 1:
         raise InputError(f"threads must be at least 1, got {config.threads}")

@@ -303,7 +303,7 @@ def filter_reachable_queries(query: Dataset, support: Dataset,
                              radius_m: float = 25.0) -> Dataset:
     """Keep only query records within radius_m (great-circle) of some support
     record; descriptor rows follow in lockstep, order preserved."""
-    if radius_m <= 0.0:
+    if not radius_m > 0.0:
         raise InputError(f"radius must be positive, got {radius_m}")
     if support.n_images == 0:
         raise InputError("cannot filter queries against an empty support set")

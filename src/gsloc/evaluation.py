@@ -93,7 +93,7 @@ def compute_report(indices: np.ndarray, scores: np.ndarray, support: Dataset,
                    regime: str, config_snapshot: dict) -> EvalReport:
     """Score cosine_knn's (n_query, k) arrays, row i for query i, against
     the query split's own GPS."""
-    if threshold_m <= 0:
+    if not threshold_m > 0:
         raise InputError(f"threshold_m must be positive, got {threshold_m}")
     if len(indices) == 0:
         raise InputError("cannot score an empty query set")

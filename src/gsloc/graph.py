@@ -17,14 +17,14 @@ normalization. Normalizing divides each row by its degree, giving a
 row-stochastic operator whose eigenvalues lie in [-1, 1]; vertices with no
 edges at all fall back to an identity row and are reported.
 
-Graphs are built on gate patterns (``kernel_geometry``). A pattern is the
-symmetric CSR structure of the pairs a cell's structural kernels connect,
-made once per distinct gate and shared by every parameter cell with that
-gate: distance pairs are found once at the largest radius, sequence pairs
-once up to the longest betas, and cosines once on the union of the latent
-gates. A cell's kernels and their sum are then weight arrays on its
-pattern, and its operator is the one CSR matrix it builds. A single cell
-gets a geometry of its own, and each cell's graph is bitwise the one the
+A graph is one weight per pair of a symmetric CSR pair structure, zero
+where it has no edge. Graphs are built on gate patterns (``kernel_geometry``):
+the structure of the pairs a cell's structural kernels connect, made once
+per distinct gate and shared by every parameter cell with that gate.
+Distance pairs are found once at the largest radius, sequence pairs once up
+to the longest betas, and cosines once on the union of the latent gates. A
+cell's kernels and their sum are weight arrays on its pattern, and its
+operator is the one CSR matrix it builds; each is bitwise the one the
 kernels would give as separate sparse matrices summed in turn.
 """
 
@@ -82,13 +82,14 @@ class GraphParams:
 
     def __post_init__(self) -> None:
         self.betas = tuple(float(b) for b in self.betas)
-        if self.alpha <= 0:
+        # Each check is written so that a NaN fails it.
+        if not self.alpha > 0:
             raise InputError(f"alpha must be positive, got {self.alpha}")
-        if self.max_distance_m <= 0:
+        if not self.max_distance_m > 0:
             raise InputError(f"max_distance_m must be positive, got {self.max_distance_m}")
         if any(b <= 0 or not np.isfinite(b) for b in self.betas):
             raise InputError(f"betas must all be positive, got {self.betas}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise InputError(f"gamma must be nonnegative, got {self.gamma}")
         if self.decay_sign not in ("negative", "positive"):
             raise InputError(f"decay_sign must be 'negative' or 'positive', got {self.decay_sign!r}")
@@ -98,53 +99,40 @@ class GraphParams:
         return -1.0 if self.decay_sign == "negative" else 1.0
 
 
+@dataclass(eq=False)
 class WeightedGraph:
-    """Symmetric weighted graph; diagonal always empty.
+    """Symmetric weighted graph with an empty diagonal: one float64 weight
+    per pair of a PairStructure, zero for a pair it does not connect. Graphs
+    on one structure add by adding their weight arrays, and ``matrix`` is
+    made from the structure only when it is read."""
 
-    It is stored as a CSR matrix, or as one weight per pair of a
-    PairStructure, zero for a pair it does not connect. A cell's kernels are
-    built on its gate's structure, so their sum adds weight arrays, and
-    ``matrix`` is made from the structure only when it is read."""
-
-    def __init__(self, matrix: sparse.csr_matrix | None = None,
-                 structure: PairStructure | None = None,
-                 weights: np.ndarray | None = None):
-        self._matrix = matrix
-        self.structure = structure
-        self.weights = weights
+    structure: PairStructure
+    weights: np.ndarray
 
     @property
     def matrix(self) -> sparse.csr_matrix:
-        if self.structure is None:
-            return self._matrix
         return self.structure.matrix(self.weights)
 
     @property
     def n(self) -> int:
-        if self.structure is not None:
-            return self.structure.n
-        return int(self._matrix.shape[0])
+        return self.structure.n
 
     @property
     def n_edges(self) -> int:
-        if self.structure is not None:
-            return int(np.count_nonzero(self.weights))
-        return int(self._matrix.nnz) // 2
+        return int(np.count_nonzero(self.weights))
 
     @classmethod
     def empty(cls, n: int) -> "WeightedGraph":
-        return cls(sparse.csr_matrix((n, n), dtype=np.float64))
+        none = np.empty(0, dtype=index_dtype(n))
+        return cls(_symmetric_structure(n, none, none), np.empty(0))
 
     @classmethod
     def from_pairs(cls, n: int, i: np.ndarray, j: np.ndarray,
                    w: np.ndarray) -> "WeightedGraph":
         """Build from unordered unique pairs; both (i,j) and (j,i) are stored
-        with the same weight so symmetry is exact.
-
-        The pairs make one matrix in the orientation given, which is added to
-        its transpose: no coordinate list of both orientations is made, and
-        indices at the width scipy keeps (int32 while n fits it) are used
-        without a copy."""
+        with the same weight so symmetry is exact. Each pair is turned to
+        i < j and sorted into (i, j) order, where a repeated pair, in either
+        orientation, lies next to its twin."""
         # Integer indices keep their width; others are read as int64.
         i, j = (a if a.dtype.kind == "i" else a.astype(np.int64)
                 for a in map(np.asarray, (i, j)))
@@ -158,38 +146,20 @@ class WeightedGraph:
                 raise InputError("self edges are not allowed in W")
             if not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise InputError("edge weights must be positive and finite")
-        once = sparse.csr_matrix((w, (i, j)), shape=(n, n), dtype=np.float64)
-        # For unique pairs the two orientations share no entry, so every
-        # stored value is a weight as given. Both the construction and the
-        # sum add up duplicate entries, so a repeated pair, in either
-        # orientation, shows up as a missing stored entry.
-        mat = (once + once.T).tocsr()
-        if mat.nnz != 2 * i.size:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        order = np.lexsort((j, i))
+        i, j, w = i[order], j[order], w[order]
+        if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
             raise InputError("duplicate edges in pair list")
-        return cls(mat)
+        return cls(_symmetric_structure(n, i, j), w)
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upper-triangle entries as (i, j, w) arrays with i < j, in (i, j)
-        order: the stored order of a canonical CSR matrix, whose rows list
-        their columns sorted and unique. The indices are int64; they are
-        filtered at their stored width and widened after."""
-        mat = self.matrix
-        if not mat.has_canonical_format:
-            mat = mat.copy()
-            mat.sum_duplicates()
-        i = np.repeat(np.arange(self.n, dtype=mat.indices.dtype), np.diff(mat.indptr))
-        keep = i < mat.indices
+        """The connected pairs as (i, j, w) arrays with i < j, in (i, j)
+        order; the indices are filtered at their stored width, then int64."""
+        i, j = self.structure.pairs()
+        keep = self.weights != 0.0
         return (i[keep].astype(np.int64, copy=False),
-                mat.indices[keep].astype(np.int64, copy=False), mat.data[keep])
-
-    def on_pairs(self, weights: np.ndarray) -> "WeightedGraph":
-        """The graph on this graph's pairs, in (i, j) order, with the given
-        weights; a pair weighted zero is left out."""
-        if self.structure is not None:
-            return WeightedGraph(structure=self.structure, weights=weights)
-        i, j, _ = self.edges()
-        keep = weights != 0.0
-        return WeightedGraph.from_pairs(self.n, i[keep], j[keep], weights[keep])
+                j[keep].astype(np.int64, copy=False), self.weights[keep])
 
 
 @dataclass(frozen=True)
@@ -205,6 +175,14 @@ class PairStructure:
     @property
     def n(self) -> int:
         return self.indptr.size - 1
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) of every pair: the upper-triangle entries in stored order,
+        which is pair order, at the stored index width."""
+        i = np.repeat(np.arange(self.n, dtype=self.indices.dtype),
+                      np.diff(self.indptr))
+        keep = i < self.indices
+        return i[keep], self.indices[keep]
 
     def matrix(self, weights: np.ndarray) -> sparse.csr_matrix:
         """Canonical CSR matrix of one weight per pair. With no zero weight
@@ -521,11 +499,12 @@ def build_w_dist(records: list[ImageRecord], params: GraphParams,
     keep = d < params.max_distance_m
     x = d[keep]
     x *= params.decay_factor * params.alpha
-    np.exp(x, out=x)
+    with np.errstate(over="ignore"):  # _check_weights refuses the inf
+        np.exp(x, out=x)
     _check_weights(x)
     w = np.zeros(d.size)
     w[keep] = x
-    return WeightedGraph(structure=pairs.structure, weights=w)
+    return WeightedGraph(pairs.structure, w)
 
 
 def build_w_seq(records: list[ImageRecord], params: GraphParams,
@@ -543,8 +522,8 @@ def build_w_seq(records: list[ImageRecord], params: GraphParams,
     betas = np.array((0.0,) + params.betas + (0.0,))
     _check_weights(betas[1:-1])
     # Gaps beyond the betas clip to the trailing zero.
-    return WeightedGraph(structure=pairs.structure,
-                         weights=np.take(betas, pairs.take(pairs.gap), mode="clip"))
+    return WeightedGraph(pairs.structure,
+                         np.take(betas, pairs.take(pairs.gap), mode="clip"))
 
 
 def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
@@ -552,28 +531,32 @@ def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
                    cosines: np.ndarray | None = None) -> WeightedGraph:
     """Latent kernel: gamma * max(0, cosine) on exactly the gated pairs.
 
-    The gate must be the union support of the structural kernels; pairs whose
-    cosine clamps to zero are dropped. ``cosines`` are those of the gate's
-    pairs in (i, j) order; they are computed on the gate when not given."""
+    The kernel is weights on the gate's structure, zero where the gate's
+    weight is zero or the cosine clamps to zero. ``cosines`` are one per pair
+    of that structure; when not given, they are computed where the gate's
+    weight is nonzero."""
     x = np.asarray(descriptors)
     if x.ndim != 2 or x.shape[0] != gate.n:
         raise InputError(f"descriptors must be 2-D with {gate.n} rows")
+    w = np.zeros(gate.weights.size)
     if params.gamma == 0.0:
-        return gate.on_pairs(np.zeros(gate.n_edges))
+        return WeightedGraph(gate.structure, w)
+    gated = gate.weights != 0.0
     if cosines is None:
-        cosines = pair_cosines(x, *gate.edges()[:2])
-    keep = cosines > 0.0
+        i, j = gate.structure.pairs()
+        cosines = np.zeros(w.size)
+        cosines[gated] = pair_cosines(x, i[gated], j[gated])
+    keep = gated & (cosines > 0.0)
     x = cosines[keep]
     x *= params.gamma
     _check_weights(x)
-    w = np.zeros(cosines.size)
     w[keep] = x
-    return gate.on_pairs(w)
+    return WeightedGraph(gate.structure, w)
 
 
 def combine(parts: list[WeightedGraph]) -> WeightedGraph:
-    """Entrywise sum of weight graphs over the same vertex set, in the order
-    given; graphs on one pair structure add their weight arrays."""
+    """Entrywise sum of weight graphs on one pair structure, in the order
+    given: the sum of their weight arrays."""
     if not parts:
         raise InputError("combine needs at least one graph")
     n = parts[0].n
@@ -581,17 +564,12 @@ def combine(parts: list[WeightedGraph]) -> WeightedGraph:
         if p.n != n:
             raise InputError(f"vertex count mismatch: {p.n} != {n}")
     structure = parts[0].structure
-    if structure is not None and all(p.structure is structure for p in parts):
-        weights = parts[0].weights
-        for p in parts[1:]:
-            weights = weights + p.weights
-        return WeightedGraph(structure=structure, weights=weights)
-    total = parts[0].matrix
+    if any(p.structure is not structure for p in parts[1:]):
+        raise InputError("combine needs graphs on one pair structure")
+    weights = parts[0].weights
     for p in parts[1:]:
-        total = total + p.matrix
-    total = total.tocsr()
-    total.sort_indices()
-    return WeightedGraph(total)
+        weights = weights + p.weights
+    return WeightedGraph(structure, weights)
 
 
 def normalize(w: WeightedGraph, params: GraphParams) -> SmoothingOperator:
@@ -602,11 +580,8 @@ def normalize(w: WeightedGraph, params: GraphParams) -> SmoothingOperator:
     mat = w.matrix
     degree = _row_sums(mat)
     isolated = fallback = np.flatnonzero(degree == 0.0)
-    if params.include_self_edges or not mat.has_sorted_indices:
-        if params.include_self_edges:
-            mat = (mat + sparse.identity(n, format="csr", dtype=np.float64)).tocsr()
-        else:
-            mat = mat.copy()
+    if params.include_self_edges:
+        mat = (mat + sparse.identity(n, format="csr", dtype=np.float64)).tocsr()
         # A row's degree sums its entries in column order.
         mat.sort_indices()
         degree = _row_sums(mat)
@@ -655,22 +630,21 @@ def build_graph(records: list[ImageRecord], descriptors: np.ndarray | None,
             raise InputError(f"descriptor rows {descriptors.shape[0]} != {n} records")
     geometry = geometry or kernel_geometry(records, descriptors, [params])
     pattern = geometry.pattern(params)
+    if pattern is None:
+        return WeightedGraph.empty(n)
     parts: list[WeightedGraph] = []
     if params.include_dist:
         parts.append(build_w_dist(records, params, pattern))
     if params.include_seq:
         parts.append(build_w_seq(records, params, pattern))
-    if params.include_latent:
-        # The gate holds the structural kernels' sum, and they are freed
-        # before the latent kernel is built.
-        parts = [combine(parts) if parts else WeightedGraph.empty(n)]
-        cosines = None
-        if pattern is not None and pattern.cos is not None:
-            cosines = pattern.take(pattern.cos)
-        parts.append(build_w_latent(descriptors, parts[0], params, cosines))
-    if not parts:
-        return WeightedGraph.empty(n)
-    return combine(parts)
+    # The gate holds the structural kernels' sum, and they are freed before
+    # the latent kernel is built.
+    gate = combine(parts)
+    del parts
+    if not params.include_latent:
+        return gate
+    cosines = None if pattern.cos is None else pattern.take(pattern.cos)
+    return combine([gate, build_w_latent(descriptors, gate, params, cosines)])
 
 
 def build_operator(records: list[ImageRecord], descriptors: np.ndarray | None,

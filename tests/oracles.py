@@ -281,10 +281,9 @@ def coo_from_pairs(n, i, j, w):
     built one triangle and added its transpose: both orientations
     concatenated as int64 coordinates and handed to scipy's COO
     constructor, which copies them down to its own index width. Kept
-    verbatim to pin its bits."""
+    verbatim, but for the SparseGraph it returns, to pin its bits."""
     from scipy import sparse
     from gsloc.errors import InputError
-    from gsloc.graph import WeightedGraph
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
@@ -303,7 +302,7 @@ def coo_from_pairs(n, i, j, w):
     mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.float64)
     if mat.nnz != 2 * i.size:
         raise InputError("duplicate edges in pair list")
-    return WeightedGraph(mat)
+    return SparseGraph(mat)
 
 
 def copying_normalize(w, params):

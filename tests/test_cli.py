@@ -146,13 +146,17 @@ def test_missing_input_file_exits_2(tmp_path, data_dir, capsys):
 
 
 _BROKEN_MESSAGES = {"missing-file": "not found", "no-grid": "grid axis",
-                    "dim-0": "dim must be positive"}
+                    "dim-0": "dim must be positive",
+                    "nan-radius": "max_distance_m must be positive",
+                    "nan-threshold": "threshold_m must be positive"}
+_NAN_FLAGS = {"nan-radius": "--max-distance-m", "nan-threshold": "--threshold-m"}
 
 
 @pytest.mark.parametrize("command, broken", [
     ("run", "missing-file"), ("ablate", "missing-file"),
     ("sweep-m", "missing-file"), ("gridsearch", "missing-file"),
     ("gridsearch", "no-grid"), ("synth", "dim-0"),
+    ("run", "nan-radius"), ("run", "nan-threshold"),
 ])
 def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
                                                   command, broken):
@@ -162,8 +166,10 @@ def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
         argv[argv.index("--query-descriptors") + 1] = str(tmp_path / "nope.emb1")
     elif broken == "no-grid":
         argv = argv[:argv.index("--grid-m")]
-    else:
+    elif broken == "dim-0":
         argv += ["--dim", "0"]
+    else:
+        argv += [_NAN_FLAGS[broken], "nan"]
     assert main(argv) == 2
     assert _BROKEN_MESSAGES[broken] in capsys.readouterr().err
     assert not out.exists() and not cache.exists()
@@ -396,6 +402,18 @@ def test_run_regime_none_warns_about_ignored_m(tmp_path, data_dir, capsys):
     rc, _ = _run(tmp_path, data_dir, "none", ["--regime", "none"])
     assert rc == 0
     assert "ignores m=2" in capsys.readouterr().err
+
+
+def test_run_latent_only_graph_matches_regime_none(tmp_path, data_dir):
+    # With both structural kernels off the latent kernel's gate is empty, so
+    # every vertex is isolated and smoothing leaves the descriptors as they
+    # are.
+    rc1, latent = _run(tmp_path, data_dir, "latent-only",
+                       ["--no-include-dist", "--no-include-seq"])
+    rc2, none = _run(tmp_path, data_dir, "none", ["--regime", "none"])
+    assert rc1 == rc2 == 0
+    assert (latent / "matches.csv").read_bytes() == \
+        (none / "matches.csv").read_bytes()
 
 
 def test_run_noiseless_world_is_perfect(tmp_path, capsys):

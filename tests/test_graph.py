@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,25 @@ def test_latent_kernel_empty_gate_and_zero_rows():
     assert build_w_latent(desc, _gate(2, [(0, 1)]), GraphParams()).n_edges == 0
 
 
+def test_latent_kernel_on_a_gate_with_zero_weight_pairs():
+    # Five frames of one sequence 111 m apart: on the dist+seq pattern the
+    # distance kernel weighs all 9 pairs zero, so as a gate it admits none.
+    records = _gps_records([111.0 * k for k in range(5)])
+    params = GraphParams(include_latent=False)
+    pattern = kernel_geometry(records, None, [params]).pattern(params)
+    dist = build_w_dist(records, params, pattern)
+    assert dist.weights.size == 9 and dist.n_edges == 0
+    x = np.ones((5, 2))
+    for gamma in (0.33, 0.0):
+        latent = build_w_latent(x, dist, GraphParams(gamma=gamma))
+        assert latent.structure is dist.structure
+        assert latent.weights.size == 9 and latent.n_edges == 0
+    # The sequence kernel on the same pattern admits every pair.
+    seq = build_w_seq(records, params, pattern)
+    latent = build_w_latent(x, seq, GraphParams())
+    assert edge_set(latent) == edge_set(seq) and latent.n_edges == 9
+
+
 def test_latent_kernel_checks_row_count():
     with pytest.raises(InputError, match="2 rows"):
         build_w_latent(np.zeros((3, 2)), _gate(2, [(0, 1)]), GraphParams())
@@ -239,11 +259,17 @@ def test_weights_that_overflow_or_underflow_are_rejected(params):
     records = _gps_records([0.0, 4.0])
     desc = np.array([[1.0, 0.0], [0.3, math.sqrt(1.0 - 0.09)]])
     geometry = kernel_geometry(records, desc, [params, GraphParams()])
-    for build in (lambda: reference_operator(records, desc, params),
-                  lambda: build_operator(records, desc, params),
+    # The verbatim oracle's exp warns on overflow before it refuses.
+    with np.errstate(over="ignore"), \
+            pytest.raises(InputError, match="positive and finite"):
+        reference_operator(records, desc, params)
+    # The library's builds refuse the weights without a numpy warning.
+    for build in (lambda: build_operator(records, desc, params),
                   lambda: build_operator(records, desc, params, geometry)):
-        with pytest.raises(InputError, match="positive and finite"):
-            build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InputError, match="positive and finite"):
+                build()
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +278,30 @@ def test_weights_that_overflow_or_underflow_are_rejected(params):
 
 def test_combine_sums_overlapping_edges():
     records = _gps_records([0.0, 4.0])
-    dist = build_w_dist(records, GraphParams())
-    seq = build_w_seq(records, GraphParams())
+    params = GraphParams(include_latent=False)
+    pattern = kernel_geometry(records, None, [params]).pattern(params)
+    dist = build_w_dist(records, params, pattern)
+    seq = build_w_seq(records, params, pattern)
     total = combine([dist, seq])
     _, _, w = total.edges()
     assert w[0] == pytest.approx(0.75 + math.exp(-1.0), rel=1e-12)
 
 
 def test_combine_union_of_disjoint_edges():
-    a = _gate(4, [(0, 1)])
-    b = _gate(4, [(2, 3)])
+    structure = _gate(4, [(0, 1), (2, 3)]).structure
+    a = WeightedGraph(structure, np.array([1.0, 0.0]))
+    b = WeightedGraph(structure, np.array([0.0, 2.0]))
+    assert edge_set(a) == {(0, 1)} and edge_set(b) == {(2, 3)}
     assert edge_set(combine([a, b])) == {(0, 1), (2, 3)}
+    # Graphs on different structures are refused.
+    with pytest.raises(InputError, match="one pair structure"):
+        combine([_gate(4, [(0, 1)]), _gate(4, [(2, 3)])])
+    # So are equal structures made apart: each kernel built without a
+    # pattern gets one of its own.
+    records = _gps_records([0.0, 4.0])
+    with pytest.raises(InputError, match="one pair structure"):
+        combine([build_w_dist(records, GraphParams()),
+                 build_w_seq(records, GraphParams())])
 
 
 def test_combine_rejects_mismatched_sizes():

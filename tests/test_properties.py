@@ -52,10 +52,11 @@ from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
 from gsloc.retrieval import cosine_knn, estimate_positions
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
-from oracles import (chunked_pair_cosines, coo_edges, coo_from_pairs,
-                     copying_normalize, quadratic_knn, random_weighted_graph,
-                     reference_operator, scalar_errors_m, scalar_positions,
-                     svd_projection, two_pass_cosine_knn)
+from oracles import (SparseGraph, chunked_pair_cosines, coo_edges,
+                     coo_from_pairs, copying_normalize, quadratic_knn,
+                     random_weighted_graph, reference_operator,
+                     scalar_errors_m, scalar_positions, svd_projection,
+                     two_pass_cosine_knn)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -538,25 +539,12 @@ def _assert_same_csr(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-def _shuffled_rows(mat, rng):
-    """A copy of a CSR matrix with each row's entries in random order."""
-    mat = mat.copy()
-    for row in range(mat.shape[0]):
-        lo, hi = mat.indptr[row], mat.indptr[row + 1]
-        order = lo + rng.permutation(hi - lo)
-        mat.indices[lo:hi], mat.data[lo:hi] = mat.indices[order], mat.data[order]
-    mat.has_sorted_indices = False
-    return mat
-
-
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.0, 0.1, 0.5]),
-       st.integers(0, 3), st.booleans())
-def test_edges_equal_the_coo_route(seed, n, density, n_isolated, shuffled):
+       st.integers(0, 3))
+def test_edges_equal_the_coo_route(seed, n, density, n_isolated):
     rng = np.random.default_rng(seed)
     graph, _ = random_weighted_graph(rng, n + n_isolated, density, n_isolated)
-    if shuffled:  # the same entries with each row's columns out of order
-        graph = WeightedGraph(_shuffled_rows(graph.matrix, rng))
     got, want = graph.edges(), coo_edges(graph)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
@@ -565,16 +553,17 @@ def test_edges_equal_the_coo_route(seed, n, density, n_isolated, shuffled):
 
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 3),
-       st.sampled_from([np.int32, np.int64]), st.booleans(), st.booleans())
+       st.sampled_from([np.int32, np.int64]), st.booleans())
 def test_graph_stages_equal_the_coo_route(seed, live, n_isolated, width,
-                                          self_edges, shuffled):
+                                          self_edges):
     """Two kernels on the same vertices, each from unique pairs in random
     orientation and order at either index width; the last n_isolated
-    vertices have no pair, and so may some of the others."""
+    vertices have no pair, and so may some of the others. The kernels are
+    summed as weights on the structure of their union."""
     rng = np.random.default_rng(seed)
     n = live + n_isolated
     iu, ju = np.triu_indices(live, k=1)
-    got, want = [], []
+    want, on_triu = [], []
     for density in (0.2, 0.6):
         pick = rng.random(iu.size) < density
         flip = rng.random(iu.size) < 0.5
@@ -588,23 +577,28 @@ def test_graph_stages_equal_the_coo_route(seed, live, n_isolated, width,
         for g, r in zip(graph.edges(), coo_edges(reference)):
             assert g.dtype == r.dtype
             assert g.tobytes() == r.tobytes()
-        got.append(graph)
         want.append(reference)
-    total = combine(got)
+        # The kernel's weight of each upper-triangle pair, zero if unpicked.
+        weights = np.zeros(iu.size)
+        weights[np.flatnonzero(pick)[order]] = w
+        on_triu.append(weights)
+    union = np.logical_or(*on_triu)
+    structure = WeightedGraph.from_pairs(
+        n, iu[union].astype(width), ju[union].astype(width),
+        np.ones(np.count_nonzero(union))).structure
+    total = combine([WeightedGraph(structure, w[union]) for w in on_triu])
     summed = want[0].matrix + want[1].matrix
     summed.sort_indices()
     _assert_same_csr(total.matrix, summed)
-    if shuffled:  # the same entries with each row's columns out of order
-        total = WeightedGraph(_shuffled_rows(total.matrix, rng))
     params = GraphParams(include_self_edges=self_edges)
-    before = total.matrix.copy()
+    before = total.weights.copy()
     op = normalize(total, params)
-    reference = copying_normalize(WeightedGraph(before.copy()), params)
+    reference = copying_normalize(SparseGraph(summed.copy()), params)
     _assert_same_csr(op.matrix, reference.matrix)
     assert np.array_equal(op.isolated_vertices, reference.isolated_vertices)
     # W is left as it was: normalize writes the scaled values elsewhere.
-    _assert_same_csr(total.matrix, before)
-    assert not np.shares_memory(op.matrix.data, total.matrix.data)
+    assert total.weights.tobytes() == before.tobytes()
+    assert not np.shares_memory(op.matrix.data, total.weights)
 
 
 @PROPERTY
