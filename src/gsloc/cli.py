@@ -23,7 +23,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,10 +31,9 @@ import numpy as np
 
 from . import __version__
 from .cache import Cache, param_key, sha256_file
-from .dataset import (Dataset, descriptor_file_shape,
-                      filter_reachable_queries, load_dataset, load_descriptors,
-                      write_descriptors, write_finite_descriptors,
-                      write_metadata)
+from .codec import ADJ1, EMB1, PRJ1
+from .dataset import (Dataset, filter_reachable_queries, load_dataset,
+                      load_descriptors, write_descriptors, write_metadata)
 from .errors import InputError
 from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, ablation_table_csv,
                          compute_report, grid_search, grid_table_csv,
@@ -42,9 +41,8 @@ from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, ablation_table_csv,
                          sweep_m, sweep_plot_data, sweep_table_csv,
                          write_report_csv, write_report_json)
 from .features import (apply_projection, fit_projection, l2_normalize,
-                       load_projection, projection_file_shape, save_projection)
-from .graph import (GraphParams, build_operator, load_operator,
-                    operator_file_shape, save_operator)
+                       load_projection, save_projection)
+from .graph import GraphParams, build_operator, load_operator, save_operator
 from .retrieval import STRATEGIES, cosine_knn, write_matches
 from .smoothing import SmoothConfig, smooth
 from .synth import SynthConfig, generate_synthetic
@@ -325,6 +323,11 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     if args.command == "gridsearch" and not config.grid:
         raise InputError("gridsearch needs at least one grid axis "
                          "(config `grid` object or --grid-* flags)")
+    for axis, points in config.grid.items():
+        if not points:
+            raise InputError(f"grid axis {axis!r} is empty")
+        for v in points:
+            replace(config.smoothing if axis == "m" else config.graph, **{axis: v})
     _require_paths(config, args.command)
     config.echo = _nest((option.echo, values[option.key])
                         for option in OPTIONS if option.echo)
@@ -390,7 +393,7 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
             fitted = fit_projection(support.descriptors, d_out, eps=eps)
             save_projection(tmp, fitted)
         path, hit = cache.get_or_create("projection", key, ".prj1", produce,
-                                        projection_file_shape)
+                                        PRJ1.shape)
         print(f"projection cache {'hit' if hit else 'miss'}: {path.name}")
         projection = _read_cached(load_projection, path)
         support = support.with_descriptors(
@@ -442,17 +445,18 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
     def build(tmp: Path) -> None:
         save_operator(tmp, build_operator(dataset.records, desc, params))
     op_path, hit = cache.get_or_create("graph", graph_key, ".adj1", build,
-                                       operator_file_shape)
+                                       ADJ1.shape)
     print(f"{side} graph cache {'hit' if hit else 'miss'}: {op_path.name}")
     # The graph key covers the graph params.
     smooth_key = param_key({"graph": graph_key, "m": m, "v": 2})
     def run_smooth(tmp: Path) -> None:
         smooth(_read_cached(load_operator, op_path), desc, SmoothConfig(m=m),
                out=desc)
-        # Row-stochastic averages of finite rows are finite.
-        write_finite_descriptors(tmp, desc)
+        # Row-stochastic averages of finite rows are finite, so they are
+        # written without write_descriptors' scan.
+        EMB1.write(tmp, desc.shape, [desc])
     emb_path, hit = cache.get_or_create("smoothed", smooth_key, ".emb1",
-                                        run_smooth, descriptor_file_shape)
+                                        run_smooth, EMB1.shape)
     print(f"{side} smoothing cache {'hit' if hit else 'miss'}: {emb_path.name}")
     if hit:
         _read_cached(load_descriptors, emb_path,

@@ -2,9 +2,8 @@
 
 A dataset is an ordered list of image records plus a row-aligned float32
 descriptor matrix. Metadata travels as CSV (header
-``image_id,sequence_id,frame_index,lat,lon``), descriptors as EMB1 binary:
-4-byte magic ``EMB1``, u32-le row count, u32-le dim, then rows*dim float32-le
-values in row-major order.
+``image_id,sequence_id,frame_index,lat,lon``), descriptors as EMB1 binary
+(``codec.EMB1``).
 """
 
 from __future__ import annotations
@@ -12,21 +11,17 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .codec import EMB1
 from .errors import InputError
 from .spatial import LatLonGrid
 
 METADATA_HEADER = ["image_id", "sequence_id", "frame_index", "lat", "lon"]
-
-EMB1_MAGIC = b"EMB1"
-_EMB1_HEADER = struct.Struct("<4sII")
 # Bound on the one-byte-per-value finiteness mask of one row block: small
 # enough to stay in a per-core L2 cache, so that no n x d bool array is made.
 _FINITE_BLOCK_BYTES = 256 << 10
@@ -216,86 +211,46 @@ def load_descriptors(path: str | Path, expected_rows: int | None, *,
     file's shape), whose old contents are then overwritten even when the
     payload turns out to hold non-finite values.
     """
-    path = Path(path)
     data = _read_emb1(path, expected_rows, out)
     _refuse_nonfinite(path, data)
     return data
 
 
-def _read_emb1(path: Path, expected_rows: int | None,
+def _read_emb1(path: str | Path, expected_rows: int | None,
                out: np.ndarray | None) -> np.ndarray:
     """load_descriptors without the finiteness test."""
-    with path.open("rb") as fh:
-        rows, dim = _read_emb1_header(fh, path)
-        payload_bytes = rows * dim * 4
+    def check(rows: int, dim: int) -> None:
         if expected_rows is not None and rows != expected_rows:
             raise InputError(f"{path}: {rows} descriptor rows, expected {expected_rows}")
-        if out is not None and (out.shape != (rows, dim)
-                                or out.dtype != np.dtype("<f4")
-                                or not out.flags.c_contiguous):
-            raise InputError(f"{path}: cannot read {rows}x{dim} <f4 into "
-                             f"a {out.dtype} array of shape {out.shape}")
-        data = out if out is not None else np.empty((rows, dim), dtype="<f4")
-        if fh.readinto(data) != payload_bytes:
-            raise InputError(f"{path}: payload ended early")
-    return data
+        if out is not None and out.shape != (rows, dim):
+            raise InputError(f"{path}: cannot read {rows}x{dim} values "
+                             f"into an array of shape {out.shape}")
+    (rows, dim), (data,) = EMB1.read(path, check, out)
+    return data.reshape(rows, dim) if out is None else out
 
 
-def _refuse_nonfinite(path: Path, data: np.ndarray) -> None:
+def _refuse_nonfinite(path: str | Path, data: np.ndarray) -> None:
     bad = _nonfinite_count(data)
     if bad:
         raise InputError(f"{path}: {bad} non-finite descriptor values")
 
 
-def descriptor_file_shape(path: str | Path) -> tuple[int, int]:
-    """(rows, dim) of an EMB1 file, from its header, once the magic and the
-    payload size have been checked against it; no payload byte is read."""
-    path = Path(path)
-    with path.open("rb") as fh:
-        return _read_emb1_header(fh, path)
-
-
-def _read_emb1_header(fh, path: Path) -> tuple[int, int]:
-    header = fh.read(_EMB1_HEADER.size)
-    if len(header) < _EMB1_HEADER.size:
-        raise InputError(f"{path}: file too short for an EMB1 header")
-    magic, rows, dim = _EMB1_HEADER.unpack(header)
-    if magic != EMB1_MAGIC:
-        raise InputError(f"{path}: bad magic {magic!r}, expected {EMB1_MAGIC!r}")
-    payload_bytes = os.fstat(fh.fileno()).st_size - _EMB1_HEADER.size
-    if payload_bytes != rows * dim * 4:
-        raise InputError(f"{path}: payload holds {payload_bytes // 4} floats, "
-                         f"header promises {rows * dim}")
-    return rows, dim
-
-
 def write_descriptors(path: str | Path, descriptors: np.ndarray) -> None:
     """Encode a descriptor matrix to EMB1 (float32 little-endian, row-major)."""
     check_descriptors(descriptors)
-    write_finite_descriptors(path, descriptors)
-
-
-def write_finite_descriptors(path: str | Path, descriptors: np.ndarray) -> None:
-    """write_descriptors for a 2-D floating array whose values are known to
-    be finite, such as row-stochastic averages of checked rows: they are
-    not scanned again."""
-    rows, dim = descriptors.shape
-    with Path(path).open("wb") as fh:
-        fh.write(_EMB1_HEADER.pack(EMB1_MAGIC, rows, dim))
-        fh.write(np.ascontiguousarray(descriptors, dtype="<f4"))
+    EMB1.write(path, descriptors.shape, [descriptors])
 
 
 def load_dataset(metadata_path: str | Path, descriptors_path: str | Path,
                  role: str) -> Dataset:
     records = load_metadata(metadata_path)
-    path = Path(descriptors_path)
-    descriptors = _read_emb1(path, len(records), None)
+    descriptors = _read_emb1(descriptors_path, len(records), None)
     try:
         # Dataset tests the values' finiteness; only a refusal scans them
         # again, to name the file and count them.
         return Dataset(records=records, descriptors=descriptors, role=role)
     except InputError:
-        _refuse_nonfinite(path, descriptors)
+        _refuse_nonfinite(descriptors_path, descriptors)
         raise
 
 

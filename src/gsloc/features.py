@@ -19,19 +19,15 @@ import contextlib
 import ctypes
 import functools
 import logging
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .codec import PRJ1
 from .errors import InputError
 
 logger = logging.getLogger(__name__)
-
-PRJ1_MAGIC = b"PRJ1"
-_PRJ1_HEADER = struct.Struct("<4sII")
 
 # Kept eigenvalues at or below this fraction of the total variance are treated
 # as zero: whitening by them would just amplify noise.
@@ -277,53 +273,22 @@ def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
 
 
 def save_projection(path: str | Path, projection: Projection) -> None:
-    """Persist as PRJ1: magic, u32 d_in, u32 d_out, then mean, basis
-    (column-major), scale — all float32 little-endian."""
-    with Path(path).open("wb") as fh:
-        fh.write(_PRJ1_HEADER.pack(PRJ1_MAGIC, projection.d_in, projection.d_out))
-        fh.write(projection.mean.astype("<f4").tobytes())
-        fh.write(np.asfortranarray(projection.basis.astype("<f4")).tobytes(order="F"))
-        fh.write(projection.scale.astype("<f4").tobytes())
+    """Persist as PRJ1 (``codec.PRJ1``); the basis is stored column-major,
+    which is the row-major order of its transpose."""
+    PRJ1.write(path, (projection.d_in, projection.d_out),
+               [projection.mean, projection.basis.T, projection.scale])
 
 
 def load_projection(path: str | Path) -> Projection:
-    path = Path(path)
-    with path.open("rb") as fh:
-        d_in, d_out = _read_prj1_header(fh, path)
-        n_floats = d_in + d_in * d_out + d_out
-        floats = np.fromfile(fh, dtype="<f4", count=n_floats)
+    (d_in, d_out), sections = PRJ1.read(path)
     # Checked before the casts: casting a signalling NaN warns.
-    if not np.isfinite(floats).all():
+    if not all(np.isfinite(section).all() for section in sections):
         raise InputError(f"{path}: non-finite projection values")
-    mean = floats[:d_in].astype(np.float64)
-    basis = floats[d_in:d_in + d_in * d_out].reshape(d_in, d_out, order="F").astype(np.float64)
-    scale = floats[d_in + d_in * d_out:].astype(np.float64)
+    mean, basis, scale = (section.astype(np.float64) for section in sections)
+    basis = basis.reshape(d_in, d_out, order="F")
     if np.any(scale <= 0):
         raise InputError(f"{path}: non-positive whitening scales")
     gram = basis.T @ basis
     if not np.allclose(gram, np.eye(d_out), atol=1e-4):
         raise InputError(f"{path}: basis columns are not orthonormal")
     return Projection(mean=mean, basis=basis, scale=scale)
-
-
-def projection_file_shape(path: str | Path) -> tuple[int, int]:
-    """(d_in, d_out) of a PRJ1 file, from its header, once the magic and the
-    payload size have been checked against it; no payload byte is read."""
-    path = Path(path)
-    with path.open("rb") as fh:
-        return _read_prj1_header(fh, path)
-
-
-def _read_prj1_header(fh, path: Path) -> tuple[int, int]:
-    header = fh.read(_PRJ1_HEADER.size)
-    if len(header) < _PRJ1_HEADER.size:
-        raise InputError(f"{path}: file too short for a PRJ1 header")
-    magic, d_in, d_out = _PRJ1_HEADER.unpack(header)
-    if magic != PRJ1_MAGIC:
-        raise InputError(f"{path}: bad magic {magic!r}, expected {PRJ1_MAGIC!r}")
-    n_floats = d_in + d_in * d_out + d_out
-    payload_bytes = os.fstat(fh.fileno()).st_size - _PRJ1_HEADER.size
-    if payload_bytes != n_floats * 4:
-        raise InputError(f"{path}: payload is {payload_bytes} bytes, "
-                         f"expected {n_floats * 4}")
-    return d_in, d_out

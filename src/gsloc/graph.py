@@ -30,23 +30,19 @@ kernels would give as separate sparse matrices summed in turn.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
+from .codec import ADJ1
 from .dataset import ImageRecord
 from .errors import InputError
 from . import features
 from .features import row_norms
 from .geodesy import haversine_m_vectorized
 from .spatial import LatLonGrid, index_dtype
-
-ADJ1_MAGIC = b"ADJ1"
-_ADJ1_HEADER = struct.Struct("<4sIQ")
 
 # Cosine evaluation for the latent kernel groups the gated pairs by source
 # row and walks them in blocks of at most `chunk` pairs; this bounds one
@@ -654,24 +650,16 @@ def build_operator(records: list[ImageRecord], descriptors: np.ndarray | None,
 
 
 def save_operator(path: str | Path, op: SmoothingOperator) -> None:
-    """Persist as ADJ1: magic, u32 n, u64 nnz, then CSR row offsets (u64),
-    column indices (u32), values (f64), all little-endian."""
+    """Persist as ADJ1 (``codec.ADJ1``), with each row's columns sorted."""
     mat = op.matrix.tocsr()
     mat.sort_indices()
-    with Path(path).open("wb") as fh:
-        fh.write(_ADJ1_HEADER.pack(ADJ1_MAGIC, mat.shape[0], mat.nnz))
-        fh.write(mat.indptr.astype("<u8").tobytes())
-        fh.write(mat.indices.astype("<u4").tobytes())
-        fh.write(mat.data.astype("<f8").tobytes())
+    ADJ1.write(path, (mat.shape[0], mat.nnz), [mat.indptr, mat.indices, mat.data])
 
 
 def load_operator(path: str | Path) -> SmoothingOperator:
-    path = Path(path)
-    with path.open("rb") as fh:
-        n, nnz = _read_adj1_header(fh, path)
-        indptr = np.fromfile(fh, dtype="<u8", count=n + 1).astype(np.int64)
-        indices = np.fromfile(fh, dtype="<u4", count=nnz).astype(np.int32)
-        values = np.fromfile(fh, dtype="<f8", count=nnz).astype(np.float64, copy=False)
+    (n, nnz), (indptr, indices, values) = ADJ1.read(path)
+    indptr = indptr.astype(np.int64)
+    indices = indices.astype(np.int32)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise InputError(f"{path}: corrupt row offsets")
     if nnz and (indices.min() < 0 or indices.max() >= n):
@@ -679,8 +667,7 @@ def load_operator(path: str | Path) -> SmoothingOperator:
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise InputError(f"{path}: operator values must be finite and nonnegative")
     mat = sparse.csr_matrix((values, indices, indptr), shape=(n, n))
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    if n and np.abs(row_sums - 1.0).max() > 1e-9:
+    if n and np.abs(_row_sums(mat) - 1.0).max() > 1e-9:
         raise InputError(f"{path}: operator rows do not sum to 1")
     # Isolated vertices are recoverable: their rows are exactly [v -> 1.0].
     counts = np.diff(indptr)
@@ -688,25 +675,3 @@ def load_operator(path: str | Path) -> SmoothingOperator:
     diag_one = single[(indices[indptr[single]] == single)
                       & (values[indptr[single]] == 1.0)]
     return SmoothingOperator(matrix=mat, isolated_vertices=diag_one.astype(np.int64))
-
-
-def operator_file_shape(path: str | Path) -> tuple[int, int]:
-    """(n, nnz) of an ADJ1 file, from its header, once the magic and the
-    payload size have been checked against it; no payload byte is read."""
-    path = Path(path)
-    with path.open("rb") as fh:
-        return _read_adj1_header(fh, path)
-
-
-def _read_adj1_header(fh, path: Path) -> tuple[int, int]:
-    header = fh.read(_ADJ1_HEADER.size)
-    if len(header) < _ADJ1_HEADER.size:
-        raise InputError(f"{path}: file too short for an ADJ1 header")
-    magic, n, nnz = _ADJ1_HEADER.unpack(header)
-    if magic != ADJ1_MAGIC:
-        raise InputError(f"{path}: bad magic {magic!r}, expected {ADJ1_MAGIC!r}")
-    expected = (n + 1) * 8 + nnz * 4 + nnz * 8
-    payload_bytes = os.fstat(fh.fileno()).st_size - _ADJ1_HEADER.size
-    if payload_bytes != expected:
-        raise InputError(f"{path}: payload is {payload_bytes} bytes, expected {expected}")
-    return n, nnz

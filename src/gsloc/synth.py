@@ -36,15 +36,14 @@ class SynthConfig:
     gps_jitter_m: float = 8.0
 
     def validate(self) -> None:
+        # Each check is written so that a NaN fails it.
         for name in ("n_places", "n_support_sequences", "n_query_sequences",
-                     "frames_per_place", "dim"):
-            if getattr(self, name) <= 0:
+                     "frames_per_place", "dim", "place_spacing_m"):
+            if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise InputError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.place_spacing_m <= 0:
-            raise InputError(f"place_spacing_m must be positive, got {self.place_spacing_m}")
-        if self.gps_jitter_m < 0:
+        if not self.gps_jitter_m >= 0:
             raise InputError(f"gps_jitter_m must be >= 0, got {self.gps_jitter_m}")
 
 

@@ -148,8 +148,25 @@ def test_missing_input_file_exits_2(tmp_path, data_dir, capsys):
 _BROKEN_MESSAGES = {"missing-file": "not found", "no-grid": "grid axis",
                     "dim-0": "dim must be positive",
                     "nan-radius": "max_distance_m must be positive",
-                    "nan-threshold": "threshold_m must be positive"}
-_NAN_FLAGS = {"nan-radius": "--max-distance-m", "nan-threshold": "--threshold-m"}
+                    "nan-threshold": "threshold_m must be positive",
+                    "nan-spacing": "place_spacing_m must be positive",
+                    "nan-noise": "noise_sigma must be >= 0",
+                    "nan-jitter": "gps_jitter_m must be >= 0",
+                    "nan-grid-radius": "max_distance_m must be positive",
+                    "negative-grid-radius": "max_distance_m must be positive",
+                    "nan-grid-gamma": "gamma must be nonnegative",
+                    "negative-grid-m": "m must be nonnegative",
+                    "empty-grid-axis": "grid axis 'alpha' is empty"}
+_NAN_FLAGS = {"nan-radius": "--max-distance-m", "nan-threshold": "--threshold-m",
+              "nan-spacing": "--place-spacing-m", "nan-noise": "--noise-sigma",
+              "nan-jitter": "--gps-jitter-m"}
+# Each broken grid axis, as the flag and its value; the first value of each
+# is valid, so that only the check of every value refuses it.
+_GRID_FLAGS = {"nan-grid-radius": ("--grid-max-distance-m", "15,nan"),
+               "negative-grid-radius": ("--grid-max-distance-m", "15,-5"),
+               "nan-grid-gamma": ("--grid-gamma", "0.3,nan"),
+               "negative-grid-m": ("--grid-m", "0,-1"),
+               "empty-grid-axis": ("--grid-alpha", "")}
 
 
 @pytest.mark.parametrize("command, broken", [
@@ -157,6 +174,10 @@ _NAN_FLAGS = {"nan-radius": "--max-distance-m", "nan-threshold": "--threshold-m"
     ("sweep-m", "missing-file"), ("gridsearch", "missing-file"),
     ("gridsearch", "no-grid"), ("synth", "dim-0"),
     ("run", "nan-radius"), ("run", "nan-threshold"),
+    ("synth", "nan-spacing"), ("synth", "nan-noise"), ("synth", "nan-jitter"),
+    ("gridsearch", "nan-grid-radius"), ("gridsearch", "negative-grid-radius"),
+    ("gridsearch", "nan-grid-gamma"), ("gridsearch", "negative-grid-m"),
+    ("gridsearch", "empty-grid-axis"),
 ])
 def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
                                                   command, broken):
@@ -168,6 +189,8 @@ def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
         argv = argv[:argv.index("--grid-m")]
     elif broken == "dim-0":
         argv += ["--dim", "0"]
+    elif broken in _GRID_FLAGS:
+        argv += list(_GRID_FLAGS[broken])
     else:
         argv += [_NAN_FLAGS[broken], "nan"]
     assert main(argv) == 2

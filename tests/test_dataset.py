@@ -149,11 +149,11 @@ def test_descriptors_bad_magic(tmp_path):
 def test_descriptors_truncated_payload(tmp_path):
     path = tmp_path / "d.emb1"
     path.write_bytes(b"EMB1" + struct.pack("<II", 2, 3) + b"\x00" * 20)
-    with pytest.raises(InputError, match="header promises 6"):
+    with pytest.raises(InputError, match="payload is 20 bytes, expected 24"):
         load_descriptors(path, expected_rows=None)
     # A header alone that promises ~2^64 floats: rejected before any read.
     path.write_bytes(b"EMB1" + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF))
-    with pytest.raises(InputError, match=r"d\.emb1: payload holds 0 floats"):
+    with pytest.raises(InputError, match=r"d\.emb1: payload is 0 bytes"):
         load_descriptors(path, expected_rows=None)
 
 
