@@ -18,19 +18,21 @@ row-stochastic operator whose eigenvalues lie in [-1, 1]; vertices with no
 edges at all fall back to an identity row and are reported.
 
 A graph is one weight per pair of a symmetric CSR pair structure, zero
-where it has no edge. Graphs are built on gate patterns (``kernel_geometry``):
-the structure of the pairs a cell's structural kernels connect, made once
-per distinct gate and shared by every parameter cell with that gate.
-Distance pairs are found once at the largest radius, sequence pairs once up
-to the longest betas, and cosines once on the union of the latent gates. A
-cell's kernels and their sum are weight arrays on its pattern, and its
-operator is the one CSR matrix it builds; each is bitwise the one the
-kernels would give as separate sparse matrices summed in turn.
+where it has no edge. Graphs are built on gate patterns, which one
+``kernel_geometry`` makes for a list of cells: the structure of the pairs a
+cell's structural kernels connect, made once per distinct gate and shared by
+every cell with that gate. Distance pairs are found once at the largest
+radius, sequence pairs once up to the longest betas, and cosines once on the
+union of the latent gates. Each structural kernel takes the geometry and
+reads its cell's pattern from it (``KernelGeometry.pattern``). A cell's
+kernels and their sum are weight arrays on that pattern, and its operator is
+the one CSR matrix it builds; each is bitwise the one the kernels would give
+as separate sparse matrices summed in turn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -149,14 +151,6 @@ class WeightedGraph:
             raise InputError("duplicate edges in pair list")
         return cls(_symmetric_structure(n, i, j), w)
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The connected pairs as (i, j, w) arrays with i < j, in (i, j)
-        order; the indices are filtered at their stored width, then int64."""
-        i, j = self.structure.pairs()
-        keep = self.weights != 0.0
-        return (i[keep].astype(np.int64, copy=False),
-                j[keep].astype(np.int64, copy=False), self.weights[keep])
-
 
 @dataclass(frozen=True)
 class PairStructure:
@@ -199,17 +193,15 @@ class PairStructure:
 @dataclass(frozen=True)
 class GatePattern:
     """The pairs one gate connects, which every cell with that gate shares:
-    the distance pairs below ``radius`` (None when the distance kernel is
-    off) and the sequence pairs up to ``gaps`` frames apart (None when the
-    sequence kernel is off), as a PairStructure.
+    the distance pairs below its radius and the sequence pairs up to its
+    number of frame gaps, as a PairStructure. A KernelGeometry holds it
+    under the gate's (radius, gaps) key.
 
     A pair's distance (inf unless it is a distance pair), frame gap (0 unless
     it is a sequence pair) and cosine are rows ``rows`` of per-pair arrays
     that all patterns of a geometry share; ``cos`` is None unless a cell with
     this gate has a latent kernel."""
 
-    radius: float | None
-    gaps: int | None
     structure: PairStructure
     rows: np.ndarray | slice
     d: np.ndarray
@@ -464,14 +456,9 @@ def kernel_geometry(records: list[ImageRecord], descriptors: np.ndarray | None,
     for key, mask in masks.items():
         rows = slice(None) if mask.all() else np.flatnonzero(mask).astype(i.dtype)
         patterns[key] = GatePattern(
-            *key, _symmetric_structure(n, i[rows], j[rows]), rows, d, gap,
+            _symmetric_structure(n, i[rows], j[rows]), rows, d, gap,
             cos if key in latent else None)
     return KernelGeometry(patterns)
-
-
-def _cell_pattern(records: list[ImageRecord], params: GraphParams) -> GatePattern:
-    """The gate pattern of one cell, for a kernel built without a geometry."""
-    return kernel_geometry(records, None, [params]).pattern(params)
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -480,17 +467,11 @@ def _check_weights(w: np.ndarray) -> None:
         raise InputError("edge weights must be positive and finite")
 
 
-def build_w_dist(records: list[ImageRecord], params: GraphParams,
-                 pairs: GatePattern | None = None) -> WeightedGraph:
+def build_w_dist(geometry: KernelGeometry, params: GraphParams) -> WeightedGraph:
     """Distance kernel: exp(decay * alpha * d) for pairs with d strictly below
-    max_distance_m, as weights on ``pairs``, a gate pattern at this radius
-    (the distance kernel's own when not given)."""
-    if pairs is None:
-        pairs = _cell_pattern(records, replace(params, include_seq=False,
-                                               include_latent=False))
-    elif pairs.radius != params.max_distance_m:
-        raise InputError(f"gate pattern radius {pairs.radius} m, "
-                         f"max_distance_m {params.max_distance_m}")
+    max_distance_m, as weights on the pattern of params' gate in
+    ``geometry``."""
+    pairs = geometry.pattern(params)
     d = pairs.take(pairs.d)
     keep = d < params.max_distance_m
     x = d[keep]
@@ -503,18 +484,11 @@ def build_w_dist(records: list[ImageRecord], params: GraphParams,
     return WeightedGraph(pairs.structure, w)
 
 
-def build_w_seq(records: list[ImageRecord], params: GraphParams,
-                pairs: GatePattern | None = None) -> WeightedGraph:
+def build_w_seq(geometry: KernelGeometry, params: GraphParams) -> WeightedGraph:
     """Sequence kernel: beta_k between same-sequence images exactly k frame
-    indices apart, k = 1..len(betas), as weights on ``pairs``, a gate pattern
-    for len(betas) gaps (the sequence kernel's own when not given). Never
-    crosses sequence boundaries."""
-    if pairs is None:
-        pairs = _cell_pattern(records, replace(params, include_dist=False,
-                                               include_latent=False))
-    elif pairs.gaps != len(params.betas):
-        raise InputError(f"gate pattern covers {pairs.gaps} gaps, "
-                         f"betas name {len(params.betas)}")
+    indices apart, k = 1..len(betas), as weights on the pattern of params'
+    gate in ``geometry``. Never crosses sequence boundaries."""
+    pairs = geometry.pattern(params)
     betas = np.array((0.0,) + params.betas + (0.0,))
     _check_weights(betas[1:-1])
     # Gaps beyond the betas clip to the trailing zero.
@@ -555,10 +529,6 @@ def combine(parts: list[WeightedGraph]) -> WeightedGraph:
     given: the sum of their weight arrays."""
     if not parts:
         raise InputError("combine needs at least one graph")
-    n = parts[0].n
-    for p in parts[1:]:
-        if p.n != n:
-            raise InputError(f"vertex count mismatch: {p.n} != {n}")
     structure = parts[0].structure
     if any(p.structure is not structure for p in parts[1:]):
         raise InputError("combine needs graphs on one pair structure")
@@ -616,23 +586,17 @@ def build_graph(records: list[ImageRecord], descriptors: np.ndarray | None,
 
     The latent kernel is gated to pairs connected by the *enabled* structural
     kernels, so with both of those off it contributes nothing. Descriptors are
-    only required when the latent kernel is on.
+    only required when the latent kernel is on and has a gate.
     """
-    n = len(records)
-    if params.include_latent:
-        if descriptors is None:
-            raise InputError("latent kernel enabled but no descriptors given")
-        if descriptors.shape[0] != n:
-            raise InputError(f"descriptor rows {descriptors.shape[0]} != {n} records")
     geometry = geometry or kernel_geometry(records, descriptors, [params])
     pattern = geometry.pattern(params)
     if pattern is None:
-        return WeightedGraph.empty(n)
+        return WeightedGraph.empty(len(records))
     parts: list[WeightedGraph] = []
     if params.include_dist:
-        parts.append(build_w_dist(records, params, pattern))
+        parts.append(build_w_dist(geometry, params))
     if params.include_seq:
-        parts.append(build_w_seq(records, params, pattern))
+        parts.append(build_w_seq(geometry, params))
     # The gate holds the structural kernels' sum, and they are freed before
     # the latent kernel is built.
     gate = combine(parts)
@@ -650,9 +614,11 @@ def build_operator(records: list[ImageRecord], descriptors: np.ndarray | None,
 
 
 def save_operator(path: str | Path, op: SmoothingOperator) -> None:
-    """Persist as ADJ1 (``codec.ADJ1``), with each row's columns sorted."""
+    """Persist as ADJ1 (``codec.ADJ1``), with each row's columns sorted. An
+    operator with unsorted rows is sorted in a copy; op is not changed."""
     mat = op.matrix.tocsr()
-    mat.sort_indices()
+    if not mat.has_sorted_indices:
+        mat = mat.sorted_indices()
     ADJ1.write(path, (mat.shape[0], mat.nnz), [mat.indptr, mat.indices, mat.data])
 
 

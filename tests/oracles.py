@@ -344,7 +344,7 @@ def coo_edges(graph):
 
 def edge_set(graph) -> set[tuple[int, int]]:
     """The (i, j), i < j, pairs a WeightedGraph connects."""
-    i, j, _ = graph.edges()
+    i, j, _ = coo_edges(graph)
     return set(zip(i.tolist(), j.tolist()))
 
 
@@ -534,7 +534,7 @@ def _reference_w_seq(records, params):
 
 def _reference_w_latent(descriptors, gate, params):
     """Cosines of the gate's own pairs, one row pair at a time."""
-    gi, gj, _ = gate.edges()
+    gi, gj, _ = coo_edges(gate)
     out_i, out_j, out_w = [], [], []
     if gi.size and params.gamma != 0.0:
         x = np.asarray(descriptors)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from gsloc.dataset import ImageRecord, filter_reachable_queries
 from gsloc.evaluation import run_ablation, sweep_m
 from gsloc.features import apply_projection, fit_projection
 from gsloc.geodesy import METERS_PER_DEGREE
-from gsloc.graph import GraphParams, build_operator, build_w_dist, normalize
+from gsloc.graph import (GraphParams, build_operator, build_w_dist,
+                         kernel_geometry, normalize)
 from gsloc.retrieval import cosine_knn
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.synth import SynthConfig, generate_synthetic
@@ -182,12 +184,15 @@ def _clouds(rng):
 def test_criterion_07_hashed_edges_match_all_pairs_scan(capsys):
     rng = np.random.default_rng(107)
     params = GraphParams()
+    # The distance kernel on the distance-only cell's geometry.
+    dist_only = replace(params, include_seq=False, include_latent=False)
     total_edges = 0
     worst = 0.0
     for lats, lons in _clouds(rng):
         records = [ImageRecord(f"p{i}", "cloud", i, float(a), float(b))
                    for i, (a, b) in enumerate(zip(lats, lons))]
-        i_arr, j_arr, w_arr = build_w_dist(records, params).edges()
+        geometry = kernel_geometry(records, None, [dist_only])
+        i_arr, j_arr, w_arr = oracles.coo_edges(build_w_dist(geometry, dist_only))
         got = {(int(i), int(j)): float(w)
                for i, j, w in zip(i_arr, j_arr, w_arr)}
         want = oracles.all_pairs_dist_edges(lats, lons, params.max_distance_m,

@@ -6,9 +6,11 @@ from __future__ import annotations
 import math
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gsloc.dataset import ImageRecord
 from gsloc.errors import InputError
@@ -17,8 +19,8 @@ from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
                          build_graph, build_operator, build_w_dist,
                          build_w_latent, build_w_seq, combine, kernel_geometry,
                          load_operator, normalize, save_operator)
-from oracles import (all_pairs_dist_edges, dense_normalize, edge_set,
-                     random_weighted_graph, reference_operator)
+from oracles import (all_pairs_dist_edges, coo_edges, dense_normalize,
+                     edge_set, random_weighted_graph, reference_operator)
 
 
 def _gps_records(offsets_m, sequence="s"):
@@ -31,6 +33,18 @@ def _gps_records(offsets_m, sequence="s"):
 def _seq_records(frames, sequence="s", lat=0.0, lon=0.0):
     return [ImageRecord(f"{sequence}{f}", sequence, f, lat, lon)
             for f in frames]
+
+
+def _w_dist(records, params):
+    """The distance kernel on a geometry of its own, the distance-only cell."""
+    params = replace(params, include_seq=False, include_latent=False)
+    return build_w_dist(kernel_geometry(records, None, [params]), params)
+
+
+def _w_seq(records, params):
+    """The sequence kernel on a geometry of its own, the sequence-only cell."""
+    params = replace(params, include_dist=False, include_latent=False)
+    return build_w_seq(kernel_geometry(records, None, [params]), params)
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +79,21 @@ def test_params_validation():
 
 
 def test_dist_kernel_weight_at_four_meters():
-    graph = build_w_dist(_gps_records([0.0, 4.0]), GraphParams())
-    i, j, w = graph.edges()
+    graph = _w_dist(_gps_records([0.0, 4.0]), GraphParams())
+    i, j, w = coo_edges(graph)
     assert (i.tolist(), j.tolist()) == ([0], [1])
     # exp(-0.25 * 4) = e^-1
     assert w[0] == pytest.approx(0.36787944117144233, rel=1e-9)
 
 
 def test_dist_kernel_duplicate_gps_weight_one():
-    graph = build_w_dist(_gps_records([10.0, 10.0]), GraphParams())
-    _, _, w = graph.edges()
+    graph = _w_dist(_gps_records([10.0, 10.0]), GraphParams())
+    _, _, w = coo_edges(graph)
     assert w[0] == 1.0
 
 
 def test_dist_kernel_cutoff_excludes_far_pairs():
-    graph = build_w_dist(_gps_records([0.0, 30.0]), GraphParams())
+    graph = _w_dist(_gps_records([0.0, 30.0]), GraphParams())
     assert graph.n_edges == 0
 
 
@@ -87,17 +101,17 @@ def test_dist_kernel_cutoff_is_strict():
     records = _gps_records([0.0, 25.0])
     d = haversine_m(GeoPoint(records[0].lat, records[0].lon),
                     GeoPoint(records[1].lat, records[1].lon))
-    at = build_w_dist(records, GraphParams(max_distance_m=d))
+    at = _w_dist(records, GraphParams(max_distance_m=d))
     assert at.n_edges == 0
-    just_above = build_w_dist(
+    just_above = _w_dist(
         records, GraphParams(max_distance_m=float(np.nextafter(d, np.inf))))
     assert just_above.n_edges == 1
 
 
 def test_dist_kernel_positive_decay():
     params = GraphParams(decay_sign="positive")
-    graph = build_w_dist(_gps_records([0.0, 4.0]), params)
-    _, _, w = graph.edges()
+    graph = _w_dist(_gps_records([0.0, 4.0]), params)
+    _, _, w = coo_edges(graph)
     assert w[0] == pytest.approx(math.e, rel=1e-9)
 
 
@@ -111,10 +125,10 @@ def test_dist_kernel_matches_all_pairs_oracle():
         records = [ImageRecord(f"r{i}", "s", i, float(lats[i]), float(lons[i]))
                    for i in range(n)]
         params = GraphParams(max_distance_m=40.0)
-        graph = build_w_dist(records, params)
+        graph = _w_dist(records, params)
         oracle = all_pairs_dist_edges(lats, lons, 40.0, params.alpha,
                                       params.decay_factor)
-        i, j, w = graph.edges()
+        i, j, w = coo_edges(graph)
         assert set(zip(i.tolist(), j.tolist())) == set(oracle)
         for ii, jj, ww in zip(i.tolist(), j.tolist(), w):
             assert ww == pytest.approx(oracle[(ii, jj)], rel=1e-9)
@@ -125,8 +139,8 @@ def test_dist_kernel_matches_all_pairs_oracle():
 
 
 def test_seq_kernel_weights_by_gap():
-    graph = build_w_seq(_seq_records(range(6)), GraphParams())
-    edges = {(i, j): w for i, j, w in zip(*graph.edges())}
+    graph = _w_seq(_seq_records(range(6)), GraphParams())
+    edges = {(i, j): w for i, j, w in zip(*coo_edges(graph))}
     assert edges[(0, 1)] == 0.75
     assert edges[(0, 2)] == 0.0625
     assert edges[(0, 3)] == 0.0625
@@ -137,14 +151,14 @@ def test_seq_kernel_weights_by_gap():
 
 def test_seq_kernel_never_crosses_sequences():
     records = _seq_records([0, 1], "a") + _seq_records([0, 1], "b")
-    graph = build_w_seq(records, GraphParams())
+    graph = _w_seq(records, GraphParams())
     assert edge_set(graph) == {(0, 1), (2, 3)}
 
 
 def test_seq_kernel_uses_exact_frame_gaps():
     # Frames 0, 2, 3, 7: gaps are index differences, not adjacency in order.
-    graph = build_w_seq(_seq_records([0, 2, 3, 7]), GraphParams())
-    edges = {(i, j): w for i, j, w in zip(*graph.edges())}
+    graph = _w_seq(_seq_records([0, 2, 3, 7]), GraphParams())
+    edges = {(i, j): w for i, j, w in zip(*coo_edges(graph))}
     assert edges == {
         (0, 1): pytest.approx(0.0625),  # frames 0 and 2, gap 2
         (0, 2): pytest.approx(0.0625),  # frames 0 and 3, gap 3
@@ -153,7 +167,7 @@ def test_seq_kernel_uses_exact_frame_gaps():
 
 
 def test_seq_kernel_single_beta():
-    graph = build_w_seq(_seq_records(range(4)), GraphParams(betas=(0.5,)))
+    graph = _w_seq(_seq_records(range(4)), GraphParams(betas=(0.5,)))
     assert edge_set(graph) == {(0, 1), (1, 2), (2, 3)}
 
 
@@ -164,7 +178,7 @@ def test_seq_kernel_interleaved_sequences():
         ImageRecord("a1", "a", 1, 0.0, 0.0),
         ImageRecord("b5", "b", 5, 0.0, 0.0),
     ]
-    graph = build_w_seq(records, GraphParams())
+    graph = _w_seq(records, GraphParams())
     assert edge_set(graph) == {(0, 2)}
 
 
@@ -178,7 +192,7 @@ def test_sequence_frames_out_of_record_order_are_rejected():
             build_operator(_seq_records(frames, "q"), None, params)
     interleaved = _seq_records([0, 1], "a") + _seq_records([5, 3], "b")
     with pytest.raises(InputError, match="sequence 'b'"):
-        build_w_seq(interleaved, params)
+        _w_seq(interleaved, params)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +208,7 @@ def _gate(n, pairs):
 def test_latent_kernel_identical_rows():
     desc = np.array([[1.0, 2.0], [1.0, 2.0]])
     graph = build_w_latent(desc, _gate(2, [(0, 1)]), GraphParams())
-    _, _, w = graph.edges()
+    _, _, w = coo_edges(graph)
     assert w[0] == pytest.approx(0.33, rel=1e-12)
 
 
@@ -214,7 +228,7 @@ def test_latent_kernel_respects_gate():
 def test_latent_kernel_scales_cosine():
     desc = np.array([[1.0, 0.0], [1.0, 1.0]])
     graph = build_w_latent(desc, _gate(2, [(0, 1)]), GraphParams(gamma=0.5))
-    _, _, w = graph.edges()
+    _, _, w = coo_edges(graph)
     assert w[0] == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-12)
 
 
@@ -230,8 +244,8 @@ def test_latent_kernel_on_a_gate_with_zero_weight_pairs():
     # distance kernel weighs all 9 pairs zero, so as a gate it admits none.
     records = _gps_records([111.0 * k for k in range(5)])
     params = GraphParams(include_latent=False)
-    pattern = kernel_geometry(records, None, [params]).pattern(params)
-    dist = build_w_dist(records, params, pattern)
+    geometry = kernel_geometry(records, None, [params])
+    dist = build_w_dist(geometry, params)
     assert dist.weights.size == 9 and dist.n_edges == 0
     x = np.ones((5, 2))
     for gamma in (0.33, 0.0):
@@ -239,7 +253,7 @@ def test_latent_kernel_on_a_gate_with_zero_weight_pairs():
         assert latent.structure is dist.structure
         assert latent.weights.size == 9 and latent.n_edges == 0
     # The sequence kernel on the same pattern admits every pair.
-    seq = build_w_seq(records, params, pattern)
+    seq = build_w_seq(geometry, params)
     latent = build_w_latent(x, seq, GraphParams())
     assert edge_set(latent) == edge_set(seq) and latent.n_edges == 9
 
@@ -279,11 +293,11 @@ def test_weights_that_overflow_or_underflow_are_rejected(params):
 def test_combine_sums_overlapping_edges():
     records = _gps_records([0.0, 4.0])
     params = GraphParams(include_latent=False)
-    pattern = kernel_geometry(records, None, [params]).pattern(params)
-    dist = build_w_dist(records, params, pattern)
-    seq = build_w_seq(records, params, pattern)
+    geometry = kernel_geometry(records, None, [params])
+    dist = build_w_dist(geometry, params)
+    seq = build_w_seq(geometry, params)
     total = combine([dist, seq])
-    _, _, w = total.edges()
+    _, _, w = coo_edges(total)
     assert w[0] == pytest.approx(0.75 + math.exp(-1.0), rel=1e-12)
 
 
@@ -296,16 +310,16 @@ def test_combine_union_of_disjoint_edges():
     # Graphs on different structures are refused.
     with pytest.raises(InputError, match="one pair structure"):
         combine([_gate(4, [(0, 1)]), _gate(4, [(2, 3)])])
-    # So are equal structures made apart: each kernel built without a
-    # pattern gets one of its own.
+    # So are equal structures made apart: each kernel built on a geometry
+    # of its own gets a structure of its own.
     records = _gps_records([0.0, 4.0])
     with pytest.raises(InputError, match="one pair structure"):
-        combine([build_w_dist(records, GraphParams()),
-                 build_w_seq(records, GraphParams())])
+        combine([_w_dist(records, GraphParams()),
+                 _w_seq(records, GraphParams())])
 
 
 def test_combine_rejects_mismatched_sizes():
-    with pytest.raises(InputError, match="mismatch"):
+    with pytest.raises(InputError, match="one pair structure"):
         combine([WeightedGraph.empty(3), WeightedGraph.empty(4)])
     with pytest.raises(InputError, match="at least one"):
         combine([])
@@ -349,7 +363,7 @@ def test_edges_returns_sorted_upper_triangle():
     graph = WeightedGraph.from_pairs(
         4, np.array([3, 2, 1]), np.array([1, 0, 2]),
         np.array([1.0, 2.0, 3.0]))
-    i, j, w = graph.edges()
+    i, j, w = coo_edges(graph)
     assert i.tolist() == [0, 1, 1]
     assert j.tolist() == [2, 2, 3]
     assert w.tolist() == [2.0, 3.0, 1.0]
@@ -469,10 +483,25 @@ def test_build_graph_latent_only_has_empty_gate():
 
 
 def test_build_graph_latent_requires_descriptors():
-    with pytest.raises(InputError, match="no descriptors"):
+    with pytest.raises(InputError, match="2-D with 4 rows"):
         build_graph(_default_records(), None, GraphParams())
     with pytest.raises(InputError, match="rows"):
         build_graph(_default_records(), np.zeros((2, 2)), GraphParams())
+
+
+def test_kernels_refuse_a_geometry_without_their_gate():
+    records = _gps_records([0.0, 4.0])
+    desc = np.ones((2, 2))
+    geometry = kernel_geometry(records, desc, [GraphParams()])
+    # Another radius, another number of betas, or the same radius with the
+    # sequence kernel off is another gate.
+    for params, gate in ((GraphParams(max_distance_m=40.0), "radius 40.0 and 3"),
+                         (GraphParams(betas=(0.5,)), "radius 25.0 and 1"),
+                         (GraphParams(include_seq=False), "radius 25.0 and None")):
+        for build in (build_w_dist, build_w_seq,
+                      lambda g, p: build_operator(records, desc, p, g)):
+            with pytest.raises(InputError, match=f"no gate pattern for {gate} gaps"):
+                build(geometry, params)
 
 
 def test_build_operator_full_default_build():
@@ -505,6 +534,22 @@ def test_adj1_round_trip_bitwise(tmp_path):
     assert np.array_equal(loaded.matrix.indices, op.matrix.indices)
     assert np.array_equal(loaded.matrix.data, op.matrix.data)
     assert loaded.isolated_vertices.tolist() == op.isolated_vertices.tolist()
+
+
+def test_save_operator_leaves_unsorted_rows_as_given(tmp_path):
+    # Row 0 stores its columns as [1, 0].
+    given = sparse.csr_matrix((np.array([0.25, 0.75, 1.0]), np.array([1, 0, 1]),
+                               np.array([0, 2, 3])), shape=(2, 2))
+    save_operator(tmp_path / "op.adj1",
+                  SmoothingOperator(given, np.empty(0, dtype=np.int64)))
+    assert given.indices.tolist() == [1, 0, 1]
+    assert given.data.tolist() == [0.25, 0.75, 1.0]
+    ordered = sparse.csr_matrix((np.array([0.75, 0.25, 1.0]), np.array([0, 1, 1]),
+                                 np.array([0, 2, 3])), shape=(2, 2))
+    save_operator(tmp_path / "sorted.adj1",
+                  SmoothingOperator(ordered, np.empty(0, dtype=np.int64)))
+    assert ((tmp_path / "op.adj1").read_bytes()
+            == (tmp_path / "sorted.adj1").read_bytes())
 
 
 def test_adj1_single_offdiagonal_rows_are_not_isolated(tmp_path):

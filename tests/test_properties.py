@@ -54,7 +54,7 @@ from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
 from oracles import (SparseGraph, chunked_pair_cosines, coo_edges,
                      coo_from_pairs, copying_normalize, quadratic_knn,
-                     random_weighted_graph, reference_operator,
+                     reference_operator,
                      scalar_errors_m, scalar_positions, svd_projection,
                      two_pass_cosine_knn)
 
@@ -540,18 +540,6 @@ def _assert_same_csr(got, want):
 
 
 @PROPERTY
-@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.0, 0.1, 0.5]),
-       st.integers(0, 3))
-def test_edges_equal_the_coo_route(seed, n, density, n_isolated):
-    rng = np.random.default_rng(seed)
-    graph, _ = random_weighted_graph(rng, n + n_isolated, density, n_isolated)
-    got, want = graph.edges(), coo_edges(graph)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
-
-
-@PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 3),
        st.sampled_from([np.int32, np.int64]), st.booleans())
 def test_graph_stages_equal_the_coo_route(seed, live, n_isolated, width,
@@ -574,7 +562,7 @@ def test_graph_stages_equal_the_coo_route(seed, live, n_isolated, width,
         graph = WeightedGraph.from_pairs(n, i, j, w)
         reference = coo_from_pairs(n, i, j, w)
         _assert_same_csr(graph.matrix, reference.matrix)
-        for g, r in zip(graph.edges(), coo_edges(reference)):
+        for g, r in zip(coo_edges(graph), coo_edges(reference)):
             assert g.dtype == r.dtype
             assert g.tobytes() == r.tobytes()
         want.append(reference)
