@@ -213,15 +213,15 @@ def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
     (acc_at_threshold, median_error_m) per cell and m, cell-major.
 
     This is the one place that decides what cells share. With more than one
-    cell and some m > 0, one kernel geometry per smoothed side holds a gate
-    pattern for each distinct gate, and each cell's graph is weight
-    arithmetic on its gate's pattern; a single cell's build makes a geometry
-    of its own, as `run` does. The geometries are freed when the cells are
-    done. Each cell walks its m values as one ladder. The m = 0 scores never
-    touch a graph, so every cell shares one retrieval. The geometry and that
-    retrieval are computed before the cells run, so a thread pool
-    (threads > 1, more than one cell) runs the cells in parallel without a
-    lock and without changing any number.
+    cell and some m > 0, one kernel geometry per smoothed side holds one
+    pair structure over the union of the cells' gates, and each cell's graph
+    is weight arithmetic on it, zero outside the cell's gate; a single
+    cell's build makes a geometry of its own, as `run` does. The geometries
+    are freed when the cells are done. Each cell walks its m values as one
+    ladder. The m = 0 scores never touch a graph, so every cell shares one
+    retrieval. The geometry and that retrieval are computed before the cells
+    run, so a thread pool (threads > 1, more than one cell) runs the cells in
+    parallel without a lock and without changing any number.
     """
     sides = _regime_sides(regime)
     geometry = {}

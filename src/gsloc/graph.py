@@ -18,16 +18,17 @@ row-stochastic operator whose eigenvalues lie in [-1, 1]; vertices with no
 edges at all fall back to an identity row and are reported.
 
 A graph is one weight per pair of a symmetric CSR pair structure, zero
-where it has no edge. Graphs are built on gate patterns, which one
-``kernel_geometry`` makes for a list of cells: the structure of the pairs a
-cell's structural kernels connect, made once per distinct gate and shared by
-every cell with that gate. Distance pairs are found once at the largest
-radius, sequence pairs once up to the longest betas, and cosines once on the
-union of the latent gates. Each structural kernel takes the geometry and
-reads its cell's pattern from it (``KernelGeometry.pattern``). A cell's
-kernels and their sum are weight arrays on that pattern, and its operator is
-the one CSR matrix it builds; each is bitwise the one the kernels would give
-as separate sparse matrices summed in turn.
+where it has no edge. One ``kernel_geometry`` serves a list of cells: a
+cell's gate is the pairs its structural kernels connect, and the geometry
+holds one structure over the union of its cells' gates, shared by every
+cell. Distance pairs are found once at the largest radius, sequence pairs
+once up to the longest betas, and cosines once on the union of the latent
+gates. Each structural kernel takes the geometry, which refuses a cell
+whose gate it was not built for (``KernelGeometry.check``). A cell's kernels
+and their sum are weight arrays on that structure, zero outside its gate,
+and its operator is the one CSR matrix it builds, without the zeros; each
+is bitwise the one the kernels would give as separate sparse matrices
+summed in turn.
 """
 
 from __future__ import annotations
@@ -190,32 +191,6 @@ class PairStructure:
         return mat
 
 
-@dataclass(frozen=True)
-class GatePattern:
-    """The pairs one gate connects, which every cell with that gate shares:
-    the distance pairs below its radius and the sequence pairs up to its
-    number of frame gaps, as a PairStructure. A KernelGeometry holds it
-    under the gate's (radius, gaps) key.
-
-    A pair's distance (inf unless it is a distance pair), frame gap (0 unless
-    it is a sequence pair) and cosine are rows ``rows`` of per-pair arrays
-    that all patterns of a geometry share; ``cos`` is None unless a cell with
-    this gate has a latent kernel."""
-
-    structure: PairStructure
-    rows: np.ndarray | slice
-    d: np.ndarray
-    gap: np.ndarray
-    cos: np.ndarray | None
-
-    def take(self, values: np.ndarray) -> np.ndarray:
-        """This pattern's rows of a per-pair array (a pattern that holds every
-        pair gets the array itself)."""
-        if isinstance(self.rows, slice):
-            return values
-        return values.take(self.rows)
-
-
 @dataclass
 class SmoothingOperator:
     """Row-stochastic operator A = D^-1 W (rows sum to 1, entries >= 0)."""
@@ -347,20 +322,28 @@ def _gate_key(params: GraphParams) -> tuple[float | None, int | None]:
 
 @dataclass(frozen=True)
 class KernelGeometry:
-    """What one split's graphs share across kernel weights: the gate pattern
-    of each distinct gate among its cells."""
+    """What one split's graphs share across kernel weights: one
+    PairStructure over every pair that a gate in ``gates`` connects, and
+    each pair's distance (inf unless it is a distance pair), frame gap (0
+    unless it is a sequence pair) and cosine. A cell's kernels are weights
+    on that structure, zero outside its gate. ``cos`` is computed on the
+    union of the ``latent`` gates and is zero elsewhere; it is None when the
+    geometry has no latent gate."""
 
-    patterns: dict[tuple[float | None, int | None], GatePattern]
+    structure: PairStructure
+    d: np.ndarray
+    gap: np.ndarray
+    cos: np.ndarray | None
+    gates: frozenset[tuple[float | None, int | None]]
+    latent: frozenset[tuple[float | None, int | None]]
 
-    def pattern(self, params: GraphParams) -> GatePattern | None:
-        """The pattern of params' gate; None when no structural kernel is on."""
+    def check(self, params: GraphParams) -> None:
+        """Refuse params whose gate this geometry was not built for; no
+        geometry holds the gate of a cell with no structural kernel on."""
         key = _gate_key(params)
-        if key == (None, None):
-            return None
-        if key not in self.patterns:
+        if key not in self.gates:
             raise InputError(f"no gate pattern for radius {key[0]} and "
                              f"{key[1]} gaps in this geometry")
-        return self.patterns[key]
 
 
 def _pair_table(n: int, dist: DistancePairs | None,
@@ -419,46 +402,36 @@ def _symmetric_structure(n: int, i: np.ndarray, j: np.ndarray) -> PairStructure:
 
 def kernel_geometry(records: list[ImageRecord], descriptors: np.ndarray | None,
                     cells: list[GraphParams]) -> KernelGeometry:
-    """The gate pattern of every cell with a structural kernel, each computed
-    once: distance pairs are found once at the largest radius, sequence
-    pairs once up to the longest betas, and both are merged into one sorted
-    table of pairs, from which every gate's pattern is cut. Cosines are
-    computed once on the union of the latent gates."""
+    """The one pair structure of the cells' gates, computed once: distance
+    pairs are found once at the largest radius, sequence pairs once up to
+    the longest betas, and both are merged into one sorted table of pairs,
+    which is the union of the gates. Cosines are computed once on the union
+    of the latent gates."""
     n = len(records)
-    keys = {_gate_key(p) for p in cells} - {(None, None)}
-    if not keys:
-        return KernelGeometry({})
+    gates = {_gate_key(p) for p in cells} - {(None, None)}
     latent = {_gate_key(p) for p in cells
-              if p.include_latent and p.gamma != 0.0} & keys
-    radii = [r for r, _ in keys if r is not None]
-    gaps = [g for _, g in keys if g is not None]
+              if p.include_latent and p.gamma != 0.0} & gates
+    radii = [r for r, _ in gates if r is not None]
+    gaps = [g for _, g in gates if g is not None]
     dist = distance_pairs(records, max(radii)) if radii else None
     seq = sequence_pairs(records, max(gaps)) if gaps else []
     i, j, d, gap = _pair_table(n, dist, seq)
     del dist, seq
-    masks = {}
-    for radius, n_gaps in keys:
-        mask = np.zeros(d.size, dtype=bool)
-        if radius is not None:
-            mask |= d < radius
-        if n_gaps is not None:
-            mask |= (gap != 0) & (gap <= n_gaps)
-        masks[radius, n_gaps] = mask
     cos = None
     if latent:
         x = np.asarray(descriptors)
         if x.ndim != 2 or x.shape[0] != n:
             raise InputError(f"descriptors must be 2-D with {n} rows")
-        union = np.logical_or.reduce([masks[key] for key in latent])
+        # A gate holds the pairs below its radius or within its gaps, so the
+        # latent gates' union holds those below the largest radius or within
+        # the most gaps.
+        radius = max((r for r, _ in latent if r is not None), default=0.0)
+        n_gaps = max((g for _, g in latent if g is not None), default=0)
+        union = (d < radius) | ((gap != 0) & (gap <= n_gaps))
         cos = np.zeros(d.size)
         cos[union] = pair_cosines(x, i[union], j[union])
-    patterns = {}
-    for key, mask in masks.items():
-        rows = slice(None) if mask.all() else np.flatnonzero(mask).astype(i.dtype)
-        patterns[key] = GatePattern(
-            _symmetric_structure(n, i[rows], j[rows]), rows, d, gap,
-            cos if key in latent else None)
-    return KernelGeometry(patterns)
+    return KernelGeometry(_symmetric_structure(n, i, j), d, gap, cos,
+                          frozenset(gates), frozenset(latent))
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -469,31 +442,31 @@ def _check_weights(w: np.ndarray) -> None:
 
 def build_w_dist(geometry: KernelGeometry, params: GraphParams) -> WeightedGraph:
     """Distance kernel: exp(decay * alpha * d) for pairs with d strictly below
-    max_distance_m, as weights on the pattern of params' gate in
-    ``geometry``."""
-    pairs = geometry.pattern(params)
-    d = pairs.take(pairs.d)
-    keep = d < params.max_distance_m
-    x = d[keep]
+    max_distance_m, as weights on the structure of ``geometry``, which must
+    hold params' gate."""
+    geometry.check(params)
+    keep = geometry.d < params.max_distance_m
+    x = geometry.d[keep]
     x *= params.decay_factor * params.alpha
     with np.errstate(over="ignore"):  # _check_weights refuses the inf
         np.exp(x, out=x)
     _check_weights(x)
-    w = np.zeros(d.size)
+    w = np.zeros(keep.size)
     w[keep] = x
-    return WeightedGraph(pairs.structure, w)
+    return WeightedGraph(geometry.structure, w)
 
 
 def build_w_seq(geometry: KernelGeometry, params: GraphParams) -> WeightedGraph:
     """Sequence kernel: beta_k between same-sequence images exactly k frame
-    indices apart, k = 1..len(betas), as weights on the pattern of params'
-    gate in ``geometry``. Never crosses sequence boundaries."""
-    pairs = geometry.pattern(params)
+    indices apart, k = 1..len(betas), as weights on the structure of
+    ``geometry``, which must hold params' gate. Never crosses sequence
+    boundaries."""
+    geometry.check(params)
     betas = np.array((0.0,) + params.betas + (0.0,))
     _check_weights(betas[1:-1])
     # Gaps beyond the betas clip to the trailing zero.
-    return WeightedGraph(pairs.structure,
-                         np.take(betas, pairs.take(pairs.gap), mode="clip"))
+    return WeightedGraph(geometry.structure,
+                         np.take(betas, geometry.gap, mode="clip"))
 
 
 def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
@@ -580,18 +553,18 @@ def _row_sums(mat: sparse.csr_matrix) -> np.ndarray:
 def build_graph(records: list[ImageRecord], descriptors: np.ndarray | None,
                 params: GraphParams,
                 geometry: KernelGeometry | None = None) -> WeightedGraph:
-    """Assemble W from the kernels enabled in params, on the pattern of its
-    gate in ``geometry`` (a kernel_geometry covering params; without it one
-    is computed for this cell alone).
+    """Assemble W from the kernels enabled in params, as weights on the
+    structure of ``geometry`` (a kernel_geometry holding params' gate;
+    without it one is computed for this cell alone).
 
     The latent kernel is gated to pairs connected by the *enabled* structural
     kernels, so with both of those off it contributes nothing. Descriptors are
     only required when the latent kernel is on and has a gate.
     """
-    geometry = geometry or kernel_geometry(records, descriptors, [params])
-    pattern = geometry.pattern(params)
-    if pattern is None:
+    key = _gate_key(params)
+    if key == (None, None):
         return WeightedGraph.empty(len(records))
+    geometry = geometry or kernel_geometry(records, descriptors, [params])
     parts: list[WeightedGraph] = []
     if params.include_dist:
         parts.append(build_w_dist(geometry, params))
@@ -603,7 +576,7 @@ def build_graph(records: list[ImageRecord], descriptors: np.ndarray | None,
     del parts
     if not params.include_latent:
         return gate
-    cosines = None if pattern.cos is None else pattern.take(pattern.cos)
+    cosines = geometry.cos if key in geometry.latent else None
     return combine([gate, build_w_latent(descriptors, gate, params, cosines)])
 
 

@@ -361,7 +361,7 @@ def localization_error(lat: float, lon: float, truth) -> float:
 
 class SparseGraph:
     """graph.WeightedGraph as the library had it before a cell's kernels
-    became weight arrays on a shared gate pattern: every kernel its own CSR
+    became weight arrays on a shared pair structure: every kernel its own CSR
     matrix, built from its pairs and added to its transpose. The class body
     is kept verbatim, as are sparse_combine and sparse_normalize below, to
     pin the bits of that route."""

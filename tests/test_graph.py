@@ -502,6 +502,43 @@ def test_kernels_refuse_a_geometry_without_their_gate():
                       lambda g, p: build_operator(records, desc, p, g)):
             with pytest.raises(InputError, match=f"no gate pattern for {gate} gaps"):
                 build(geometry, params)
+    # A cell with no structural kernel on has no gate: its graph is empty,
+    # and neither structural kernel takes it.
+    off = GraphParams(include_dist=False, include_seq=False)
+    for build in (build_w_dist, build_w_seq):
+        with pytest.raises(InputError,
+                           match="no gate pattern for radius None and None gaps"):
+            build(geometry, off)
+
+
+def test_cells_on_one_geometry_equal_their_builds_alone():
+    # Two sequences 10 m and 25 m between frames, and a lone fix far away,
+    # so that every smaller gate leaves out pairs of the geometry's union.
+    records = (_gps_records([10.0 * k for k in range(6)], "a")
+               + _gps_records([3.0 + 25.0 * k for k in range(5)], "b")
+               + _gps_records([5000.0], "c"))
+    desc = np.random.default_rng(53).standard_normal((len(records), 6))
+    cells = [GraphParams(max_distance_m=15.0),
+             GraphParams(max_distance_m=40.0, gamma=0.0),
+             GraphParams(max_distance_m=40.0, include_seq=False),
+             GraphParams(include_dist=False, betas=(0.5, 0.25)),
+             GraphParams(include_dist=False, include_seq=False)]
+    geometry = kernel_geometry(records, desc, cells)
+    entries = geometry.structure.indices.size
+    filled = []
+    for cell in cells:
+        got = build_operator(records, desc, cell, geometry)
+        want = build_operator(records, desc, cell)
+        assert got.matrix.shape == want.matrix.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.isolated_vertices.dtype == want.isolated_vertices.dtype
+        assert np.array_equal(got.isolated_vertices, want.isolated_vertices)
+        filled.append(got.matrix.nnz - got.isolated_vertices.size == entries)
+    # Only the 40 m, 3-gap gate is the union of all gates; every other cell's
+    # build drops the zero weights outside its gate.
+    assert filled == [False, True, False, False, False]
 
 
 def test_build_operator_full_default_build():
