@@ -7,9 +7,9 @@ the config echo in manifest.json all come from that table. Every command runs
 in one skeleton, `main`: the config is checked (input paths and grid too)
 before anything is made, then the output directory is locked. For the
 evaluating commands `main` also opens the cache, prepares both splits and
-writes manifest.json; `run` caches its intermediates (projection, operator,
-smoothed descriptors) under content+parameter hashes so repeated or swept
-runs skip finished stages.
+writes manifest.json; `run` caches its intermediates (projection, and the
+operator and smoothed descriptors of each side it smooths) under
+content+parameter hashes so repeated or swept runs skip finished stages.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input.
 """
@@ -35,15 +35,14 @@ from .codec import ADJ1, EMB1, PRJ1
 from .dataset import (Dataset, filter_reachable_queries, load_dataset,
                       load_descriptors, write_descriptors, write_metadata)
 from .errors import InputError
-from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, ablation_table_csv,
-                         compute_report, grid_search, grid_table_csv,
-                         regime_descriptors, render_report, run_ablation,
-                         sweep_m, sweep_plot_data, sweep_table_csv,
-                         write_report_csv, write_report_json)
+from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, _evaluate,
+                         ablation_table_csv, grid_search, grid_table_csv,
+                         render_report, run_ablation, sweep_m, sweep_plot_data,
+                         sweep_table_csv, write_report_csv, write_report_json)
 from .features import (apply_projection, fit_projection, l2_normalize,
                        load_projection, save_projection)
 from .graph import GraphParams, build_operator, load_operator, save_operator
-from .retrieval import STRATEGIES, cosine_knn, write_matches
+from .retrieval import STRATEGIES, write_matches
 from .smoothing import SmoothConfig, smooth
 from .synth import SynthConfig, generate_synthetic
 
@@ -314,9 +313,19 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
         raise InputError(f"threshold_m must be positive, got {config.threshold_m}")
     if config.threads < 1:
         raise InputError(f"threads must be at least 1, got {config.threads}")
-    if config.projection["enabled"] and config.projection["d_out"] is None:
-        raise InputError("projection enabled but projection.d_out not set")
+    if config.k < 1:
+        raise InputError(f"k={config.k} must be in [1, support size]")
+    d_out, eps = config.projection["d_out"], config.projection["eps"]
+    if config.projection["enabled"]:
+        if d_out is None:
+            raise InputError("projection enabled but projection.d_out not set")
+        if d_out < 1:
+            raise InputError(f"d_out={d_out} must be in [1, min(rows-1, dim)]")
+        if eps is not None and not (np.isfinite(eps) and eps >= 0):
+            raise InputError(f"eps must be finite and nonnegative, got {eps}")
     config.smoothing = SmoothConfig(m=config.m)
+    if any(m < 0 for m in config.m_values):
+        raise InputError("m values must be nonnegative")
     config.synth = SynthConfig(**config.synth)
     config.synth.validate()
     config.grid = {axis: v for axis, v in config.grid.items() if v is not None}
@@ -433,7 +442,7 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
                           m: int, *, cache: Cache, config: SimpleNamespace,
                           info: dict) -> np.ndarray:
     """Cached graph build + smoothing for one side of the retrieval; the
-    smoother `run` hands to evaluation.regime_descriptors.
+    smoother `run` hands to evaluation._evaluate.
 
     The smoothed descriptors replace the dataset's own in its buffer, so a
     run holds one copy of them whatever the cache state: a miss smooths in
@@ -512,17 +521,14 @@ def cmd_run(config: SimpleNamespace, out_dir: Path, support: Dataset,
             query: Dataset, info: dict, cache: Cache) -> None:
     if config.regime == "none" and config.m > 0:
         print(f"warning: regime=none ignores m={config.m}", file=sys.stderr)
-    support_desc, query_desc = regime_descriptors(
-        support, query, config.graph, config.m, config.regime,
-        config.query_gps,
-        functools.partial(_smoothed_descriptors, cache=cache,
-                          config=config, info=info))
-    indices, scores = cosine_knn(query_desc, support_desc, config.k)
     snapshot = dict(config.echo, n_support=support.n_images,
                     n_query=query.n_images, dim=support.dim)
-    report = compute_report(indices, scores, support, query,
-                            config.strategy, config.threshold_m,
-                            config.regime, snapshot)
+    indices, scores, report = _evaluate(
+        support, query, config.graph, config.smoothing, config.regime,
+        functools.partial(_smoothed_descriptors, cache=cache, config=config,
+                          info=info),
+        snapshot, threshold_m=config.threshold_m, k=config.k,
+        strategy=config.strategy, query_gps=config.query_gps)
     write_report_json(out_dir / "report.json", report)
     write_report_csv(out_dir / "report.csv", report)
     write_matches(out_dir / "matches.csv", indices, scores, query.records,

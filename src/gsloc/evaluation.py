@@ -10,6 +10,8 @@ allowed (the query positions are what we are trying to predict).
 The ablation (eight kernel subsets at one m), the m-sweep (one cell at many
 m) and the grid search (many cells at many m) all score through
 ``_evaluate_cells``, the one place that decides what their cells share.
+Every evaluation, `run`'s included, goes through ``_evaluate``, and
+``_smoothed_sides`` alone decides which sides are smoothed.
 """
 
 from __future__ import annotations
@@ -123,17 +125,13 @@ def _memo_smoother(geometry: dict[str, KernelGeometry] | None = None) -> Smoothe
     sparse products per side; a smaller m starts again from X. The iterate
     is the memo's own float64 copy and is advanced in place; X is never
     written. Each column's float64 chain is the one a fresh smooth would
-    take, so every result is bitwise equal to smooth(A, X, m). Without a
-    structural kernel the latent gate is empty and the operator is the
-    identity, so X comes back as is.
+    take, so every result is bitwise equal to smooth(A, X, m).
     """
     operators = {}
     ladders: dict[str, tuple[int, np.ndarray]] = {}
 
     def smoother(side: str, dataset: Dataset, params: GraphParams,
                  m: int) -> np.ndarray:
-        if not (params.include_dist or params.include_seq):
-            return dataset.descriptors
         if side not in operators:
             operators[side] = build_operator(dataset.records, dataset.descriptors,
                                              params, (geometry or {}).get(side))
@@ -147,36 +145,36 @@ def _memo_smoother(geometry: dict[str, KernelGeometry] | None = None) -> Smoothe
     return smoother
 
 
-def _regime_sides(regime: str) -> tuple[str, ...]:
+def _smoothed_sides(regime: str, params: GraphParams, m: int,
+                    query_gps: bool) -> dict[str, GraphParams]:
+    """The graph params of each side that is smoothed: the regime smooths
+    it, m > 0, and its params (per query_graph_params on the query side)
+    turn on a structural kernel, without which the operator is the identity."""
     if regime not in SMOOTHED_SIDES:
         raise InputError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    return SMOOTHED_SIDES[regime]
-
-
-def regime_descriptors(support: Dataset, query: Dataset, params: GraphParams,
-                       m: int, regime: str, query_gps: bool,
-                       smoother: Smoother) -> tuple[np.ndarray, np.ndarray]:
-    """Descriptors each side brings to retrieval under the regime, each side
-    smoothed on its own graph (the query graph per query_graph_params)."""
-    sides = _regime_sides(regime)
-    sides = sides if m > 0 else ()
-    support_desc = (smoother("support", support, params, m)
-                    if "support" in sides else support.descriptors)
-    query_desc = (smoother("query", query, query_graph_params(params, query_gps), m)
-                  if "query" in sides else query.descriptors)
-    return support_desc, query_desc
+    sides = {"support": params, "query": query_graph_params(params, query_gps)}
+    return {side: p for side, p in sides.items()
+            if side in SMOOTHED_SIDES[regime] and m > 0
+            and (p.include_dist or p.include_seq)}
 
 
 def _evaluate(support: Dataset, query: Dataset, params: GraphParams,
               cfg: SmoothConfig, regime: str, smoother: Smoother,
               config_snapshot: dict, *, threshold_m: float, k: int,
-              strategy: str, query_gps: bool) -> EvalReport:
-    """Smooth per the regime, retrieve, and score one parameter cell."""
-    support_desc, query_desc = regime_descriptors(
-        support, query, params, cfg.m, regime, query_gps, smoother)
+              strategy: str, query_gps: bool,
+              ) -> tuple[np.ndarray, np.ndarray, EvalReport]:
+    """Smooth each side that _smoothed_sides names on its own graph,
+    retrieve, and score one parameter cell: cosine_knn's (indices, scores)
+    and their report."""
+    smoothed = _smoothed_sides(regime, params, cfg.m, query_gps)
+    support_desc, query_desc = (
+        smoother(side, dataset, smoothed[side], cfg.m) if side in smoothed
+        else dataset.descriptors
+        for side, dataset in (("support", support), ("query", query)))
     indices, scores = cosine_knn(query_desc, support_desc, k)
-    return compute_report(indices, scores, support, query, strategy,
-                          threshold_m, regime, config_snapshot)
+    return indices, scores, compute_report(
+        indices, scores, support, query, strategy, threshold_m, regime,
+        config_snapshot)
 
 
 def evaluate_regime(support: Dataset, query: Dataset, params: GraphParams,
@@ -202,7 +200,7 @@ def evaluate_regime(support: Dataset, query: Dataset, params: GraphParams,
     }
     return _evaluate(support, query, params, cfg, regime, _memo_smoother(),
                      snapshot, threshold_m=threshold_m, k=k,
-                     strategy=strategy, query_gps=query_gps)
+                     strategy=strategy, query_gps=query_gps)[2]
 
 
 def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
@@ -212,25 +210,24 @@ def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
     """Score every graph cell at every m under the regime: one
     (acc_at_threshold, median_error_m) per cell and m, cell-major.
 
-    This is the one place that decides what cells share. With more than one
-    cell and some m > 0, one kernel geometry per smoothed side holds one
-    pair structure over the union of the cells' gates, and each cell's graph
-    is weight arithmetic on it, zero outside the cell's gate; a single
-    cell's build makes a geometry of its own, as `run` does. The geometries
-    are freed when the cells are done. Each cell walks its m values as one
-    ladder. The m = 0 scores never touch a graph, so every cell shares one
+    This is the one place that decides what cells share. Where more than
+    one cell smooths a side, one kernel geometry for that side holds one
+    pair structure over the union of those cells' gates, and each cell's
+    graph is weight arithmetic on it, zero outside the cell's gate; a cell
+    that alone smooths a side makes a geometry of its own, as `run` does.
+    The geometries are freed when the cells are done. Each cell walks its m
+    values as one ladder. Every (cell, m) that smooths no side shares one
     retrieval. The geometry and that retrieval are computed before the cells
     run, so a thread pool (threads > 1, more than one cell) runs the cells in
     parallel without a lock and without changing any number.
     """
-    sides = _regime_sides(regime)
+    # A cell smooths the same sides at every m > 0.
+    top = [_smoothed_sides(regime, cell, max(m_values, default=0), query_gps)
+           for cell in cells]
     geometry = {}
-    if len(cells) > 1 and max(m_values, default=0) > 0:
-        datasets = {"support": (support, cells),
-                    "query": (query, [query_graph_params(p, query_gps)
-                                      for p in cells])}
-        for side in sides:
-            dataset, side_cells = datasets[side]
+    for side, dataset in (("support", support), ("query", query)):
+        side_cells = [sides[side] for sides in top if side in sides]
+        if len(side_cells) > 1:
             geometry[side] = kernel_geometry(dataset.records,
                                              dataset.descriptors, side_cells)
 
@@ -238,16 +235,19 @@ def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
         # Only the accuracy and median are kept, so no config snapshot.
         report = _evaluate(support, query, cell, SmoothConfig(m=m), regime,
                            smoother, {}, threshold_m=threshold_m, k=k,
-                           strategy=strategy, query_gps=query_gps)
+                           strategy=strategy, query_gps=query_gps)[2]
         return report.acc_at_threshold, report.median_error_m
 
-    unsmoothed = score(cells[0], 0, _memo_smoother()) if 0 in m_values else None
+    plain = any(not _smoothed_sides(regime, cell, m, query_gps)
+                for cell in cells for m in m_values)
+    unsmoothed = score(cells[0], 0, _memo_smoother()) if plain else None
     # Scoring reads both splits' positions; build them before any pool.
     support.positions, query.positions
 
     def score_cell(cell: GraphParams) -> list[tuple[float, float]]:
         smoother = _memo_smoother(geometry)
-        return [unsmoothed if m == 0 else score(cell, m, smoother)
+        return [score(cell, m, smoother)
+                if _smoothed_sides(regime, cell, m, query_gps) else unsmoothed
                 for m in m_values]
 
     if threads > 1 and len(cells) > 1:
@@ -262,9 +262,9 @@ def run_ablation(support: Dataset, query: Dataset, params: GraphParams,
                  threads: int = 1) -> list[AblationRow]:
     """Evaluate every kernel subset (8 rows) under gs_support.
 
-    The rows without a structural kernel (all-off and latent-only) have an
-    identity operator, i.e. the no-smoothing baseline. With threads > 1 the
-    rows are scored in a pool of that many threads, with the same results.
+    The rows without a structural kernel (all-off and latent-only) smooth
+    nothing: they share the no-smoothing baseline's retrieval. With threads
+    > 1 a pool of that many threads scores the rows, with the same results.
     """
     cells = [replace(params, include_dist=use_dist, include_seq=use_seq,
                      include_latent=use_latent)

@@ -48,6 +48,7 @@ against 64-row chunks).
 
 from __future__ import annotations
 
+import csv
 import logging
 from pathlib import Path
 
@@ -243,11 +244,13 @@ def write_matches(path: str | Path, indices: np.ndarray, scores: np.ndarray,
                   query_records: list[ImageRecord],
                   support_records: list[ImageRecord]) -> None:
     """CSV export of cosine_knn's arrays, one row of them per query record:
-    query_id,rank,support_id,score with 1-based ranks."""
-    lines = ["query_id,rank,support_id,score"]
-    for record, row, row_scores in zip(query_records, indices.tolist(),
-                                       scores.tolist(), strict=True):
-        for rank, (sidx, score) in enumerate(zip(row, row_scores), start=1):
-            lines.append(f"{record.image_id},{rank},"
-                         f"{support_records[sidx].image_id},{score!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    query_id,rank,support_id,score with 1-based ranks and LF line endings;
+    an id is quoted when it holds a comma, a quote or a line break."""
+    rows = [[record.image_id, rank, support_records[sidx].image_id, repr(score)]
+            for record, row, row_scores in zip(query_records, indices.tolist(),
+                                               scores.tolist(), strict=True)
+            for rank, (sidx, score) in enumerate(zip(row, row_scores), start=1)]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["query_id", "rank", "support_id", "score"])
+        writer.writerows(rows)

@@ -156,7 +156,12 @@ _BROKEN_MESSAGES = {"missing-file": "not found", "no-grid": "grid axis",
                     "negative-grid-radius": "max_distance_m must be positive",
                     "nan-grid-gamma": "gamma must be nonnegative",
                     "negative-grid-m": "m must be nonnegative",
-                    "empty-grid-axis": "grid axis 'alpha' is empty"}
+                    "empty-grid-axis": "grid axis 'alpha' is empty",
+                    "k-0": "k=0 must be in [1,",
+                    "d-out-0": "d_out=0 must be in [1,",
+                    "negative-eps": "eps must be finite and nonnegative",
+                    "nan-eps": "eps must be finite and nonnegative",
+                    "negative-m-value": "m values must be nonnegative"}
 _NAN_FLAGS = {"nan-radius": "--max-distance-m", "nan-threshold": "--threshold-m",
               "nan-spacing": "--place-spacing-m", "nan-noise": "--noise-sigma",
               "nan-jitter": "--gps-jitter-m"}
@@ -167,6 +172,13 @@ _GRID_FLAGS = {"nan-grid-radius": ("--grid-max-distance-m", "15,nan"),
                "nan-grid-gamma": ("--grid-gamma", "0.3,nan"),
                "negative-grid-m": ("--grid-m", "0,-1"),
                "empty-grid-axis": ("--grid-alpha", "")}
+# Settings that the library refuses only once the data are loaded, but whose
+# value alone shows them wrong.
+_EARLY_FLAGS = {"k-0": ("--k", "0"),
+                "d-out-0": ("--projection", "--d-out", "0"),
+                "negative-eps": ("--projection", "--d-out", "4", "--eps", "-1"),
+                "nan-eps": ("--projection", "--d-out", "4", "--eps", "nan"),
+                "negative-m-value": ("--m-values", "1,-2")}
 
 
 @pytest.mark.parametrize("command, broken", [
@@ -178,6 +190,9 @@ _GRID_FLAGS = {"nan-grid-radius": ("--grid-max-distance-m", "15,nan"),
     ("gridsearch", "nan-grid-radius"), ("gridsearch", "negative-grid-radius"),
     ("gridsearch", "nan-grid-gamma"), ("gridsearch", "negative-grid-m"),
     ("gridsearch", "empty-grid-axis"),
+    ("run", "k-0"), ("ablate", "k-0"), ("run", "d-out-0"),
+    ("run", "negative-eps"), ("run", "nan-eps"),
+    ("sweep-m", "negative-m-value"),
 ])
 def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
                                                   command, broken):
@@ -191,6 +206,8 @@ def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
         argv += ["--dim", "0"]
     elif broken in _GRID_FLAGS:
         argv += list(_GRID_FLAGS[broken])
+    elif broken in _EARLY_FLAGS:
+        argv += list(_EARLY_FLAGS[broken])
     else:
         argv += [_NAN_FLAGS[broken], "nan"]
     assert main(argv) == 2
@@ -429,14 +446,19 @@ def test_run_regime_none_warns_about_ignored_m(tmp_path, data_dir, capsys):
 
 def test_run_latent_only_graph_matches_regime_none(tmp_path, data_dir):
     # With both structural kernels off the latent kernel's gate is empty, so
-    # every vertex is isolated and smoothing leaves the descriptors as they
-    # are.
+    # the operator would be the identity: neither side is smoothed, and no
+    # graph or smoothed descriptors are built or cached for it.
     rc1, latent = _run(tmp_path, data_dir, "latent-only",
                        ["--no-include-dist", "--no-include-seq"])
     rc2, none = _run(tmp_path, data_dir, "none", ["--regime", "none"])
     assert rc1 == rc2 == 0
     assert (latent / "matches.csv").read_bytes() == \
         (none / "matches.csv").read_bytes()
+    cache = tmp_path / "latent-only-cache"
+    assert not list(cache.glob("graph-*")) + list(cache.glob("smoothed-*"))
+    provenance = json.loads((latent / "manifest.json").read_text())["provenance"]
+    assert not [key for key in provenance
+                if key.endswith(("_graph_key", "_smoothed_key"))]
 
 
 def test_run_noiseless_world_is_perfect(tmp_path, capsys):
@@ -476,7 +498,7 @@ def test_run_negative_eps_exits_2_and_caches_nothing(tmp_path, data_dir,
                  ["--projection", "--d-out", "8", "--eps=-1e9"])
     assert rc == 2
     assert "eps must be finite and nonnegative" in capsys.readouterr().err
-    assert list((tmp_path / "eps-cache").iterdir()) == []
+    assert not (tmp_path / "eps-cache").exists()
 
 
 def _lock_is_free(out_dir):

@@ -524,8 +524,18 @@ def test_ablation_at_m_zero_shares_one_retrieval(monkeypatch):
     assert calls == [(query.n_images, support.n_images)]
     assert len({(row.acc_at_threshold, row.median_error_m) for row in rows}) == 1
     calls.clear()
+    # At m = 2 the all-off and latent-only rows smooth nothing: they share
+    # one retrieval, and the six others retrieve once each.
     run_ablation(support, query, GraphParams(), SmoothConfig(m=2))
-    assert len(calls) == 8
+    assert len(calls) == 7
+
+
+def test_grid_search_regime_none_retrieves_once(monkeypatch):
+    support, query = _small_world()
+    calls = _count_retrievals(monkeypatch)
+    grid_search(support, query, {"alpha": [0.1, 0.2], "m": [0, 1, 2]},
+                regime="none")
+    assert calls == [(query.n_images, support.n_images)]
 
 
 def test_one_cell_evaluations_build_no_shared_geometry(monkeypatch):

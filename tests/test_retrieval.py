@@ -3,6 +3,7 @@ position estimates on the sphere, and the matches CSV export."""
 
 from __future__ import annotations
 
+import csv
 import logging
 
 import numpy as np
@@ -265,3 +266,21 @@ def test_write_matches_golden_csv(tmp_path):
     )
     with pytest.raises(ValueError):
         write_matches(path, indices[:1], scores[:1], queries, support)
+
+
+def test_write_matches_quotes_ids_that_need_it(tmp_path):
+    # Metadata ids are read as CSV fields, so any of these can occur.
+    support = [ImageRecord('sup,"a"', "s", 0, 0.0, 0.0),
+               ImageRecord("sup\nb", "s", 1, 0.0, 0.0)]
+    queries = [ImageRecord('qry,x"y', "q", 0, 0.0, 0.0)]
+    path = tmp_path / "matches.csv"
+    write_matches(path, np.array([[1, 0]]), np.array([[0.5, 0.25]]), queries,
+                  support)
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [
+        {"query_id": 'qry,x"y', "rank": "1", "support_id": "sup\nb",
+         "score": "0.5"},
+        {"query_id": 'qry,x"y', "rank": "2", "support_id": 'sup,"a"',
+         "score": "0.25"},
+    ]
