@@ -1,11 +1,12 @@
 """Command-line pipeline: ingest, synth, run, ablate, sweep-m, gridsearch.
 
-Every setting is declared once, as a row of OPTIONS. The subcommands' flags,
-the layering (defaults, then a JSON config file given with --config, then
-explicit flags, which always win), the type checks on config-file values and
-the config echo in manifest.json all come from that table. Every command runs
-in one skeleton, `main`: the config is checked (input paths and grid too)
-before anything is made, then the output directory is locked. For the
+Every setting is declared once, as a row of OPTIONS, and a command takes only
+the options whose row names it. The subcommands' flags, the layering
+(defaults, then a JSON config file given with --config, then explicit flags,
+which always win), the config-file type checks and the config echo in
+manifest.json all come from that table. Every command runs in one skeleton,
+`main`: the config, and an evaluating command's loaded splits, are checked
+before anything is made; then the output directory is locked. For the
 evaluating commands `main` also opens the cache, prepares both splits and
 writes manifest.json; `run` caches its intermediates (projection, and the
 operator and smoothed descriptors of each side it smooths) under
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,9 +37,10 @@ from .dataset import (Dataset, filter_reachable_queries, load_dataset,
                       load_descriptors, write_descriptors, write_metadata)
 from .errors import InputError
 from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, _evaluate,
-                         ablation_table_csv, grid_search, grid_table_csv,
-                         render_report, run_ablation, sweep_m, sweep_plot_data,
-                         sweep_table_csv, write_report_csv, write_report_json)
+                         ablation_table_csv, grid_cells, grid_search,
+                         grid_table_csv, render_report, run_ablation, sweep_m,
+                         sweep_plot_data, sweep_table_csv, write_report_csv,
+                         write_report_json)
 from .features import (apply_projection, fit_projection, l2_normalize,
                        load_projection, save_projection)
 from .graph import GraphParams, build_operator, load_operator, save_operator
@@ -88,11 +90,12 @@ class Option:
     ``key`` is its dotted path in a config file and in the resolved config.
     ``kind`` is bool, int, float, str, a list of one of them, or a tuple of
     the allowed strings; a ``default`` of None also admits null in a config
-    file. ``commands`` are the subcommands that take ``flag``. ``echo`` is the
-    dotted path under which manifest.json repeats the value; None leaves it
-    out, for execution details that cannot change any output (threads, cache
-    and output locations), so that reports stay byte-identical across
-    setups. An option with ``file`` false is a flag only.
+    file. ``commands`` are the subcommands that take the option: its ``flag``,
+    its config-file value and its echo. ``echo`` is the dotted path under
+    which manifest.json repeats the value; None leaves it out, for execution
+    details that cannot change any output (threads, cache and output
+    locations), so that reports stay byte-identical across setups. An option
+    with ``file`` false is a flag only.
     """
 
     key: str
@@ -108,6 +111,8 @@ class Option:
 _EVAL = ("run", "ablate", "sweep-m", "gridsearch")
 _DATA = ("ingest",) + _EVAL
 _ALL = ("synth",) + _DATA
+# ablate sets the kernel switches row by row; sweep-m reads --m-values.
+_SWITCHES, _ONE_M = ("run", "sweep-m", "gridsearch"), ("run", "ablate", "gridsearch")
 _GRAPH, _SYNTH = GraphParams(), SynthConfig()
 # The input files' options, the support split's first.
 _INPUTS = ("support_metadata", "support_descriptors", "query_metadata",
@@ -128,16 +133,16 @@ OPTIONS: tuple[Option, ...] = (
            "graph.betas", "comma-separated, one weight per frame gap"),
     Option("graph.gamma", "--gamma", float, _GRAPH.gamma, _EVAL, "graph.gamma"),
     Option("graph.include_dist", "--include-dist", bool, _GRAPH.include_dist,
-           _EVAL, "graph.include_dist"),
+           _SWITCHES, "graph.include_dist"),
     Option("graph.include_seq", "--include-seq", bool, _GRAPH.include_seq,
-           _EVAL, "graph.include_seq"),
+           _SWITCHES, "graph.include_seq"),
     Option("graph.include_latent", "--include-latent", bool,
-           _GRAPH.include_latent, _EVAL, "graph.include_latent"),
+           _GRAPH.include_latent, _SWITCHES, "graph.include_latent"),
     Option("graph.decay_sign", "--decay-sign", ("negative", "positive"),
            _GRAPH.decay_sign, _EVAL, "graph.decay_sign"),
     Option("graph.include_self_edges", "--include-self-edges", bool,
            _GRAPH.include_self_edges, _EVAL, "graph.include_self_edges"),
-    Option("m", "--m", int, SmoothConfig().m, _EVAL, "m"),
+    Option("m", "--m", int, SmoothConfig().m, _ONE_M, "m"),
     Option("regime", "--regime", REGIMES, "gs_both", _EVAL, "regime"),
     Option("k", "--k", int, 1, _EVAL, "k"),
     Option("strategy", "--strategy", STRATEGIES, "top1", _EVAL, "strategy"),
@@ -294,15 +299,18 @@ def _require_paths(config: SimpleNamespace, command: str) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
-    """The table's options layered as defaults, then the --config file, then
-    the flags given. Sections (``graph``, ``projection``, ``grid``,
-    ``synth``) are dicts; ``graph``, ``smoothing`` and ``synth`` are built
-    into the library's objects, ``grid`` keeps only the axes given, and
+    """The command's options layered as defaults, then the --config file,
+    then the flags given; a file's other keys are type-checked, not used.
+    Sections (``graph``, ``projection``, ``grid``, ``synth``) are dicts;
+    ``graph``, ``smoothing`` and ``synth`` are built into the library's
+    objects, which check them, ``grid`` keeps only the axes given, and
     ``echo`` is the manifest's config echo. Everything that the config alone
     can show wrong is checked here, before ``main`` makes anything."""
     values = {option.key: option.default for option in OPTIONS}
     if args.config:
-        values.update(_read_config(Path(args.config)))
+        values.update((key, value) for key, value
+                      in _read_config(Path(args.config)).items()
+                      if args.command in _FILE_OPTIONS[key].commands)
     for option in OPTIONS:
         flagged = getattr(args, option.flag[2:].replace("-", "_"), None)
         if flagged is not None:
@@ -313,33 +321,19 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
         raise InputError(f"threshold_m must be positive, got {config.threshold_m}")
     if config.threads < 1:
         raise InputError(f"threads must be at least 1, got {config.threads}")
-    if config.k < 1:
-        raise InputError(f"k={config.k} must be in [1, support size]")
-    d_out, eps = config.projection["d_out"], config.projection["eps"]
-    if config.projection["enabled"]:
-        if d_out is None:
-            raise InputError("projection enabled but projection.d_out not set")
-        if d_out < 1:
-            raise InputError(f"d_out={d_out} must be in [1, min(rows-1, dim)]")
-        if eps is not None and not (np.isfinite(eps) and eps >= 0):
-            raise InputError(f"eps must be finite and nonnegative, got {eps}")
+    eps = config.projection["eps"]
+    if (config.projection["enabled"] and eps is not None
+            and not (np.isfinite(eps) and eps >= 0)):
+        raise InputError(f"eps must be finite and nonnegative, got {eps}")
     config.smoothing = SmoothConfig(m=config.m)
-    if any(m < 0 for m in config.m_values):
-        raise InputError("m values must be nonnegative")
+    config.m_values = [SmoothConfig(m=m).m for m in config.m_values]
     config.synth = SynthConfig(**config.synth)
-    config.synth.validate()
     config.grid = {axis: v for axis, v in config.grid.items() if v is not None}
-    if args.command == "gridsearch" and not config.grid:
-        raise InputError("gridsearch needs at least one grid axis "
-                         "(config `grid` object or --grid-* flags)")
-    for axis, points in config.grid.items():
-        if not points:
-            raise InputError(f"grid axis {axis!r} is empty")
-        for v in points:
-            replace(config.smoothing if axis == "m" else config.graph, **{axis: v})
+    if args.command == "gridsearch":  # expanded here for its checks alone
+        grid_cells(config.grid, config.graph, config.smoothing)
     _require_paths(config, args.command)
-    config.echo = _nest((option.echo, values[option.key])
-                        for option in OPTIONS if option.echo)
+    config.echo = _nest((option.echo, values[option.key]) for option in OPTIONS
+                        if option.echo and args.command in option.commands)
     return config
 
 
@@ -366,12 +360,10 @@ def _read_cached(load, path: Path, *args, **kwargs):
                          "rebuilds it") from None
 
 
-def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, dict]:
-    """Load, filter, and optionally project+renormalize both splits.
-
-    Returns the prepared datasets plus a provenance dict (input hashes, filter
-    counts, projection cache key) for the manifest.
-    """
+def _load(config: SimpleNamespace) -> tuple[Dataset, Dataset, dict]:
+    """Both splits, the queries kept within threshold_m of the support, and
+    the filter counts for the provenance; refuses a k or a d_out that the
+    support cannot serve."""
     support = load_dataset(config.support_metadata, config.support_descriptors,
                            role="support")
     query = load_dataset(config.query_metadata, config.query_descriptors,
@@ -381,13 +373,24 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
     if query.n_images == 0:
         raise InputError(
             f"no query image lies within {config.threshold_m} m of the support set")
-    info = {
-        "input_sha256": {key: sha256_file(getattr(config, key))
-                         for key in _INPUTS},
-        "n_query_raw": n_query_raw,
-        "n_query_reachable": query.n_images,
-        "projection_key": None,
-    }
+    rows, d_out = support.n_images, config.projection["d_out"]
+    if not 1 <= config.k <= rows:
+        raise InputError(f"k={config.k} must be in [1, {rows}]")
+    if config.projection["enabled"] and (
+            d_out is None or not 1 <= d_out <= min(rows - 1, support.dim)):
+        raise InputError(f"d_out={d_out} must be in "
+                         f"[1, min(rows-1={rows - 1}, dim={support.dim})]")
+    return support, query, {"n_query_raw": n_query_raw,
+                            "n_query_reachable": query.n_images}
+
+
+def _prepare(config: SimpleNamespace, support: Dataset, query: Dataset,
+             info: dict, cache: Cache) -> tuple[Dataset, Dataset]:
+    """Optionally project+renormalize both loaded splits; adds the input
+    hashes and the projection cache key to the provenance ``info``."""
+    info["input_sha256"] = {key: sha256_file(getattr(config, key))
+                            for key in _INPUTS}
+    info["projection_key"] = None
     d_out, eps = config.projection["d_out"], config.projection["eps"]
     if config.projection["enabled"]:
         # v2: fitted through the Gram matrix; an SVD-fitted v1 file differs
@@ -415,7 +418,7 @@ def _prepare(config: SimpleNamespace, cache: Cache) -> tuple[Dataset, Dataset, d
         # projected), so they are normalized where they lie.
         for split in (support, query):
             l2_normalize(split.descriptors)
-    return support, query, info
+    return support, query
 
 
 def _graph_key(side: str, params: GraphParams, config: SimpleNamespace,
@@ -551,7 +554,7 @@ def cmd_ablate(config: SimpleNamespace, out_dir: Path, support: Dataset,
 def cmd_sweep_m(config: SimpleNamespace, out_dir: Path, support: Dataset,
                 query: Dataset, info: dict, cache: Cache) -> None:
     rows = sweep_m(support, query, config.graph, config.m_values,
-                   threshold_m=config.threshold_m, k=config.k,
+                   regime=config.regime, threshold_m=config.threshold_m, k=config.k,
                    strategy=config.strategy, query_gps=config.query_gps)
     table = sweep_table_csv(rows)
     (out_dir / "sweep.csv").write_text(table, encoding="utf-8")
@@ -622,6 +625,8 @@ def main(argv: list[str] | None = None) -> int:
     command, _, extras = _COMMANDS[args.command]
     try:
         config = resolve_config(args)
+        if extras is not None:
+            support, query, info = _load(config)
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         with OutDirLock(out_dir):
@@ -629,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
                 command(config, out_dir)
             else:
                 cache = Cache(config.cache_dir)
-                support, query, info = _prepare(config, cache)
+                support, query = _prepare(config, support, query, info, cache)
                 command(config, out_dir, support, query, info, cache)
                 # Written last: run's smoother adds its graph keys to info.
                 _write_json(out_dir / "manifest.json",

@@ -221,6 +221,7 @@ def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
     run, so a thread pool (threads > 1, more than one cell) runs the cells in
     parallel without a lock and without changing any number.
     """
+    m_values = [SmoothConfig(m=m).m for m in m_values]
     # A cell smooths the same sides at every m > 0.
     top = [_smoothed_sides(regime, cell, max(m_values, default=0), query_gps)
            for cell in cells]
@@ -282,13 +283,11 @@ def run_ablation(support: Dataset, query: Dataset, params: GraphParams,
 def sweep_m(support: Dataset, query: Dataset, params: GraphParams,
             m_values: list[int], *, threshold_m: float = DEFAULT_THRESHOLD_M,
             k: int = 1, strategy: str = "top1", query_gps: bool = False,
-            ) -> list[tuple[int, float, float]]:
-    """Evaluate gs_both once per m, building each side's graph only once and
-    carrying each side's iterate up the m-ladder; returns (m, acc, median)
-    rows."""
-    if any(m < 0 for m in m_values):
-        raise InputError("m values must be nonnegative")
-    [scores] = _evaluate_cells(support, query, [params], m_values, "gs_both",
+            regime: str = "gs_both") -> list[tuple[int, float, float]]:
+    """Evaluate the regime once per m, building each side's graph only once
+    and carrying each side's iterate up the m-ladder; returns (m, acc,
+    median) rows."""
+    [scores] = _evaluate_cells(support, query, [params], m_values, regime,
                                threshold_m=threshold_m, k=k, strategy=strategy,
                                query_gps=query_gps)
     return [(int(m), acc, median) for m, (acc, median) in zip(m_values, scores)]
@@ -297,6 +296,31 @@ def sweep_m(support: Dataset, query: Dataset, params: GraphParams,
 # Grid axes in canonical order; ties in the search resolve toward the
 # earliest cell of the cartesian product in this order.
 GRID_AXES = ("alpha", "betas", "gamma", "max_distance_m", "m")
+
+
+def grid_cells(grid: dict, base_params: GraphParams,
+               base_cfg: SmoothConfig) -> tuple[list[GraphParams], list[int]]:
+    """The grid's graph cells in canonical product order and its m axis, each
+    checked by its GraphParams or SmoothConfig; missing axes stay at base."""
+    if not grid:
+        raise InputError(f"grid must name at least one grid axis of {GRID_AXES}")
+    unknown = set(grid) - set(GRID_AXES)
+    if unknown:
+        raise InputError(f"unknown grid axes {sorted(unknown)}; valid: {GRID_AXES}")
+    axes = {
+        "alpha": [float(v) for v in grid.get("alpha", [base_params.alpha])],
+        "betas": [tuple(float(b) for b in v) for v in grid.get("betas", [base_params.betas])],
+        "gamma": [float(v) for v in grid.get("gamma", [base_params.gamma])],
+        "max_distance_m": [float(v) for v in grid.get("max_distance_m", [base_params.max_distance_m])],
+        "m": [SmoothConfig(m=int(v)).m for v in grid.get("m", [base_cfg.m])],
+    }
+    for name in GRID_AXES:
+        if not axes[name]:
+            raise InputError(f"grid axis {name!r} is empty")
+    graph_axes = GRID_AXES[:-1]
+    cells = [replace(base_params, **dict(zip(graph_axes, combo)))
+             for combo in product(*(axes[name] for name in graph_axes))]
+    return cells, axes["m"]
 
 
 def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
@@ -311,43 +335,25 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
     full score table.
 
     Maximizes acc_at_threshold; ties break to the lower median error, then to
-    the earliest cell in canonical product order. Axes missing from the grid
-    stay at their base values. Each graph-parameter combination is one cell
-    of _evaluate_cells, which walks the m axis as that cell's ladder; the
-    threads run combinations in parallel.
+    the earliest cell in canonical product order. Each graph-parameter
+    combination of grid_cells is one cell of _evaluate_cells, which walks
+    the m axis as that cell's ladder; the threads run cells in parallel.
     """
-    if not grid:
-        raise InputError("grid must name at least one parameter axis")
-    unknown = set(grid) - set(GRID_AXES)
-    if unknown:
-        raise InputError(f"unknown grid axes {sorted(unknown)}; valid: {GRID_AXES}")
     base_params = base_params if base_params is not None else GraphParams()
     base_cfg = base_cfg if base_cfg is not None else SmoothConfig()
-    axes = {
-        "alpha": [float(v) for v in grid.get("alpha", [base_params.alpha])],
-        "betas": [tuple(float(b) for b in v) for v in grid.get("betas", [base_params.betas])],
-        "gamma": [float(v) for v in grid.get("gamma", [base_params.gamma])],
-        "max_distance_m": [float(v) for v in grid.get("max_distance_m", [base_params.max_distance_m])],
-        "m": [int(v) for v in grid.get("m", [base_cfg.m])],
-    }
-    for name in GRID_AXES:
-        if not axes[name]:
-            raise InputError(f"grid axis {name!r} is empty")
-    graph_axes = GRID_AXES[:-1]
-    cells = [replace(base_params, **dict(zip(graph_axes, combo)))
-             for combo in product(*(axes[name] for name in graph_axes))]
-    scores = _evaluate_cells(support, validation_query, cells, axes["m"], regime,
+    cells, m_values = grid_cells(grid, base_params, base_cfg)
+    scores = _evaluate_cells(support, validation_query, cells, m_values, regime,
                              threshold_m=threshold_m, k=k, strategy=strategy,
                              query_gps=query_gps, threads=threads)
     table = [{"alpha": cell.alpha, "betas": list(cell.betas),
               "gamma": cell.gamma, "max_distance_m": cell.max_distance_m,
               "m": m, "acc_at_threshold": acc, "median_error_m": median}
              for cell, cell_scores in zip(cells, scores)
-             for m, (acc, median) in zip(axes["m"], cell_scores)]
+             for m, (acc, median) in zip(m_values, cell_scores)]
     best = max(range(len(table)),
                key=lambda i: (table[i]["acc_at_threshold"],
                               -table[i]["median_error_m"], -i))
-    return (cells[best // len(axes["m"])], SmoothConfig(m=table[best]["m"]),
+    return (cells[best // len(m_values)], SmoothConfig(m=table[best]["m"]),
             table)
 
 

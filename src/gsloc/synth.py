@@ -24,7 +24,7 @@ BASE_LAT = -34.93
 BASE_LON = 138.60
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     n_places: int = 40
     n_support_sequences: int = 10
@@ -35,7 +35,7 @@ class SynthConfig:
     place_spacing_m: float = 50.0
     gps_jitter_m: float = 8.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # Each check is written so that a NaN fails it.
         for name in ("n_places", "n_support_sequences", "n_query_sequences",
                      "frames_per_place", "dim", "place_spacing_m"):
@@ -94,7 +94,6 @@ def _emit_split(prefix: str, n_sequences: int, cfg: SynthConfig,
 def generate_synthetic(cfg: SynthConfig, seed: int) -> tuple[Dataset, Dataset, dict[str, int]]:
     """Build (support, query, ground_truth) where ground_truth maps image_id
     to the place index the image was taken at."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     prototypes = rng.standard_normal((cfg.n_places, cfg.dim))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import fcntl
+import functools
+import itertools
 import json
 import logging
 import os
@@ -20,13 +22,16 @@ import pytest
 
 import gsloc.dataset as dataset_mod
 import gsloc.evaluation as evaluation
-from gsloc.cli import build_parser, main
+from gsloc.cli import OPTIONS, build_parser, main
 from gsloc.dataset import (filter_reachable_queries, load_dataset,
                            load_descriptors, load_metadata, write_descriptors,
                            write_metadata)
+from gsloc.errors import InputError
 from gsloc.evaluation import REGIMES, evaluate_regime, grid_search
+from gsloc.geodesy import METERS_PER_DEGREE
 from gsloc.graph import GraphParams
 from gsloc.smoothing import SmoothConfig
+from gsloc.synth import SynthConfig
 
 SYNTH_ARGS = ["--n-places", "6", "--n-support-sequences", "2",
               "--n-query-sequences", "1", "--frames-per-place", "2",
@@ -89,6 +94,13 @@ def test_synth_is_seed_reproducible(tmp_path, data_dir):
     for name in ("support_metadata.csv", "support_descriptors.emb1",
                  "query_metadata.csv", "query_descriptors.emb1"):
         assert (again / name).read_bytes() == (data_dir / name).read_bytes()
+
+
+def test_synth_config_checks_itself_on_construction():
+    with pytest.raises(InputError, match="dim must be positive"):
+        SynthConfig(dim=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SynthConfig().dim = 8
 
 
 def test_ingest_prints_count_table(tmp_path, data_dir, capsys):
@@ -161,7 +173,9 @@ _BROKEN_MESSAGES = {"missing-file": "not found", "no-grid": "grid axis",
                     "d-out-0": "d_out=0 must be in [1,",
                     "negative-eps": "eps must be finite and nonnegative",
                     "nan-eps": "eps must be finite and nonnegative",
-                    "negative-m-value": "m values must be nonnegative"}
+                    "negative-m-value": "m must be nonnegative, got -2",
+                    "huge-k": "k=100000 must be in [1, 24]",
+                    "huge-d-out": "d_out=100000 must be in [1, min(rows-1=23, dim=16)]"}
 _NAN_FLAGS = {"nan-radius": "--max-distance-m", "nan-threshold": "--threshold-m",
               "nan-spacing": "--place-spacing-m", "nan-noise": "--noise-sigma",
               "nan-jitter": "--gps-jitter-m"}
@@ -178,7 +192,11 @@ _EARLY_FLAGS = {"k-0": ("--k", "0"),
                 "d-out-0": ("--projection", "--d-out", "0"),
                 "negative-eps": ("--projection", "--d-out", "4", "--eps", "-1"),
                 "nan-eps": ("--projection", "--d-out", "4", "--eps", "nan"),
-                "negative-m-value": ("--m-values", "1,-2")}
+                "negative-m-value": ("--m-values", "1,-2"),
+                # Settings that only the loaded data show wrong: main loads
+                # and checks both splits before it makes anything.
+                "huge-k": ("--k", "100000"),
+                "huge-d-out": ("--projection", "--d-out", "100000")}
 
 
 @pytest.mark.parametrize("command, broken", [
@@ -193,6 +211,7 @@ _EARLY_FLAGS = {"k-0": ("--k", "0"),
     ("run", "k-0"), ("ablate", "k-0"), ("run", "d-out-0"),
     ("run", "negative-eps"), ("run", "nan-eps"),
     ("sweep-m", "negative-m-value"),
+    ("run", "huge-k"), ("ablate", "huge-k"), ("run", "huge-d-out"),
 ])
 def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
                                                   command, broken):
@@ -828,12 +847,178 @@ def test_threads_below_one_exit_2(tmp_path, data_dir, capsys, threads):
     assert "threads must be at least 1" in capsys.readouterr().err
 
 
+def _reachable_splits(data_dir):
+    """data_dir's splits as the library reads them, the queries kept within
+    the default threshold."""
+    support = load_dataset(data_dir / "support_metadata.csv",
+                           data_dir / "support_descriptors.emb1", role="support")
+    query = load_dataset(data_dir / "query_metadata.csv",
+                         data_dir / "query_descriptors.emb1", role="query")
+    return support, filter_reachable_queries(query, support, radius_m=25.0)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_sweep_m_scores_its_regime(tmp_path, data_dir, regime):
+    out = tmp_path / "sweep"
+    assert main(["sweep-m", "--out-dir", str(out), "--cache-dir",
+                 str(tmp_path / "c"), "--m-values", "0,1,2", "--regime", regime,
+                 "--no-renormalize"] + _dataset_flags(data_dir)) == 0
+    support, query = _reachable_splits(data_dir)
+    rows = [line.split(",")
+            for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [m for m, _, _ in rows] == ["0", "1", "2"]
+    for m, acc, median in rows:
+        report = evaluate_regime(support, query, GraphParams(),
+                                 SmoothConfig(m=int(m)), regime)
+        assert (float(acc), float(median)) == (
+            report.acc_at_threshold, report.median_error_m), f"m={m}"
+
+
+# ---------------------------------------------------------------------------
+# Every flag a command takes is read: changing its value changes an output
+
+
+_CONTRACT_COMMANDS = ("run", "ablate", "sweep-m", "gridsearch")
+# Flags every run of a command takes: gridsearch needs a grid axis.
+_CONTRACT_BASE = {"gridsearch": ("--grid-m", "0,2")}
+# One valid value other than the default for each flag. The input paths
+# name changed copies of their files (see `contract`), --out-dir changes
+# with every run, and --cache-dir names the baseline's warm cache.
+_CHANGED = {
+    "--out-dir": (), "--cache-dir": (), "--threads": ("--threads", "2"),
+    "--alpha": ("--alpha", "0.6"), "--max-distance-m": ("--max-distance-m", "60"),
+    "--betas": ("--betas", "0.5,0.25"), "--gamma": ("--gamma", "0"),
+    "--include-dist": ("--no-include-dist",),
+    "--include-seq": ("--no-include-seq",),
+    "--include-latent": ("--no-include-latent",),
+    "--decay-sign": ("--decay-sign", "positive"),
+    "--include-self-edges": ("--include-self-edges",),
+    "--m": ("--m", "1"), "--regime": ("--regime", "none"), "--k": ("--k", "3"),
+    "--strategy": ("--strategy", "weighted_topk"),
+    "--threshold-m": ("--threshold-m", "40"),
+    "--projection": ("--projection", "--d-out", "8"),
+    "--d-out": ("--d-out", "6"), "--eps": ("--eps", "0.5"),
+    "--renormalize": ("--no-renormalize",), "--query-gps": ("--query-gps",),
+    "--m-values": ("--m-values", "0,2"),
+    "--grid-alpha": ("--grid-alpha", "0.1,0.5"),
+    "--grid-betas": ("--grid-betas", "0.5,0.25"),
+    "--grid-gamma": ("--grid-gamma", "0,0.33"),
+    "--grid-max-distance-m": ("--grid-max-distance-m", "15,40"),
+    "--grid-m": ("--grid-m", "1,2"),
+}
+# Flags that act only beside another: both runs take these.
+_ENABLING = {"--d-out": ("--projection", "--d-out", "8"),
+             "--eps": ("--projection", "--d-out", "8"),
+             "--k": ("--strategy", "weighted_topk"),
+             "--strategy": ("--k", "3")}
+# By design these change no output; the test asserts the same bytes.
+_SAME_BYTES = {
+    "--out-dir": "names where the outputs go",
+    "--cache-dir": "holds intermediates; a warm cache gives a cold one's bytes",
+    "--threads": "sizes the pool of cells; outputs are the same at any size",
+}
+# Conditional no-ops, decided one by one: (command, flag, flags both runs
+# take) -> reason. The test asserts the same bytes.
+_CONDITIONAL = {
+    ("gridsearch", "--m", ()):
+        "the grid's m axis, which every gridsearch here sets, replaces --m",
+    ("run", "--m", ("--regime", "none")):
+        "regime none smooths no side; run warns that it ignores m",
+    **{(command, "--k", ("--strategy", "top1")):
+       "top1 reads the nearest neighbour only, and a table has no match rows"
+       for command in ("ablate", "sweep-m", "gridsearch")},
+}
+# Pending ROADMAP item 2: ablate and gridsearch score a fixed regime, and
+# ablate never lets GPS into a query graph.
+_PENDING = {(command, flag) for command in ("ablate", "gridsearch")
+            for flag in ("--regime", "--query-gps")}
+
+
+def _contract_cases():
+    for command in _CONTRACT_COMMANDS:
+        for flag in (o.flag for o in OPTIONS if command in o.commands):
+            both = _ENABLING.get(flag, ())
+            same = flag in _SAME_BYTES or (command, flag, both) in _CONDITIONAL
+            marks = ([pytest.mark.xfail(strict=True, reason="ROADMAP item 2")]
+                     if (command, flag) in _PENDING else [])
+            yield pytest.param(command, flag, both, same, marks=marks,
+                               id=f"{command}{flag}")
+    for command, flag, both in _CONDITIONAL:
+        if both:
+            yield pytest.param(command, flag, both, True,
+                               id=f"{command}{flag}-under{''.join(both)}")
+
+
+def _written(out):
+    """The files a command wrote, less the echoes of every setting:
+    manifest.json and report.json's config_snapshot."""
+    files = {}
+    for path in out.iterdir():
+        if path.name == "report.json":
+            files[path.name] = dict(json.loads(path.read_text()),
+                                    config_snapshot=None)
+        elif path.name not in (".lock", "manifest.json"):
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.fixture(scope="module")
+def contract(data_dir, tmp_path_factory):
+    """(baseline, run, changed inputs). run(command, flags, cache) runs the
+    command in fresh directories (or on the given cache) on data_dir's
+    splits with rows scaled off unit length, and returns what it wrote and
+    its cache; baseline is run made once per command and flags. Each input
+    flag maps to a changed, valid copy of its file: descriptor rows
+    reversed, fixes moved 3 m."""
+    root = tmp_path_factory.mktemp("contract")
+    base, changed = root / "base", root / "changed"
+    shutil.copytree(data_dir, base)
+    changed.mkdir()
+    for split in ("support", "query"):
+        name = f"{split}_descriptors.emb1"
+        desc = load_descriptors(base / name, expected_rows=None)
+        desc *= (1 + np.arange(len(desc)) % 4)[:, None].astype(np.float32)
+        write_descriptors(base / name, desc)
+        write_descriptors(changed / name, desc[::-1].copy())
+        name = f"{split}_metadata.csv"
+        write_metadata(changed / name, [
+            dataclasses.replace(r, lat=r.lat + 3.0 / METERS_PER_DEGREE)
+            for r in load_metadata(base / name)])
+    flags = _dataset_flags(changed)
+    inputs = {flag: (flag, path) for flag, path in zip(flags[::2], flags[1::2])}
+    names = itertools.count()
+
+    def run(command, flags, cache=None):
+        n = next(names)
+        out, cache = root / f"out{n}", cache or root / f"cache{n}"
+        assert main([command, "--out-dir", str(out), "--cache-dir", str(cache),
+                     *_dataset_flags(base), *_CONTRACT_BASE.get(command, ()),
+                     *flags]) == 0, (command, flags)
+        return _written(out), cache
+    return functools.cache(run), run, inputs
+
+
+@pytest.mark.parametrize("command, flag, both, same", _contract_cases())
+def test_every_flag_a_command_takes_changes_its_output(contract, command, flag,
+                                                       both, same):
+    baseline, run, inputs = contract
+    written, cache = baseline(command, both)
+    changed, _ = run(command, both + (inputs[flag] if flag in inputs
+                                      else _CHANGED[flag]),
+                     cache if flag == "--cache-dir" else None)
+    if same:
+        assert changed == written
+    else:
+        assert changed != written
+
+
 # ---------------------------------------------------------------------------
 # Misc
 
 
 # --cache-dir and --threads only on the evaluating commands, --seed only where
-# it is read.
+# it is read; ablate sets the kernel switches itself, and sweep-m takes
+# --m-values in place of --m.
 _COMMON = ["-h", "--help", "--config", "--out-dir"]
 _EVAL = ["-h", "--help", "--config", "--cache-dir", "--out-dir", "--threads"]
 _DATA = ["--support-metadata", "--support-descriptors", "--query-metadata",
@@ -846,14 +1031,22 @@ _PIPELINE = ["--alpha", "--max-distance-m", "--betas", "--gamma",
              "--projection", "--no-projection", "--d-out", "--eps",
              "--renormalize", "--no-renormalize", "--query-gps",
              "--no-query-gps"]
+
+
+def _pipeline(*left_out):
+    return [flag for flag in _PIPELINE
+            if flag[2:].removeprefix("no-") not in left_out]
+
+
 _FLAGS = {
     "ingest": _COMMON + _DATA,
     "synth": _COMMON + ["--seed", "--n-places", "--n-support-sequences",
                         "--n-query-sequences", "--frames-per-place", "--dim",
                         "--noise-sigma", "--place-spacing-m", "--gps-jitter-m"],
     "run": _EVAL + _DATA + _PIPELINE,
-    "ablate": _EVAL + _DATA + _PIPELINE,
-    "sweep-m": _EVAL + _DATA + _PIPELINE + ["--m-values"],
+    "ablate": _EVAL + _DATA + _pipeline("include-dist", "include-seq",
+                                        "include-latent"),
+    "sweep-m": _EVAL + _DATA + _pipeline("m") + ["--m-values"],
     "gridsearch": _EVAL + _DATA + _PIPELINE + [
         "--grid-alpha", "--grid-betas", "--grid-gamma", "--grid-max-distance-m",
         "--grid-m"],

@@ -563,6 +563,14 @@ def test_sweep_m_without_m_values_is_empty():
     assert sweep_m(support, query, GraphParams(), []) == []
 
 
+def test_grid_search_rejects_negative_m():
+    # Not scored as the unsmoothed baseline: SmoothConfig checks every m, not
+    # only the winner's (on this world m = 2 beats the baseline).
+    support, query = _small_world(seed=2)
+    with pytest.raises(InputError, match="m must be nonnegative, got -1"):
+        grid_search(support, query, {"m": [2, -1]})
+
+
 def test_grid_search_validation():
     support, query = _small_world()
     with pytest.raises(InputError, match="at least one"):
