@@ -5,12 +5,13 @@ the options whose row names it. The subcommands' flags, the layering
 (defaults, then a JSON config file given with --config, then explicit flags,
 which always win), the config-file type checks and the config echo in
 manifest.json all come from that table. Every command runs in one skeleton,
-`main`: the config, and an evaluating command's loaded splits, are checked
-before anything is made; then the output directory is locked. For the
-evaluating commands `main` also opens the cache, prepares both splits and
-writes manifest.json; `run` caches its intermediates (projection, and the
-operator and smoothed descriptors of each side it smooths) under
-content+parameter hashes so repeated or swept runs skip finished stages.
+`main`: the config, and the splits that ingest or an evaluating command
+loads, are checked before anything is made; then the output directory is
+locked. For the evaluating commands `main` also opens the cache, prepares
+both splits and writes manifest.json; `run` caches its intermediates
+(projection, and the operator and smoothed descriptors of each side it
+smooths) under content+parameter hashes so repeated or swept runs skip
+finished stages.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input.
 """
@@ -325,6 +326,12 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     if (config.projection["enabled"] and eps is not None
             and not (np.isfinite(eps) and eps >= 0)):
         raise InputError(f"eps must be finite and nonnegative, got {eps}")
+    unread = [f"{key}={config.projection[key]}" for key in ("d_out", "eps")
+              if not config.projection["enabled"]
+              and config.projection[key] is not None]
+    if unread:
+        print(f"warning: projection off ignores {', '.join(unread)}",
+              file=sys.stderr)
     config.smoothing = SmoothConfig(m=config.m)
     config.m_values = [SmoothConfig(m=m).m for m in config.m_values]
     config.synth = SynthConfig(**config.synth)
@@ -482,15 +489,22 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
 # Commands
 
 
-def cmd_ingest(config: SimpleNamespace, out_dir: Path) -> None:
+def _ingest_splits(config: SimpleNamespace) -> dict[str, Dataset]:
+    """The splits ingest reads, by role, loaded and checked; the query split
+    is optional."""
+    return {role: load_dataset(getattr(config, f"{role}_metadata"),
+                               getattr(config, f"{role}_descriptors"), role=role)
+            for role in ("support", "query")
+            if getattr(config, f"{role}_metadata")}
+
+
+def cmd_ingest(config: SimpleNamespace, out_dir: Path,
+               splits: dict[str, Dataset]) -> None:
     manifest: dict = {"splits": {}}
     print(f"{'split':<10}{'sequences':>10}{'images':>10}")
-    for role in ("support", "query"):
+    for role, ds in splits.items():
         meta_path = getattr(config, f"{role}_metadata")
         desc_path = getattr(config, f"{role}_descriptors")
-        if not meta_path:  # the query split is optional
-            continue
-        ds = load_dataset(meta_path, desc_path, role=role)
         stats = ds.stats()
         print(f"{role:<10}{stats.n_sequences:>10}{stats.n_images:>10}")
         manifest["splits"][role] = {
@@ -625,13 +639,15 @@ def main(argv: list[str] | None = None) -> int:
     command, _, extras = _COMMANDS[args.command]
     try:
         config = resolve_config(args)
+        # The inputs are loaded and checked before anything is made.
         if extras is not None:
             support, query, info = _load(config)
+        loaded = (_ingest_splits(config),) if args.command == "ingest" else ()
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         with OutDirLock(out_dir):
             if extras is None:
-                command(config, out_dir)
+                command(config, out_dir, *loaded)
             else:
                 cache = Cache(config.cache_dir)
                 support, query = _prepare(config, support, query, info, cache)

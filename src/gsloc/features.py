@@ -242,11 +242,11 @@ def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
     return norms, int(np.count_nonzero(zero))
 
 
-# Bound on one row block of a norm pass's float64 working set (l2_normalize,
-# the latent kernel's norms, and the retrieval chunks' norms); the norm
-# computation holds a second temporary of the same size. Both together sit
-# well inside a 2 MiB per-core L2 cache, so the block is normalized and
-# written back while resident: 256 KiB measured faster than 1 MiB and 4 MiB.
+# Bound on one row block of a norm pass's float64 working set (l2_normalize
+# and the latent kernel's norms); the norm computation holds a second
+# temporary of the same size. Both together sit well inside a 2 MiB per-core
+# L2 cache, so the block is normalized and written back while resident:
+# 256 KiB measured faster than 1 MiB and 4 MiB.
 _NORM_BLOCK_BYTES = 256 << 10
 
 

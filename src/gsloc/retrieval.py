@@ -1,79 +1,100 @@
 """Exact cosine nearest-neighbor search and position estimates.
 
-Search is brute-force (blocked dense dot products) rather than approximate:
-the support sets this pipeline targets stay tractable, and exactness keeps
-evaluation deterministic. Ties are broken toward the lower support index.
+Search is brute force rather than approximate: the support sets this
+pipeline targets stay tractable, and exactness keeps evaluation
+deterministic. Results are two (n_query, k) arrays, row i for query i, best
+first: support indices (int64) and cosines (float64). ``estimate_positions``
+turns them into one position per query, and ``write_matches`` exports them.
 
-Results are two (n_query, k) arrays, row i for query i, best first: support
-indices (int64) and cosines (float64). ``estimate_positions`` turns them
-into one position per query, and ``write_matches`` exports them.
+A score is the float64 cosine of one fixed route that does not go through
+BLAS: both rows of the pair are cast to float64 and divided by their
+``np.linalg.norm`` (a zero row stays zero, and scores 0 against everything),
+and the two unit rows meet in ``np.einsum("ij,ij->i")``. A score depends on
+its two rows alone, so identical rows score bitwise alike wherever they sit.
+Each query's neighbors are a stable sort of its scores on (-score, support
+index), cut at k: equal scores rank the lower support index first.
 
-No score row is held whole. As in a flat index (Johnson, Douze and Jegou,
-"Billion-scale similarity search with GPUs", 2017), each block of queries,
-cast to float64 and normalized, meets the support one chunk at a time in a
-score tile, one buffer reused for every tile. Each tile is reduced to its
-own top k, which is merged into the block's running top k by a stable sort
-on descending score of the running k followed by the tile's. Every running
-index is lower than every index of the tile, so a tie keeps the running
-entry, and the result is a stable sort of the whole score row cut at k. A
-tile's top k come from selection, not a full sort: ``argmax`` for k = 1,
-and for larger k an ``np.argpartition`` of the k best, then a sort of only
-those k; where a tie straddles place k, its lowest columns are kept.
+Only candidates are scored so. A screen finds them: a shortlist re-ranked
+exactly, as in Jegou, Douze and Schmid, "Product quantization for nearest
+neighbor search" (TPAMI 2011), except that this shortlist is proven
+complete. Each block of queries meets the support one chunk at a time in one
+matrix product of the stored rows, in the support's dtype T (float32 for the
+pipeline's descriptors; a support of another dtype is cast to float64, and
+query rows to T). Each tile column is then multiplied by its support row's
+inverse screening norm, 1/sqrt(s.s) with s.s from one ``np.einsum`` pass over
+the support in T, so that the entry of query x and support row y
+approximates ||x|| cos(x, y). No float64 copy of the support is made; only
+candidate rows are cast to float64 and normalized.
 
-``_SCORE_TILE_BYTES`` sizes the walk. A query block's float64 copy fits in
-it, and so does the block's tile against one 64-row support chunk: the
-tile's float64 scores and the int64 partition that a k > 1 selection
-holds, 16 bytes per score whatever k, so that the tile shapes, and
-with them the score bits, do not depend on k. Chunks are then as wide as
-the tile allows, and at most ``_SUPPORT_CHUNK_BYTES`` as float64 rows.
+The bound. Let u be T's unit roundoff, n = d + 2 and g = nu / (1 - nu).
+In any summation order, with FMA or without, a product of d terms in T is
+off by at most g sum |x_i y_i| <= g ||x|| ||y|| (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.1); n also
+covers the cast of a query row to T and its squared norm. A row is screened
+when its squared norm in T lies in [2^-E, 2^E], E = half T's largest binary
+exponent (64 for float32): no partial sum can overflow, and the underflow
+of at most n products of size below eta (half T's smallest subnormal) adds
+nu = n eta 2^(E+1) relative to ||x|| ||y|| (the underflow of a query row's
+cast to T adds less). With a = g + nu, the screening
+norm of y is off by the factor (1 + a/2 + a^2) at most, and each tile entry
+v satisfies |v - ||x|| cos| <= beta ||x||, where
+    rho = (1 + 3u/(1 - 3u)) (1 + a/2 + a^2) - 1  (norm, square root,
+          reciprocal and the scaling of the tile), and
+    beta = rho + a (1 + rho).
+The float64 route, with g64 = d 2^-53 / (1 - d 2^-53) and
+rho64 = (1 + 2^-52/(1 - 2^-52)) (1 + g64/2 + g64^2) - 1, is off the exact
+cosine by at most E64 = (1 + rho64)^2 (1 + g64) - 1, for float32 rows and
+for float64 rows whose squared norms are normal float64. Let B = beta + E64
+(3.7e-4 for float32 at d = 4,096).
 
-No unit-normalized copy of the whole support set is made. The support rows
-are cast to float64 and normalized one chunk at a time, in one reused
-buffer. The norms are taken from those float64 copies, in
-``features._NORM_BLOCK_BYTES`` sub-blocks, on the first query block, and
-kept for the others; no pass over the support is made for them alone.
+The candidates. Let t be a query row's k-th largest screened entry. The k
+columns that reach t score at least t/||x|| - B on the float64 route, so its
+k-th best score is at least that; any column that reaches it has
+cos >= t/||x|| - B - E64 and a screened entry of at least t - 2B ||x||.
+So every column at or above t - 2B (1 + a/2 + a^2) ||x~|| / (1 - u), with
+||x~|| the query's screening norm, is a candidate: the set holds every
+column whose float64 score reaches the k-th best, ties included, for every
+BLAS, thread count and tile shape. The cut is rounded down to T. Rows whose
+squared norm lies outside the screened range (or is not finite) are scored
+on the float64 route against everything; zero query rows take the first k
+support rows at score 0, which is what that route gives them.
 
-Block and chunk edges fall on multiples of 64 rows, so the BLAS kernels
-tile the product as they would one product of the whole normalized query
-and support sets, and the scores are bitwise equal to that product for the
-shapes measured (1,200 x 4,800 x 128 and 256 x 8,000 x 4,096 among them).
-Two exceptions were seen under OpenBLAS 0.3.31 (shapes are queries x
-support x dimension). When the support count is not a multiple of 8, the
-last (count mod 8) columns can move in their last bits, by up to 3e-16
-(1,100 x 700 x 4,096, and 3,000 x 1,100 x 64 when the tile splits the
-support into four chunks). And products small enough for BLAS's
-small-matrix kernels round differently in most columns (150 x 300 x 8
-against 64-row chunks).
+Each tile is cut against its row's running k-th screened entry, which only
+grows as chunks are added, so each chunk's candidates hold those of the
+final cut. They are scored in batches of at most ``_RESCORE_BYTES`` and
+merged into the block's running top k by the stable sort. For k = 1, a
+row's single candidate is its ``argmax``; only rows with more are gathered.
+A support of near-identical rows makes every column a candidate: slower,
+but exact, and held by the same budgets.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import ImageRecord
 from .errors import InputError
-from . import features
-from .features import aligned_row_blocks, row_norms
 from .geodesy import atan2_each, unit_vectors
 
 logger = logging.getLogger(__name__)
 
-# Memory cap for one score tile: its float64 scores and the int64 partition
-# that a k > 1 selection holds, together (16 bytes per score); and,
-# apart from the tile, for the float64 copy of one block of query rows.
-# Chunk edges come from features.aligned_row_blocks, so the last tile of a
-# block may hold up to 63 columns more.
+# Memory cap for one score tile in the screen's dtype, with the selection's
+# working set beside it (a k > 1 partition's copy of the tile, or a one-byte
+# candidate mask): two scores' bytes per score. It also bounds a query
+# block cast to that dtype.
 _SCORE_TILE_BYTES = 16 << 20
-# Memory cap for one float64 chunk of unit support rows. Chunk edges come
-# from features.aligned_row_blocks, so the last chunk may hold up to 63 rows
-# more.
-_SUPPORT_CHUNK_BYTES = 8 << 20
+# Memory cap for one batch of candidate pairs on the float64 route: per pair,
+# both rows gathered, their float64 unit copies and the norm's temporary.
+_RESCORE_BYTES = 4 << 20
 
 STRATEGIES = ("top1", "weighted_topk")
+
+_SCREEN_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def cosine_knn(queries: np.ndarray, support: np.ndarray,
@@ -93,45 +114,72 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
         raise InputError(f"dim mismatch: queries {q.shape[1]} vs support {s.shape[1]}")
     if not (1 <= k <= s.shape[0]):
         raise InputError(f"k={k} must be in [1, {s.shape[0]}]")
-    n_support, dim = s.shape
-    blocks, chunks = _tile_shape(q.shape[0], n_support, dim)
-    # One float64 buffer each for the query block, the support chunk and the
-    # score tile, reused for every block, chunk and tile.
+    if s.dtype not in _SCREEN_DTYPES:
+        s = s.astype(np.float64)
+    dtype, (n_support, dim) = s.dtype, s.shape
+    blocks, chunks = _tile_shape(q.shape[0], n_support, dim, dtype.itemsize)
     tallest = max((hi - lo for lo, hi in blocks), default=0)
-    widest = max(hi - lo for lo, hi in chunks)
-    q_buffer = np.empty((tallest, dim))
-    s_buffer = np.empty((widest, dim))
-    tile_buffer = np.empty(tallest * widest)
-    # Each float64 row copy yields its own norms, in sub-blocks of
-    # features._NORM_BLOCK_BYTES: the support's on the first query block,
-    # kept for the others.
-    norm_bytes = features._NORM_BLOCK_BYTES
-    s_norms, s_zero, q_zero = None, 0, 0
+    tile_buffer = np.empty(tallest * max(hi - lo for lo, hi in chunks), dtype)
+    width = 2 * _screen_bound(dim, dtype)
+    batch = max(1, _RESCORE_BYTES
+                // ((16 + 2 * q.itemsize + 2 * s.itemsize) * max(1, dim)))
     indices = np.empty((q.shape[0], k), dtype=np.int64)
     top = np.empty((q.shape[0], k))
-    for start, stop in blocks:
-        q_hat = q_buffer[:stop - start]
-        np.copyto(q_hat, q[start:stop], casting="unsafe")
-        q_norms, zero = row_norms(q_hat, norm_bytes)
-        q_zero += zero
-        q_hat /= q_norms[:, None]
-        rows, best = q_hat.shape[0], None
-        first = s_norms is None
-        if first:
-            s_norms = np.empty(n_support)
-        for lo, hi in chunks:
-            s_hat = s_buffer[:hi - lo]
-            np.copyto(s_hat, s[lo:hi], casting="unsafe")
-            if first:
-                s_norms[lo:hi], zero = row_norms(s_hat, norm_bytes)
-                s_zero += zero
-            s_hat /= s_norms[lo:hi, None]
-            tile = tile_buffer[:rows * (hi - lo)].reshape(rows, hi - lo)
-            np.matmul(q_hat, s_hat.T, out=tile)
-            picks = _tile_top_k(tile, k)
-            found = (picks + lo, np.take_along_axis(tile, picks, axis=1))
-            best = found if best is None else _merge_top_k(best, found, k)
-        indices[start:stop], top[start:stop] = best
+    q_zero = 0
+    # The screen meets non-finite and out-of-range norms by design.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                     divide="ignore"):
+        squares, screened, s_zero = _screen_squares(s, s)
+        inverse = 1 / np.sqrt(squares)
+        inverse[~screened | s_zero] = 1
+        unscreened = np.flatnonzero(~screened)
+        for start, stop in blocks:
+            rows = stop - start
+            x = q[start:stop].astype(dtype, copy=False)
+            x_squares, x_screened, zero = _screen_squares(x, q[start:stop])
+            q_zero += int(np.count_nonzero(zero))
+            # Unscreened query rows take every column, zero rows none.
+            open_rows, zero_rows = np.flatnonzero(~x_screened), np.flatnonzero(zero)
+            # The cut's half-width in tile units.
+            reach = width * np.sqrt(x_squares, dtype=np.float64)
+            kth = np.full((rows, k), -np.inf, dtype)
+            found, size = [], 0
+            for lo, hi in chunks:
+                tile = tile_buffer[:rows * (hi - lo)].reshape(rows, hi - lo)
+                np.matmul(x, s[lo:hi].T, out=tile)
+                tile *= inverse[lo:hi]
+                wild = unscreened[np.searchsorted(unscreened, lo):
+                                  np.searchsorted(unscreened, hi)] - lo
+                if wild.size:
+                    tile[:, wild] = -np.inf
+                top_col = None
+                if k == 1:
+                    top_col = np.argmax(tile, axis=1)
+                    np.maximum(kth[:, 0], tile[np.arange(rows), top_col],
+                               out=kth[:, 0])
+                else:
+                    kth = _running_kth(kth, tile, k)
+                mask = tile >= _cut(kth[:, 0], reach, dtype)[:, None]
+                if wild.size:
+                    mask[:, wild] = True
+                if open_rows.size:
+                    mask[open_rows] = True
+                if zero_rows.size:
+                    mask[zero_rows] = False
+                for pair_rows, pair_cols in _candidate_batches(mask, top_col, batch):
+                    pair_cols += lo
+                    found.append((pair_rows, pair_cols, _pair_scores(
+                        q, s, pair_rows + start, pair_cols)))
+                    size += pair_rows.size
+                    if size > rows * k + batch:
+                        found = [_merge_top_k(found, k)]
+                        size = found[0][0].size
+            if found:
+                _, cols, scores = _merge_top_k(found, k)
+                live = np.flatnonzero(~zero) + start
+                indices[live], top[live] = cols.reshape(-1, k), scores.reshape(-1, k)
+            indices[zero_rows + start], top[zero_rows + start] = np.arange(k), 0.0
+    s_zero = int(np.count_nonzero(s_zero))
     if q_zero:
         logger.warning("cosine_knn: %d zero query rows score 0 everywhere", q_zero)
     if s_zero:
@@ -139,69 +187,135 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
     return indices, top
 
 
-def _tile_shape(n_query: int, n_support: int,
-                dim: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(lo, hi) edges of cosine_knn's query blocks and of its support
-    chunks. A block's float64 copy fits in _SCORE_TILE_BYTES, and so does a
-    tile of its scores against one 64-row chunk; chunks are as wide as the
-    widest block's tile then allows, and at most _SUPPORT_CHUNK_BYTES as
-    float64. Both come from features.aligned_row_blocks: a block or chunk
-    of a few rows goes through BLAS kernels that round differently."""
-    blocks = aligned_row_blocks(
-        n_query, _SCORE_TILE_BYTES // max(8 * dim, 16 * features._ROW_ALIGN))
-    rows = max(1, *(hi - lo for lo, hi in blocks))
-    chunks = aligned_row_blocks(
-        n_support, min(_SUPPORT_CHUNK_BYTES // (8 * max(1, dim)),
-                       _SCORE_TILE_BYTES // (16 * rows)))
-    return (blocks if n_query else []), chunks
+def _screen_squares(x: np.ndarray,
+                    stored: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(squared row norms of x, the stored rows in the screen's dtype, whether
+    each row is screened, whether its stored row is zero). A row is screened
+    when its squared norm lies in [2^-E, 2^E] (see the module docstring) or
+    when it is zero; the squares of a nonzero row, or its cast, can all
+    underflow, so a zero sum is checked on the stored row."""
+    squares = np.einsum("ij,ij->i", x, x)
+    limit = 2.0 ** (np.finfo(x.dtype).maxexp // 2)
+    zero = squares == 0
+    if zero.any():
+        zero[zero] = ~stored[zero].any(axis=1)
+    return squares, ((squares >= 1 / limit) & (squares <= limit)) | zero, zero
 
 
-def _tile_top_k(tile: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each tile row's min(k, columns) best scores,
-    descending, ties to the lower column; the same order as a stable argsort
-    of -tile cut at k. Beside its result, the selection holds at most one
-    float64 or int64 copy of the tile, or a few one-byte masks and an int32
-    count of it."""
-    n_rows, n_cols = tile.shape
-    if k == 1:
-        # argmax returns the first maximum: the lowest-index tie rule.
-        return np.argmax(tile, axis=1)[:, None]
-    if k >= n_cols:
-        return np.argsort(-tile, axis=1, kind="stable")
-    # k columns of each row that reach its k-th best score, the first of
-    # them holding that score; which of a tie at it they are is arbitrary.
-    cols = np.argpartition(tile, n_cols - k, axis=1)[:, n_cols - k:].copy()
-    kth = np.take_along_axis(tile, cols[:, :1], axis=1)
-    if np.count_nonzero(tile >= kth) > n_rows * k:
-        # A tie straddles place k in some row. Fewer than k columns beat
-        # the k-th best score there; the rest of the k are the lowest
-        # columns that equal it.
-        keep = tile > kth
-        tied = tile == kth
-        room = k - np.count_nonzero(keep, axis=1, keepdims=True)
-        tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= room
-        keep |= tied
-        cols = np.nonzero(keep)[1].reshape(n_rows, k)
-    else:
-        cols.sort(axis=1)
-    # Columns in ascending order and a stable sort: equal scores keep the
-    # lower column first.
-    order = np.argsort(-np.take_along_axis(tile, cols, axis=1), axis=1,
-                       kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
+def _screen_bound(dim: int, dtype: np.dtype) -> float:
+    """B (1 + a/2 + a^2) / (1 - u) of the module docstring: the screen's
+    bound in cosine units, widened by the error of the query's screening
+    norm, or inf when the screen admits every column (a > 1/4)."""
+    info = np.finfo(dtype)
+    u, n = float(info.eps) / 2, dim + 2
+    g = n * u / (1 - n * u) if n * u < 1 else np.inf
+    a = g + n * float(info.smallest_subnormal) * 2.0 ** (info.maxexp // 2)
+    if not a <= 0.25:
+        return np.inf
+    norm = 1 + a / 2 + a * a
+    rho = (1 + 3 * u / (1 - 3 * u)) * norm - 1
+    u64 = 2.0 ** -53
+    g64 = dim * u64 / (1 - dim * u64)
+    rho64 = (1 + 2 * u64 / (1 - 2 * u64)) * (1 + g64 / 2 + g64 * g64) - 1
+    e64 = (1 + rho64) ** 2 * (1 + g64) - 1
+    # 1 + 2^-40 covers the float64 rounding of this sum and of the cut.
+    return (rho + a * (1 + rho) + e64) * norm / (1 - u) * (1 + 2.0 ** -40)
 
 
-def _merge_top_k(running: tuple[np.ndarray, np.ndarray],
-                 tile: tuple[np.ndarray, np.ndarray],
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The best k of a block's running (indices, scores) and a later tile's,
-    both ordered best first: a stable sort of the two side by side, so that
-    a tie keeps the running entry, whose support index is the lower."""
-    indices = np.concatenate([running[0], tile[0]], axis=1)
-    scores = np.concatenate([running[1], tile[1]], axis=1)
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return (np.take_along_axis(indices, order, axis=1),
-            np.take_along_axis(scores, order, axis=1))
+def _cut(kth: np.ndarray, reach: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Each row's candidate cut, kth - reach, rounded down to dtype."""
+    cut = np.nextafter(kth.astype(np.float64) - reach, -np.inf)
+    low = cut.astype(dtype)
+    return np.where(low > cut, np.nextafter(low, dtype.type(-np.inf)), low)
+
+
+def _running_kth(kth: np.ndarray, tile: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k largest screened entries, the k-th first, over the
+    running ones and a new tile's."""
+    cols = tile.shape[1]
+    part = tile if cols <= k else np.partition(tile, cols - k, axis=1)[:, cols - k:]
+    merged = np.concatenate([kth, part], axis=1)
+    return np.partition(merged, merged.shape[1] - k, axis=1)[:, -k:]
+
+
+def _tile_shape(n_query: int, n_support: int, dim: int,
+                itemsize: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(lo, hi) edges of cosine_knn's query blocks and support chunks. A
+    block is as tall as a tile of the whole support allows, and at least as
+    tall as a square tile, within _SCORE_TILE_BYTES both as a tile's scores
+    and as a block of rows; chunks are as wide as the tile allows."""
+    scores = max(1, _SCORE_TILE_BYTES // (2 * itemsize))
+    rows = max(1, min(n_query, max(math.isqrt(scores), scores // max(1, n_support)),
+                      _SCORE_TILE_BYTES // (itemsize * max(1, dim))))
+    cols = max(1, min(n_support, scores // rows))
+    return _edges(n_query, rows), _edges(n_support, cols)
+
+
+def _edges(n: int, step: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _candidate_batches(mask: np.ndarray, top_col: np.ndarray | None,
+                       batch: int):
+    """(rows, cols) of a tile's candidates in batches of at most `batch`
+    pairs. With top_col (k = 1), a row whose one candidate is its top
+    column takes it without a scan of the row."""
+    single = np.zeros(mask.shape[0], dtype=bool)
+    if top_col is not None:
+        single = mask[np.arange(mask.shape[0]), top_col]
+    rest = counts = np.empty(0, np.intp)
+    if np.count_nonzero(mask) > np.count_nonzero(single):
+        counts = np.count_nonzero(mask, axis=1)
+        single &= counts == 1
+        rest = np.flatnonzero(counts > single)
+        counts = counts[rest]
+    rows = np.flatnonzero(single)
+    for at in range(0, rows.size, batch):
+        yield rows[at:at + batch], top_col[rows[at:at + batch]]
+    # Groups of whole rows with at most `batch` candidates, or one row.
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < rest.size:
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + batch, side="right")))
+        local, cols = np.nonzero(mask[rest[lo:hi]])
+        group_rows = rest[lo:hi][local]
+        for at in range(0, cols.size, batch):
+            yield group_rows[at:at + batch], cols[at:at + batch]
+        lo = hi
+
+
+def _pair_scores(q: np.ndarray, s: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+    """The float64 cosine of each (query row, support row) pair by the one
+    route every score takes (see the module docstring)."""
+    return np.einsum("ij,ij->i", _unit_rows(q[rows]), _unit_rows(s[cols]))
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Gathered rows as float64 unit rows, in place where they are float64
+    already; zero rows stay zero."""
+    unit = rows.astype(np.float64, copy=False)
+    norms = np.linalg.norm(unit, axis=1)
+    norms[norms == 0.0] = 1.0
+    unit /= norms[:, None]
+    return unit
+
+
+def _merge_top_k(found: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scored (rows, cols, scores) pairs cut to each row's k best: sorted by
+    row, then by -score, then by support index."""
+    rows, cols, scores = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((cols, -scores, rows))
+    rows, cols, scores = rows[order], cols[order], scores[order]
+    keep = np.empty(rows.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=keep[1:])
+    if k > 1:
+        at = np.arange(rows.size)
+        keep = at - np.maximum.accumulate(np.where(keep, at, 0)) < k
+    return rows[keep], cols[keep], scores[keep]
 
 
 def estimate_positions(indices: np.ndarray, scores: np.ndarray,

@@ -95,37 +95,47 @@ def quadratic_knn(queries: np.ndarray, support: np.ndarray,
     return out
 
 
-def two_pass_cosine_knn(queries: np.ndarray, support: np.ndarray,
-                        k: int) -> tuple[np.ndarray, np.ndarray]:
-    """cosine_knn's (indices, scores) by the route that takes every row norm
-    in a pass of its own before scoring (the library's route before it took
-    the support norms from the chunks it casts for the product), and that
-    holds each query block's whole score rows: the library's query blocks
-    and 64-row-aligned support chunks (retrieval._tile_shape), so the
-    products tile alike, each written into its columns of the score rows,
-    and a stable argsort of each score row cut at k."""
-    from gsloc.retrieval import _tile_shape
-    q, s = np.asarray(queries), np.asarray(support)
-    q_norms, s_norms = (np.linalg.norm(x.astype(np.float64), axis=1)
-                        for x in (q, s))
-    q_norms[q_norms == 0.0] = 1.0
-    s_norms[s_norms == 0.0] = 1.0
-    n_support = s.shape[0]
-    blocks, chunks = _tile_shape(q.shape[0], n_support, s.shape[1])
-    indices = np.empty((q.shape[0], k), dtype=np.int64)
-    top = np.empty((q.shape[0], k))
-    for start, stop in blocks:
-        q_hat = q[start:stop].astype(np.float64)
-        q_hat /= q_norms[start:stop, None]
-        scores = np.empty((q_hat.shape[0], n_support))
-        for lo, hi in chunks:
-            s_hat = s[lo:hi].astype(np.float64)
-            s_hat /= s_norms[lo:hi, None]
-            np.matmul(q_hat, s_hat.T, out=scores[:, lo:hi])
-        picks = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-        indices[start:stop] = picks
-        top[start:stop] = np.take_along_axis(scores, picks, axis=1)
-    return indices, top
+def fsum_cosines(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Every (query, support) cosine, pair by pair in float64 with no BLAS:
+    each dot product and squared norm is a ``math.fsum`` of the float64
+    products of the entries, which are exact for float32 rows, so that each
+    cosine is within a few ulps of the exact one. Zero rows score 0."""
+    q = np.asarray(queries, dtype=np.float64)
+    s = np.asarray(support, dtype=np.float64)
+    q_norms = [math.sqrt(math.fsum(row)) for row in (q * q).tolist()]
+    s_norms = [math.sqrt(math.fsum(row)) for row in (s * s).tolist()]
+    out = np.zeros((q.shape[0], s.shape[0]))
+    for i, x in enumerate(q):
+        if q_norms[i] == 0.0:
+            continue
+        dots = [math.fsum(row) for row in (x * s).tolist()]
+        for j, (dot, norm) in enumerate(zip(dots, s_norms)):
+            if norm != 0.0:
+                out[i, j] = dot / q_norms[i] / norm
+    return out
+
+
+def route_cosines(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Every (query, support) cosine by the route retrieval scores each
+    candidate pair with: float64 rows divided by their ``np.linalg.norm``
+    (zero rows left zero), the two unit rows of each pair gathered, and
+    ``np.einsum("ij,ij->i")``; here all pairs at once."""
+    units = []
+    for x in (queries, support):
+        x = np.array(x, dtype=np.float64)
+        norms = np.linalg.norm(x, axis=1)
+        norms[norms == 0.0] = 1.0
+        units.append(x / norms[:, None])
+    rows, cols = np.indices((units[0].shape[0], units[1].shape[0]))
+    return np.einsum("ij,ij->i", units[0][rows.ravel()],
+                     units[1][cols.ravel()]).reshape(rows.shape)
+
+
+def stable_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, scores) of each row's k best by a stable sort on -score:
+    equal scores keep the lower column first."""
+    picks = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return picks, np.take_along_axis(scores, picks, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ _BROKEN_MESSAGES = {"missing-file": "not found", "no-grid": "grid axis",
                     "nan-eps": "eps must be finite and nonnegative",
                     "negative-m-value": "m must be nonnegative, got -2",
                     "huge-k": "k=100000 must be in [1, 24]",
-                    "huge-d-out": "d_out=100000 must be in [1, min(rows-1=23, dim=16)]"}
+                    "huge-d-out": "d_out=100000 must be in [1, min(rows-1=23, dim=16)]",
+                    "short-metadata": "24 descriptor rows, expected 8"}
 _NAN_FLAGS = {"nan-radius": "--max-distance-m", "nan-threshold": "--threshold-m",
               "nan-spacing": "--place-spacing-m", "nan-noise": "--noise-sigma",
               "nan-jitter": "--gps-jitter-m"}
@@ -212,6 +213,7 @@ _EARLY_FLAGS = {"k-0": ("--k", "0"),
     ("run", "negative-eps"), ("run", "nan-eps"),
     ("sweep-m", "negative-m-value"),
     ("run", "huge-k"), ("ablate", "huge-k"), ("run", "huge-d-out"),
+    ("ingest", "short-metadata"),
 ])
 def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
                                                   command, broken):
@@ -223,6 +225,11 @@ def test_invalid_invocation_leaves_nothing_behind(tmp_path, data_dir, capsys,
         argv = argv[:argv.index("--grid-m")]
     elif broken == "dim-0":
         argv += ["--dim", "0"]
+    elif broken == "short-metadata":
+        # The first 8 of the support split's 24 records.
+        short = tmp_path / "short_metadata.csv"
+        write_metadata(short, load_metadata(data_dir / "support_metadata.csv")[:8])
+        argv[argv.index("--support-metadata") + 1] = str(short)
     elif broken in _GRID_FLAGS:
         argv += list(_GRID_FLAGS[broken])
     elif broken in _EARLY_FLAGS:
@@ -461,6 +468,19 @@ def test_run_regime_none_warns_about_ignored_m(tmp_path, data_dir, capsys):
     rc, _ = _run(tmp_path, data_dir, "none", ["--regime", "none"])
     assert rc == 0
     assert "ignores m=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, ignored", [
+    (("--eps=-1",), "ignores eps=-1.0"),
+    (("--d-out", "100000"), "ignores d_out=100000"),
+], ids=["eps", "d-out"])
+def test_run_without_projection_warns_about_ignored_settings(
+        tmp_path, data_dir, capsys, flags, ignored):
+    rc, out = _run(tmp_path, data_dir, "no-projection", flags)
+    assert rc == 0
+    assert f"warning: projection off {ignored}" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())[
+        "provenance"]["projection_key"] is None
 
 
 def test_run_latent_only_graph_matches_regime_none(tmp_path, data_dir):

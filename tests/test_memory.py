@@ -27,7 +27,8 @@ from gsloc.retrieval import cosine_knn
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
 from gsloc.synth import SynthConfig, generate_synthetic
-from oracles import chunked_pair_cosines, two_pass_cosine_knn, unit_rows
+from oracles import (chunked_pair_cosines, route_cosines, stable_top_k,
+                     unit_rows)
 
 # Room for interpreter and bookkeeping allocations next to the arrays.
 SLACK = 2 << 20
@@ -101,17 +102,16 @@ def test_cosine_knn_top_k_stays_within_one_tile(support):
     assert indices[:, 0].tolist() == list(range(0, N_SUPPORT, 2))
     assert indices.shape == scores.shape == (queries.shape[0], 5)
     # Several query blocks and support chunks: the query x support scores
-    # would take more than eight tile budgets.
-    blocks, chunks = retrieval_mod._tile_shape(queries.shape[0], N_SUPPORT, DIM)
+    # would take more than four tile budgets.
+    blocks, chunks = retrieval_mod._tile_shape(queries.shape[0], N_SUPPORT,
+                                               DIM, 4)
     assert len(blocks) > 1 and len(chunks) > 1
-    assert queries.shape[0] * N_SUPPORT * 8 > 8 * retrieval_mod._SCORE_TILE_BYTES
-    # One score tile with its selection's partition, the float64 copy of
-    # one query block, and one unit support chunk.
-    q_block = max(hi - lo for lo, hi in blocks) * DIM * 8
-    chunk = max(hi - lo for lo, hi in chunks) * DIM * 8
-    assert q_block <= retrieval_mod._SCORE_TILE_BYTES
-    assert chunk <= retrieval_mod._SUPPORT_CHUNK_BYTES
-    assert peak <= retrieval_mod._SCORE_TILE_BYTES + q_block + chunk + SLACK
+    assert queries.shape[0] * N_SUPPORT * 4 > 4 * retrieval_mod._SCORE_TILE_BYTES
+    # One float32 score tile with its selection's working set, one batch of
+    # candidates on the float64 route, and the (n_query, 5) results.
+    results = indices.nbytes + scores.nbytes
+    assert peak <= (retrieval_mod._SCORE_TILE_BYTES + retrieval_mod._RESCORE_BYTES
+                    + results + SLACK)
 
 
 def test_score_tiles_do_not_change_the_neighbors(monkeypatch):
@@ -119,21 +119,35 @@ def test_score_tiles_do_not_change_the_neighbors(monkeypatch):
     # Coarse values, so that many scores tie across the k-th place.
     support = rng.integers(-2, 3, size=(300, 8)).astype(np.float32)
     queries = rng.integers(-2, 3, size=(150, 8)).astype(np.float32)
+    whole_idx, whole = stable_top_k(route_cosines(queries, support), 300)
     for k in (1, 2, 7, 300):
-        _, whole = cosine_knn(queries, support, k)
+        got_idx, got = cosine_knn(queries, support, k)
         with monkeypatch.context() as mp:
-            # One 64 x 64 tile per query block and support chunk.
+            # Tiles of 90 x 91 float32 scores, and one candidate per batch.
             mp.setattr(retrieval_mod, "_SCORE_TILE_BYTES", 16 * 64 * 64)
+            mp.setattr(retrieval_mod, "_RESCORE_BYTES", 1)
             tiled_idx, tiled = cosine_knn(queries, support, k)
-            want_idx, want = two_pass_cosine_knn(queries, support, k)
-        # The selection over tiles gives a stable sort of the same tiles'
-        # products, bit for bit.
-        assert np.array_equal(tiled_idx, want_idx)
-        assert tiled.tobytes() == want.tobytes()
-        # Products this narrow go through BLAS's small-matrix kernels, which
-        # round differently from one wide product: the ranked scores agree
-        # to rounding, and scores tied in exact arithmetic may swap places.
-        assert np.all(np.abs(tiled - whole) <= 1e-12)
+        # Every score is its pair's route score, so the tiles change no
+        # bit, and the neighbors are a stable sort of every pair's score.
+        assert np.array_equal(tiled_idx, got_idx)
+        assert tiled.tobytes() == got.tobytes()
+        assert np.array_equal(got_idx, whole_idx[:, :k])
+        assert got.tobytes() == np.ascontiguousarray(whole[:, :k]).tobytes()
+
+
+def test_near_identical_support_stays_within_the_budgets(monkeypatch):
+    # Every column is a candidate for every query: the candidates' index
+    # arrays and rescoring batches stay within the tile and rescore budgets.
+    rng = np.random.default_rng(6)
+    base = rng.standard_normal(64, dtype=np.float32)
+    support = base + 1e-6 * rng.standard_normal((4000, 64), dtype=np.float32)
+    queries = base + 1e-6 * rng.standard_normal((200, 64), dtype=np.float32)
+    monkeypatch.setattr(retrieval_mod, "_SCORE_TILE_BYTES", 1 << 20)
+    monkeypatch.setattr(retrieval_mod, "_RESCORE_BYTES", 1 << 20)
+    (indices, scores), peak = _peak_bytes(cosine_knn, queries, support, 3)
+    assert indices.shape == (200, 3)
+    assert queries.shape[0] * support.shape[0] * 16 > 4 << 20
+    assert peak <= 2 * (1 << 20) + indices.nbytes + scores.nbytes + SLACK
 
 
 def test_l2_normalize_stays_within_its_block_budget(support):
@@ -344,7 +358,7 @@ def _run(data, out_dir, cache_dir) -> int:
 _RUN_BUDGETS = [(features_mod, "_NORM_BLOCK_BYTES"),
                 (smoothing_mod, "_BLOCK_BUDGET_BYTES"),
                 (retrieval_mod, "_SCORE_TILE_BYTES"),
-                (retrieval_mod, "_SUPPORT_CHUNK_BYTES"),
+                (retrieval_mod, "_RESCORE_BYTES"),
                 (graph_mod, "_COSINE_CHUNK_BYTES"),
                 (spatial_mod, "_PAIR_CHUNK_BYTES")]
 # The graph build's GRAPH_BUILD_OPERATORS operators (0.7 MiB each on these
@@ -357,10 +371,9 @@ def test_run_holds_the_support_descriptors_once(run_inputs, tmp_path,
     data, descriptor_bytes = run_inputs
     for module, name in _RUN_BUDGETS:
         monkeypatch.setattr(module, name, 1 << 20)
-    # Each budget is counted twice (a normalization block is held twice, a
-    # unit support chunk sits beside the score tile and its norm sub-block,
-    # and the tile budget also bounds the float64 copy of a query block). On
-    # top comes the finiteness mask of one row block.
+    # Each budget is counted twice (a normalization block is held twice,
+    # and the tile budget also bounds a query block cast to the tile's
+    # dtype). On top comes the finiteness mask of one row block.
     budgets = 2 * len(_RUN_BUDGETS) * (1 << 20)
     mask = dataset_mod._FINITE_BLOCK_BYTES
     bound = descriptor_bytes + budgets + mask + _RUN_GRAPH_AND_RECORDS + SLACK

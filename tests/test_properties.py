@@ -1,4 +1,4 @@
-"""Property-based checks of the selection top-k and the sorted-cell spatial
+"""Property-based checks of the screened top-k and the sorted-cell spatial
 join against brute force, on inputs built to hit their edge cases: exact
 score ties (duplicated rows, zero rows, ties straddling the k-th place, and
 copies in different support chunks), points near the poles and across the
@@ -6,11 +6,12 @@ antimeridian, and cells from 5 m to 2 km. The evaluation engine's shortcuts
 are checked bit for bit against the routes they replace: the m-ladder against
 a fresh smooth, operators built on shared kernel geometry against a build for
 the cell alone, and array scoring against one scalar haversine per query.
-Retrieval, which takes the support norms from the chunks it scores and
-merges each score tile's top k into a running top k, is checked bit for bit
-against norms taken in a pass of their own and a stable sort of whole score
-rows over the same tiles. The latent
-cosines, grouped by source row, are checked bit for bit against the
+Retrieval, which screens each tile in the support's dtype, scores its
+candidates on one float64 route and merges them into a running top k, is
+checked bit for bit against a stable sort of every pair's route score, at
+any tile and batch size and at magnitudes near 1e-30 and 1e30, and within
+the route's bound against per-pair cosines summed with math.fsum. The
+latent cosines, grouped by source row, are checked bit for bit against the
 route that gathers both rows of every pair, and the graph stages (pairs to
 W, its edges, the sum of kernels and the normalization) against the COO
 route and the copying normalization they replace. The projection fit through the
@@ -26,6 +27,7 @@ locally to search wider.
 from __future__ import annotations
 
 import logging
+import time
 import warnings
 from unittest import mock
 
@@ -54,9 +56,9 @@ from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
 from oracles import (SparseGraph, chunked_pair_cosines, coo_edges,
                      coo_from_pairs, copying_normalize, quadratic_knn,
-                     reference_operator,
-                     scalar_errors_m, scalar_positions, svd_projection,
-                     two_pass_cosine_knn)
+                     fsum_cosines, reference_operator, route_cosines,
+                     scalar_errors_m, scalar_positions, stable_top_k,
+                     svd_projection)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -111,7 +113,7 @@ def _copy_groups(support: np.ndarray) -> tuple[list[int], list[list[int]]]:
 
 def _assert_topk(queries: np.ndarray, support: np.ndarray,
                  ks) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Check cosine_knn at each k against the oracle; return its arrays."""
+    """Check cosine_knn at each k against the oracles; return its arrays."""
     n = support.shape[0]
     results = {}
     logging.disable(logging.WARNING)
@@ -119,6 +121,7 @@ def _assert_topk(queries: np.ndarray, support: np.ndarray,
         # The full stable sort is the library's own reference order.
         full_idx, full_scores = cosine_knn(queries, support, k=n)
         oracle_full = quadratic_knn(queries, support, k=n)
+        reference = fsum_cosines(queries, support)
         group_of, groups = _copy_groups(support)
         for k in ks:
             got_idx, got_scores = results[k] = cosine_knn(queries, support, k=k)
@@ -129,8 +132,8 @@ def _assert_topk(queries: np.ndarray, support: np.ndarray,
             for qi, oracle in enumerate(want):
                 idx = got_idx[qi].tolist()
                 scores = got_scores[qi].tolist()
-                # Selection must give exactly the stable sort's first k,
-                # including which of a tie group straddling place k is kept.
+                # The top k are exactly the stable sort's first k, including
+                # which of a tie group straddling place k is kept.
                 assert idx == full_idx[qi, :k].tolist()
                 assert scores == full_scores[qi, :k].tolist()
                 assert len(set(idx)) == k
@@ -138,11 +141,14 @@ def _assert_topk(queries: np.ndarray, support: np.ndarray,
                 for r, (i, s) in enumerate(zip(idx, scores)):
                     assert abs(s - oracle[r][1]) <= SCORE_EPS
                     assert abs(s - oracle_score[i]) <= SCORE_EPS
-                # Nothing left out beats anything kept.
+                    assert abs(s - reference[qi, i]) <= SCORE_EPS
+                # Nothing left out beats anything kept, by either oracle.
                 kept = set(idx)
-                left_out = [oracle_score[j] for j in range(n) if j not in kept]
-                if left_out:
-                    assert min(oracle_score[i] for i in idx) >= max(left_out) - SCORE_EPS
+                for score_of in (oracle_score, reference[qi]):
+                    left_out = [score_of[j] for j in range(n) if j not in kept]
+                    if left_out:
+                        assert (min(score_of[i] for i in idx)
+                                >= max(left_out) - SCORE_EPS)
                 # Identical support rows tie exactly: the lower index wins, so
                 # the kept copies of a row are its lowest-index ones, in order.
                 kept_by_group: dict[int, list[int]] = {}
@@ -165,9 +171,9 @@ def test_topk_matches_quadratic_oracle_with_exact_ties(case):
 
 @st.composite
 def _multi_chunk_sets(draw):
-    """(queries, support) whose support spans several 64-row chunks: a tied
+    """(queries, support) whose support spans several small tiles: a tied
     set's rows repeat down the support, so exact copies and zero rows fall
-    in different chunks, and the size often sits next to a chunk edge."""
+    in different tiles, and the size often sits next to a tile edge."""
     queries, base = draw(_tied_sets())
     n = draw(st.one_of(st.sampled_from([64, 65, 127, 128, 129, 192, 193]),
                        st.integers(1, 260)))
@@ -178,6 +184,14 @@ def _multi_chunk_sets(draw):
     return queries, support
 
 
+# A score tile budget of 4,096 float64 or 8,192 float32 scores (tiles of
+# 64 x 64 or 90 x 91), so a few hundred rows on each side make many tiles.
+_SMALL_TILE_BYTES = 16 * 64 * 64
+# A rescoring budget of a few candidate pairs per batch (3 to 21 at these
+# dimensions), so that a row's candidates span several batches and merges.
+_SMALL_RESCORE_BYTES = 1 << 10
+
+
 @PROPERTY
 @given(_multi_chunk_sets())
 def test_topk_does_not_depend_on_the_support_chunks(case):
@@ -186,19 +200,14 @@ def test_topk_does_not_depend_on_the_support_chunks(case):
     ks = sorted({k for k in (1, 2, 3, n // 2, n - 1, n) if 1 <= k <= n})
     whole = _assert_topk(queries, support, ks)
     with pytest.MonkeyPatch.context() as mp:
-        # The smallest chunk the alignment allows: 64 support rows.
-        mp.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
+        # Small tiles, and candidates scored a few pairs at a time.
+        mp.setattr(retrieval, "_SCORE_TILE_BYTES", _SMALL_TILE_BYTES)
+        mp.setattr(retrieval, "_RESCORE_BYTES", _SMALL_RESCORE_BYTES)
         chunked = _assert_topk(queries, support, ks)
     for k in ks:
         (a_idx, a_scores), (b_idx, b_scores) = chunked[k], whole[k]
         assert np.array_equal(a_idx, b_idx)
-        assert np.all(np.abs(a_scores - b_scores) <= SCORE_EPS)
-
-
-# A score tile budget of one 64 x 64 tile: query blocks and support chunks
-# of 64 rows each (the alignment's smallest), so a few hundred rows on each
-# side make many tiles.
-_SMALL_TILE_BYTES = 16 * 64 * 64
+        assert a_scores.tobytes() == b_scores.tobytes()
 
 
 def _more_queries(queries: np.ndarray, support: np.ndarray, n_query: int,
@@ -214,27 +223,38 @@ def _more_queries(queries: np.ndarray, support: np.ndarray, n_query: int,
     return np.vstack([queries, extra])[:n_query].astype(queries.dtype)
 
 
+def _route_tolerance(dim: int) -> float:
+    """How far a float64 route score and an fsum cosine may differ: the
+    route's bound E64 of the retrieval docstring, (2d + 4) 2^-53 to first
+    order, plus a few ulps of the fsum cosine's own roundings."""
+    return (2 * dim + 12) * 2.0 ** -53
+
+
 @PROPERTY
 @given(_multi_chunk_sets(), st.sampled_from([1, 130]),
-       st.sampled_from([1, 64, 1 << 20]))
-def test_topk_equals_the_two_pass_norm_route(case, n_query, norm_bytes):
-    # 64-row query blocks and support chunks, and norm sub-blocks from one
-    # row up to whole chunks: the norms taken from each chunk's float64 copy
-    # on the first query block give the bits of norms taken in a pass of
-    # their own.
+       st.sampled_from([_SMALL_RESCORE_BYTES, 1 << 20]))
+def test_topk_scores_match_the_fsum_reference(case, n_query, rescore_bytes):
+    # Several query blocks and support chunks, and candidates scored a few
+    # pairs at a time or all together: every score is within the float64
+    # route's bound of the per-pair fsum cosine, and nothing left out beats
+    # a kept neighbor by more than twice that.
     queries, support = case
     queries = _more_queries(queries, support, n_query, n_query)
     n = support.shape[0]
+    reference = fsum_cosines(queries, support)
+    tolerance = _route_tolerance(support.shape[1])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(retrieval, "_SCORE_TILE_BYTES", _SMALL_TILE_BYTES)
-        mp.setattr(features_mod, "_NORM_BLOCK_BYTES", norm_bytes)
+        mp.setattr(retrieval, "_RESCORE_BYTES", rescore_bytes)
         logging.disable(logging.WARNING)
         try:
             for k in sorted({k for k in (1, 2, 3, n) if k <= n}):
                 got_idx, got = cosine_knn(queries, support, k)
-                want_idx, want = two_pass_cosine_knn(queries, support, k)
-                assert np.array_equal(got_idx, want_idx)
-                assert got.tobytes() == want.tobytes()
+                want = np.take_along_axis(reference, got_idx, axis=1)
+                assert np.all(np.abs(got - want) <= tolerance)
+                left_out = reference.copy()
+                np.put_along_axis(left_out, got_idx, -np.inf, axis=1)
+                assert np.all(want[:, -1] >= left_out.max(axis=1) - 2 * tolerance)
         finally:
             logging.disable(logging.NOTSET)
 
@@ -251,23 +271,26 @@ def _straddled_places(scores: np.ndarray, limit: int) -> list[int]:
 @example(case=(np.ones((1, 2)), np.ones((200, 2))), n_query=130, seed=0)
 def test_tile_walk_equals_a_stable_sort_of_the_whole_product(case, n_query,
                                                               seed):
-    # One 64 x 64 tile per block and chunk: a query's copies, the zero rows
-    # and the rows a tied set repeats down the support fall in different
-    # tiles, and k is also set where such a tie straddles place k, so the
-    # running top k meets ties from later tiles at its last place.
+    # Small tiles: a query's copies, the zero rows and the rows a tied set
+    # repeats down the support fall in different tiles, and k is also set
+    # where such a tie straddles place k, so the running top k meets ties
+    # from later tiles at its last place. The screen's candidates, scored
+    # and merged tile by tile, give the stable sort of every pair's route
+    # score, bit for bit.
     queries, support = case
     queries = _more_queries(queries, support, n_query, seed)
     n = support.shape[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(retrieval, "_SCORE_TILE_BYTES", _SMALL_TILE_BYTES)
-        mp.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
         logging.disable(logging.WARNING)
         try:
-            blocks, chunks = retrieval._tile_shape(*queries.shape[:1],
-                                                   *support.shape)
-            assert all(hi - lo < 128 for lo, hi in blocks + chunks)
+            itemsize = support.dtype.itemsize
+            blocks, chunks = retrieval._tile_shape(
+                *queries.shape[:1], *support.shape, itemsize)
+            assert all((b1 - b0) * (c1 - c0) * 2 * itemsize <= _SMALL_TILE_BYTES
+                       for b0, b1 in blocks for c0, c1 in chunks)
             # The whole product's rows, stably sorted: the oracle at k = n.
-            whole_idx, whole = two_pass_cosine_knn(queries, support, n)
+            whole_idx, whole = stable_top_k(route_cosines(queries, support), n)
             ks = {1, 2, 3, 63, 64, 65, n // 2, n - 1, n}
             for row in whole[:: max(1, queries.shape[0] // 4)]:
                 ks.update(_straddled_places(row, 3))
@@ -281,25 +304,126 @@ def test_tile_walk_equals_a_stable_sort_of_the_whole_product(case, n_query,
 
 @pytest.mark.parametrize("n_support", [64 + 1, 3 * 64 + 1, 4 * 64])
 def test_topk_with_a_short_last_support_chunk(monkeypatch, n_support):
-    # A support one row past a chunk edge; its last row copies the first.
-    # (With the one-row remainder as a chunk of its own, a matrix-vector
-    # product scored that copy 1.0000000000000002 against the first's 1.0.)
+    # 64-column support chunks, so the support ends one row past a chunk
+    # edge (or on one); its last row copies the first. A one-row chunk
+    # scores that copy by the route every pair takes, so it ties the first
+    # bit for bit and ranks after it.
     rng = np.random.default_rng(n_support)
     support = rng.integers(-3, 4, (n_support, 6)).astype(np.float64)
     support[0] = support[-1] = [0.0, 0.0, 0.0, 0.0, 2.0, 3.0]
     queries = np.vstack([support[[0, 5]], rng.standard_normal((2, 6))])
     whole_idx, whole = cosine_knn(queries, support, k=3)
-    monkeypatch.setattr(retrieval, "_SUPPORT_CHUNK_BYTES", 1)
+    # Four float64 query rows: a tile budget of 16 bytes x 4 rows x 64.
+    monkeypatch.setattr(retrieval, "_SCORE_TILE_BYTES", 16 * 4 * 64)
+    assert retrieval._tile_shape(4, n_support, 6, 8)[1] == retrieval._edges(
+        n_support, 64)
     chunked_idx, chunked = cosine_knn(queries, support, k=3)
     oracle = quadratic_knn(queries, support, k=3)
     assert np.array_equal(chunked_idx, whole_idx)
-    for row, x_row, y_row, want in zip(chunked_idx.tolist(), chunked.tolist(),
-                                       whole.tolist(), oracle):
-        assert row == [i for i, _ in want]
-        for x, y, (_, z) in zip(x_row, y_row, want):
-            assert abs(x - y) <= SCORE_EPS and abs(x - z) <= SCORE_EPS
+    assert chunked.tobytes() == whole.tobytes()
     assert chunked_idx[0, :2].tolist() == [0, n_support - 1]
     assert chunked[0, 0] == chunked[0, 1]
+    for row, x_row, want in zip(chunked_idx.tolist(), chunked.tolist(), oracle):
+        assert row == [i for i, _ in want]
+        for x, (_, z) in zip(x_row, want):
+            assert abs(x - z) <= SCORE_EPS
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_copies_tie_wherever_they_sit(seed):
+    # Six copies of support row 0 at random rows in 1-511, and one more at
+    # row 512, past the last 64-row edge; row 0 is query 0. All eight score
+    # alike, bit for bit, so the lowest index wins. (Scored in BLAS tiles,
+    # the copies differed by up to 4e-16 at seeds 1-4, and the copy at 512
+    # won top-1 at seeds 3 and 4.)
+    rng = np.random.default_rng(seed)
+    support = rng.standard_normal((513, 1024), dtype=np.float32)
+    copies = rng.choice(np.arange(1, 512), 6, replace=False)
+    support[copies] = support[0]
+    support[512] = support[0]
+    queries = np.vstack([support[:1],
+                         rng.standard_normal((36, 1024), dtype=np.float32)])
+    indices, scores = cosine_knn(queries, support, k=8)
+    assert indices[0].tolist() == sorted([0, *copies.tolist(), 512])
+    assert len(set(scores[0].tolist())) == 1
+    top_idx, _ = cosine_knn(queries, support, k=1)
+    assert top_idx[0, 0] == 0
+
+
+_magnitudes = st.sampled_from([1.0, 1e-30, 1e30])
+
+
+@st.composite
+def _screen_sets(draw):
+    """(queries, support, ks): rows of a tied set at magnitudes near 1, 1e-30
+    and 1e30, with exact copies, zero rows, and near-copies one ulp away in
+    one entry, so that the screen's float32 or float64 cut meets ties and
+    near-ties at every scale; ks include places where a tie straddles."""
+    queries, support = draw(_tied_sets())
+    n, dim = support.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.vstack([support, support[rng.integers(0, n, n)]])
+    near = rng.random(rows.shape[0]) < 0.5
+    cols = rng.integers(0, dim, rows.shape[0])
+    toward = rows.dtype.type(np.inf)
+    rows[near, cols[near]] = np.nextafter(rows[near, cols[near]], toward)
+    scale = np.array([draw(_magnitudes) for _ in range(rows.shape[0])])
+    support = (rows * scale[:, None]).astype(rows.dtype)
+    q_scale = np.array([draw(_magnitudes) for _ in range(queries.shape[0])])
+    queries = (queries * q_scale[:, None]).astype(queries.dtype)
+    for row in draw(st.lists(st.integers(0, support.shape[0] - 1), max_size=2)):
+        support[row] = 0.0
+    return queries, support
+
+
+@PROPERTY
+@given(_screen_sets())
+def test_screen_keeps_every_neighbor_at_any_magnitude(case):
+    queries, support = case
+    n = support.shape[0]
+    route = route_cosines(queries, support)
+    reference = fsum_cosines(queries, support)
+    tolerance = _route_tolerance(support.shape[1])
+    # The route's scores, to within its bound of the fsum cosines.
+    assert np.all(np.abs(route - reference) <= tolerance)
+    whole_idx, whole = stable_top_k(route, n)
+    ks = {1, 2, 3, n}
+    for row in whole:
+        ks.update(_straddled_places(row, 3))
+    _assert_topk(queries, support, sorted(k for k in ks if 1 <= k <= n))
+    logging.disable(logging.WARNING)
+    try:
+        for k in sorted(k for k in ks if 1 <= k <= n):
+            # The screen dropped no column that the route ranks in the top
+            # k: the result is the route's stable sort, bit for bit.
+            got_idx, got = cosine_knn(queries, support, k)
+            assert np.array_equal(got_idx, whole_idx[:, :k])
+            assert got.tobytes() == np.ascontiguousarray(whole[:, :k]).tobytes()
+    finally:
+        logging.disable(logging.NOTSET)
+
+
+def test_near_identical_support_makes_every_column_a_candidate(monkeypatch):
+    # Every support row is one base row with float32 noise far inside the
+    # screen's bound, so every column is a candidate for every query: the
+    # candidates go through the float64 route in budget-sized batches and
+    # still give the route's stable sort, bit for bit, in bounded time.
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal(32, dtype=np.float32)
+    support = base + 1e-6 * rng.standard_normal((1500, 32), dtype=np.float32)
+    queries = base + 1e-6 * rng.standard_normal((40, 32), dtype=np.float32)
+    monkeypatch.setattr(retrieval, "_RESCORE_BYTES", 64 << 10)
+    route = route_cosines(queries, support)
+    assert np.ptp(route) < retrieval._screen_bound(32, np.dtype(np.float32))
+    for k in (1, 5):
+        start = time.perf_counter()
+        got_idx, got = cosine_knn(queries, support, k)
+        elapsed = time.perf_counter() - start
+        want_idx, want = stable_top_k(route, k)
+        assert np.array_equal(got_idx, want_idx)
+        assert got.tobytes() == want.tobytes()
+        # 60,000 candidate pairs: about 0.1 s on a 2-core VM.
+        assert elapsed < 5.0, f"k={k}: {elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gsloc.dataset import ImageRecord
 from gsloc.errors import InputError
 from gsloc.geodesy import GeoPoint, haversine_m
 from gsloc.retrieval import cosine_knn, estimate_positions, write_matches
-from oracles import _unit_vectors, quadratic_knn
+from oracles import _unit_vectors, quadratic_knn, route_cosines, stable_top_k
 
 
 def _positions(records):
@@ -118,12 +118,13 @@ def test_zero_rows_are_counted_once_across_query_blocks(caplog, monkeypatch):
     support[[3, 70, 199]] = 0.0
     queries = rng.standard_normal((130, 5))
     queries[[0, 129]] = 0.0
-    # A tile budget of one 64 x 64 tile: query blocks of 64 and 66 rows and
-    # 64-row support chunks. The support norms are taken on the first query
-    # block only, and counted there.
+    # A tile budget of one 64 x 64 float64 tile: three query blocks and
+    # four support chunks. The zero rows are counted once, whichever block
+    # and chunk they fall in.
     monkeypatch.setattr(retrieval, "_SCORE_TILE_BYTES", 16 * 64 * 64)
-    assert retrieval._tile_shape(130, 200, 5) == (
-        [(0, 64), (64, 130)], [(0, 64), (64, 128), (128, 200)])
+    assert retrieval._tile_shape(130, 200, 5, 8) == (
+        [(0, 64), (64, 128), (128, 130)],
+        [(0, 64), (64, 128), (128, 192), (192, 200)])
     with caplog.at_level(logging.WARNING, logger="gsloc.retrieval"):
         indices, scores = cosine_knn(queries, support, k=2)
     messages = [rec.getMessage() for rec in caplog.records]
@@ -131,6 +132,26 @@ def test_zero_rows_are_counted_once_across_query_blocks(caplog, monkeypatch):
                         "cosine_knn: 3 zero support rows score 0 everywhere"]
     assert indices[0].tolist() == [0, 1] and scores[0].tolist() == [0.0, 0.0]
     assert np.all(scores[:, 0] >= scores[:, 1])
+
+
+def test_float64_queries_meet_a_float32_support_by_the_same_route():
+    # Query rows are cast to the support's float32 for the screen: rows
+    # that overflow or underflow there, and a row that casts to zero, are
+    # scored against every column; the answers are the route's own.
+    rng = np.random.default_rng(13)
+    support = rng.standard_normal((300, 16)).astype(np.float32)
+    queries = rng.standard_normal((8, 16))
+    queries[0] *= 1e150
+    queries[1] *= 1e-150
+    queries[2] *= 1e-42
+    queries[3] = support[5]
+    queries[4] = 0.0
+    for k in (1, 3):
+        got_idx, got = cosine_knn(queries, support, k)
+        want_idx, want = stable_top_k(route_cosines(queries, support), k)
+        assert np.array_equal(got_idx, want_idx)
+        assert got.tobytes() == want.tobytes()
+    assert got_idx[3, 0] == 5 and got_idx[4].tolist() == [0, 1, 2]
 
 
 def test_knn_validation():
