@@ -38,12 +38,12 @@ from .dataset import (Dataset, filter_reachable_queries, load_dataset,
                       load_descriptors, write_descriptors, write_metadata)
 from .errors import InputError
 from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, _evaluate,
-                         ablation_table_csv, grid_cells, grid_search,
-                         grid_table_csv, render_report, run_ablation, sweep_m,
-                         sweep_plot_data, sweep_table_csv, write_report_csv,
-                         write_report_json)
-from .features import (apply_projection, fit_projection, l2_normalize,
-                       load_projection, save_projection)
+                         ablation_table_csv, check_threshold_m, grid_cells,
+                         grid_search, grid_table_csv, render_report,
+                         run_ablation, sweep_m, sweep_plot_data,
+                         sweep_table_csv, write_report_csv, write_report_json)
+from .features import (apply_projection, check_eps, fit_projection,
+                       l2_normalize, load_projection, save_projection)
 from .graph import GraphParams, build_operator, load_operator, save_operator
 from .retrieval import STRATEGIES, write_matches
 from .smoothing import SmoothConfig, smooth
@@ -318,14 +318,13 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
             values[option.key] = flagged
     config = SimpleNamespace(**_nest(values.items()))
     config.graph = GraphParams(**config.graph)
-    if not config.threshold_m > 0:
-        raise InputError(f"threshold_m must be positive, got {config.threshold_m}")
+    check_threshold_m(config.threshold_m)
     if config.threads < 1:
         raise InputError(f"threads must be at least 1, got {config.threads}")
-    eps = config.projection["eps"]
-    if (config.projection["enabled"] and eps is not None
-            and not (np.isfinite(eps) and eps >= 0)):
-        raise InputError(f"eps must be finite and nonnegative, got {eps}")
+    if config.seed < 0:
+        raise InputError(f"seed must be nonnegative, got {config.seed}")
+    if config.projection["enabled"]:
+        check_eps(config.projection["eps"])
     unread = [f"{key}={config.projection[key]}" for key in ("d_out", "eps")
               if not config.projection["enabled"]
               and config.projection[key] is not None]
@@ -333,6 +332,8 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
         print(f"warning: projection off ignores {', '.join(unread)}",
               file=sys.stderr)
     config.smoothing = SmoothConfig(m=config.m)
+    if not config.m_values:
+        raise InputError("m_values must name at least one m")
     config.m_values = [SmoothConfig(m=m).m for m in config.m_values]
     config.synth = SynthConfig(**config.synth)
     config.grid = {axis: v for axis, v in config.grid.items() if v is not None}

@@ -90,13 +90,18 @@ def query_graph_params(params: GraphParams, query_gps: bool) -> GraphParams:
     return replace(params, include_dist=params.include_dist and query_gps)
 
 
+def check_threshold_m(threshold_m: float) -> None:
+    """Refuse a success radius that is not positive and finite."""
+    if not 0 < threshold_m < np.inf:
+        raise InputError(f"threshold_m must be positive and finite, got {threshold_m}")
+
+
 def compute_report(indices: np.ndarray, scores: np.ndarray, support: Dataset,
                    query: Dataset, strategy: str, threshold_m: float,
                    regime: str, config_snapshot: dict) -> EvalReport:
     """Score cosine_knn's (n_query, k) arrays, row i for query i, against
     the query split's own GPS."""
-    if not threshold_m > 0:
-        raise InputError(f"threshold_m must be positive, got {threshold_m}")
+    check_threshold_m(threshold_m)
     if len(indices) == 0:
         raise InputError("cannot score an empty query set")
     if len(indices) != query.n_images:

@@ -71,8 +71,7 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
     ``_one_blas_thread``), so that the fitted bits do not depend on the BLAS
     thread count.
     """
-    if eps is not None and not (np.isfinite(eps) and eps >= 0):
-        raise InputError(f"eps must be finite and nonnegative, got {eps}")
+    check_eps(eps)
     # The one float64 copy, centered in place below.
     x = np.array(descriptors, dtype=np.float64)
     if x.ndim != 2:
@@ -110,6 +109,13 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
     basis[:, flip] *= -1.0
     scale = 1.0 / np.sqrt(kept + eps)
     return Projection(mean=mean, basis=basis, scale=scale)
+
+
+def check_eps(eps: float | None) -> None:
+    """Refuse a whitening ridge that is not finite and nonnegative; None
+    stands for fit_projection's default."""
+    if eps is not None and not 0 <= eps < np.inf:
+        raise InputError(f"eps must be finite and nonnegative, got {eps}")
 
 
 # The Gram route's acceptance bounds (see fit_projection).
@@ -231,15 +237,36 @@ def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
     """Float64 Euclidean row norms of x, zeros replaced by 1 so that dividing
     leaves zero rows zero, and the number of zero rows. Rows are cast to
     float64 (unless they are) in blocks of at most block_bytes (one row at
-    least); the norm holds a second temporary of the same size."""
+    least); their squares hold a second temporary of the same size.
+
+    A norm is the square root of the row's float64 sum of squares, bit for
+    bit as ``np.linalg.norm`` takes it. A row whose sum is not a normal
+    float64 (it overflows, or its squares underflow) is scaled by a power of
+    two first and its norm scaled back, so that its norm is right too; a
+    float32 row never is, unless it is zero or not finite."""
     norms = np.empty(x.shape[0])
     rows = max(1, int(block_bytes // (8 * max(1, x.shape[1]))))
-    for lo in range(0, x.shape[0], rows):
-        block = x[lo:lo + rows].astype(np.float64, copy=False)
-        norms[lo:lo + rows] = np.linalg.norm(block, axis=1)
+    # The rows that overflow or underflow are mended below.
+    with np.errstate(over="ignore", under="ignore"):
+        for lo in range(0, x.shape[0], rows):
+            block = x[lo:lo + rows].astype(np.float64, copy=False)
+            norms[lo:lo + rows] = np.add.reduce(block * block, axis=1)
+        # Zero and non-finite rows come along, and keep their norms.
+        odd = np.flatnonzero(~((norms >= _NORMAL) & (norms < np.inf)))
+        np.sqrt(norms, out=norms)
+        if odd.size:
+            scaled = x[odd].astype(np.float64, copy=False)
+            _, exponent = np.frexp(np.abs(scaled).max(axis=1, initial=0.0))
+            scaled = np.ldexp(scaled, -exponent[:, None])
+            norms[odd] = np.ldexp(
+                np.sqrt(np.add.reduce(scaled * scaled, axis=1)), exponent)
     zero = norms == 0.0
     norms[zero] = 1.0
     return norms, int(np.count_nonzero(zero))
+
+
+# The smallest normal float64: a sum of squares below it has lost bits.
+_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 # Bound on one row block of a norm pass's float64 working set (l2_normalize

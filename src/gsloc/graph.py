@@ -82,14 +82,16 @@ class GraphParams:
     def __post_init__(self) -> None:
         self.betas = tuple(float(b) for b in self.betas)
         # Each check is written so that a NaN fails it.
-        if not self.alpha > 0:
-            raise InputError(f"alpha must be positive, got {self.alpha}")
-        if not self.max_distance_m > 0:
-            raise InputError(f"max_distance_m must be positive, got {self.max_distance_m}")
-        if any(b <= 0 or not np.isfinite(b) for b in self.betas):
-            raise InputError(f"betas must all be positive, got {self.betas}")
-        if not self.gamma >= 0:
-            raise InputError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0 < self.alpha < np.inf:
+            raise InputError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.max_distance_m < np.inf:
+            raise InputError("max_distance_m must be positive and finite, "
+                             f"got {self.max_distance_m}")
+        if not self.betas or not all(0 < b < np.inf for b in self.betas):
+            raise InputError(f"betas must be one or more positive finite weights, "
+                             f"got {self.betas}")
+        if not 0 <= self.gamma < np.inf:
+            raise InputError(f"gamma must be nonnegative and finite, got {self.gamma}")
         if self.decay_sign not in ("negative", "positive"):
             raise InputError(f"decay_sign must be 'negative' or 'positive', got {self.decay_sign!r}")
 
@@ -292,6 +294,11 @@ def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
     Each dot product accumulates along dim as a pair-by-pair einsum does, so
     every cosine is bitwise the same whatever the grouping (the property
     tests pin this against the pair-by-pair route).
+
+    The norms come from ``features.row_norms``, right for any finite row,
+    but the dot products and the product of two norms are not scaled: for
+    float64 rows whose entries pass about 1e154 they overflow, and below
+    about 1e-154 they underflow. Float32 rows never do.
     """
     x = np.asarray(descriptors)
     norms, _ = row_norms(x, features._NORM_BLOCK_BYTES)

@@ -8,9 +8,12 @@ turns them into one position per query, and ``write_matches`` exports them.
 
 A score is the float64 cosine of one fixed route that does not go through
 BLAS: both rows of the pair are cast to float64 and divided by their
-``np.linalg.norm`` (a zero row stays zero, and scores 0 against everything),
-and the two unit rows meet in ``np.einsum("ij,ij->i")``. A score depends on
-its two rows alone, so identical rows score bitwise alike wherever they sit.
+``features.row_norms`` norm (a zero row stays zero, and scores 0 against
+everything), and the two unit rows meet in ``np.einsum("ij,ij->i")``. That
+norm is ``np.linalg.norm``'s, bit for bit, unless the row's squared norm
+overflows or underflows float64; such a row is scaled by a power of two
+first. A score depends on its two rows alone, so identical rows score
+bitwise alike wherever they sit.
 Each query's neighbors are a stable sort of its scores on (-score, support
 index), cut at k: equal scores rank the lower support index first.
 
@@ -44,8 +47,9 @@ v satisfies |v - ||x|| cos| <= beta ||x||, where
 The float64 route, with g64 = d 2^-53 / (1 - d 2^-53) and
 rho64 = (1 + 2^-52/(1 - 2^-52)) (1 + g64/2 + g64^2) - 1, is off the exact
 cosine by at most E64 = (1 + rho64)^2 (1 + g64) - 1, for float32 rows and
-for float64 rows whose squared norms are normal float64. Let B = beta + E64
-(3.7e-4 for float32 at d = 4,096).
+for finite float64 rows (one whose squared norm is not a normal float64 is
+scaled by a power of two first). Let B = beta + E64 (3.7e-4 for float32 at
+d = 4,096).
 
 The candidates. Let t be a query row's k-th largest screened entry. The k
 columns that reach t score at least t/||x|| - B on the float64 route, so its
@@ -79,6 +83,7 @@ import numpy as np
 
 from .dataset import ImageRecord
 from .errors import InputError
+from .features import row_norms
 from .geodesy import atan2_each, unit_vectors
 
 logger = logging.getLogger(__name__)
@@ -86,8 +91,14 @@ logger = logging.getLogger(__name__)
 # Memory cap for one score tile in the screen's dtype, with the selection's
 # working set beside it (a k > 1 partition's copy of the tile, or a one-byte
 # candidate mask): two scores' bytes per score. It also bounds a query
-# block cast to that dtype.
-_SCORE_TILE_BYTES = 16 << 20
+# block cast to that dtype. The tile comes on top of everything a run holds
+# by then: with 16 MiB tiles and 8 MiB smoothing blocks the screen set the
+# benchmark's city peak (201.9 MB in a fresh process, against 197.7 MB with
+# 8 MiB tiles). At the city shape (256 x 8,000 x 4,096, k = 1) cosine_knn
+# took 135 ms at 16 MiB, 137 ms at 8 MiB, 154 ms at 4 MiB and 176 ms at
+# 2 MiB, with the same indices and score bytes (in-process medians of 5
+# alternating rounds, 2-vCPU VM).
+_SCORE_TILE_BYTES = 8 << 20
 # Memory cap for one batch of candidate pairs on the float64 route: per pair,
 # both rows gathered, their float64 unit copies and the norm's temporary.
 _RESCORE_BYTES = 4 << 20
@@ -296,9 +307,7 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Gathered rows as float64 unit rows, in place where they are float64
     already; zero rows stay zero."""
     unit = rows.astype(np.float64, copy=False)
-    norms = np.linalg.norm(unit, axis=1)
-    norms[norms == 0.0] = 1.0
-    unit /= norms[:, None]
+    unit /= row_norms(unit, unit.nbytes)[0][:, None]
     return unit
 
 

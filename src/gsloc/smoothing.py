@@ -7,12 +7,17 @@ dtype, and the dense signal is processed in column blocks: besides the
 output, ``smooth`` holds one float64 input block and one float64 product
 block, together at most ``_BLOCK_BUDGET_BYTES``. Column blocking does not
 change any value: each column's accumulation chain is independent of the
-block layout. The budget is set by speed as well as memory: a narrower
-block repeats, once per block, scipy's per-nonzero loop setup in every
-product and numpy's per-row setup when it casts a strided column slice,
-while blocks of 32 MiB ran slower than blocks of 8 to 16 MiB on an
-8,000-row, 124,832-nonzero operator at m = 2 (paired fresh-process runs on
-a 2-core Xeon with 2 MiB of L2 per core).
+block layout. The budget is chosen by peak RSS at equal time. The blocks
+come on top of everything a ``run`` holds when it smooths, so they set its
+peak: the benchmark's ``city`` job peaked at 207.0 MB with 16 MiB blocks
+and 197.7 MB with 8 MiB ones (fresh processes, 8 MiB score tiles in
+retrieval beside the 8 MiB blocks). 8 MiB blocks are no slower: on the
+``city`` operator (8,000 rows, 124,832 entries, 4,096 columns, m = 2) a
+smooth took 0.515 s at 16 MiB and 0.506 s at 8 MiB, but 0.577 s at 4 MiB
+and 0.657 s at 2 MiB (in-process medians of 6 alternating rounds, 2-vCPU
+VM), since a narrower block repeats, once per block, scipy's per-nonzero
+loop set-up in every product and numpy's per-row set-up when it casts a
+strided column slice. Blocks of 32 MiB measured slower still.
 
 The output may be the input itself (``out=signal``): each block is copied
 to float64 before its columns are written back, so smoothing in place gives
@@ -30,7 +35,7 @@ from .graph import SmoothingOperator
 
 # Upper bound on the float64 working set (input block + product) per column
 # block.
-_BLOCK_BUDGET_BYTES = 16 << 20
+_BLOCK_BUDGET_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)

@@ -39,12 +39,13 @@ class SynthConfig:
         # Each check is written so that a NaN fails it.
         for name in ("n_places", "n_support_sequences", "n_query_sequences",
                      "frames_per_place", "dim", "place_spacing_m"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.noise_sigma >= 0:
-            raise InputError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not self.gps_jitter_m >= 0:
-            raise InputError(f"gps_jitter_m must be >= 0, got {self.gps_jitter_m}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise InputError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
+        if not 0 <= self.gps_jitter_m < np.inf:
+            raise InputError(f"gps_jitter_m must be >= 0 and finite, got {self.gps_jitter_m}")
 
 
 def _road_layout(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:

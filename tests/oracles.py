@@ -74,6 +74,18 @@ def all_pairs_dist_edges(lats, lons, max_distance_m: float, alpha: float,
 # Retrieval
 
 
+def _power_of_two_rows(x: np.ndarray) -> np.ndarray:
+    """A float64 copy of x, each row scaled by the power of two that takes
+    its largest |entry| into [0.5, 1): no cosine changes, and no square of a
+    row's large entries overflows or underflows. Zero and non-finite rows
+    are left as they are."""
+    x = np.array(x, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        peak = np.abs(x).max(axis=1, initial=0.0)
+    _, exponent = np.frexp(np.where(np.isfinite(peak), peak, 0.0))
+    return np.ldexp(x, -exponent[:, None])
+
+
 def quadratic_knn(queries: np.ndarray, support: np.ndarray,
                   k: int) -> list[list[tuple[int, float]]]:
     """Exact cosine top-k by python sort; ties go to the lower support index.
@@ -81,8 +93,7 @@ def quadratic_knn(queries: np.ndarray, support: np.ndarray,
     Zero rows keep their zeros (cosine 0 against everything), mirroring the
     convention under test.
     """
-    q = np.asarray(queries, dtype=np.float64).copy()
-    s = np.asarray(support, dtype=np.float64).copy()
+    q, s = _power_of_two_rows(queries), _power_of_two_rows(support)
     for mat in (q, s):
         norms = np.linalg.norm(mat, axis=1)
         norms[norms == 0.0] = 1.0
@@ -99,9 +110,9 @@ def fsum_cosines(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Every (query, support) cosine, pair by pair in float64 with no BLAS:
     each dot product and squared norm is a ``math.fsum`` of the float64
     products of the entries, which are exact for float32 rows, so that each
-    cosine is within a few ulps of the exact one. Zero rows score 0."""
-    q = np.asarray(queries, dtype=np.float64)
-    s = np.asarray(support, dtype=np.float64)
+    cosine is within a few ulps of the exact one. Rows are scaled by powers
+    of two first, so that no sum overflows. Zero rows score 0."""
+    q, s = _power_of_two_rows(queries), _power_of_two_rows(support)
     q_norms = [math.sqrt(math.fsum(row)) for row in (q * q).tolist()]
     s_norms = [math.sqrt(math.fsum(row)) for row in (s * s).tolist()]
     out = np.zeros((q.shape[0], s.shape[0]))
@@ -117,13 +128,23 @@ def fsum_cosines(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 def route_cosines(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Every (query, support) cosine by the route retrieval scores each
-    candidate pair with: float64 rows divided by their ``np.linalg.norm``
-    (zero rows left zero), the two unit rows of each pair gathered, and
-    ``np.einsum("ij,ij->i")``; here all pairs at once."""
+    candidate pair with: float64 rows divided by their norm (zero rows left
+    zero), the two unit rows of each pair gathered, and
+    ``np.einsum("ij,ij->i")``; here all pairs at once. A norm is the square
+    root of the row's sum of squares, as ``np.linalg.norm`` takes it, unless
+    that sum is not a normal float64: then it is the norm of the row scaled
+    by a power of two, scaled back."""
     units = []
     for x in (queries, support):
         x = np.array(x, dtype=np.float64)
-        norms = np.linalg.norm(x, axis=1)
+        with np.errstate(over="ignore", under="ignore"):
+            sums = (x * x).sum(axis=1)
+        norms = np.sqrt(sums)
+        for row in np.flatnonzero(~((sums >= np.finfo(np.float64).tiny)
+                                    & (sums < np.inf))):
+            _, exponent = math.frexp(float(np.abs(x[row]).max(initial=0.0)))
+            scaled = np.ldexp(x[row], -exponent)
+            norms[row] = math.ldexp(math.sqrt((scaled * scaled).sum()), exponent)
         norms[norms == 0.0] = 1.0
         units.append(x / norms[:, None])
     rows, cols = np.indices((units[0].shape[0], units[1].shape[0]))

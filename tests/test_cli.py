@@ -15,6 +15,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -1030,6 +1031,62 @@ def test_every_flag_a_command_takes_changes_its_output(contract, command, flag,
         assert changed == written
     else:
         assert changed != written
+
+
+# ---------------------------------------------------------------------------
+# Every value that an option's kind makes invalid exits 2 and makes nothing
+
+
+def _invalid_values(kind) -> list[str]:
+    """Flag values that the kind makes invalid: a choice not offered; NaN,
+    both infinities, a negative and 0 for a number; and for a list, the
+    empty list and each of its item kind's values as its one item. bool and
+    str take every value they can spell."""
+    if isinstance(kind, tuple):
+        return ["not-a-choice"]
+    if typing.get_origin(kind) is list:
+        return list(dict.fromkeys(["", *_invalid_values(typing.get_args(kind)[0])]))
+    return {float: ["nan", "inf", "-inf", "-1", "0"], int: ["-1", "0"]}.get(kind, [])
+
+
+# Values of that list which an option takes by design.
+_VALID_VALUES = {
+    ("--seed", "0"): "the default seed",
+    ("--m", "0"): "m = 0 smooths nothing: the unsmoothed baseline",
+    ("--m-values", "0"): "the sweep's unsmoothed baseline",
+    ("--grid-m", "0"): "the grid's unsmoothed baseline",
+    ("--gamma", "0"): "a latent kernel of weight 0 adds no edge",
+    ("--grid-gamma", "0"): "a latent kernel of weight 0 adds no edge",
+    ("--eps", "0"): "no ridge: every kept eigenvalue is above the floor",
+    ("--noise-sigma", "0"): "noiseless descriptors",
+    ("--gps-jitter-m", "0"): "exact fixes",
+}
+
+
+def _invalid_cases():
+    for option in OPTIONS:
+        command = option.commands[0]
+        for value in _invalid_values(option.kind):
+            if (option.flag, value) not in _VALID_VALUES:
+                yield pytest.param(command, option.flag, value,
+                                   id=f"{command}{option.flag}={value}")
+
+
+@pytest.mark.parametrize("command, flag, value", _invalid_cases())
+def test_every_invalid_value_exits_2_and_makes_nothing(tmp_path, data_dir,
+                                                       capsys, command, flag,
+                                                       value):
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    argv = [*_command_argv(command, data_dir, out, cache),
+            *_ENABLING.get(flag, ()), f"{flag}={value}"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a choice not offered
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "error" in err
+    assert not out.exists() and not cache.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from gsloc.errors import InputError
 from gsloc.features import (Projection, _blas_thread_control, apply_projection,
                             fit_projection, l2_normalize, load_projection,
-                            save_projection)
+                            row_norms, save_projection)
 from oracles import quantized
 
 
@@ -248,6 +248,25 @@ def test_l2_normalize_zero_rows_pass_through(caplog):
     assert np.array_equal(out[0], [0.0, 0.0])
     assert out[1] == pytest.approx([0.6, 0.8], abs=1e-15)
     assert any("zero rows" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
+                         ids=["overflow", "underflow"])
+def test_l2_normalize_rows_whose_squares_leave_float64(scale):
+    # The row's squared norm overflows (2^600) or underflows (2^-600) float64;
+    # a power-of-two scale changes no bit of its unit row.
+    x = np.random.default_rng(14).standard_normal((3, 16))
+    scaled = x.copy()
+    scaled[1] *= scale
+    assert l2_normalize(scaled).tobytes() == l2_normalize(x).tobytes()
+
+
+def test_row_norms_are_numpys_wherever_squares_stay_normal():
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((40, 33)) * rng.uniform(1e-150, 1e150, (40, 1))
+    norms, zero = row_norms(x, 8 * 33 * 7)
+    assert zero == 0
+    assert norms.tobytes() == np.linalg.norm(x, axis=1).tobytes()
 
 
 def test_l2_normalize_rejects_non_2d():

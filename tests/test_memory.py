@@ -385,6 +385,26 @@ def test_run_holds_the_support_descriptors_once(run_inputs, tmp_path,
         assert peak <= bound, f"{state} run peaked at {peak} bytes, bound {bound}"
 
 
+# What a run holds beside its data, at the shipped budgets: one 8 MiB
+# scratch. The largest are the smoothing's float64 column blocks and the
+# screen's score tile with its candidate mask.
+_RUN_SCRATCH = 8 << 20
+
+
+def test_run_peaks_at_its_data_plus_one_scratch_budget(run_inputs, tmp_path,
+                                                        capsys):
+    data, descriptor_bytes = run_inputs
+    # The smoothing block is set by its budget, not by the support's width.
+    assert 2 * 8 * RUN_SUPPORT * RUN_DIM > 2 * _RUN_SCRATCH
+    mask = dataset_mod._FINITE_BLOCK_BYTES
+    bound = (descriptor_bytes + _RUN_SCRATCH + mask + _RUN_GRAPH_AND_RECORDS
+             + SLACK)
+    code, peak = _peak_bytes(_run, data, tmp_path / "out", tmp_path / "cache")
+    assert code == 0
+    assert "support smoothing cache miss" in capsys.readouterr().out
+    assert peak <= bound, f"run peaked at {peak} bytes, bound {bound}"
+
+
 def test_warm_run_writes_the_bytes_of_a_cold_run(run_inputs, tmp_path, capsys):
     data, _ = run_inputs
     cache = tmp_path / "cache"

@@ -90,6 +90,24 @@ def test_cosine_ignores_positive_rescaling():
     assert np.allclose(plain, scaled, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
+                         ids=["overflow", "underflow"])
+def test_query_rows_whose_squares_leave_float64_keep_their_neighbors(scale):
+    # The scaled row's squared norm overflows (2^600) or underflows (2^-600)
+    # float64, so it skips the screen; a power-of-two scale changes no bit
+    # of its unit row, so no score moves either.
+    rng = np.random.default_rng(8)
+    support = rng.standard_normal((50, 16))
+    queries = support[[17, 3]] + 0.5 * rng.standard_normal((2, 16))
+    scaled = queries.copy()
+    scaled[0] *= scale
+    want_idx, want = cosine_knn(queries, support, k=2)
+    got_idx, got = cosine_knn(scaled, support, k=2)
+    assert np.array_equal(got_idx, want_idx)
+    assert got.tobytes() == want.tobytes()
+    assert want_idx[0, 0] == 17
+
+
 def test_k_equals_n_gives_total_order():
     rng = np.random.default_rng(9)
     queries = rng.standard_normal((4, 6))
