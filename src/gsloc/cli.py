@@ -34,8 +34,9 @@ import numpy as np
 from . import __version__
 from .cache import Cache, param_key, sha256_file
 from .codec import ADJ1, EMB1, PRJ1
-from .dataset import (Dataset, filter_reachable_queries, load_dataset,
-                      load_descriptors, write_descriptors, write_metadata)
+from .dataset import (Dataset, ImageRecord, filter_reachable_queries,
+                      load_dataset, load_descriptors, write_descriptors,
+                      write_metadata)
 from .errors import InputError
 from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, _evaluate,
                          ablation_table_csv, check_threshold_m, grid_cells,
@@ -44,7 +45,8 @@ from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, _evaluate,
                          sweep_table_csv, write_report_csv, write_report_json)
 from .features import (apply_projection, check_eps, fit_projection,
                        l2_normalize, load_projection, save_projection)
-from .graph import GraphParams, build_operator, load_operator, save_operator
+from .graph import (GraphParams, SmoothingOperator, build_operator,
+                    load_operator, save_operator)
 from .retrieval import STRATEGIES, write_matches
 from .smoothing import SmoothConfig, smooth
 from .synth import SynthConfig, generate_synthetic
@@ -449,11 +451,30 @@ def _graph_key(side: str, params: GraphParams, config: SimpleNamespace,
     return param_key({"inputs": provenance, "params": asdict(params), "v": 2})
 
 
+# The isolated image ids a graph summary lists, first in row order.
+_ISOLATED_IDS = 10
+
+
+def _graph_summary(op: SmoothingOperator, records: list[ImageRecord]) -> dict:
+    """What manifest.json reports of one side's graph: its isolated
+    vertices, and the min, median and max number of W edges per vertex,
+    which are the off-diagonal entries of the operator's rows."""
+    edges = np.diff(op.matrix.indptr) - (op.matrix.diagonal() != 0.0)
+    isolated = op.isolated_vertices
+    return {"n_isolated": int(isolated.size),
+            "isolated_ids": [records[v].image_id
+                             for v in isolated[:_ISOLATED_IDS].tolist()],
+            "edges_per_vertex": {"min": int(edges.min()),
+                                 "median": float(np.median(edges)),
+                                 "max": int(edges.max())}}
+
+
 def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
                           m: int, *, cache: Cache, config: SimpleNamespace,
-                          info: dict) -> np.ndarray:
+                          info: dict, graphs: dict) -> np.ndarray:
     """Cached graph build + smoothing for one side of the retrieval; the
-    smoother `run` hands to evaluation._evaluate.
+    smoother `run` hands to evaluation._evaluate. The side's graph summary
+    goes in ``graphs``.
 
     The smoothed descriptors replace the dataset's own in its buffer, so a
     run holds one copy of them whatever the cache state: a miss smooths in
@@ -467,11 +488,13 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
     op_path, hit = cache.get_or_create("graph", graph_key, ".adj1", build,
                                        ADJ1.shape)
     print(f"{side} graph cache {'hit' if hit else 'miss'}: {op_path.name}")
+    # Read whether or not the smoothed descriptors hit, for the summary.
+    op = _read_cached(load_operator, op_path)
+    graphs[side] = _graph_summary(op, dataset.records)
     # The graph key covers the graph params.
     smooth_key = param_key({"graph": graph_key, "m": m, "v": 2})
     def run_smooth(tmp: Path) -> None:
-        smooth(_read_cached(load_operator, op_path), desc, SmoothConfig(m=m),
-               out=desc)
+        smooth(op, desc, SmoothConfig(m=m), out=desc)
         # Row-stochastic averages of finite rows are finite, so they are
         # written without write_descriptors' scan.
         EMB1.write(tmp, desc.shape, [desc])
@@ -536,15 +559,16 @@ def cmd_synth(config: SimpleNamespace, out_dir: Path) -> None:
 
 
 def cmd_run(config: SimpleNamespace, out_dir: Path, support: Dataset,
-            query: Dataset, info: dict, cache: Cache) -> None:
+            query: Dataset, info: dict, cache: Cache) -> dict:
     if config.regime == "none" and config.m > 0:
         print(f"warning: regime=none ignores m={config.m}", file=sys.stderr)
     snapshot = dict(config.echo, n_support=support.n_images,
                     n_query=query.n_images, dim=support.dim)
+    graphs: dict = {}
     indices, scores, report = _evaluate(
         support, query, config.graph, config.smoothing, config.regime,
         functools.partial(_smoothed_descriptors, cache=cache, config=config,
-                          info=info),
+                          info=info, graphs=graphs),
         snapshot, threshold_m=config.threshold_m, k=config.k,
         strategy=config.strategy, query_gps=config.query_gps)
     write_report_json(out_dir / "report.json", report)
@@ -553,6 +577,7 @@ def cmd_run(config: SimpleNamespace, out_dir: Path, support: Dataset,
                   support.records)
     print(render_report(report))
     print(f"reports written to {out_dir}")
+    return {"graphs": graphs}
 
 
 def cmd_ablate(config: SimpleNamespace, out_dir: Path, support: Dataset,
@@ -606,7 +631,8 @@ def cmd_gridsearch(config: SimpleNamespace, out_dir: Path, support: Dataset,
 # name -> (command, help, manifest extras). An evaluating command is called
 # with the prepared splits, their provenance and the open cache, and its
 # manifest.json repeats the extras (config values) beside the config echo and
-# the provenance. A command whose extras are None evaluates nothing.
+# the provenance, with any sections the command returns (run's graphs). A
+# command whose extras are None evaluates nothing.
 _COMMANDS = {
     "ingest": (cmd_ingest, "validate datasets and write a manifest", None),
     "synth": (cmd_synth, "generate a synthetic dataset", None),
@@ -652,11 +678,13 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 cache = Cache(config.cache_dir)
                 support, query = _prepare(config, support, query, info, cache)
-                command(config, out_dir, support, query, info, cache)
+                sections = command(config, out_dir, support, query, info,
+                                   cache) or {}
                 # Written last: run's smoother adds its graph keys to info.
                 _write_json(out_dir / "manifest.json",
                             {"config": config.echo, "provenance": info,
-                             **{key: getattr(config, key) for key in extras}})
+                             **{key: getattr(config, key) for key in extras},
+                             **sections})
         return 0
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

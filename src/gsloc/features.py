@@ -233,17 +233,20 @@ def _project_rows(projection: Projection, rows: np.ndarray) -> np.ndarray:
     return product
 
 
-def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
-    """Float64 Euclidean row norms of x, zeros replaced by 1 so that dividing
-    leaves zero rows zero, and the number of zero rows. Rows are cast to
-    float64 (unless they are) in blocks of at most block_bytes (one row at
-    least); their squares hold a second temporary of the same size.
+def scaled_row_norms(x: np.ndarray, block_bytes: int,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 Euclidean norms of x's rows, the rows ``odd`` whose norms are
+    taken scaled, and the power of two ``exponent`` each is scaled by. Rows
+    are cast to float64 (unless they are) in blocks of at most block_bytes
+    (one row at least); their squares hold a second temporary of the same
+    size.
 
     A norm is the square root of the row's float64 sum of squares, bit for
     bit as ``np.linalg.norm`` takes it. A row whose sum is not a normal
-    float64 (it overflows, or its squares underflow) is scaled by a power of
-    two first and its norm scaled back, so that its norm is right too; a
-    float32 row never is, unless it is zero or not finite."""
+    float64 (it overflows, or its squares underflow) is odd: its norm is
+    that of the row times 2**-exponent, which puts its largest |entry| in
+    [0.5, 1). A float32 row is odd only if it is zero or not finite, and
+    those rows have exponent 0."""
     norms = np.empty(x.shape[0])
     rows = max(1, int(block_bytes // (8 * max(1, x.shape[1]))))
     # The rows that overflow or underflow are mended below.
@@ -254,12 +257,24 @@ def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
         # Zero and non-finite rows come along, and keep their norms.
         odd = np.flatnonzero(~((norms >= _NORMAL) & (norms < np.inf)))
         np.sqrt(norms, out=norms)
+        exponent = np.zeros(0, dtype=np.intc)
         if odd.size:
             scaled = x[odd].astype(np.float64, copy=False)
             _, exponent = np.frexp(np.abs(scaled).max(axis=1, initial=0.0))
             scaled = np.ldexp(scaled, -exponent[:, None])
-            norms[odd] = np.ldexp(
-                np.sqrt(np.add.reduce(scaled * scaled, axis=1)), exponent)
+            norms[odd] = np.sqrt(np.add.reduce(scaled * scaled, axis=1))
+    return norms, odd, exponent
+
+
+def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
+    """Float64 Euclidean row norms of x, zeros replaced by 1 so that dividing
+    leaves zero rows zero, and the number of zero rows: ``scaled_row_norms``,
+    with an odd row's norm scaled back, so that it is right for any finite
+    row (inf for a norm beyond the largest float64)."""
+    norms, odd, exponent = scaled_row_norms(x, block_bytes)
+    if odd.size:
+        with np.errstate(over="ignore"):  # a norm beyond float64 is inf
+            norms[odd] = np.ldexp(norms[odd], exponent)
     zero = norms == 0.0
     norms[zero] = 1.0
     return norms, int(np.count_nonzero(zero))

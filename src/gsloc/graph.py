@@ -43,7 +43,7 @@ from .codec import ADJ1
 from .dataset import ImageRecord
 from .errors import InputError
 from . import features
-from .features import row_norms
+from .features import scaled_row_norms
 from .geodesy import haversine_m_vectorized
 from .spatial import LatLonGrid, index_dtype
 
@@ -169,14 +169,6 @@ class PairStructure:
     def n(self) -> int:
         return self.indptr.size - 1
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(i, j) of every pair: the upper-triangle entries in stored order,
-        which is pair order, at the stored index width."""
-        i = np.repeat(np.arange(self.n, dtype=self.indices.dtype),
-                      np.diff(self.indptr))
-        keep = i < self.indices
-        return i[keep], self.indices[keep]
-
     def matrix(self, weights: np.ndarray) -> sparse.csr_matrix:
         """Canonical CSR matrix of one weight per pair. With no zero weight
         it shares the structure's index arrays, which must not be written;
@@ -295,13 +287,17 @@ def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
     every cosine is bitwise the same whatever the grouping (the property
     tests pin this against the pair-by-pair route).
 
-    The norms come from ``features.row_norms``, right for any finite row,
-    but the dot products and the product of two norms are not scaled: for
-    float64 rows whose entries pass about 1e154 they overflow, and below
-    about 1e-154 they underflow. Float32 rows never do.
+    A cosine is right for any finite rows. A row whose float64 sum of
+    squares is not a normal float64 (``features.scaled_row_norms``) is read
+    from a float64 copy of the rows, scaled by the power of two its norm was
+    taken at, which changes no cosine; no float32 row is scaled.
     """
     x = np.asarray(descriptors)
-    norms, _ = row_norms(x, features._NORM_BLOCK_BYTES)
+    norms, odd, exponent = scaled_row_norms(x, features._NORM_BLOCK_BYTES)
+    norms[norms == 0.0] = 1.0
+    if np.any(exponent):
+        x = x.astype(np.float64)
+        x[odd] = np.ldexp(x[odd], -exponent[:, None])
     chunk = max(1, int(_COSINE_CHUNK_BYTES // (2 * x.itemsize * max(1, x.shape[1]))))
     cos = np.empty(i.size)
     if not i.size:
@@ -483,20 +479,19 @@ def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
 
     The kernel is weights on the gate's structure, zero where the gate's
     weight is zero or the cosine clamps to zero. ``cosines`` are one per pair
-    of that structure; when not given, they are computed where the gate's
-    weight is nonzero."""
+    of that structure, as ``kernel_geometry(...).cos`` holds them
+    (``pair_cosines`` of the pairs, for a gate built by hand); they are read
+    where the gate's weight is nonzero, and not at all when gamma is 0."""
     x = np.asarray(descriptors)
     if x.ndim != 2 or x.shape[0] != gate.n:
         raise InputError(f"descriptors must be 2-D with {gate.n} rows")
     w = np.zeros(gate.weights.size)
     if params.gamma == 0.0:
         return WeightedGraph(gate.structure, w)
-    gated = gate.weights != 0.0
-    if cosines is None:
-        i, j = gate.structure.pairs()
-        cosines = np.zeros(w.size)
-        cosines[gated] = pair_cosines(x, i[gated], j[gated])
-    keep = gated & (cosines > 0.0)
+    if cosines is None or np.shape(cosines) != w.shape:
+        raise InputError("build_w_latent needs one cosine per pair of its "
+                         "gate, as kernel_geometry(...).cos holds them")
+    keep = (gate.weights != 0.0) & (cosines > 0.0)
     x = cosines[keep]
     x *= params.gamma
     _check_weights(x)

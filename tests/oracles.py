@@ -504,9 +504,9 @@ def sparse_normalize(w: SparseGraph, params):
 
 def reference_operator(records, descriptors, params):
     """The smoothing operator for one parameter cell, built the way the
-    library did before its kernels shared geometry across cells: candidate
-    pairs from a spatial grid at this cell's own radius, sequence pairs for
-    this cell's betas, and cosines on this cell's own gate, each kernel a
+    library did before its kernels shared geometry across cells: distance
+    pairs from an all-pairs scan at this cell's own radius, sequence pairs
+    for this cell's betas, and cosines on this cell's own gate, each kernel a
     separate sparse matrix summed in dist, seq, latent order."""
     n = len(records)
     parts = []
@@ -529,22 +529,18 @@ def _graph(n, out_i, out_j, out_w):
 
 
 def _reference_w_dist(records, params):
+    """Every pair i < j of np.triu_indices, kept when its haversine distance
+    is below the radius. No cell list is used, so a pair that the library's
+    cell list drops shows as a difference."""
     from gsloc.geodesy import haversine_m_vectorized
-    from gsloc.spatial import LatLonGrid
     n = len(records)
-    out_i, out_j, out_w = [], [], []
-    if n >= 2:
-        lats = np.array([r.lat for r in records])
-        lons = np.array([r.lon for r in records])
-        grid = LatLonGrid(lats, lons, cell_m=params.max_distance_m)
-        factor = params.decay_factor * params.alpha
-        for ci, cj in grid.pair_chunks(reach_m=params.max_distance_m):
-            d = haversine_m_vectorized(lats[ci], lons[ci], lats[cj], lons[cj])
-            keep = d < params.max_distance_m
-            out_i.append(ci[keep])
-            out_j.append(cj[keep])
-            out_w.append(np.exp(factor * d[keep]))
-    return _graph(n, out_i, out_j, out_w)
+    lats = np.array([r.lat for r in records])
+    lons = np.array([r.lon for r in records])
+    i, j = np.triu_indices(n, k=1)
+    d = haversine_m_vectorized(lats[i], lons[i], lats[j], lons[j])
+    keep = d < params.max_distance_m
+    factor = params.decay_factor * params.alpha
+    return _graph(n, [i[keep]], [j[keep]], [np.exp(factor * d[keep])])
 
 
 def _reference_w_seq(records, params):
@@ -579,6 +575,20 @@ def _reference_w_latent(descriptors, gate, params):
                 out_j.append(np.array([j]))
                 out_w.append(params.gamma * cos)
     return _graph(gate.n, out_i, out_j, out_w)
+
+
+def gate_cosines(descriptors, gate) -> np.ndarray:
+    """One cosine per pair of a gate graph's structure, as build_w_latent
+    takes them: pair_cosines of the upper-triangle entries (i < j), each
+    placed at the pair its entry names."""
+    from gsloc.graph import pair_cosines
+    structure = gate.structure
+    i = np.repeat(np.arange(structure.n), np.diff(structure.indptr))
+    upper = i < structure.indices
+    cos = np.zeros(gate.weights.size)
+    cos[structure.entry_pair[upper]] = pair_cosines(
+        np.asarray(descriptors), i[upper], structure.indices[upper])
+    return cos
 
 
 def chunked_pair_cosines(descriptors: np.ndarray, i: np.ndarray,

@@ -18,9 +18,11 @@ from gsloc.geodesy import GeoPoint, METERS_PER_DEGREE, haversine_m
 from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
                          build_graph, build_operator, build_w_dist,
                          build_w_latent, build_w_seq, combine, kernel_geometry,
-                         load_operator, normalize, save_operator)
+                         load_operator, normalize, pair_cosines,
+                         save_operator)
 from oracles import (all_pairs_dist_edges, coo_edges, dense_normalize,
-                     edge_set, random_weighted_graph, reference_operator)
+                     edge_set, gate_cosines, random_weighted_graph,
+                     reference_operator)
 
 
 def _gps_records(offsets_m, sequence="s"):
@@ -205,9 +207,14 @@ def _gate(n, pairs):
     return WeightedGraph.from_pairs(n, i, j, np.ones(len(pairs)))
 
 
+def _w_latent(desc, gate, params):
+    """The latent kernel on the cosines of its gate's pairs."""
+    return build_w_latent(desc, gate, params, gate_cosines(desc, gate))
+
+
 def test_latent_kernel_identical_rows():
     desc = np.array([[1.0, 2.0], [1.0, 2.0]])
-    graph = build_w_latent(desc, _gate(2, [(0, 1)]), GraphParams())
+    graph = _w_latent(desc, _gate(2, [(0, 1)]), GraphParams())
     _, _, w = coo_edges(graph)
     assert w[0] == pytest.approx(0.33, rel=1e-12)
 
@@ -215,28 +222,28 @@ def test_latent_kernel_identical_rows():
 def test_latent_kernel_drops_nonpositive_cosines():
     desc = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     gate = _gate(3, [(0, 1), (0, 2)])
-    graph = build_w_latent(desc, gate, GraphParams())
+    graph = _w_latent(desc, gate, GraphParams())
     assert graph.n_edges == 0
 
 
 def test_latent_kernel_respects_gate():
     desc = np.tile(np.array([1.0, 1.0]), (3, 1))
-    graph = build_w_latent(desc, _gate(3, [(0, 1)]), GraphParams())
+    graph = _w_latent(desc, _gate(3, [(0, 1)]), GraphParams())
     assert edge_set(graph) == {(0, 1)}  # (0, 2) similar but not gated
 
 
 def test_latent_kernel_scales_cosine():
     desc = np.array([[1.0, 0.0], [1.0, 1.0]])
-    graph = build_w_latent(desc, _gate(2, [(0, 1)]), GraphParams(gamma=0.5))
+    graph = _w_latent(desc, _gate(2, [(0, 1)]), GraphParams(gamma=0.5))
     _, _, w = coo_edges(graph)
     assert w[0] == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_latent_kernel_empty_gate_and_zero_rows():
     desc = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert build_w_latent(desc, _gate(2, []), GraphParams()).n_edges == 0
+    assert _w_latent(desc, _gate(2, []), GraphParams()).n_edges == 0
     # A zero-norm row cannot produce a positive cosine.
-    assert build_w_latent(desc, _gate(2, [(0, 1)]), GraphParams()).n_edges == 0
+    assert _w_latent(desc, _gate(2, [(0, 1)]), GraphParams()).n_edges == 0
 
 
 def test_latent_kernel_on_a_gate_with_zero_weight_pairs():
@@ -249,18 +256,57 @@ def test_latent_kernel_on_a_gate_with_zero_weight_pairs():
     assert dist.weights.size == 9 and dist.n_edges == 0
     x = np.ones((5, 2))
     for gamma in (0.33, 0.0):
-        latent = build_w_latent(x, dist, GraphParams(gamma=gamma))
+        latent = _w_latent(x, dist, GraphParams(gamma=gamma))
         assert latent.structure is dist.structure
         assert latent.weights.size == 9 and latent.n_edges == 0
     # The sequence kernel on the same pattern admits every pair.
     seq = build_w_seq(geometry, params)
-    latent = build_w_latent(x, seq, GraphParams())
+    latent = _w_latent(x, seq, GraphParams())
     assert edge_set(latent) == edge_set(seq) and latent.n_edges == 9
 
 
 def test_latent_kernel_checks_row_count():
     with pytest.raises(InputError, match="2 rows"):
-        build_w_latent(np.zeros((3, 2)), _gate(2, [(0, 1)]), GraphParams())
+        _w_latent(np.zeros((3, 2)), _gate(2, [(0, 1)]), GraphParams())
+
+
+def test_latent_kernel_needs_cosines_unless_gamma_is_zero():
+    desc = np.array([[1.0, 0.0], [1.0, 1.0]])
+    gate = _gate(2, [(0, 1)])
+    with pytest.raises(InputError, match="kernel_geometry"):
+        build_w_latent(desc, gate, GraphParams())
+    with pytest.raises(InputError, match="kernel_geometry"):
+        build_w_latent(desc, gate, GraphParams(), np.ones(2))
+    # At gamma 0 the kernel is zero, and no cosine is read.
+    zero = build_w_latent(desc, gate, GraphParams(gamma=0.0))
+    assert zero.structure is gate.structure and zero.n_edges == 0
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
+                         ids=["overflow", "underflow"])
+def test_pair_cosines_of_float64_rows_beyond_the_squares_range(scale):
+    # Squares of these rows leave float64; scaling by a power of two moves
+    # no cosine bit.
+    x = np.random.default_rng(30).standard_normal((4, 16))
+    i, j = np.array([0, 1]), np.array([1, 2])
+    want = pair_cosines(x, i, j)
+    assert np.all(np.isfinite(want) & (want != 0.0))
+    assert pair_cosines(x * scale, i, j).tobytes() == want.tobytes()
+    one = x.copy()
+    one[1] *= scale
+    assert pair_cosines(one, i, j).tobytes() == want.tobytes()
+
+
+def test_operator_of_float64_rows_beyond_the_squares_range():
+    rng = np.random.default_rng(31)
+    records = [ImageRecord(f"i{k}", f"s{k % 3}", k // 3, lat, 0.0)
+               for k, lat in enumerate(rng.uniform(0.0, 2e-4, 30))]
+    x = rng.standard_normal((30, 8))
+    want = build_operator(records, x, GraphParams()).matrix
+    got = build_operator(records, x * 2.0 ** 600, GraphParams()).matrix
+    assert want.nnz > 30
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("params", [
