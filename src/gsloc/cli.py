@@ -38,11 +38,12 @@ from .dataset import (Dataset, ImageRecord, filter_reachable_queries,
                       load_dataset, load_descriptors, write_descriptors,
                       write_metadata)
 from .errors import InputError
-from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, _evaluate,
-                         ablation_table_csv, check_threshold_m, grid_cells,
-                         grid_search, grid_table_csv, render_report,
-                         run_ablation, sweep_m, sweep_plot_data,
-                         sweep_table_csv, write_report_csv, write_report_json)
+from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, SMOOTHED_SIDES,
+                         _evaluate, ablation_table_csv, check_threshold_m,
+                         grid_cells, grid_search, grid_table_csv,
+                         render_report, run_ablation, sweep_m,
+                         sweep_plot_data, sweep_table_csv, write_report_csv,
+                         write_report_json)
 from .features import (apply_projection, check_eps, fit_projection,
                        l2_normalize, load_projection, save_projection)
 from .graph import (GraphParams, SmoothingOperator, build_operator,
@@ -93,7 +94,8 @@ class Option:
     ``key`` is its dotted path in a config file and in the resolved config.
     ``kind`` is bool, int, float, str, a list of one of them, or a tuple of
     the allowed strings; a ``default`` of None also admits null in a config
-    file. ``commands`` are the subcommands that take the option: its ``flag``,
+    file, and a dict gives each command its own default (``default_of``).
+    ``commands`` are the subcommands that take the option: its ``flag``,
     its config-file value and its echo. ``echo`` is the dotted path under
     which manifest.json repeats the value; None leaves it out, for execution
     details that cannot change any output (threads, cache and output
@@ -109,6 +111,13 @@ class Option:
     echo: str | None = None
     help: str | None = None
     file: bool = True
+
+    def default_of(self, command: str) -> object:
+        """The value the command takes when neither a config file nor a
+        flag sets it."""
+        if isinstance(self.default, dict):
+            return self.default.get(command)
+        return self.default
 
 
 _EVAL = ("run", "ablate", "sweep-m", "gridsearch")
@@ -146,7 +155,10 @@ OPTIONS: tuple[Option, ...] = (
     Option("graph.include_self_edges", "--include-self-edges", bool,
            _GRAPH.include_self_edges, _EVAL, "graph.include_self_edges"),
     Option("m", "--m", int, SmoothConfig().m, _ONE_M, "m"),
-    Option("regime", "--regime", REGIMES, "gs_both", _EVAL, "regime"),
+    # ablate and gridsearch keep scoring gs_support unless told otherwise.
+    Option("regime", "--regime", REGIMES,
+           {"run": "gs_both", "sweep-m": "gs_both", "ablate": "gs_support",
+            "gridsearch": "gs_support"}, _EVAL, "regime"),
     Option("k", "--k", int, 1, _EVAL, "k"),
     Option("strategy", "--strategy", STRATEGIES, "top1", _EVAL, "strategy"),
     Option("threshold_m", "--threshold-m", float, DEFAULT_THRESHOLD_M, _EVAL,
@@ -309,7 +321,7 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     objects, which check them, ``grid`` keeps only the axes given, and
     ``echo`` is the manifest's config echo. Everything that the config alone
     can show wrong is checked here, before ``main`` makes anything."""
-    values = {option.key: option.default for option in OPTIONS}
+    values = {option.key: option.default_of(args.command) for option in OPTIONS}
     if args.config:
         values.update((key, value) for key, value
                       in _read_config(Path(args.config)).items()
@@ -332,6 +344,9 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
               and config.projection[key] is not None]
     if unread:
         print(f"warning: projection off ignores {', '.join(unread)}",
+              file=sys.stderr)
+    if config.query_gps and "query" not in SMOOTHED_SIDES[config.regime]:
+        print(f"warning: regime={config.regime} ignores query_gps",
               file=sys.stderr)
     config.smoothing = SmoothConfig(m=config.m)
     if not config.m_values:
@@ -583,8 +598,9 @@ def cmd_run(config: SimpleNamespace, out_dir: Path, support: Dataset,
 def cmd_ablate(config: SimpleNamespace, out_dir: Path, support: Dataset,
                query: Dataset, info: dict, cache: Cache) -> None:
     rows = run_ablation(support, query, config.graph, config.smoothing,
-                        threshold_m=config.threshold_m, k=config.k,
-                        strategy=config.strategy, threads=config.threads)
+                        regime=config.regime, threshold_m=config.threshold_m,
+                        k=config.k, strategy=config.strategy,
+                        query_gps=config.query_gps, threads=config.threads)
     table = ablation_table_csv(rows)
     (out_dir / "ablation.csv").write_text(table, encoding="utf-8")
     print(table, end="")
@@ -608,9 +624,9 @@ def cmd_gridsearch(config: SimpleNamespace, out_dir: Path, support: Dataset,
                    query: Dataset, info: dict, cache: Cache) -> None:
     best_params, best_cfg, table = grid_search(
         support, query, config.grid, base_params=config.graph,
-        base_cfg=config.smoothing, threshold_m=config.threshold_m,
-        k=config.k, strategy=config.strategy, query_gps=config.query_gps,
-        threads=config.threads)
+        base_cfg=config.smoothing, regime=config.regime,
+        threshold_m=config.threshold_m, k=config.k, strategy=config.strategy,
+        query_gps=config.query_gps, threads=config.threads)
     csv_text = grid_table_csv(table)
     (out_dir / "gridsearch.csv").write_text(csv_text, encoding="utf-8")
     best = {"graph": asdict(best_params), "m": best_cfg.m}

@@ -99,13 +99,19 @@ class Dataset:
 
 
 def check_descriptors(arr: np.ndarray) -> None:
-    """Validate a descriptor matrix: 2-D, floating, all values finite."""
+    """Validate a descriptor matrix: 2-D, float32, all values finite."""
     if not isinstance(arr, np.ndarray) or arr.ndim != 2:
         raise InputError("descriptors must be a 2-D array")
-    if not np.issubdtype(arr.dtype, np.floating):
-        raise InputError(f"descriptors must be floating point, got dtype {arr.dtype}")
+    check_float32(arr)
     if _nonfinite_count(arr):
         raise InputError("descriptors contain non-finite values")
+
+
+def check_float32(arr: np.ndarray) -> None:
+    """Refuse descriptors that are not float32, the one descriptor dtype
+    from the loader to the score; ``x.astype(np.float32)`` converts others."""
+    if arr.dtype != np.float32:
+        raise InputError(f"descriptors must be float32, got {arr.dtype}")
 
 
 def _nonfinite_count(arr: np.ndarray) -> int:

@@ -263,10 +263,11 @@ def _evaluate_cells(support: Dataset, query: Dataset, cells: list[GraphParams],
 
 
 def run_ablation(support: Dataset, query: Dataset, params: GraphParams,
-                 cfg: SmoothConfig, *, threshold_m: float = DEFAULT_THRESHOLD_M,
-                 k: int = 1, strategy: str = "top1",
+                 cfg: SmoothConfig, *, regime: str = "gs_support",
+                 threshold_m: float = DEFAULT_THRESHOLD_M, k: int = 1,
+                 strategy: str = "top1", query_gps: bool = False,
                  threads: int = 1) -> list[AblationRow]:
-    """Evaluate every kernel subset (8 rows) under gs_support.
+    """Evaluate every kernel subset (8 rows) under the regime.
 
     The rows without a structural kernel (all-off and latent-only) smooth
     nothing: they share the no-smoothing baseline's retrieval. With threads
@@ -275,9 +276,9 @@ def run_ablation(support: Dataset, query: Dataset, params: GraphParams,
     cells = [replace(params, include_dist=use_dist, include_seq=use_seq,
                      include_latent=use_latent)
              for use_dist, use_seq, use_latent in ABLATION_ORDER]
-    scores = _evaluate_cells(support, query, cells, [cfg.m], "gs_support",
+    scores = _evaluate_cells(support, query, cells, [cfg.m], regime,
                              threshold_m=threshold_m, k=k, strategy=strategy,
-                             query_gps=False, threads=threads)
+                             query_gps=query_gps, threads=threads)
     return [AblationRow(use_dist=use_dist, use_seq=use_seq,
                         use_latent=use_latent, median_error_m=median,
                         acc_at_threshold=acc)

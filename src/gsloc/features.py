@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import PRJ1
+from .dataset import check_float32
 from .errors import InputError
 
 logger = logging.getLogger(__name__)
@@ -233,55 +234,22 @@ def _project_rows(projection: Projection, rows: np.ndarray) -> np.ndarray:
     return product
 
 
-def scaled_row_norms(x: np.ndarray, block_bytes: int,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float64 Euclidean norms of x's rows, the rows ``odd`` whose norms are
-    taken scaled, and the power of two ``exponent`` each is scaled by. Rows
-    are cast to float64 (unless they are) in blocks of at most block_bytes
-    (one row at least); their squares hold a second temporary of the same
-    size.
-
-    A norm is the square root of the row's float64 sum of squares, bit for
-    bit as ``np.linalg.norm`` takes it. A row whose sum is not a normal
-    float64 (it overflows, or its squares underflow) is odd: its norm is
-    that of the row times 2**-exponent, which puts its largest |entry| in
-    [0.5, 1). A float32 row is odd only if it is zero or not finite, and
-    those rows have exponent 0."""
+def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
+    """Float64 Euclidean row norms of x, bit for bit as ``np.linalg.norm``
+    takes them, zeros replaced by 1 so that dividing leaves zero rows zero,
+    and the number of zero rows. Rows are cast to float64 (unless they are)
+    in blocks of at most block_bytes (one row at least); their squares hold a
+    second temporary of the same size. The float64 squares of float32 values
+    neither overflow nor underflow."""
     norms = np.empty(x.shape[0])
     rows = max(1, int(block_bytes // (8 * max(1, x.shape[1]))))
-    # The rows that overflow or underflow are mended below.
-    with np.errstate(over="ignore", under="ignore"):
-        for lo in range(0, x.shape[0], rows):
-            block = x[lo:lo + rows].astype(np.float64, copy=False)
-            norms[lo:lo + rows] = np.add.reduce(block * block, axis=1)
-        # Zero and non-finite rows come along, and keep their norms.
-        odd = np.flatnonzero(~((norms >= _NORMAL) & (norms < np.inf)))
-        np.sqrt(norms, out=norms)
-        exponent = np.zeros(0, dtype=np.intc)
-        if odd.size:
-            scaled = x[odd].astype(np.float64, copy=False)
-            _, exponent = np.frexp(np.abs(scaled).max(axis=1, initial=0.0))
-            scaled = np.ldexp(scaled, -exponent[:, None])
-            norms[odd] = np.sqrt(np.add.reduce(scaled * scaled, axis=1))
-    return norms, odd, exponent
-
-
-def row_norms(x: np.ndarray, block_bytes: int) -> tuple[np.ndarray, int]:
-    """Float64 Euclidean row norms of x, zeros replaced by 1 so that dividing
-    leaves zero rows zero, and the number of zero rows: ``scaled_row_norms``,
-    with an odd row's norm scaled back, so that it is right for any finite
-    row (inf for a norm beyond the largest float64)."""
-    norms, odd, exponent = scaled_row_norms(x, block_bytes)
-    if odd.size:
-        with np.errstate(over="ignore"):  # a norm beyond float64 is inf
-            norms[odd] = np.ldexp(norms[odd], exponent)
+    for lo in range(0, x.shape[0], rows):
+        block = x[lo:lo + rows].astype(np.float64, copy=False)
+        norms[lo:lo + rows] = np.add.reduce(block * block, axis=1)
+    np.sqrt(norms, out=norms)
     zero = norms == 0.0
     norms[zero] = 1.0
     return norms, int(np.count_nonzero(zero))
-
-
-# The smallest normal float64: a sum of squares below it has lost bits.
-_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 # Bound on one row block of a norm pass's float64 working set (l2_normalize
@@ -293,14 +261,16 @@ _NORM_BLOCK_BYTES = 256 << 10
 
 
 def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
-    """Scale each row to unit Euclidean norm in place and return the array;
-    zero rows pass through unchanged (their count is logged as a warning).
+    """Scale each float32 row to unit Euclidean norm in place and return the
+    array; zero rows pass through unchanged (their count is logged as a
+    warning).
 
     Each row block is copied to float64, normalized there and written back.
     """
     x = np.asarray(descriptors)
     if x.ndim != 2:
         raise InputError("descriptors must be a 2-D array")
+    check_float32(x)
     n_zero = 0
     block = max(1, int(_NORM_BLOCK_BYTES // (8 * max(1, x.shape[1]))))
     for start in range(0, x.shape[0], block):

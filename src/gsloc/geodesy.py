@@ -22,7 +22,9 @@ METERS_PER_DEGREE = math.pi / 180.0 * EARTH_RADIUS_M
 
 @dataclass(frozen=True)
 class GeoPoint:
-    """A latitude/longitude fix in decimal degrees."""
+    """A latitude/longitude fix in decimal degrees. No gsloc code uses it;
+    it is kept as API for ``benchmarks/tracer.py``, which wraps
+    ``haversine_m``."""
 
     lat: float
     lon: float
@@ -38,6 +40,8 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in meters.
 
     Symmetric, nonnegative, and zero exactly when the coordinates coincide.
+    No gsloc code calls it; it is kept as API for ``benchmarks/tracer.py``,
+    which wraps it by name.
     """
     lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
     lat2, lon2 = math.radians(b.lat), math.radians(b.lon)

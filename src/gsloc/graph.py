@@ -40,18 +40,17 @@ import numpy as np
 from scipy import sparse
 
 from .codec import ADJ1
-from .dataset import ImageRecord
+from .dataset import ImageRecord, check_float32
 from .errors import InputError
 from . import features
-from .features import scaled_row_norms
 from .geodesy import haversine_m_vectorized
 from .spatial import LatLonGrid, index_dtype
 
 # Cosine evaluation for the latent kernel groups the gated pairs by source
 # row and walks them in blocks of at most `chunk` pairs; this bounds one
 # block's two row gathers (its neighbour rows, and its source rows, each read
-# once however many neighbours they have), each at most chunk x dim in the
-# descriptors' own dtype; einsum accumulates the dot products in float64.
+# once however many neighbours they have), each at most chunk x dim float32
+# values; einsum accumulates the dot products in float64.
 # Both gathers together fit a 2 MiB per-core L2 cache (1 MiB measured faster
 # than 4 MiB on the `city` support, and no slower on small ones), and freeing
 # them leaves no large heap region resident for the rest of the run. The norm
@@ -120,6 +119,8 @@ class WeightedGraph:
 
     @property
     def n_edges(self) -> int:
+        """Pairs with a nonzero weight. Kept as API for
+        ``benchmarks/tracer.py``, whose edge counts read it."""
         return int(np.count_nonzero(self.weights))
 
     @classmethod
@@ -133,7 +134,8 @@ class WeightedGraph:
         """Build from unordered unique pairs; both (i,j) and (j,i) are stored
         with the same weight so symmetry is exact. Each pair is turned to
         i < j and sorted into (i, j) order, where a repeated pair, in either
-        orientation, lies next to its twin."""
+        orientation, lies next to its twin. No gsloc code calls it; it is
+        kept as API for ``benchmarks/tracer.py``, which wraps it by name."""
         # Integer indices keep their width; others are read as int64.
         i, j = (a if a.dtype.kind == "i" else a.astype(np.int64)
                 for a in map(np.asarray, (i, j)))
@@ -285,19 +287,12 @@ def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
     chunk, into one (R, D, dim) gather against their (R, dim) source rows.
     Each dot product accumulates along dim as a pair-by-pair einsum does, so
     every cosine is bitwise the same whatever the grouping (the property
-    tests pin this against the pair-by-pair route).
-
-    A cosine is right for any finite rows. A row whose float64 sum of
-    squares is not a normal float64 (``features.scaled_row_norms``) is read
-    from a float64 copy of the rows, scaled by the power of two its norm was
-    taken at, which changes no cosine; no float32 row is scaled.
+    tests pin this against the pair-by-pair route). The descriptors must be
+    float32 (``dataset.check_float32``).
     """
     x = np.asarray(descriptors)
-    norms, odd, exponent = scaled_row_norms(x, features._NORM_BLOCK_BYTES)
-    norms[norms == 0.0] = 1.0
-    if np.any(exponent):
-        x = x.astype(np.float64)
-        x[odd] = np.ldexp(x[odd], -exponent[:, None])
+    check_float32(x)
+    norms, _ = features.row_norms(x, features._NORM_BLOCK_BYTES)
     chunk = max(1, int(_COSINE_CHUNK_BYTES // (2 * x.itemsize * max(1, x.shape[1]))))
     cos = np.empty(i.size)
     if not i.size:

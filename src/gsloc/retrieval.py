@@ -10,10 +10,9 @@ A score is the float64 cosine of one fixed route that does not go through
 BLAS: both rows of the pair are cast to float64 and divided by their
 ``features.row_norms`` norm (a zero row stays zero, and scores 0 against
 everything), and the two unit rows meet in ``np.einsum("ij,ij->i")``. That
-norm is ``np.linalg.norm``'s, bit for bit, unless the row's squared norm
-overflows or underflows float64; such a row is scaled by a power of two
-first. A score depends on its two rows alone, so identical rows score
-bitwise alike wherever they sit.
+norm is ``np.linalg.norm``'s, bit for bit. A score depends on its two rows
+alone, so identical rows score bitwise alike wherever they sit. Queries and
+support must both be float32 (``dataset.check_float32``).
 Each query's neighbors are a stable sort of its scores on (-score, support
 index), cut at k: equal scores rank the lower support index first.
 
@@ -21,35 +20,31 @@ Only candidates are scored so. A screen finds them: a shortlist re-ranked
 exactly, as in Jegou, Douze and Schmid, "Product quantization for nearest
 neighbor search" (TPAMI 2011), except that this shortlist is proven
 complete. Each block of queries meets the support one chunk at a time in one
-matrix product of the stored rows, in the support's dtype T (float32 for the
-pipeline's descriptors; a support of another dtype is cast to float64, and
-query rows to T). Each tile column is then multiplied by its support row's
-inverse screening norm, 1/sqrt(s.s) with s.s from one ``np.einsum`` pass over
-the support in T, so that the entry of query x and support row y
-approximates ||x|| cos(x, y). No float64 copy of the support is made; only
-candidate rows are cast to float64 and normalized.
+matrix product of the stored rows, in their dtype T = float32. Each tile
+column is then multiplied by its support row's inverse screening norm,
+1/sqrt(s.s) with s.s from one ``np.einsum`` pass over the support in T, so
+that the entry of query x and support row y approximates ||x|| cos(x, y).
+No float64 copy of the support is made; only candidate rows are cast to
+float64 and normalized.
 
 The bound. Let u be T's unit roundoff, n = d + 2 and g = nu / (1 - nu).
 In any summation order, with FMA or without, a product of d terms in T is
 off by at most g sum |x_i y_i| <= g ||x|| ||y|| (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.1); n also
-covers the cast of a query row to T and its squared norm. A row is screened
-when its squared norm in T lies in [2^-E, 2^E], E = half T's largest binary
-exponent (64 for float32): no partial sum can overflow, and the underflow
-of at most n products of size below eta (half T's smallest subnormal) adds
-nu = n eta 2^(E+1) relative to ||x|| ||y|| (the underflow of a query row's
-cast to T adds less). With a = g + nu, the screening
-norm of y is off by the factor (1 + a/2 + a^2) at most, and each tile entry
-v satisfies |v - ||x|| cos| <= beta ||x||, where
+covers a row's squared norm. A row is screened when its squared norm in T
+lies in [2^-E, 2^E], E = half T's largest binary exponent (64): no partial
+sum can overflow, and the underflow of at most n products of size below eta
+(half T's smallest subnormal) adds nu = n eta 2^(E+1) relative to
+||x|| ||y||. With a = g + nu, the screening norm of y is off by the factor
+(1 + a/2 + a^2) at most, and each tile entry v satisfies
+|v - ||x|| cos| <= beta ||x||, where
     rho = (1 + 3u/(1 - 3u)) (1 + a/2 + a^2) - 1  (norm, square root,
           reciprocal and the scaling of the tile), and
     beta = rho + a (1 + rho).
 The float64 route, with g64 = d 2^-53 / (1 - d 2^-53) and
 rho64 = (1 + 2^-52/(1 - 2^-52)) (1 + g64/2 + g64^2) - 1, is off the exact
-cosine by at most E64 = (1 + rho64)^2 (1 + g64) - 1, for float32 rows and
-for finite float64 rows (one whose squared norm is not a normal float64 is
-scaled by a power of two first). Let B = beta + E64 (3.7e-4 for float32 at
-d = 4,096).
+cosine by at most E64 = (1 + rho64)^2 (1 + g64) - 1. Let B = beta + E64
+(3.7e-4 at d = 4,096).
 
 The candidates. Let t be a query row's k-th largest screened entry. The k
 columns that reach t score at least t/||x|| - B on the float64 route, so its
@@ -81,7 +76,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ImageRecord
+from .dataset import ImageRecord, check_float32
 from .errors import InputError
 from .features import row_norms
 from .geodesy import atan2_each, unit_vectors
@@ -105,14 +100,12 @@ _RESCORE_BYTES = 4 << 20
 
 STRATEGIES = ("top1", "weighted_topk")
 
-_SCREEN_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
 
 def cosine_knn(queries: np.ndarray, support: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by cosine similarity for every query row: (indices,
     scores), two (n_query, k) arrays whose row i lists query i's neighbors
-    best first.
+    best first. Both arrays must be float32.
 
     Zero rows (on either side) score 0 against everything and are counted in
     a log warning. Equal scores rank the smaller support index first.
@@ -121,12 +114,12 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
     s = np.asarray(support)
     if q.ndim != 2 or s.ndim != 2:
         raise InputError("queries and support must be 2-D arrays")
+    check_float32(q)
+    check_float32(s)
     if q.shape[1] != s.shape[1]:
         raise InputError(f"dim mismatch: queries {q.shape[1]} vs support {s.shape[1]}")
     if not (1 <= k <= s.shape[0]):
         raise InputError(f"k={k} must be in [1, {s.shape[0]}]")
-    if s.dtype not in _SCREEN_DTYPES:
-        s = s.astype(np.float64)
     dtype, (n_support, dim) = s.dtype, s.shape
     blocks, chunks = _tile_shape(q.shape[0], n_support, dim, dtype.itemsize)
     tallest = max((hi - lo for lo, hi in blocks), default=0)
@@ -140,14 +133,14 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
     # The screen meets non-finite and out-of-range norms by design.
     with np.errstate(over="ignore", under="ignore", invalid="ignore",
                      divide="ignore"):
-        squares, screened, s_zero = _screen_squares(s, s)
+        squares, screened, s_zero = _screen_squares(s)
         inverse = 1 / np.sqrt(squares)
         inverse[~screened | s_zero] = 1
         unscreened = np.flatnonzero(~screened)
         for start, stop in blocks:
             rows = stop - start
-            x = q[start:stop].astype(dtype, copy=False)
-            x_squares, x_screened, zero = _screen_squares(x, q[start:stop])
+            x = q[start:stop]
+            x_squares, x_screened, zero = _screen_squares(x)
             q_zero += int(np.count_nonzero(zero))
             # Unscreened query rows take every column, zero rows none.
             open_rows, zero_rows = np.flatnonzero(~x_screened), np.flatnonzero(zero)
@@ -198,18 +191,16 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
     return indices, top
 
 
-def _screen_squares(x: np.ndarray,
-                    stored: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(squared row norms of x, the stored rows in the screen's dtype, whether
-    each row is screened, whether its stored row is zero). A row is screened
-    when its squared norm lies in [2^-E, 2^E] (see the module docstring) or
-    when it is zero; the squares of a nonzero row, or its cast, can all
-    underflow, so a zero sum is checked on the stored row."""
+def _screen_squares(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(squared row norms of x, whether each row is screened, whether it is
+    zero). A row is screened when its squared norm lies in [2^-E, 2^E] (see
+    the module docstring) or when it is zero; the squares of a nonzero row
+    can all underflow, so a zero sum is checked on the row itself."""
     squares = np.einsum("ij,ij->i", x, x)
     limit = 2.0 ** (np.finfo(x.dtype).maxexp // 2)
     zero = squares == 0
     if zero.any():
-        zero[zero] = ~stored[zero].any(axis=1)
+        zero[zero] = ~x[zero].any(axis=1)
     return squares, ((squares >= 1 / limit) & (squares <= limit)) | zero, zero
 
 
@@ -304,9 +295,8 @@ def _pair_scores(q: np.ndarray, s: np.ndarray, rows: np.ndarray,
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Gathered rows as float64 unit rows, in place where they are float64
-    already; zero rows stay zero."""
-    unit = rows.astype(np.float64, copy=False)
+    """Gathered rows as float64 unit rows; zero rows stay zero."""
+    unit = rows.astype(np.float64)
     unit /= row_norms(unit, unit.nbytes)[0][:, None]
     return unit
 

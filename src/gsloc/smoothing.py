@@ -5,11 +5,13 @@ materialized).
 Accumulation is always float64, with one final cast back to the output
 dtype, and the dense signal is processed in column blocks: besides the
 output, ``smooth`` holds one float64 input block and one float64 product
-block, together at most ``_BLOCK_BUDGET_BYTES``. Column blocking does not
-change any value: each column's accumulation chain is independent of the
-block layout. The budget is chosen by peak RSS at equal time. The blocks
-come on top of everything a ``run`` holds when it smooths, so they set its
-peak: the benchmark's ``city`` job peaked at 207.0 MB with 16 MiB blocks
+block, together at most ``_BLOCK_BUDGET_BYTES``, unless that leaves blocks
+narrower than ``_MIN_BLOCK_COLUMNS`` (64) columns: a block is never
+narrower (all the columns, when there are fewer), so above 8,192 rows the
+blocks grow with the row count. Column blocking does not change any value:
+each column's accumulation chain is independent of the block layout. The
+budget is chosen by peak RSS at equal time. The blocks come on top of
+everything a ``run`` holds when it smooths, so they set its peak: the benchmark's ``city`` job peaked at 207.0 MB with 16 MiB blocks
 and 197.7 MB with 8 MiB ones (fresh processes, 8 MiB score tiles in
 retrieval beside the 8 MiB blocks). 8 MiB blocks are no slower: on the
 ``city`` operator (8,000 rows, 124,832 entries, 4,096 columns, m = 2) a
@@ -17,7 +19,12 @@ smooth took 0.515 s at 16 MiB and 0.506 s at 8 MiB, but 0.577 s at 4 MiB
 and 0.657 s at 2 MiB (in-process medians of 6 alternating rounds, 2-vCPU
 VM), since a narrower block repeats, once per block, scipy's per-nonzero
 loop set-up in every product and numpy's per-row set-up when it casts a
-strided column slice. Blocks of 32 MiB measured slower still.
+strided column slice. Blocks of 32 MiB measured slower still. The floor
+is for larger supports, where the budget alone leaves narrow blocks: on
+criterion 13's operator (24,263 rows, 385,040 entries, 4,096 columns,
+m = 2) the budget gives 21 columns, and a smooth took 2.28 s, against
+1.85 s with 64-column blocks (24.8 MB of them), bit for bit (in-process
+medians of 6 alternating rounds at one BLAS thread, 2-vCPU VM).
 
 The output may be the input itself (``out=signal``): each block is copied
 to float64 before its columns are written back, so smoothing in place gives
@@ -34,8 +41,9 @@ from .errors import InputError
 from .graph import SmoothingOperator
 
 # Upper bound on the float64 working set (input block + product) per column
-# block.
+# block, unless that leaves blocks narrower than _MIN_BLOCK_COLUMNS.
 _BLOCK_BUDGET_BYTES = 8 << 20
+_MIN_BLOCK_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,7 @@ def smooth(op: SmoothingOperator, signal: np.ndarray, cfg: SmoothConfig, *,
     elif out.shape != s.shape:
         raise InputError(f"out has shape {out.shape}, signal {s.shape}")
     n, d = s.shape
-    block = max(1, int(_BLOCK_BUDGET_BYTES // (2 * 8 * max(1, n))))
+    block = max(_MIN_BLOCK_COLUMNS, _BLOCK_BUDGET_BYTES // (2 * 8 * max(1, n)))
     for start in range(0, d, block):
         cols = s[:, start:start + block].astype(np.float64)
         for _ in range(cfg.m):

@@ -131,20 +131,11 @@ def route_cosines(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     candidate pair with: float64 rows divided by their norm (zero rows left
     zero), the two unit rows of each pair gathered, and
     ``np.einsum("ij,ij->i")``; here all pairs at once. A norm is the square
-    root of the row's sum of squares, as ``np.linalg.norm`` takes it, unless
-    that sum is not a normal float64: then it is the norm of the row scaled
-    by a power of two, scaled back."""
+    root of the row's sum of squares, as ``np.linalg.norm`` takes it."""
     units = []
     for x in (queries, support):
         x = np.array(x, dtype=np.float64)
-        with np.errstate(over="ignore", under="ignore"):
-            sums = (x * x).sum(axis=1)
-        norms = np.sqrt(sums)
-        for row in np.flatnonzero(~((sums >= np.finfo(np.float64).tiny)
-                                    & (sums < np.inf))):
-            _, exponent = math.frexp(float(np.abs(x[row]).max(initial=0.0)))
-            scaled = np.ldexp(x[row], -exponent)
-            norms[row] = math.ldexp(math.sqrt((scaled * scaled).sum()), exponent)
+        norms = np.sqrt((x * x).sum(axis=1))
         norms[norms == 0.0] = 1.0
         units.append(x / norms[:, None])
     rows, cols = np.indices((units[0].shape[0], units[1].shape[0]))

@@ -23,7 +23,7 @@ import pytest
 
 import gsloc.dataset as dataset_mod
 import gsloc.evaluation as evaluation
-from gsloc.cli import OPTIONS, build_parser, main
+from gsloc.cli import OPTIONS, build_parser, main, resolve_config
 from gsloc.dataset import (filter_reachable_queries, load_dataset,
                            load_descriptors, load_metadata, write_descriptors,
                            write_metadata)
@@ -498,6 +498,26 @@ def test_run_regime_none_warns_about_ignored_m(tmp_path, data_dir, capsys):
     rc, _ = _run(tmp_path, data_dir, "none", ["--regime", "none"])
     assert rc == 0
     assert "ignores m=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, regime, warns", [
+    ("run", (), "gs_both", False),
+    ("sweep-m", (), "gs_both", False),
+    ("ablate", (), "gs_support", True),
+    ("gridsearch", ("--grid-m", "2"), "gs_support", True),
+    ("run", ("--regime", "none"), "none", True),
+    ("ablate", ("--regime", "gs_query"), "gs_query", False),
+], ids=["run", "sweep-m", "ablate", "gridsearch", "run-none", "ablate-gs_query"])
+def test_regime_defaults_by_command_and_warns_about_ignored_query_gps(
+        data_dir, capsys, command, flags, regime, warns):
+    # ablate and gridsearch default to gs_support, which they have always
+    # scored, and the manifest echoes it; a regime that smooths no query
+    # side ignores --query-gps, and says so.
+    config = resolve_config(build_parser().parse_args(
+        [command, "--query-gps", *flags, *_dataset_flags(data_dir)]))
+    assert config.regime == config.echo["regime"] == regime
+    err = capsys.readouterr().err
+    assert (f"warning: regime={regime} ignores query_gps" in err) is warns
 
 
 @pytest.mark.parametrize("flags, ignored", [
@@ -977,11 +997,15 @@ _CONDITIONAL = {
     **{(command, "--k", ("--strategy", "top1")):
        "top1 reads the nearest neighbour only, and a table has no match rows"
        for command in ("ablate", "sweep-m", "gridsearch")},
+    **{(command, "--query-gps", ()):
+       "gs_support, their default regime, smooths no query side; main warns "
+       "that it ignores query_gps"
+       for command in ("ablate", "gridsearch")},
 }
-# Pending ROADMAP item 2: ablate and gridsearch score a fixed regime, and
-# ablate never lets GPS into a query graph.
-_PENDING = {(command, flag) for command in ("ablate", "gridsearch")
-            for flag in ("--regime", "--query-gps")}
+# Conditional no-ops where their condition does not hold: (command, flag,
+# flags both runs take). The test asserts that the output changes.
+_LIFTED = tuple((command, "--query-gps", ("--regime", "gs_both"))
+                for command in ("ablate", "gridsearch"))
 
 
 def _contract_cases():
@@ -989,14 +1013,11 @@ def _contract_cases():
         for flag in (o.flag for o in OPTIONS if command in o.commands):
             both = _ENABLING.get(flag, ())
             same = flag in _SAME_BYTES or (command, flag, both) in _CONDITIONAL
-            marks = ([pytest.mark.xfail(strict=True, reason="ROADMAP item 2")]
-                     if (command, flag) in _PENDING else [])
-            yield pytest.param(command, flag, both, same, marks=marks,
-                               id=f"{command}{flag}")
-    for command, flag, both in _CONDITIONAL:
-        if both:
-            yield pytest.param(command, flag, both, True,
-                               id=f"{command}{flag}-under{''.join(both)}")
+            yield pytest.param(command, flag, both, same, id=f"{command}{flag}")
+    cases = [(case, True) for case in _CONDITIONAL if case[2]]
+    for (command, flag, both), same in cases + [(case, False) for case in _LIFTED]:
+        yield pytest.param(command, flag, both, same,
+                           id=f"{command}{flag}-under{''.join(both)}")
 
 
 def _written(out):

@@ -19,8 +19,7 @@ from gsloc.graph import SmoothingOperator, save_operator
 
 
 def _emb1(path, rng):
-    # float64 rows: the writer rounds them to float32.
-    data = rng.standard_normal((3, 5))
+    data = rng.standard_normal((3, 5), dtype=np.float32)
     write_descriptors(path, data)
     return (struct.pack("<4sII", b"EMB1", 3, 5)
             + data.astype("<f4").tobytes(order="C"))

@@ -1,5 +1,6 @@
 """Metadata CSV and EMB1 descriptor file round trips, input validation with
-line context, and reachability filtering of the query split."""
+line context, reachability filtering of the query split, and the float32
+descriptor check at every place descriptors enter."""
 
 from __future__ import annotations
 
@@ -13,7 +14,10 @@ from gsloc.dataset import (Dataset, ImageRecord, filter_reachable_queries,
                            load_dataset, load_metadata, load_descriptors,
                            validate_records, write_metadata, write_descriptors)
 from gsloc.errors import InputError
+from gsloc.features import l2_normalize
 from gsloc.geodesy import METERS_PER_DEGREE
+from gsloc.graph import GraphParams, build_operator, pair_cosines
+from gsloc.retrieval import cosine_knn
 
 
 def _records():
@@ -215,6 +219,30 @@ def test_write_descriptors_rejects_bad_input(tmp_path):
         write_descriptors(path, np.zeros((3, 2), dtype=np.int32))
     with pytest.raises(InputError):
         write_descriptors(path, np.zeros(6, dtype=np.float32))
+
+
+# A row near the largest float64, whose float64 squares overflow, and two
+# rows whose cosines with it are 1 and 1/sqrt(2); no norm of float64 rows is
+# taken, since each place descriptors enter refuses them, writing nothing.
+_FLOAT64_ROWS = np.array([[1.5e308, 1.5e308], [1.0, 1.0], [1.0, 0.0]])
+_REFUSERS = {
+    "cosine_knn-queries": lambda x, tmp: cosine_knn(x[:1], x[1:].astype(np.float32), 1),
+    "cosine_knn-support": lambda x, tmp: cosine_knn(x[1:].astype(np.float32), x, 1),
+    "pair_cosines": lambda x, tmp: pair_cosines(x, np.array([0]), np.array([1])),
+    "l2_normalize": lambda x, tmp: l2_normalize(x),
+    "Dataset": lambda x, tmp: Dataset(records=_records(), descriptors=x),
+    "write_descriptors": lambda x, tmp: write_descriptors(tmp / "d.emb1", x),
+    "build_operator": lambda x, tmp: build_operator(_records(), x, GraphParams()),
+}
+
+
+@pytest.mark.parametrize("entry", list(_REFUSERS))
+def test_float64_descriptors_are_refused_where_they_enter(entry, tmp_path):
+    x = _FLOAT64_ROWS.copy()
+    with pytest.raises(InputError, match="descriptors must be float32, got float64"):
+        _REFUSERS[entry](x, tmp_path)
+    assert x.tobytes() == _FLOAT64_ROWS.tobytes()
+    assert not (tmp_path / "d.emb1").exists()
 
 
 def test_load_dataset_checks_alignment(tmp_path):

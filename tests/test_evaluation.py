@@ -14,7 +14,7 @@ import gsloc.evaluation as evaluation
 import gsloc.graph as graph
 from gsloc.dataset import Dataset, ImageRecord
 from gsloc.errors import InputError
-from gsloc.evaluation import (ABLATION_ORDER, AblationRow, EvalReport,
+from gsloc.evaluation import (ABLATION_ORDER, REGIMES, AblationRow, EvalReport,
                               ablation_table_csv, compute_report,
                               evaluate_regime, grid_search, grid_table_csv,
                               query_graph_params,
@@ -490,6 +490,21 @@ def test_ablation_skips_identity_rows_and_shares_geometry(monkeypatch):
                                 "gs_support")
         assert (row.median_error_m, row.acc_at_threshold) == (
             fresh.median_error_m, fresh.acc_at_threshold)
+
+
+@pytest.mark.parametrize("query_gps", [False, True])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_ablation_scores_its_regime(regime, query_gps):
+    support, query = _small_world()
+    rows = run_ablation(support, query, GraphParams(), SmoothConfig(m=2),
+                        regime=regime, query_gps=query_gps)
+    for row in rows:
+        params = replace(GraphParams(), include_dist=row.use_dist,
+                         include_seq=row.use_seq, include_latent=row.use_latent)
+        fresh = evaluate_regime(support, query, params, SmoothConfig(m=2),
+                                regime, query_gps=query_gps)
+        assert (row.median_error_m, row.acc_at_threshold) == (
+            fresh.median_error_m, fresh.acc_at_threshold), row
 
 
 def _count_retrievals(monkeypatch) -> list:

@@ -230,11 +230,7 @@ def test_quantized_is_idempotent():
 
 def test_l2_normalize_unit_rows():
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((50, 7))
-    x32 = x.astype(np.float32)
-    out = l2_normalize(x)
-    assert out is x
-    assert np.linalg.norm(out, axis=1) == pytest.approx(np.ones(50), abs=1e-12)
+    x32 = rng.standard_normal((50, 7)).astype(np.float32)
     out32 = l2_normalize(x32)
     assert out32 is x32
     assert np.linalg.norm(out32.astype(np.float64), axis=1) == pytest.approx(
@@ -242,22 +238,37 @@ def test_l2_normalize_unit_rows():
 
 
 def test_l2_normalize_zero_rows_pass_through(caplog):
-    x = np.array([[0.0, 0.0], [3.0, 4.0]])
+    x = np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32)
     with caplog.at_level(logging.WARNING, logger="gsloc.features"):
         out = l2_normalize(x)
     assert np.array_equal(out[0], [0.0, 0.0])
-    assert out[1] == pytest.approx([0.6, 0.8], abs=1e-15)
+    assert out[1].tolist() == [np.float32(0.6), np.float32(0.8)]
     assert any("zero rows" in rec.message for rec in caplog.records)
 
 
 @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
                          ids=["overflow", "underflow"])
 def test_l2_normalize_rows_whose_squares_leave_float64(scale):
-    # The row's squared norm overflows (2^600) or underflows (2^-600) float64;
-    # a power-of-two scale changes no bit of its unit row.
+    # Only float64 rows square beyond float64 (2^600) or below it (2^-600),
+    # and l2_normalize refuses them before it writes a row.
     x = np.random.default_rng(14).standard_normal((3, 16))
+    x[1] *= scale
+    before = x.copy()
+    with pytest.raises(InputError, match="float32, got float64"):
+        l2_normalize(x)
+    assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 100, 2.0 ** -100, 2.0 ** -149],
+                         ids=["overflow", "underflow", "subnormal"])
+def test_l2_normalize_rows_whose_squares_leave_float32(scale):
+    # The row's float32 squared norm overflows (2^100) or underflows (2^-100,
+    # and subnormal entries, whole multiples of 2^-149); its float64 one
+    # does neither, and a power-of-two scale changes no bit of its unit row.
+    x = np.random.default_rng(14).integers(-2 ** 20, 2 ** 20, (3, 16))
+    x = x.astype(np.float32)
     scaled = x.copy()
-    scaled[1] *= scale
+    scaled[1] *= np.float32(scale)
     assert l2_normalize(scaled).tobytes() == l2_normalize(x).tobytes()
 
 

@@ -213,34 +213,34 @@ def _w_latent(desc, gate, params):
 
 
 def test_latent_kernel_identical_rows():
-    desc = np.array([[1.0, 2.0], [1.0, 2.0]])
+    desc = np.array([[1.0, 2.0], [1.0, 2.0]], dtype=np.float32)
     graph = _w_latent(desc, _gate(2, [(0, 1)]), GraphParams())
     _, _, w = coo_edges(graph)
     assert w[0] == pytest.approx(0.33, rel=1e-12)
 
 
 def test_latent_kernel_drops_nonpositive_cosines():
-    desc = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    desc = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], dtype=np.float32)
     gate = _gate(3, [(0, 1), (0, 2)])
     graph = _w_latent(desc, gate, GraphParams())
     assert graph.n_edges == 0
 
 
 def test_latent_kernel_respects_gate():
-    desc = np.tile(np.array([1.0, 1.0]), (3, 1))
+    desc = np.ones((3, 2), dtype=np.float32)
     graph = _w_latent(desc, _gate(3, [(0, 1)]), GraphParams())
     assert edge_set(graph) == {(0, 1)}  # (0, 2) similar but not gated
 
 
 def test_latent_kernel_scales_cosine():
-    desc = np.array([[1.0, 0.0], [1.0, 1.0]])
+    desc = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=np.float32)
     graph = _w_latent(desc, _gate(2, [(0, 1)]), GraphParams(gamma=0.5))
     _, _, w = coo_edges(graph)
     assert w[0] == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_latent_kernel_empty_gate_and_zero_rows():
-    desc = np.array([[0.0, 0.0], [1.0, 0.0]])
+    desc = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.float32)
     assert _w_latent(desc, _gate(2, []), GraphParams()).n_edges == 0
     # A zero-norm row cannot produce a positive cosine.
     assert _w_latent(desc, _gate(2, [(0, 1)]), GraphParams()).n_edges == 0
@@ -254,7 +254,7 @@ def test_latent_kernel_on_a_gate_with_zero_weight_pairs():
     geometry = kernel_geometry(records, None, [params])
     dist = build_w_dist(geometry, params)
     assert dist.weights.size == 9 and dist.n_edges == 0
-    x = np.ones((5, 2))
+    x = np.ones((5, 2), dtype=np.float32)
     for gamma in (0.33, 0.0):
         latent = _w_latent(x, dist, GraphParams(gamma=gamma))
         assert latent.structure is dist.structure
@@ -267,7 +267,8 @@ def test_latent_kernel_on_a_gate_with_zero_weight_pairs():
 
 def test_latent_kernel_checks_row_count():
     with pytest.raises(InputError, match="2 rows"):
-        _w_latent(np.zeros((3, 2)), _gate(2, [(0, 1)]), GraphParams())
+        _w_latent(np.zeros((3, 2), dtype=np.float32), _gate(2, [(0, 1)]),
+                  GraphParams())
 
 
 def test_latent_kernel_needs_cosines_unless_gamma_is_zero():
@@ -285,25 +286,47 @@ def test_latent_kernel_needs_cosines_unless_gamma_is_zero():
 @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
                          ids=["overflow", "underflow"])
 def test_pair_cosines_of_float64_rows_beyond_the_squares_range(scale):
-    # Squares of these rows leave float64; scaling by a power of two moves
-    # no cosine bit.
+    # Only float64 rows square beyond float64 or below it, and they are
+    # refused.
     x = np.random.default_rng(30).standard_normal((4, 16))
-    i, j = np.array([0, 1]), np.array([1, 2])
-    want = pair_cosines(x, i, j)
-    assert np.all(np.isfinite(want) & (want != 0.0))
-    assert pair_cosines(x * scale, i, j).tobytes() == want.tobytes()
-    one = x.copy()
-    one[1] *= scale
-    assert pair_cosines(one, i, j).tobytes() == want.tobytes()
+    x[1] *= scale
+    with pytest.raises(InputError, match="float32, got float64"):
+        pair_cosines(x, np.array([0, 1]), np.array([1, 2]))
 
 
 def test_operator_of_float64_rows_beyond_the_squares_range():
+    # The latent kernel's cosines refuse them, through kernel_geometry.
+    records = _gps_records([0.0, 4.0, 8.0])
+    x = np.random.default_rng(31).standard_normal((3, 8)) * 2.0 ** 600
+    with pytest.raises(InputError, match="float32, got float64"):
+        build_operator(records, x, GraphParams())
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 100, 2.0 ** -100, 2.0 ** -149],
+                         ids=["overflow", "underflow", "subnormal"])
+def test_pair_cosines_of_rows_whose_squares_leave_float32(scale):
+    # Float32 squares of these rows overflow (2^100) or underflow (2^-100,
+    # and subnormal entries, whole multiples of 2^-149); their float64
+    # products do neither, so a power-of-two scale moves no cosine bit.
+    x = np.random.default_rng(30).integers(-2 ** 20, 2 ** 20, (4, 16))
+    x = x.astype(np.float32)
+    i, j = np.array([0, 1]), np.array([1, 2])
+    want = pair_cosines(x, i, j)
+    assert np.all(np.isfinite(want) & (want != 0.0))
+    assert pair_cosines(x * np.float32(scale), i, j).tobytes() == want.tobytes()
+    one = x.copy()
+    one[1] *= np.float32(scale)
+    assert pair_cosines(one, i, j).tobytes() == want.tobytes()
+
+
+def test_operator_of_rows_whose_squares_leave_float32():
     rng = np.random.default_rng(31)
     records = [ImageRecord(f"i{k}", f"s{k % 3}", k // 3, lat, 0.0)
                for k, lat in enumerate(rng.uniform(0.0, 2e-4, 30))]
-    x = rng.standard_normal((30, 8))
+    x = rng.standard_normal((30, 8)).astype(np.float32)
     want = build_operator(records, x, GraphParams()).matrix
-    got = build_operator(records, x * 2.0 ** 600, GraphParams()).matrix
+    got = build_operator(records, x * np.float32(2.0 ** 100),
+                         GraphParams()).matrix
     assert want.nnz > 30
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -317,7 +340,7 @@ def test_operator_of_float64_rows_beyond_the_squares_range():
 def test_weights_that_overflow_or_underflow_are_rejected(params):
     # Two frames of one sequence 4 m apart, with a cosine of 0.3.
     records = _gps_records([0.0, 4.0])
-    desc = np.array([[1.0, 0.0], [0.3, math.sqrt(1.0 - 0.09)]])
+    desc = np.array([[1.0, 0.0], [0.3, math.sqrt(1.0 - 0.09)]], dtype=np.float32)
     geometry = kernel_geometry(records, desc, [params, GraphParams()])
     # The verbatim oracle's exp warns on overflow before it refuses.
     with np.errstate(over="ignore"), \
@@ -537,7 +560,7 @@ def test_build_graph_latent_requires_descriptors():
 
 def test_kernels_refuse_a_geometry_without_their_gate():
     records = _gps_records([0.0, 4.0])
-    desc = np.ones((2, 2))
+    desc = np.ones((2, 2), dtype=np.float32)
     geometry = kernel_geometry(records, desc, [GraphParams()])
     # Another radius, another number of betas, or the same radius with the
     # sequence kernel off is another gate.
@@ -563,7 +586,8 @@ def test_cells_on_one_geometry_equal_their_builds_alone():
     records = (_gps_records([10.0 * k for k in range(6)], "a")
                + _gps_records([3.0 + 25.0 * k for k in range(5)], "b")
                + _gps_records([5000.0], "c"))
-    desc = np.random.default_rng(53).standard_normal((len(records), 6))
+    desc = np.random.default_rng(53).standard_normal((len(records), 6),
+                                                     dtype=np.float32)
     cells = [GraphParams(max_distance_m=15.0),
              GraphParams(max_distance_m=40.0, gamma=0.0),
              GraphParams(max_distance_m=40.0, include_seq=False),

@@ -371,9 +371,11 @@ def test_run_holds_the_support_descriptors_once(run_inputs, tmp_path,
     data, descriptor_bytes = run_inputs
     for module, name in _RUN_BUDGETS:
         monkeypatch.setattr(module, name, 1 << 20)
-    # Each budget is counted twice (a normalization block is held twice,
-    # and the tile budget also bounds a query block cast to the tile's
-    # dtype). On top comes the finiteness mask of one row block.
+    # Each budget is counted twice (a normalization block is held twice).
+    # The smoothing blocks take 4 MiB, not 1: they are never narrower than
+    # smoothing._MIN_BLOCK_COLUMNS (64) columns. Smoothing holds no other
+    # budget's memory, so the sum still covers them. On top comes the
+    # finiteness mask of one row block.
     budgets = 2 * len(_RUN_BUDGETS) * (1 << 20)
     mask = dataset_mod._FINITE_BLOCK_BYTES
     bound = descriptor_bytes + budgets + mask + _RUN_GRAPH_AND_RECORDS + SLACK

@@ -6,11 +6,12 @@ antimeridian, and cells from 5 m to 2 km. The evaluation engine's shortcuts
 are checked bit for bit against the routes they replace: the m-ladder against
 a fresh smooth, operators built on shared kernel geometry against a build for
 the cell alone, and array scoring against one scalar haversine per query.
-Retrieval, which screens each tile in the support's dtype, scores its
-candidates on one float64 route and merges them into a running top k, is
-checked bit for bit against a stable sort of every pair's route score, at
-any tile and batch size and at magnitudes near 1e-30 and 1e30, and within
-the route's bound against per-pair cosines summed with math.fsum. The
+Retrieval, which screens each tile in float32, scores its candidates on
+one float64 route and merges them into a running top k, is checked bit for
+bit against a stable sort of every pair's route score, at any tile and batch
+size and at float32 magnitudes from subnormal to 1e30, on both sides of the
+screen's 2^-64 and 2^64 edges, and within the route's bound against per-pair
+cosines summed with math.fsum. The
 latent cosines, grouped by source row, are checked bit for bit against the
 route that gathers both rows of every pair, and the graph stages (pairs to
 W, its edges, the sum of kernels and the normalization) against the COO
@@ -79,7 +80,8 @@ _values = st.one_of(st.integers(-3, 3).map(float),
 
 @st.composite
 def _tied_sets(draw):
-    """(queries, support) with duplicated, zero and query-copied rows."""
+    """Float32 (queries, support) with duplicated, zero and query-copied
+    rows."""
     dim = draw(st.integers(1, 6))
     n_support = draw(st.integers(1, 24))
     n_query = draw(st.integers(1, 4))
@@ -96,9 +98,7 @@ def _tied_sets(draw):
         copy_of = draw(st.one_of(st.none(), index))
         if copy_of is not None:
             queries[qi] = support[copy_of] * draw(st.sampled_from([1.0, 0.5, 3.0]))
-    if draw(st.booleans()):
-        return queries.astype(np.float32), support.astype(np.float32)
-    return queries, support
+    return queries.astype(np.float32), support.astype(np.float32)
 
 
 def _copy_groups(support: np.ndarray) -> tuple[list[int], list[list[int]]]:
@@ -184,9 +184,9 @@ def _multi_chunk_sets(draw):
     return queries, support
 
 
-# A score tile budget of 4,096 float64 or 8,192 float32 scores (tiles of
-# 64 x 64 or 90 x 91), so a few hundred rows on each side make many tiles.
-_SMALL_TILE_BYTES = 16 * 64 * 64
+# A score tile budget of 4,096 float32 scores (tiles of 64 x 64), so a few
+# hundred rows on each side make many tiles.
+_SMALL_TILE_BYTES = 8 * 64 * 64
 # A rescoring budget of a few candidate pairs per batch (3 to 21 at these
 # dimensions), so that a row's candidates span several batches and merges.
 _SMALL_RESCORE_BYTES = 1 << 10
@@ -268,7 +268,8 @@ def _straddled_places(scores: np.ndarray, limit: int) -> list[int]:
 @PROPERTY
 @given(_multi_chunk_sets(), st.sampled_from([1, 2, 3, 64, 65, 127, 200]),
        st.integers(0, 2**32 - 1))
-@example(case=(np.ones((1, 2)), np.ones((200, 2))), n_query=130, seed=0)
+@example(case=(np.ones((1, 2), np.float32), np.ones((200, 2), np.float32)),
+         n_query=130, seed=0)
 def test_tile_walk_equals_a_stable_sort_of_the_whole_product(case, n_query,
                                                               seed):
     # Small tiles: a query's copies, the zero rows and the rows a tied set
@@ -309,13 +310,14 @@ def test_topk_with_a_short_last_support_chunk(monkeypatch, n_support):
     # scores that copy by the route every pair takes, so it ties the first
     # bit for bit and ranks after it.
     rng = np.random.default_rng(n_support)
-    support = rng.integers(-3, 4, (n_support, 6)).astype(np.float64)
+    support = rng.integers(-3, 4, (n_support, 6)).astype(np.float32)
     support[0] = support[-1] = [0.0, 0.0, 0.0, 0.0, 2.0, 3.0]
-    queries = np.vstack([support[[0, 5]], rng.standard_normal((2, 6))])
+    queries = np.vstack([support[[0, 5]],
+                         rng.standard_normal((2, 6), dtype=np.float32)])
     whole_idx, whole = cosine_knn(queries, support, k=3)
-    # Four float64 query rows: a tile budget of 16 bytes x 4 rows x 64.
-    monkeypatch.setattr(retrieval, "_SCORE_TILE_BYTES", 16 * 4 * 64)
-    assert retrieval._tile_shape(4, n_support, 6, 8)[1] == retrieval._edges(
+    # Four query rows: a tile budget of 2 x 4 bytes x 4 rows x 64.
+    monkeypatch.setattr(retrieval, "_SCORE_TILE_BYTES", 8 * 4 * 64)
+    assert retrieval._tile_shape(4, n_support, 6, 4)[1] == retrieval._edges(
         n_support, 64)
     chunked_idx, chunked = cosine_knn(queries, support, k=3)
     oracle = quadratic_knn(queries, support, k=3)
@@ -350,15 +352,17 @@ def test_exact_copies_tie_wherever_they_sit(seed):
     assert top_idx[0, 0] == 0
 
 
-_magnitudes = st.sampled_from([1.0, 1e-30, 1e30])
+# Rows whose squared norms straddle the screen's 2^-64 and 2^64 edges (2^-32
+# and 2^32 times entries of about 1 to 1,000), whose float32 squares
+# underflow (1e-30) or overflow (1e30), and of subnormal entries (1e-40).
+_magnitudes = st.sampled_from([1.0, 2.0 ** -32, 2.0 ** 32, 1e-30, 1e30, 1e-40])
 
 
 @st.composite
 def _screen_sets(draw):
-    """(queries, support, ks): rows of a tied set at magnitudes near 1, 1e-30
-    and 1e30, with exact copies, zero rows, and near-copies one ulp away in
-    one entry, so that the screen's float32 or float64 cut meets ties and
-    near-ties at every scale; ks include places where a tie straddles."""
+    """(queries, support): rows of a tied set at the magnitudes above, with
+    exact copies, zero rows, and near-copies one ulp away in one entry, so
+    that the screen's cut meets ties and near-ties at every scale."""
     queries, support = draw(_tied_sets())
     n, dim = support.shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -376,8 +380,21 @@ def _screen_sets(draw):
     return queries, support
 
 
+# Query 0, near 1e-30, and query 1, near 2^40, each have their nearest
+# neighbour at the other magnitude: the 2^40 support row's squared norm
+# (about 2^82) is above 2^64, so it skips the screen, and the 1e-30 row's
+# float32 squares underflow to 0.
+_EDGE_ROWS = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]],
+                      dtype=np.float32)
+_EDGE_CASE = (
+    _EDGE_ROWS[:2] * np.array([[1e-30], [2.0 ** 40]], np.float32)
+    + np.array([[0.0, 0.0, 1e-31], [0.0, 0.0, 2.0 ** 36]], np.float32),
+    _EDGE_ROWS * np.array([[2.0 ** 40], [1e-30], [1.0]], np.float32))
+
+
 @PROPERTY
 @given(_screen_sets())
+@example(case=_EDGE_CASE)
 def test_screen_keeps_every_neighbor_at_any_magnitude(case):
     queries, support = case
     n = support.shape[0]
@@ -387,6 +404,8 @@ def test_screen_keeps_every_neighbor_at_any_magnitude(case):
     # The route's scores, to within its bound of the fsum cosines.
     assert np.all(np.abs(route - reference) <= tolerance)
     whole_idx, whole = stable_top_k(route, n)
+    if queries is _EDGE_CASE[0]:
+        assert whole_idx[:, 0].tolist() == [0, 1]
     ks = {1, 2, 3, n}
     for row in whole:
         ks.update(_straddled_places(row, 3))
@@ -542,19 +561,20 @@ def test_two_kilometre_cells_around_the_pole():
 
 @st.composite
 def _pair_lists(draw):
-    """(descriptors, i, j, chunk budget): rows of degree 0 to 9 and at most
-    one hub of degree up to 3,000, with zero rows, in either float dtype at
-    dim 1 to 4,096. Pairs are sorted by i, as the graph builders pass them,
-    or shuffled, so that a row comes back in several runs."""
+    """(descriptors, i, j, chunk budget): float32 rows of degree 0 to 9 and
+    at most one hub of degree up to 3,000, with zero rows, at dim 1 to 4,096
+    and at magnitudes whose float32 squares overflow or underflow, or whose
+    entries are subnormal. Pairs are sorted by i, as the graph builders pass
+    them, or shuffled, so that a row comes back in several runs."""
     dim = draw(st.one_of(st.integers(1, 70), st.integers(71, 4096)))
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scale = draw(st.sampled_from([1.0, 2.0 ** 100, 2.0 ** -100, 1e-40]))
     n = draw(st.integers(1, 12))
     degrees = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     hub = draw(st.one_of(st.none(), st.integers(0, n - 1)))
     if hub is not None:
         degrees[hub] = draw(st.integers(1, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((n, dim)).astype(dtype)
+    x = (rng.standard_normal((n, dim)) * scale).astype(np.float32)
     x[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
     i = np.repeat(np.arange(n), degrees)
     j = rng.integers(0, n, i.size)
@@ -585,7 +605,7 @@ def test_grouped_cosines_equal_the_pair_by_pair_route(case):
 def test_grouped_cosines_of_hubs_and_isolated_rows(dim, dtype):
     # Hubs of 3,000 and 257 pairs: from dim 256 up the first is split
     # across chunks, and at 4,095 and 4,096 the second too. Rows 5 and 6
-    # have no pairs, rows 3 and 17 are zero.
+    # have no pairs, rows 3 and 17 are zero. Float64 rows are refused.
     rng = np.random.default_rng(dim)
     n = 40
     x = rng.standard_normal((n, dim)).astype(dtype)
@@ -594,6 +614,10 @@ def test_grouped_cosines_of_hubs_and_isolated_rows(dim, dtype):
     degrees[[0, 1, 5, 6]] = 3000, 257, 0, 0
     i = np.repeat(np.arange(n), degrees)
     j = rng.integers(0, n, i.size)
+    if dtype is np.float64:
+        with pytest.raises(InputError, match="float32, got float64"):
+            pair_cosines(x, i, j)
+        return
     assert np.array_equal(pair_cosines(x, i, j), chunked_pair_cosines(x, i, j))
 
 
@@ -648,8 +672,7 @@ _params = st.builds(
 
 def _descriptors(draw, n: int, dim: int = 8) -> np.ndarray:
     seed = draw(st.integers(0, 2**32 - 1))
-    x = np.random.default_rng(seed).standard_normal((n, dim)).astype(
-        draw(st.sampled_from([np.float32, np.float64])))
+    x = np.random.default_rng(seed).standard_normal((n, dim), dtype=np.float32)
     if n:
         x[draw(st.integers(0, n - 1))] = 0.0  # a zero row has cosine 0
     return x

@@ -42,7 +42,7 @@ def test_results_are_query_by_k_arrays():
 
 def test_query_finds_itself():
     rng = np.random.default_rng(2)
-    support = rng.standard_normal((20, 8))
+    support = rng.standard_normal((20, 8), dtype=np.float32)
     queries = support[[7]]
     indices, scores = cosine_knn(queries, support, k=1)
     assert indices[0, 0] == 7
@@ -50,16 +50,16 @@ def test_query_finds_itself():
 
 
 def test_orthogonal_vectors_score_zero():
-    queries = np.array([[1.0, 0.0]])
-    support = np.array([[0.0, 1.0]])
+    queries = np.array([[1.0, 0.0]], dtype=np.float32)
+    support = np.array([[0.0, 1.0]], dtype=np.float32)
     indices, scores = cosine_knn(queries, support, k=1)
     assert (indices[0, 0], scores[0, 0]) == (0, 0.0)
 
 
 def test_matches_quadratic_oracle():
     rng = np.random.default_rng(3)
-    queries = rng.standard_normal((50, 16))
-    support = rng.standard_normal((200, 16))
+    queries = rng.standard_normal((50, 16), dtype=np.float32)
+    support = rng.standard_normal((200, 16), dtype=np.float32)
     indices, scores = cosine_knn(queries, support, k=5)
     want = quadratic_knn(queries, support, k=5)
     assert len(indices) == len(want)
@@ -71,8 +71,7 @@ def test_matches_quadratic_oracle():
 
 def test_ties_break_toward_lower_support_index():
     rng = np.random.default_rng(5)
-    base = rng.standard_normal((12, 6))
-    support = base.copy()
+    support = rng.standard_normal((12, 6), dtype=np.float32)
     support[9] = support[3]  # exact duplicate later in the list
     queries = support[[3]] * 2.0
     indices, _ = cosine_knn(queries, support, k=2)
@@ -80,27 +79,28 @@ def test_ties_break_toward_lower_support_index():
 
 
 def test_cosine_ignores_positive_rescaling():
+    # Each rescaled float32 entry is rounded once, by at most 2^-24 of it.
     rng = np.random.default_rng(7)
-    queries = rng.standard_normal((10, 5))
-    support = rng.standard_normal((30, 5))
-    scales = rng.uniform(0.1, 10.0, (30, 1))
+    queries = rng.standard_normal((10, 5), dtype=np.float32)
+    support = rng.standard_normal((30, 5), dtype=np.float32)
+    scales = rng.uniform(0.1, 10.0, (30, 1)).astype(np.float32)
     plain_idx, plain = cosine_knn(queries, support, k=3)
     scaled_idx, scaled = cosine_knn(queries, support * scales, k=3)
     assert np.array_equal(plain_idx, scaled_idx)
-    assert np.allclose(plain, scaled, rtol=0.0, atol=1e-12)
+    assert np.allclose(plain, scaled, rtol=0.0, atol=4 * 2.0 ** -24)
 
 
-@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
+@pytest.mark.parametrize("scale", [2.0 ** 100, 2.0 ** -100],
                          ids=["overflow", "underflow"])
-def test_query_rows_whose_squares_leave_float64_keep_their_neighbors(scale):
-    # The scaled row's squared norm overflows (2^600) or underflows (2^-600)
-    # float64, so it skips the screen; a power-of-two scale changes no bit
+def test_query_rows_whose_squares_leave_float32_keep_their_neighbors(scale):
+    # The scaled row's float32 squared norm overflows (2^100) or underflows
+    # (2^-100), so it skips the screen; a power-of-two scale changes no bit
     # of its unit row, so no score moves either.
     rng = np.random.default_rng(8)
-    support = rng.standard_normal((50, 16))
-    queries = support[[17, 3]] + 0.5 * rng.standard_normal((2, 16))
+    support = rng.standard_normal((50, 16), dtype=np.float32)
+    queries = support[[17, 3]] + rng.standard_normal((2, 16), dtype=np.float32) / 2
     scaled = queries.copy()
-    scaled[0] *= scale
+    scaled[0] *= np.float32(scale)
     want_idx, want = cosine_knn(queries, support, k=2)
     got_idx, got = cosine_knn(scaled, support, k=2)
     assert np.array_equal(got_idx, want_idx)
@@ -110,8 +110,8 @@ def test_query_rows_whose_squares_leave_float64_keep_their_neighbors(scale):
 
 def test_k_equals_n_gives_total_order():
     rng = np.random.default_rng(9)
-    queries = rng.standard_normal((4, 6))
-    support = rng.standard_normal((15, 6))
+    queries = rng.standard_normal((4, 6), dtype=np.float32)
+    support = rng.standard_normal((15, 6), dtype=np.float32)
     indices, scores = cosine_knn(queries, support, k=15)
     assert indices.shape == (4, 15)
     for row, row_scores in zip(indices.tolist(), scores.tolist()):
@@ -120,9 +120,9 @@ def test_k_equals_n_gives_total_order():
 
 
 def test_zero_query_rows_warn_and_rank_by_index(caplog):
-    queries = np.zeros((1, 4))
+    queries = np.zeros((1, 4), dtype=np.float32)
     rng = np.random.default_rng(11)
-    support = rng.standard_normal((6, 4))
+    support = rng.standard_normal((6, 4), dtype=np.float32)
     with caplog.at_level(logging.WARNING, logger="gsloc.retrieval"):
         indices, scores = cosine_knn(queries, support, k=3)
     assert indices[0].tolist() == [0, 1, 2]
@@ -132,15 +132,15 @@ def test_zero_query_rows_warn_and_rank_by_index(caplog):
 
 def test_zero_rows_are_counted_once_across_query_blocks(caplog, monkeypatch):
     rng = np.random.default_rng(12)
-    support = rng.standard_normal((200, 5))
+    support = rng.standard_normal((200, 5), dtype=np.float32)
     support[[3, 70, 199]] = 0.0
-    queries = rng.standard_normal((130, 5))
+    queries = rng.standard_normal((130, 5), dtype=np.float32)
     queries[[0, 129]] = 0.0
-    # A tile budget of one 64 x 64 float64 tile: three query blocks and
+    # A tile budget of one 64 x 64 float32 tile: three query blocks and
     # four support chunks. The zero rows are counted once, whichever block
     # and chunk they fall in.
-    monkeypatch.setattr(retrieval, "_SCORE_TILE_BYTES", 16 * 64 * 64)
-    assert retrieval._tile_shape(130, 200, 5, 8) == (
+    monkeypatch.setattr(retrieval, "_SCORE_TILE_BYTES", 8 * 64 * 64)
+    assert retrieval._tile_shape(130, 200, 5, 4) == (
         [(0, 64), (64, 128), (128, 130)],
         [(0, 64), (64, 128), (128, 192), (192, 200)])
     with caplog.at_level(logging.WARNING, logger="gsloc.retrieval"):
@@ -152,16 +152,16 @@ def test_zero_rows_are_counted_once_across_query_blocks(caplog, monkeypatch):
     assert np.all(scores[:, 0] >= scores[:, 1])
 
 
-def test_float64_queries_meet_a_float32_support_by_the_same_route():
-    # Query rows are cast to the support's float32 for the screen: rows
-    # that overflow or underflow there, and a row that casts to zero, are
-    # scored against every column; the answers are the route's own.
+def test_queries_beyond_the_screens_range_take_the_same_route():
+    # Rows whose float32 squares overflow or underflow, and a row of
+    # subnormal entries, are scored against every column; the answers are
+    # the route's own.
     rng = np.random.default_rng(13)
-    support = rng.standard_normal((300, 16)).astype(np.float32)
-    queries = rng.standard_normal((8, 16))
-    queries[0] *= 1e150
-    queries[1] *= 1e-150
-    queries[2] *= 1e-42
+    support = rng.standard_normal((300, 16), dtype=np.float32)
+    queries = rng.standard_normal((8, 16), dtype=np.float32)
+    queries[0] *= np.float32(1e30)
+    queries[1] *= np.float32(1e-30)
+    queries[2] *= np.float32(1e-42)
     queries[3] = support[5]
     queries[4] = 0.0
     for k in (1, 3):
@@ -173,16 +173,16 @@ def test_float64_queries_meet_a_float32_support_by_the_same_route():
 
 
 def test_knn_validation():
-    q = np.zeros((2, 3))
-    s = np.zeros((4, 3))
+    q = np.zeros((2, 3), dtype=np.float32)
+    s = np.zeros((4, 3), dtype=np.float32)
     with pytest.raises(InputError, match="k="):
         cosine_knn(q, s, k=0)
     with pytest.raises(InputError, match="k="):
         cosine_knn(q, s, k=5)
     with pytest.raises(InputError, match="dim mismatch"):
-        cosine_knn(q, np.zeros((4, 2)), k=1)
+        cosine_knn(q, np.zeros((4, 2), dtype=np.float32), k=1)
     with pytest.raises(InputError, match="2-D"):
-        cosine_knn(np.zeros(3), s, k=1)
+        cosine_knn(np.zeros(3, dtype=np.float32), s, k=1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 
 import gsloc.smoothing as smoothing_mod
 from gsloc.errors import InputError
-from gsloc.graph import GraphParams, WeightedGraph, normalize
+from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
+                         normalize)
 from gsloc.smoothing import SmoothConfig, smooth
 from oracles import random_weighted_graph, smooth_dense_oracle
 
@@ -106,11 +107,38 @@ def test_two_vertex_worked_example():
 def test_column_blocking_does_not_change_values(monkeypatch):
     rng = np.random.default_rng(17)
     op = _random_operator(rng)
-    signal = rng.standard_normal((op.n, 24)).astype(np.float32)
+    signal = rng.standard_normal((op.n, 150)).astype(np.float32)
     whole = smooth(op, signal, SmoothConfig(m=2))
+    # The narrowest blocks: 64, 64 and 22 columns.
     monkeypatch.setattr(smoothing_mod, "_BLOCK_BUDGET_BYTES", 1)
-    column_at_a_time = smooth(op, signal, SmoothConfig(m=2))
-    assert np.array_equal(whole, column_at_a_time)
+    blocked = smooth(op, signal, SmoothConfig(m=2))
+    assert np.array_equal(whole, blocked)
+
+
+class _RecordingMatrix:
+    """A sparse matrix that records the width of each block it multiplies."""
+
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.widths = matrix, matrix.shape, []
+
+    def __matmul__(self, block):
+        self.widths.append(block.shape[1])
+        return self.matrix @ block
+
+
+def test_blocks_are_at_least_64_columns_wide(monkeypatch):
+    # A budget whose byte rule gives 16 columns still makes 64-column
+    # blocks, and their bits are those of one unblocked product.
+    rng = np.random.default_rng(29)
+    op = _random_operator(rng)
+    signal = rng.standard_normal((op.n, 150)).astype(np.float32)
+    monkeypatch.setattr(smoothing_mod, "_BLOCK_BUDGET_BYTES", 2 * 8 * op.n * 16)
+    recording = _RecordingMatrix(op.matrix)
+    got = smooth(SmoothingOperator(recording, op.isolated_vertices), signal,
+                 SmoothConfig(m=2))
+    assert recording.widths == [64, 64, 64, 64, 22, 22]
+    want = op.matrix @ (op.matrix @ signal.astype(np.float64))
+    assert got.tobytes() == want.astype(np.float32).tobytes()
 
 
 def test_output_dtype_follows_input():
