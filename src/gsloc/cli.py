@@ -7,8 +7,9 @@ which always win), the config-file type checks and the config echo in
 manifest.json all come from that table. Every command runs in one skeleton,
 `main`: the config, and the splits that ingest or an evaluating command
 loads, are checked before anything is made; then the output directory is
-locked. For the evaluating commands `main` also opens the cache, prepares
-both splits and writes manifest.json; `run` caches its intermediates
+locked, its old manifest and a killed run's temp files go, and the manifest
+is written after every other file. For the evaluating commands `main` also
+opens the cache and prepares both splits; `run` caches its intermediates
 (projection, and the operator and smoothed descriptors of each side it
 smooths) under content+parameter hashes so repeated or swept runs skip
 finished stages.
@@ -32,7 +33,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .cache import Cache, param_key, sha256_file
+from .cache import (TEMP_PREFIX, Cache, param_key, sha256_file, write_json,
+                    write_utf8)
 from .codec import ADJ1, EMB1, PRJ1
 from .dataset import (Dataset, ImageRecord, filter_reachable_queries,
                       load_dataset, load_descriptors, write_descriptors,
@@ -42,8 +44,7 @@ from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, SMOOTHED_SIDES,
                          _evaluate, ablation_table_csv, check_threshold_m,
                          grid_cells, grid_search, grid_table_csv,
                          render_report, run_ablation, sweep_m,
-                         sweep_plot_data, sweep_table_csv, write_report_csv,
-                         write_report_json)
+                         sweep_plot_data, sweep_table_csv, write_report_csv)
 from .features import (apply_projection, check_eps, fit_projection,
                        l2_normalize, load_projection, save_projection)
 from .graph import (GraphParams, SmoothingOperator, build_operator,
@@ -67,7 +68,7 @@ class OutDirLock:
         self._fd: int | None = None
 
     def __enter__(self) -> "OutDirLock":
-        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
+        fd = os.open(self.path, os.O_CREAT | os.O_RDONLY, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -362,11 +363,6 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     return config
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Shared pipeline stages
 
@@ -426,9 +422,9 @@ def _prepare(config: SimpleNamespace, support: Dataset, query: Dataset,
             "eps": eps,
             "v": 2,
         })
-        def produce(tmp: Path) -> None:
+        def produce(path: Path) -> None:
             fitted = fit_projection(support.descriptors, d_out, eps=eps)
-            save_projection(tmp, fitted)
+            save_projection(path, fitted)
         path, hit = cache.get_or_create("projection", key, ".prj1", produce,
                                         PRJ1.shape)
         print(f"projection cache {'hit' if hit else 'miss'}: {path.name}")
@@ -498,8 +494,8 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
     """
     desc = dataset.descriptors
     graph_key = _graph_key(side, params, config, info)
-    def build(tmp: Path) -> None:
-        save_operator(tmp, build_operator(dataset.records, desc, params))
+    def build(path: Path) -> None:
+        save_operator(path, build_operator(dataset.records, desc, params))
     op_path, hit = cache.get_or_create("graph", graph_key, ".adj1", build,
                                        ADJ1.shape)
     print(f"{side} graph cache {'hit' if hit else 'miss'}: {op_path.name}")
@@ -508,11 +504,11 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
     graphs[side] = _graph_summary(op, dataset.records)
     # The graph key covers the graph params.
     smooth_key = param_key({"graph": graph_key, "m": m, "v": 2})
-    def run_smooth(tmp: Path) -> None:
+    def run_smooth(path: Path) -> None:
         smooth(op, desc, SmoothConfig(m=m), out=desc)
         # Row-stochastic averages of finite rows are finite, so they are
         # written without write_descriptors' scan.
-        EMB1.write(tmp, desc.shape, [desc])
+        EMB1.write(path, desc.shape, [desc])
     emb_path, hit = cache.get_or_create("smoothed", smooth_key, ".emb1",
                                         run_smooth, EMB1.shape)
     print(f"{side} smoothing cache {'hit' if hit else 'miss'}: {emb_path.name}")
@@ -538,7 +534,7 @@ def _ingest_splits(config: SimpleNamespace) -> dict[str, Dataset]:
 
 
 def cmd_ingest(config: SimpleNamespace, out_dir: Path,
-               splits: dict[str, Dataset]) -> None:
+               splits: dict[str, Dataset]) -> dict:
     manifest: dict = {"splits": {}}
     print(f"{'split':<10}{'sequences':>10}{'images':>10}")
     for role, ds in splits.items():
@@ -555,22 +551,21 @@ def cmd_ingest(config: SimpleNamespace, out_dir: Path,
             "n_images": stats.n_images,
             "dim": ds.dim,
         }
-    _write_json(out_dir / "ingest_manifest.json", manifest)
     print(f"wrote {out_dir / 'ingest_manifest.json'}")
+    return manifest
 
 
-def cmd_synth(config: SimpleNamespace, out_dir: Path) -> None:
+def cmd_synth(config: SimpleNamespace, out_dir: Path) -> dict:
     support, query, truth = generate_synthetic(config.synth, seed=config.seed)
     write_metadata(out_dir / "support_metadata.csv", support.records)
     write_descriptors(out_dir / "support_descriptors.emb1", support.descriptors)
     write_metadata(out_dir / "query_metadata.csv", query.records)
     write_descriptors(out_dir / "query_descriptors.emb1", query.descriptors)
-    _write_json(out_dir / "ground_truth.json", truth)
-    _write_json(out_dir / "synth_manifest.json",
-                {"config": asdict(config.synth), "seed": config.seed})
+    write_json(out_dir / "ground_truth.json", truth)
     print(f"synthetic dataset written to {out_dir}: "
           f"support {support.n_images} images, query {query.n_images} images, "
           f"dim {support.dim}")
+    return {"config": asdict(config.synth), "seed": config.seed}
 
 
 def cmd_run(config: SimpleNamespace, out_dir: Path, support: Dataset,
@@ -586,7 +581,7 @@ def cmd_run(config: SimpleNamespace, out_dir: Path, support: Dataset,
                           info=info, graphs=graphs),
         snapshot, threshold_m=config.threshold_m, k=config.k,
         strategy=config.strategy, query_gps=config.query_gps)
-    write_report_json(out_dir / "report.json", report)
+    write_json(out_dir / "report.json", asdict(report))
     write_report_csv(out_dir / "report.csv", report)
     write_matches(out_dir / "matches.csv", indices, scores, query.records,
                   support.records)
@@ -602,7 +597,7 @@ def cmd_ablate(config: SimpleNamespace, out_dir: Path, support: Dataset,
                         k=config.k, strategy=config.strategy,
                         query_gps=config.query_gps, threads=config.threads)
     table = ablation_table_csv(rows)
-    (out_dir / "ablation.csv").write_text(table, encoding="utf-8")
+    write_utf8(out_dir / "ablation.csv", table)
     print(table, end="")
     print(f"ablation table written to {out_dir / 'ablation.csv'}")
 
@@ -613,9 +608,8 @@ def cmd_sweep_m(config: SimpleNamespace, out_dir: Path, support: Dataset,
                    regime=config.regime, threshold_m=config.threshold_m, k=config.k,
                    strategy=config.strategy, query_gps=config.query_gps)
     table = sweep_table_csv(rows)
-    (out_dir / "sweep.csv").write_text(table, encoding="utf-8")
-    (out_dir / "sweep_plot.dat").write_text(sweep_plot_data(rows),
-                                            encoding="utf-8")
+    write_utf8(out_dir / "sweep.csv", table)
+    write_utf8(out_dir / "sweep_plot.dat", sweep_plot_data(rows))
     print(table, end="")
     print(f"sweep written to {out_dir / 'sweep.csv'}")
 
@@ -627,10 +621,9 @@ def cmd_gridsearch(config: SimpleNamespace, out_dir: Path, support: Dataset,
         base_cfg=config.smoothing, regime=config.regime,
         threshold_m=config.threshold_m, k=config.k, strategy=config.strategy,
         query_gps=config.query_gps, threads=config.threads)
-    csv_text = grid_table_csv(table)
-    (out_dir / "gridsearch.csv").write_text(csv_text, encoding="utf-8")
-    best = {"graph": asdict(best_params), "m": best_cfg.m}
-    _write_json(out_dir / "best_params.json", best)
+    write_utf8(out_dir / "gridsearch.csv", grid_table_csv(table))
+    write_json(out_dir / "best_params.json",
+               {"graph": asdict(best_params), "m": best_cfg.m})
     print(f"evaluated {len(table)} grid cells")
     echo = [f"alpha={best_params.alpha!r}"]
     echo += [f"beta{i}={b!r}" for i, b in enumerate(best_params.betas, start=1)]
@@ -648,7 +641,8 @@ def cmd_gridsearch(config: SimpleNamespace, out_dir: Path, support: Dataset,
 # with the prepared splits, their provenance and the open cache, and its
 # manifest.json repeats the extras (config values) beside the config echo and
 # the provenance, with any sections the command returns (run's graphs). A
-# command whose extras are None evaluates nothing.
+# command whose extras are None evaluates nothing and returns the payload of
+# its own <command>_manifest.json.
 _COMMANDS = {
     "ingest": (cmd_ingest, "validate datasets and write a manifest", None),
     "synth": (cmd_synth, "generate a synthetic dataset", None),
@@ -680,6 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command, _, extras = _COMMANDS[args.command]
+    manifest = "manifest.json" if extras is not None else f"{args.command}_manifest.json"
     try:
         config = resolve_config(args)
         # The inputs are loaded and checked before anything is made.
@@ -689,18 +684,21 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         with OutDirLock(out_dir):
+            # No live run writes here, and the old manifest vouches for old files.
+            for path in [out_dir / manifest, *out_dir.glob(TEMP_PREFIX + "*")]:
+                path.unlink(missing_ok=True)
             if extras is None:
-                command(config, out_dir, *loaded)
+                payload = command(config, out_dir, *loaded)
             else:
                 cache = Cache(config.cache_dir)
                 support, query = _prepare(config, support, query, info, cache)
                 sections = command(config, out_dir, support, query, info,
                                    cache) or {}
-                # Written last: run's smoother adds its graph keys to info.
-                _write_json(out_dir / "manifest.json",
-                            {"config": config.echo, "provenance": info,
-                             **{key: getattr(config, key) for key in extras},
-                             **sections})
+                # run's smoother adds its graph keys to info.
+                payload = {"config": config.echo, "provenance": info,
+                           **{key: getattr(config, key) for key in extras},
+                           **sections}
+            write_json(out_dir / manifest, payload)
         return 0
     except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .cache import write_file
 from .errors import InputError
 
 
@@ -73,12 +74,13 @@ class Format:
 
     def write(self, path: str | Path, fields: Sequence[int],
               arrays: Sequence[np.ndarray]) -> None:
-        """The header, then each array as its section in C order; an array
-        that already has its section's dtype is not copied."""
-        with open(path, "wb") as fh:
+        """The header, then each array as its section in C order, through
+        ``cache.write_file``; an array of its section's dtype is not copied."""
+        def fill(fh) -> None:
             fh.write(self.header.pack(self.magic, *fields))
             for (dtype, _), array in zip(self.sections(*fields), arrays, strict=True):
                 fh.write(np.ascontiguousarray(array, dtype=dtype))
+        write_file(path, fill)
 
 
 # rows x dim descriptors, row-major.

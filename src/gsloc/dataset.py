@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .cache import csv_text, write_utf8
 from .codec import EMB1
 from .errors import InputError
 from .spatial import LatLonGrid
@@ -199,12 +200,9 @@ def load_metadata(path: str | Path) -> list[ImageRecord]:
 
 def write_metadata(path: str | Path, records: Iterable[ImageRecord]) -> None:
     """Write records as metadata CSV (LF line endings, lossless float repr)."""
-    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METADATA_HEADER)
-        for r in records:
-            writer.writerow([r.image_id, r.sequence_id, r.frame_index,
-                             repr(float(r.lat)), repr(float(r.lon))])
+    write_utf8(path, csv_text([METADATA_HEADER, *(
+        [r.image_id, r.sequence_id, r.frame_index, float(r.lat), float(r.lon)]
+        for r in records)]))
 
 
 def load_descriptors(path: str | Path, expected_rows: int | None, *,

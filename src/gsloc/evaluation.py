@@ -16,7 +16,6 @@ Every evaluation, `run`'s included, goes through ``_evaluate``, and
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -25,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cache import csv_text, write_utf8
 from .dataset import Dataset
 from .errors import InputError
 from .geodesy import haversine_m_each
@@ -367,18 +367,11 @@ def grid_search(support: Dataset, validation_query: Dataset, grid: dict, *,
 # Serialization
 
 
-def write_report_json(path: str | Path, report: EvalReport) -> None:
-    text = json.dumps(asdict(report), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
 def write_report_csv(path: str | Path, report: EvalReport) -> None:
-    lines = [
-        "regime,threshold_m,n_queries,median_error_m,acc_at_threshold",
-        f"{report.regime},{report.threshold_m!r},{len(report.per_query_error_m)}"
-        f",{report.median_error_m!r},{report.acc_at_threshold!r}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_utf8(path, csv_text([
+        ["regime", "threshold_m", "n_queries", "median_error_m", "acc_at_threshold"],
+        [report.regime, report.threshold_m, len(report.per_query_error_m),
+         report.median_error_m, report.acc_at_threshold]]))
 
 
 def render_report(report: EvalReport) -> str:
@@ -388,30 +381,25 @@ def render_report(report: EvalReport) -> str:
 
 
 def ablation_table_csv(rows: list[AblationRow]) -> str:
-    lines = ["use_dist,use_seq,use_latent,median_error_m,acc_at_threshold"]
-    for row in rows:
-        lines.append(f"{int(row.use_dist)},{int(row.use_seq)},{int(row.use_latent)}"
-                     f",{row.median_error_m!r},{row.acc_at_threshold!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text([
+        ["use_dist", "use_seq", "use_latent", "median_error_m", "acc_at_threshold"],
+        *([int(row.use_dist), int(row.use_seq), int(row.use_latent),
+           row.median_error_m, row.acc_at_threshold] for row in rows)])
 
 
 def sweep_table_csv(rows: list[tuple[int, float, float]]) -> str:
-    lines = ["m,acc_at_threshold,median_error_m"]
-    for m, acc, median in rows:
-        lines.append(f"{m},{acc!r},{median!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text([["m", "acc_at_threshold", "median_error_m"], *rows])
 
 
 def sweep_plot_data(rows: list[tuple[int, float, float]]) -> str:
     """Two-column (m, accuracy) text block for external plotting."""
-    return "\n".join(f"{m}\t{acc!r}" for m, acc, _ in rows) + "\n"
+    return csv_text([(m, acc) for m, acc, _ in rows], delimiter="\t")
 
 
 def grid_table_csv(table: list[dict]) -> str:
-    lines = ["alpha,betas,gamma,max_distance_m,m,acc_at_threshold,median_error_m"]
-    for row in table:
-        betas = ";".join(repr(b) for b in row["betas"])
-        lines.append(f"{row['alpha']!r},{betas},{row['gamma']!r}"
-                     f",{row['max_distance_m']!r},{row['m']}"
-                     f",{row['acc_at_threshold']!r},{row['median_error_m']!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text([
+        ["alpha", "betas", "gamma", "max_distance_m", "m", "acc_at_threshold",
+         "median_error_m"],
+        *([row["alpha"], ";".join(map(repr, row["betas"])), row["gamma"],
+           row["max_distance_m"], row["m"], row["acc_at_threshold"],
+           row["median_error_m"]] for row in table)])

@@ -266,6 +266,9 @@ def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
     warning).
 
     Each row block is copied to float64, normalized there and written back.
+    A block with a row holding inf or NaN is refused before it is written,
+    with an InputError naming that row; the blocks before it are already
+    normalized by then.
     """
     x = np.asarray(descriptors)
     if x.ndim != 2:
@@ -276,6 +279,10 @@ def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
     for start in range(0, x.shape[0], block):
         rows = x[start:start + block].astype(np.float64)
         norms, zero = row_norms(rows, _NORM_BLOCK_BYTES)
+        # A finite float32 row always has a finite float64 norm.
+        if not np.isfinite(norms).all():
+            bad = start + int(np.flatnonzero(~np.isfinite(norms))[0])
+            raise InputError(f"descriptors row {bad} is not finite")
         n_zero += zero
         rows /= norms[:, None]
         x[start:start + block] = rows

@@ -54,9 +54,11 @@ So every column at or above t - 2B (1 + a/2 + a^2) ||x~|| / (1 - u), with
 ||x~|| the query's screening norm, is a candidate: the set holds every
 column whose float64 score reaches the k-th best, ties included, for every
 BLAS, thread count and tile shape. The cut is rounded down to T. Rows whose
-squared norm lies outside the screened range (or is not finite) are scored
-on the float64 route against everything; zero query rows take the first k
-support rows at score 0, which is what that route gives them.
+squared norm lies outside the screened range are scored on the float64 route
+against everything; zero query rows take the first k support rows at score
+0, which is what that route gives them. A row holding inf or NaN has no
+finite squared norm, so it is never screened, and only unscreened rows are
+searched for one to refuse.
 
 Each tile is cut against its row's running k-th screened entry, which only
 grows as chunks are added, so each chunk's candidates hold those of the
@@ -69,13 +71,13 @@ but exact, and held by the same budgets.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from pathlib import Path
 
 import numpy as np
 
+from .cache import csv_text, write_utf8
 from .dataset import ImageRecord, check_float32
 from .errors import InputError
 from .features import row_norms
@@ -105,7 +107,8 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by cosine similarity for every query row: (indices,
     scores), two (n_query, k) arrays whose row i lists query i's neighbors
-    best first. Both arrays must be float32.
+    best first. Both arrays must be float32; a row holding inf or NaN is
+    refused with an InputError that names its side and index.
 
     Zero rows (on either side) score 0 against everything and are counted in
     a log warning. Equal scores rank the smaller support index first.
@@ -137,6 +140,7 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
         inverse = 1 / np.sqrt(squares)
         inverse[~screened | s_zero] = 1
         unscreened = np.flatnonzero(~screened)
+        _refuse_nonfinite("support", s, unscreened, 0)
         for start, stop in blocks:
             rows = stop - start
             x = q[start:stop]
@@ -144,6 +148,7 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
             q_zero += int(np.count_nonzero(zero))
             # Unscreened query rows take every column, zero rows none.
             open_rows, zero_rows = np.flatnonzero(~x_screened), np.flatnonzero(zero)
+            _refuse_nonfinite("query", x, open_rows, start)
             # The cut's half-width in tile units.
             reach = width * np.sqrt(x_squares, dtype=np.float64)
             kth = np.full((rows, k), -np.inf, dtype)
@@ -202,6 +207,15 @@ def _screen_squares(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if zero.any():
         zero[zero] = ~x[zero].any(axis=1)
     return squares, ((squares >= 1 / limit) & (squares <= limit)) | zero, zero
+
+
+def _refuse_nonfinite(side: str, x: np.ndarray, rows: np.ndarray,
+                      offset: int) -> None:
+    """Refuse the first of ``rows`` (unscreened rows of x, whose first row is
+    row ``offset`` of its side) that holds inf or NaN."""
+    bad = rows[~np.isfinite(x[rows]).all(axis=1)]
+    if bad.size:
+        raise InputError(f"{side} row {offset + int(bad[0])} is not finite")
 
 
 def _screen_bound(dim: int, dtype: np.dtype) -> float:
@@ -359,11 +373,8 @@ def write_matches(path: str | Path, indices: np.ndarray, scores: np.ndarray,
     """CSV export of cosine_knn's arrays, one row of them per query record:
     query_id,rank,support_id,score with 1-based ranks and LF line endings;
     an id is quoted when it holds a comma, a quote or a line break."""
-    rows = [[record.image_id, rank, support_records[sidx].image_id, repr(score)]
+    rows = [[record.image_id, rank, support_records[sidx].image_id, score]
             for record, row, row_scores in zip(query_records, indices.tolist(),
                                                scores.tolist(), strict=True)
             for rank, (sidx, score) in enumerate(zip(row, row_scores), start=1)]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["query_id", "rank", "support_id", "score"])
-        writer.writerows(rows)
+    write_utf8(path, csv_text([["query_id", "rank", "support_id", "score"], *rows]))

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -17,7 +21,8 @@ import pytest
 
 import oracles
 from gsloc.cli import main
-from gsloc.dataset import ImageRecord, filter_reachable_queries
+from gsloc.dataset import (ImageRecord, filter_reachable_queries,
+                           write_descriptors, write_metadata)
 from gsloc.evaluation import run_ablation, sweep_m
 from gsloc.features import apply_projection, fit_projection
 from gsloc.geodesy import METERS_PER_DEGREE
@@ -311,7 +316,11 @@ def test_criterion_12_kernels_help_jointly(capsys, study):
 # Scale and reproducibility (criteria 13-14)
 
 
-def test_criterion_13_city_scale_performance(capsys):
+@pytest.fixture(scope="module")
+def city() -> tuple[list[ImageRecord], np.ndarray]:
+    """Criterion 13's city: 24,263 images in 44 sequences 100 m apart,
+    frames 3 m apart, with i.i.d. normal 4,096-d descriptors; the tests
+    only read it."""
     n, dim, n_seq = 24_263, 4_096, 44
     base, extra = divmod(n, n_seq)
     records = []
@@ -322,7 +331,12 @@ def test_criterion_13_city_scale_performance(capsys):
                                        lat0, f * (3.0 / METERS_PER_DEGREE)))
     assert len(records) == n
     rng = np.random.default_rng(113)
-    descriptors = rng.standard_normal((n, dim), dtype=np.float32)
+    return records, rng.standard_normal((n, dim), dtype=np.float32)
+
+
+def test_criterion_13_city_scale_performance(capsys, city):
+    records, descriptors = city
+    n, dim = descriptors.shape
 
     start = time.perf_counter()
     op = build_operator(records, descriptors, GraphParams())
@@ -339,6 +353,69 @@ def test_criterion_13_city_scale_performance(capsys):
              ok, f"{n} x {dim} descriptors, {degree:.1f} edges/vertex: "
                  f"graph build {t_build:.1f}s (< 30s), m=2 smoothing "
                  f"{t_smooth:.1f}s (< 60s)")
+
+
+# A child that runs the command line once gsloc is imported, then prints its
+# wall time from there and its peak resident memory (VmHWM) as a JSON line.
+_TIMED_RUN = """
+import json, sys, time
+import gsloc.cli
+start = time.perf_counter()
+rc = gsloc.cli.main(sys.argv[1:])
+wall_s = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"rc": rc, "wall_s": wall_s, "peak_mb": kib / 1024}))
+"""
+
+
+def test_criterion_13_city_scale_run_end_to_end(capsys, tmp_path, city):
+    # The whole `run` at criterion 13's size, from the four input files:
+    # load, hashes, normalization, graph, smoothing, both cache writes,
+    # retrieval and the reports, cold and then warm on one cache.
+    records, descriptors = city
+    rng = np.random.default_rng(114)
+    picks = np.sort(rng.choice(len(records), 256, replace=False))
+    queries = [ImageRecord(f"q{i}", f"q{i // 32}", i % 32, records[p].lat,
+                           records[p].lon) for i, p in enumerate(picks.tolist())]
+    noisy = descriptors[picks] + 0.5 * rng.standard_normal(
+        (picks.size, descriptors.shape[1]), dtype=np.float32)
+    data = tmp_path / "data"
+    data.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:  # about 0.8 GB of inputs and artifacts, removed when done
+        for role, rows, desc in (("support", records, descriptors),
+                                 ("query", queries, noisy)):
+            write_metadata(data / f"{role}_metadata.csv", rows)
+            write_descriptors(data / f"{role}_descriptors.emb1", desc)
+        runs, outputs = {}, {}
+        for label in ("cold", "warm"):
+            out = tmp_path / label
+            argv = ["run", "--regime", "gs_support", "--m", "2",
+                    "--out-dir", str(out), "--cache-dir", str(tmp_path / "cache")]
+            for role in ("support", "query"):
+                argv += [f"--{role}-metadata", str(data / f"{role}_metadata.csv"),
+                         f"--{role}-descriptors",
+                         str(data / f"{role}_descriptors.emb1")]
+            child = subprocess.run([sys.executable, "-c", _TIMED_RUN, *argv],
+                                   env=env, capture_output=True, text=True)
+            assert child.returncode == 0, child.stderr
+            runs[label] = json.loads(child.stdout.splitlines()[-1])
+            outputs[label] = {path.name: path.read_bytes()
+                              for path in sorted(out.iterdir())
+                              if path.name != ".lock"}
+    finally:
+        shutil.rmtree(tmp_path)
+    cold, warm = runs["cold"], runs["warm"]
+    peak = max(cold["peak_mb"], warm["peak_mb"])
+    same = outputs["cold"] == outputs["warm"] and len(outputs["cold"]) == 4
+    ok = (cold["rc"] == warm["rc"] == 0 and cold["wall_s"] < 60.0
+          and peak < 1024.0 and same)
+    _verdict(capsys, "city-scale run",
+             ok, f"gsloc run at {len(records)} x 4096, 256 queries, "
+                 f"gs_support m=2: cold {cold['wall_s']:.1f}s (< 60s), warm "
+                 f"{warm['wall_s']:.1f}s, peak {peak:.0f} MB (< 1024 MB), "
+                 f"cold and warm outputs {'identical' if same else 'DIFFER'}")
 
 
 def test_criterion_14_reports_are_byte_reproducible(capsys, tmp_path):

@@ -1,14 +1,17 @@
 """The artifact cache on its own: a hit that fails its check is rebuilt, and
 opening the cache sweeps the temp files of killed producers once they are
-old enough that no live producer can own them."""
+old enough that no live producer can own them; and the one file writer."""
 
 from __future__ import annotations
 
 import os
+import stat
 import time
 
+import pytest
+
 import gsloc.cache as cache_mod
-from gsloc.cache import Cache
+from gsloc.cache import Cache, write_file
 from gsloc.errors import InputError
 
 
@@ -53,3 +56,21 @@ def test_a_hit_that_fails_its_check_is_rebuilt(tmp_path):
     assert cache.get_or_create("graph", "k", ".adj1", produce, check) == (path, False)
     assert path.read_bytes() == b"good" and len(produced) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_write_file_replaces_a_file_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "table.csv"
+    write_file(path, lambda fh: fh.write(b"old\r\n"))
+
+    def fail(fh):
+        fh.write(b"cut")
+        raise RuntimeError("fill failed")
+
+    with pytest.raises(RuntimeError, match="fill failed"):
+        write_file(path, fail)
+    # Bytes are written as given, and a failed fill leaves no temp file.
+    assert path.read_bytes() == b"old\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask

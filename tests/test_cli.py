@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -23,6 +24,7 @@ import pytest
 
 import gsloc.dataset as dataset_mod
 import gsloc.evaluation as evaluation
+from gsloc.cache import TEMP_PREFIX
 from gsloc.cli import OPTIONS, build_parser, main, resolve_config
 from gsloc.dataset import (filter_reachable_queries, load_dataset,
                            load_descriptors, load_metadata, write_descriptors,
@@ -644,6 +646,76 @@ def test_leftover_lock_file_does_not_block_a_run(tmp_path, data_dir):
     assert rc == 0
     assert (out / "report.json").exists()
     assert _lock_is_free(out)
+
+
+# A child that runs main(argv) with the one writer patched to SIGKILL the
+# process at its N-th write into the output directory, once the temp file is
+# filled and before it is renamed into place.
+_KILL_AT_NTH_WRITE = """
+import os, signal, sys
+import gsloc.cli
+n, out_dir, argv = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
+real = sys.modules["gsloc.cache"].write_file
+writes = []
+
+def dying(path, fill):
+    def fill_then_die(fh):
+        fill(fh)
+        if os.path.dirname(os.path.abspath(path)) == out_dir:
+            writes.append(path)
+            if len(writes) == n:
+                fh.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+    real(path, fill_then_die)
+
+for module in list(sys.modules.values()):
+    if module.__name__.startswith("gsloc") and getattr(module, "write_file", None) is real:
+        module.write_file = dying
+sys.exit(gsloc.cli.main(argv))
+"""
+
+
+def test_a_killed_run_leaves_no_manifest_and_no_cut_output(tmp_path, data_dir):
+    # Over a complete earlier run, a run killed at any output write leaves
+    # each output old or new, never cut, and no manifest to vouch for the
+    # mix; a rerun clears its temp file and writes a fresh run's bytes.
+    cache = tmp_path / "cache"
+
+    def argv(out, *extra):
+        return (["run", "--out-dir", str(out), "--cache-dir", str(cache)]
+                + _dataset_flags(data_dir) + list(extra))
+
+    def files(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()
+                if path.name != ".lock"}
+
+    new_flags = ["--k", "5", "--strategy", "weighted_topk"]
+    assert main(argv(tmp_path / "old")) == 0
+    assert main(argv(tmp_path / "new", *new_flags)) == 0
+    old, new = files(tmp_path / "old"), files(tmp_path / "new")
+    assert old.keys() == new.keys() and "manifest.json" in old
+    assert all(old[name] != new[name] for name in old)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for n in itertools.count(1):
+        out = tmp_path / f"killed-{n}"
+        shutil.copytree(tmp_path / "old", out)
+        child = subprocess.run(
+            [sys.executable, "-c", _KILL_AT_NTH_WRITE, str(n), str(out),
+             *argv(out, *new_flags)], env=env, capture_output=True)
+        if child.returncode == 0:
+            break
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        left = files(out)
+        temps = [name for name in left if name.startswith(TEMP_PREFIX)]
+        assert len(temps) == 1
+        del left[temps[0]]
+        assert "manifest.json" not in left
+        assert left.keys() == old.keys() - {"manifest.json"}
+        assert all(blob in (old[name], new[name]) for name, blob in left.items())
+        assert main(argv(out, *new_flags)) == 0
+        assert files(out) == new
+    # Every output write was killed once, the manifest's last.
+    assert n == len(new) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import product
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 
 import gsloc.evaluation as evaluation
 import gsloc.graph as graph
+from gsloc.cache import write_json
 from gsloc.dataset import Dataset, ImageRecord
 from gsloc.errors import InputError
 from gsloc.evaluation import (ABLATION_ORDER, REGIMES, AblationRow, EvalReport,
@@ -19,8 +20,7 @@ from gsloc.evaluation import (ABLATION_ORDER, REGIMES, AblationRow, EvalReport,
                               evaluate_regime, grid_search, grid_table_csv,
                               query_graph_params,
                               render_report, run_ablation, sweep_m,
-                              sweep_plot_data, sweep_table_csv,
-                              write_report_json)
+                              sweep_plot_data, sweep_table_csv)
 from gsloc.geodesy import GeoPoint, METERS_PER_DEGREE
 from gsloc.graph import GraphParams, build_operator
 from gsloc.smoothing import SmoothConfig
@@ -615,9 +615,12 @@ def test_render_report_line():
 
 def test_report_json_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_report_json(a, _report())
-    write_report_json(b, _report())
-    assert a.read_bytes() == b.read_bytes()
+    write_json(a, asdict(_report()))
+    write_json(b, asdict(_report()))
+    assert a.read_bytes() == b.read_bytes() == (
+        b'{\n  "acc_at_threshold": 0.5132,\n  "config_snapshot": {\n    "k": 1\n  },\n'
+        b'  "median_error_m": 22.814,\n  "per_query_error_m": [\n    10.0,\n'
+        b'    35.628\n  ],\n  "regime": "gs_both",\n  "threshold_m": 25.0\n}\n')
     payload = json.loads(a.read_text())
     assert list(payload) == sorted(payload)
     assert payload["median_error_m"] == 22.814

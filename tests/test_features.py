@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import gsloc.features as features
 from gsloc.errors import InputError
 from gsloc.features import (Projection, _blas_thread_control, apply_projection,
                             fit_projection, l2_normalize, load_projection,
@@ -270,6 +271,25 @@ def test_l2_normalize_rows_whose_squares_leave_float32(scale):
     scaled = x.copy()
     scaled[1] *= np.float32(scale)
     assert l2_normalize(scaled).tobytes() == l2_normalize(x).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_l2_normalize_refuses_a_non_finite_row(bad):
+    # [[inf, 1], [1, 2]] used to become [[nan, 0], ...].
+    x = np.array([[bad, 1], [1, 2]], dtype=np.float32)
+    before = x.copy()
+    with pytest.raises(InputError, match="descriptors row 0 is not finite"):
+        l2_normalize(x)
+    assert x.tobytes() == before.tobytes()
+    # The bad row's block is left as it was; the blocks before it are not.
+    block = features._NORM_BLOCK_BYTES // (8 * 2)
+    x = np.full((block + 3, 2), 3.0, dtype=np.float32)
+    x[block + 1, 1] = bad
+    before = x.copy()
+    with pytest.raises(InputError, match=f"descriptors row {block + 1} is"):
+        l2_normalize(x)
+    assert np.all(x[:block] == np.float32(np.sqrt(0.5)))
+    assert x[block:].tobytes() == before[block:].tobytes()
 
 
 def test_row_norms_are_numpys_wherever_squares_stay_normal():

@@ -185,6 +185,23 @@ def test_knn_validation():
         cosine_knn(np.zeros(3, dtype=np.float32), s, k=1)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_knn_refuses_a_non_finite_row_by_side_and_index(bad, monkeypatch):
+    # [[inf, 1]] against this support used to score [nan, nan].
+    support = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.float32)
+    with pytest.raises(InputError, match="query row 0 is not finite"):
+        cosine_knn(np.array([[bad, 1]], dtype=np.float32), support, 2)
+    with pytest.raises(InputError, match="support row 2 is not finite"):
+        cosine_knn(support, np.array([[1, 0], [0, 1], [bad, 1]],
+                                     dtype=np.float32), 2)
+    # Two-row query blocks: the index counts from the first query row.
+    monkeypatch.setattr(retrieval, "_SCORE_TILE_BYTES", 64)
+    queries = np.ones((7, 2), dtype=np.float32)
+    queries[5, 1] = bad
+    with pytest.raises(InputError, match="query row 5 is not finite"):
+        cosine_knn(queries, support, 1)
+
+
 # ---------------------------------------------------------------------------
 # Position estimates
 
