@@ -9,8 +9,10 @@ kill leaves the old file or the new one, a power loss may not.
 
 A hit whose file fails the caller's check (a size that disagrees with its
 header) is removed and rebuilt. A producer killed outright leaves its temp
-file behind; opening the cache removes such files once they are older than
-``_STALE_TEMP_AGE_S``, which no live producer's file reaches.
+file (named ``TEMP_PREFIX`` and a random suffix) behind; opening the cache
+removes such files once they are older than ``_STALE_TEMP_AGE_S``, which no
+live producer's file reaches. No other file in the cache directory is
+touched, whatever its name or age.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import InputError
 
 logger = logging.getLogger(__name__)
 
-# Age (by modification time) past which a dot-named temp file in the cache
+# Age (by modification time) past which a write_file temp file in the cache
 # directory is taken to be a killed producer's leftover.
 _STALE_TEMP_AGE_S = 24 * 3600
 # The name prefix of write_file's temp files, and of no other file.
@@ -94,7 +96,7 @@ class Cache:
         """Remove temp files older than _STALE_TEMP_AGE_S; one that vanishes
         or cannot be removed (another user's, say) is left to them."""
         cutoff = time.time() - _STALE_TEMP_AGE_S
-        for path in self.root.glob(".*-*"):
+        for path in self.root.glob(TEMP_PREFIX + "*"):
             with contextlib.suppress(OSError):
                 if path.is_file() and path.stat().st_mtime < cutoff:
                     path.unlink()

@@ -5,11 +5,12 @@ the options whose row names it. The subcommands' flags, the layering
 (defaults, then a JSON config file given with --config, then explicit flags,
 which always win), the config-file type checks and the config echo in
 manifest.json all come from that table. Every command runs in one skeleton,
-`main`: the config, and the splits that ingest or an evaluating command
-loads, are checked before anything is made; then the output directory is
-locked, its old manifest and a killed run's temp files go, and the manifest
-is written after every other file. For the evaluating commands `main` also
-opens the cache and prepares both splits; `run` caches its intermediates
+`main`: the config is checked, and the splits that ingest or an evaluating
+command reads are loaded, checked and hashed (`_load`), before anything is
+made; then the output directory is locked, its old manifest and a killed
+run's temp files go, and the manifest is written after every other file. For
+the evaluating commands `main` also opens the cache and prepares both
+splits; `run` caches its intermediates
 (projection, and the operator and smoothed descriptors of each side it
 smooths) under content+parameter hashes so repeated or swept runs skip
 finished stages.
@@ -300,20 +301,6 @@ def _nest(pairs) -> dict:
     return out
 
 
-def _require_paths(config: SimpleNamespace, command: str) -> None:
-    """The input files the command reads are set and exist; ingest reads the
-    query split only when either of its paths is given."""
-    if command not in _DATA:
-        return
-    query = command in _EVAL or config.query_metadata or config.query_descriptors
-    for key in _INPUTS if query else _INPUTS[:2]:
-        label, value = key.replace("_", " "), getattr(config, key)
-        if not value:
-            raise InputError(f"{label} path not set (flag or config)")
-        if not Path(value).exists():
-            raise InputError(f"{label} file not found: {value}")
-
-
 def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     """The command's options layered as defaults, then the --config file,
     then the flags given; a file's other keys are type-checked, not used.
@@ -321,7 +308,8 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     ``graph``, ``smoothing`` and ``synth`` are built into the library's
     objects, which check them, ``grid`` keeps only the axes given, and
     ``echo`` is the manifest's config echo. Everything that the config alone
-    can show wrong is checked here, before ``main`` makes anything."""
+    can show wrong is checked here, the input paths in ``_load``, before
+    ``main`` makes anything."""
     values = {option.key: option.default_of(args.command) for option in OPTIONS}
     if args.config:
         values.update((key, value) for key, value
@@ -357,7 +345,6 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     config.grid = {axis: v for axis, v in config.grid.items() if v is not None}
     if args.command == "gridsearch":  # expanded here for its checks alone
         grid_cells(config.grid, config.graph, config.smoothing)
-    _require_paths(config, args.command)
     config.echo = _nest((option.echo, values[option.key]) for option in OPTIONS
                         if option.echo and args.command in option.commands)
     return config
@@ -381,36 +368,52 @@ def _read_cached(load, path: Path, *args, **kwargs):
                          "rebuilds it") from None
 
 
-def _load(config: SimpleNamespace) -> tuple[Dataset, Dataset, dict]:
-    """Both splits, the queries kept within threshold_m of the support, and
-    the filter counts for the provenance; refuses a k or a d_out that the
-    support cannot serve."""
-    support = load_dataset(config.support_metadata, config.support_descriptors,
-                           role="support")
-    query = load_dataset(config.query_metadata, config.query_descriptors,
-                         role="query")
-    n_query_raw = query.n_images
-    query = filter_reachable_queries(query, support, radius_m=config.threshold_m)
-    if query.n_images == 0:
-        raise InputError(
-            f"no query image lies within {config.threshold_m} m of the support set")
-    rows, d_out = support.n_images, config.projection["d_out"]
-    if not 1 <= config.k <= rows:
-        raise InputError(f"k={config.k} must be in [1, {rows}]")
-    if config.projection["enabled"] and (
-            d_out is None or not 1 <= d_out <= min(rows - 1, support.dim)):
-        raise InputError(f"d_out={d_out} must be in "
-                         f"[1, min(rows-1={rows - 1}, dim={support.dim})]")
-    return support, query, {"n_query_raw": n_query_raw,
-                            "n_query_reachable": query.n_images}
+def _load(config: SimpleNamespace, command: str) -> tuple[dict[str, Dataset], dict]:
+    """The one input stage of ingest and the evaluating commands, run before
+    anything is made: the splits the command reads by role (ingest reads the
+    query split only when either of its paths is given), their paths checked
+    and the splits loaded. An evaluating command keeps the queries within
+    threshold_m of the support and refuses a k or a d_out that the support
+    cannot serve. Last, the input files are hashed into the provenance
+    ``info``, with the filter counts of an evaluating command."""
+    reads_query = (command in _EVAL or config.query_metadata
+                   or config.query_descriptors)
+    roles = ("support", "query") if reads_query else ("support",)
+    keys = [f"{role}_{kind}" for role in roles for kind in ("metadata", "descriptors")]
+    for key in keys:
+        label, value = key.replace("_", " "), getattr(config, key)
+        if not value:
+            raise InputError(f"{label} path not set (flag or config)")
+        if not Path(value).exists():
+            raise InputError(f"{label} file not found: {value}")
+    splits = {role: load_dataset(getattr(config, f"{role}_metadata"),
+                                 getattr(config, f"{role}_descriptors"), role=role)
+              for role in roles}
+    info: dict = {}
+    if command in _EVAL:
+        support, n_query_raw = splits["support"], splits["query"].n_images
+        query = filter_reachable_queries(splits["query"], support,
+                                         radius_m=config.threshold_m)
+        if query.n_images == 0:
+            raise InputError(f"no query image lies within {config.threshold_m} m "
+                             "of the support set")
+        rows, d_out = support.n_images, config.projection["d_out"]
+        if not 1 <= config.k <= rows:
+            raise InputError(f"k={config.k} must be in [1, {rows}]")
+        if config.projection["enabled"] and (
+                d_out is None or not 1 <= d_out <= min(rows - 1, support.dim)):
+            raise InputError(f"d_out={d_out} must be in "
+                             f"[1, min(rows-1={rows - 1}, dim={support.dim})]")
+        splits["query"] = query
+        info.update(n_query_raw=n_query_raw, n_query_reachable=query.n_images)
+    info["input_sha256"] = {key: sha256_file(getattr(config, key)) for key in keys}
+    return splits, info
 
 
 def _prepare(config: SimpleNamespace, support: Dataset, query: Dataset,
              info: dict, cache: Cache) -> tuple[Dataset, Dataset]:
-    """Optionally project+renormalize both loaded splits; adds the input
-    hashes and the projection cache key to the provenance ``info``."""
-    info["input_sha256"] = {key: sha256_file(getattr(config, key))
-                            for key in _INPUTS}
+    """Optionally project+renormalize both loaded splits; adds the
+    projection cache key to the provenance ``info``."""
     info["projection_key"] = None
     d_out, eps = config.projection["d_out"], config.projection["eps"]
     if config.projection["enabled"]:
@@ -524,29 +527,19 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
 # Commands
 
 
-def _ingest_splits(config: SimpleNamespace) -> dict[str, Dataset]:
-    """The splits ingest reads, by role, loaded and checked; the query split
-    is optional."""
-    return {role: load_dataset(getattr(config, f"{role}_metadata"),
-                               getattr(config, f"{role}_descriptors"), role=role)
-            for role in ("support", "query")
-            if getattr(config, f"{role}_metadata")}
-
-
 def cmd_ingest(config: SimpleNamespace, out_dir: Path,
-               splits: dict[str, Dataset]) -> dict:
+               splits: dict[str, Dataset], info: dict) -> dict:
     manifest: dict = {"splits": {}}
     print(f"{'split':<10}{'sequences':>10}{'images':>10}")
     for role, ds in splits.items():
-        meta_path = getattr(config, f"{role}_metadata")
-        desc_path = getattr(config, f"{role}_descriptors")
+        meta, desc = f"{role}_metadata", f"{role}_descriptors"
         stats = ds.stats()
         print(f"{role:<10}{stats.n_sequences:>10}{stats.n_images:>10}")
         manifest["splits"][role] = {
-            "metadata": meta_path,
-            "descriptors": desc_path,
-            "metadata_sha256": sha256_file(meta_path),
-            "descriptors_sha256": sha256_file(desc_path),
+            "metadata": getattr(config, meta),
+            "descriptors": getattr(config, desc),
+            "metadata_sha256": info["input_sha256"][meta],
+            "descriptors_sha256": info["input_sha256"][desc],
             "n_sequences": stats.n_sequences,
             "n_images": stats.n_images,
             "dim": ds.dim,
@@ -677,10 +670,8 @@ def main(argv: list[str] | None = None) -> int:
     manifest = "manifest.json" if extras is not None else f"{args.command}_manifest.json"
     try:
         config = resolve_config(args)
-        # The inputs are loaded and checked before anything is made.
-        if extras is not None:
-            support, query, info = _load(config)
-        loaded = (_ingest_splits(config),) if args.command == "ingest" else ()
+        # The inputs are loaded, checked and hashed before anything is made.
+        loaded = _load(config, args.command) if args.command in _DATA else ()
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         with OutDirLock(out_dir):
@@ -690,8 +681,11 @@ def main(argv: list[str] | None = None) -> int:
             if extras is None:
                 payload = command(config, out_dir, *loaded)
             else:
+                splits, info = loaded
                 cache = Cache(config.cache_dir)
-                support, query = _prepare(config, support, query, info, cache)
+                # Popped, so that no loaded split outlives _prepare's use of it.
+                support, query = _prepare(config, splits.pop("support"),
+                                          splits.pop("query"), info, cache)
                 sections = command(config, out_dir, support, query, info,
                                    cache) or {}
                 # run's smoother adds its graph keys to info.

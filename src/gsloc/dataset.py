@@ -84,19 +84,24 @@ class Dataset:
         lats.flags.writeable = lons.flags.writeable = False
         return lats, lons
 
+    @classmethod
+    def of_checked(cls, records: list[ImageRecord], descriptors: np.ndarray,
+                   role: str) -> "Dataset":
+        """A dataset of rows whose checks have already run (a loaded file's,
+        or a checked dataset's rows), made without scanning them again."""
+        dataset = object.__new__(cls)
+        dataset.records, dataset.descriptors, dataset.role = records, descriptors, role
+        return dataset
+
     def with_descriptors(self, descriptors: np.ndarray) -> "Dataset":
         """Same records with a replacement descriptor matrix (row-aligned)."""
         return Dataset(records=self.records, descriptors=descriptors, role=self.role)
 
     def subset(self, keep: np.ndarray) -> "Dataset":
-        """The rows where the boolean mask ``keep`` is true, in order. Their
-        values were checked when this dataset was made, so they are not
-        scanned again."""
-        rows = object.__new__(Dataset)
-        rows.records = [r for r, k in zip(self.records, keep.tolist()) if k]
-        rows.descriptors = self.descriptors[keep]
-        rows.role = self.role
-        return rows
+        """The rows where the boolean mask ``keep`` is true, in order."""
+        return Dataset.of_checked(
+            [r for r, k in zip(self.records, keep.tolist()) if k],
+            self.descriptors[keep], self.role)
 
 
 def check_descriptors(arr: np.ndarray) -> None:
@@ -207,7 +212,8 @@ def write_metadata(path: str | Path, records: Iterable[ImageRecord]) -> None:
 
 def load_descriptors(path: str | Path, expected_rows: int | None, *,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """Decode an EMB1 file into a float32 matrix, checking the row count.
+    """Decode an EMB1 file into a float32 matrix, checking the row count and
+    that every value is finite.
 
     The payload size is checked against the header before anything is read,
     and the payload is read straight into the returned array: a new one, or
@@ -215,14 +221,6 @@ def load_descriptors(path: str | Path, expected_rows: int | None, *,
     file's shape), whose old contents are then overwritten even when the
     payload turns out to hold non-finite values.
     """
-    data = _read_emb1(path, expected_rows, out)
-    _refuse_nonfinite(path, data)
-    return data
-
-
-def _read_emb1(path: str | Path, expected_rows: int | None,
-               out: np.ndarray | None) -> np.ndarray:
-    """load_descriptors without the finiteness test."""
     def check(rows: int, dim: int) -> None:
         if expected_rows is not None and rows != expected_rows:
             raise InputError(f"{path}: {rows} descriptor rows, expected {expected_rows}")
@@ -230,13 +228,11 @@ def _read_emb1(path: str | Path, expected_rows: int | None,
             raise InputError(f"{path}: cannot read {rows}x{dim} values "
                              f"into an array of shape {out.shape}")
     (rows, dim), (data,) = EMB1.read(path, check, out)
-    return data.reshape(rows, dim) if out is None else out
-
-
-def _refuse_nonfinite(path: str | Path, data: np.ndarray) -> None:
+    data = data.reshape(rows, dim) if out is None else out
     bad = _nonfinite_count(data)
     if bad:
         raise InputError(f"{path}: {bad} non-finite descriptor values")
+    return data
 
 
 def write_descriptors(path: str | Path, descriptors: np.ndarray) -> None:
@@ -247,15 +243,14 @@ def write_descriptors(path: str | Path, descriptors: np.ndarray) -> None:
 
 def load_dataset(metadata_path: str | Path, descriptors_path: str | Path,
                  role: str) -> Dataset:
+    """One split's records and descriptors, each file checked as it is read:
+    a row count that disagrees with the records, or a non-finite value,
+    names the descriptor file."""
+    if role not in ("support", "query"):
+        raise InputError(f"role must be 'support' or 'query', got {role!r}")
     records = load_metadata(metadata_path)
-    descriptors = _read_emb1(descriptors_path, len(records), None)
-    try:
-        # Dataset tests the values' finiteness; only a refusal scans them
-        # again, to name the file and count them.
-        return Dataset(records=records, descriptors=descriptors, role=role)
-    except InputError:
-        _refuse_nonfinite(descriptors_path, descriptors)
-        raise
+    return Dataset.of_checked(
+        records, load_descriptors(descriptors_path, len(records)), role)
 
 
 def filter_reachable_queries(query: Dataset, support: Dataset,

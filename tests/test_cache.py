@@ -22,7 +22,7 @@ def _age(path, seconds):
 
 def test_opening_the_cache_removes_only_stale_temp_files(tmp_path):
     Cache(tmp_path)
-    stale = tmp_path / ".graph-k1ll3d"
+    stale = tmp_path / (cache_mod.TEMP_PREFIX + "k1ll3d")
     live = tmp_path / ".smoothed-wr1t1n"
     artifact = tmp_path / "graph-0123.adj1"
     for path in (stale, live, artifact):
@@ -34,6 +34,23 @@ def test_opening_the_cache_removes_only_stale_temp_files(tmp_path):
     Cache(tmp_path)
     assert not stale.exists()
     assert live.exists() and artifact.exists()
+
+
+def test_opening_the_cache_keeps_other_dot_files_whatever_their_age(tmp_path):
+    # Only write_file's temp name is swept: a user's dot-files in the cache
+    # directory are theirs, however old, and so is a temp file still young
+    # enough to belong to a live producer.
+    kept = [tmp_path / name for name in (".user-notes", ".config-backup",
+                                         ".pre-commit-config.yaml")]
+    young = tmp_path / (cache_mod.TEMP_PREFIX + "wr1t1ng")
+    for path in kept:
+        path.write_bytes(b"mine")
+        _age(path, 2 * cache_mod._STALE_TEMP_AGE_S)
+    young.write_bytes(b"partial")
+    _age(young, cache_mod._STALE_TEMP_AGE_S - 60)
+    Cache(tmp_path)
+    assert all(path.read_bytes() == b"mine" for path in kept)
+    assert young.exists()
 
 
 def test_a_hit_that_fails_its_check_is_rebuilt(tmp_path):

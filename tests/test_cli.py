@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import fcntl
 import functools
+import hashlib
 import itertools
 import json
 import logging
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gsloc.cli as cli_mod
 import gsloc.dataset as dataset_mod
 import gsloc.evaluation as evaluation
 from gsloc.cache import TEMP_PREFIX
@@ -117,6 +119,41 @@ def test_ingest_prints_count_table(tmp_path, data_dir, capsys):
     manifest = json.loads((out / "ingest_manifest.json").read_text())
     assert manifest["splits"]["support"]["n_images"] == 24
     assert manifest["splits"]["query"]["dim"] == 16
+
+
+def test_ingest_of_the_support_split_alone_writes_one_split(tmp_path, data_dir,
+                                                            capsys):
+    out = tmp_path / "ingest"
+    assert main(["ingest", "--out-dir", str(out)] + _dataset_flags(data_dir)[:4]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["support"]
+    manifest = json.loads((out / "ingest_manifest.json").read_text())
+    assert list(manifest["splits"]) == ["support"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_the_manifest_holds_each_input_files_sha256_taken_once(
+        tmp_path, data_dir, monkeypatch, command):
+    flags = _dataset_flags(data_dir)
+    expected = {flag[2:].replace("-", "_"):
+                hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                for flag, path in zip(flags[::2], flags[1::2])}
+    hashed = []
+    real = cli_mod.sha256_file
+    monkeypatch.setattr(cli_mod, "sha256_file",
+                        lambda path: hashed.append(path) or real(path))
+    out = tmp_path / "out"
+    assert main(_command_argv(command, data_dir, out, tmp_path / "cache")) == 0
+    assert sorted(hashed) == sorted(flags[1::2])
+    if command == "ingest":
+        splits = json.loads((out / "ingest_manifest.json").read_text())["splits"]
+        recorded = {f"{role}_{kind}": split[f"{kind}_sha256"]
+                    for role, split in splits.items()
+                    for kind in ("metadata", "descriptors")}
+    else:
+        recorded = json.loads((out / "manifest.json").read_text())[
+            "provenance"]["input_sha256"]
+    assert recorded == expected
 
 
 def test_ingest_row_count_mismatch_exits_2(tmp_path, capsys):
@@ -715,6 +752,60 @@ def test_a_killed_run_leaves_no_manifest_and_no_cut_output(tmp_path, data_dir):
         assert main(argv(out, *new_flags)) == 0
         assert files(out) == new
     # Every output write was killed once, the manifest's last.
+    assert n == len(new) + 1
+
+
+# Per writing command but run, the flags that make a second run whose every
+# file differs from the first one's; the first ingest reads the support
+# split alone, the second both splits.
+_SECOND_RUN_FLAGS = {"ablate": ["--k", "5", "--strategy", "weighted_topk"],
+                     "sweep-m": ["--k", "5", "--strategy", "weighted_topk"],
+                     "gridsearch": ["--grid-gamma", "0.25"],
+                     "synth": ["--seed", "4", "--n-places", "5"], "ingest": []}
+
+
+@pytest.mark.parametrize("command", list(_SECOND_RUN_FLAGS))
+def test_a_killed_command_leaves_no_manifest_and_no_cut_output(tmp_path,
+                                                               data_dir, command):
+    # As for run above: over a complete earlier run, a command killed at any
+    # output write leaves each output old or new, never cut, and no manifest.
+    manifest = ("manifest.json" if command in ("ablate", "sweep-m", "gridsearch")
+                else f"{command}_manifest.json")
+
+    def argv(out, second):
+        args = _command_argv(command, data_dir, out, tmp_path / "cache")
+        if command == "ingest" and not second:
+            return args[:args.index("--query-metadata")]
+        return args + (_SECOND_RUN_FLAGS[command] if second else [])
+
+    def files(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()
+                if path.name != ".lock"}
+
+    assert main(argv(tmp_path / "old", False)) == 0
+    assert main(argv(tmp_path / "new", True)) == 0
+    old, new = files(tmp_path / "old"), files(tmp_path / "new")
+    assert manifest in new and old.keys() <= new.keys()
+    assert all(old[name] != new[name] for name in old)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for n in itertools.count(1):
+        out = tmp_path / f"killed-{n}"
+        shutil.copytree(tmp_path / "old", out)
+        child = subprocess.run(
+            [sys.executable, "-c", _KILL_AT_NTH_WRITE, str(n), str(out),
+             *argv(out, True)], env=env, capture_output=True)
+        if child.returncode == 0:
+            break
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        left = files(out)
+        temps = [name for name in left if name.startswith(TEMP_PREFIX)]
+        assert len(temps) == 1
+        del left[temps[0]]
+        assert manifest not in left
+        assert left.keys() == old.keys() - {manifest}
+        assert all(blob in (old[name], new[name]) for name, blob in left.items())
+        assert main(argv(out, True)) == 0
+        assert files(out) == new
     assert n == len(new) + 1
 
 
