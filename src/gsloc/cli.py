@@ -46,11 +46,12 @@ from .evaluation import (DEFAULT_THRESHOLD_M, REGIMES, SMOOTHED_SIDES,
                          grid_cells, grid_search, grid_table_csv,
                          render_report, run_ablation, sweep_m,
                          sweep_plot_data, sweep_table_csv, write_report_csv)
-from .features import (apply_projection, check_eps, fit_projection,
-                       l2_normalize, load_projection, save_projection)
-from .graph import (GraphParams, SmoothingOperator, build_operator,
-                    load_operator, save_operator)
-from .retrieval import STRATEGIES, write_matches
+from .features import (apply_projection, check_d_out, check_eps,
+                       fit_projection, l2_normalize, load_projection,
+                       save_projection)
+from .graph import (DECAY_SIGNS, GraphParams, SmoothingOperator,
+                    build_operator, load_operator, save_operator)
+from .retrieval import STRATEGIES, check_k, write_matches
 from .smoothing import SmoothConfig, smooth
 from .synth import SynthConfig, generate_synthetic
 
@@ -152,7 +153,7 @@ OPTIONS: tuple[Option, ...] = (
            _SWITCHES, "graph.include_seq"),
     Option("graph.include_latent", "--include-latent", bool,
            _GRAPH.include_latent, _SWITCHES, "graph.include_latent"),
-    Option("graph.decay_sign", "--decay-sign", ("negative", "positive"),
+    Option("graph.decay_sign", "--decay-sign", DECAY_SIGNS,
            _GRAPH.decay_sign, _EVAL, "graph.decay_sign"),
     Option("graph.include_self_edges", "--include-self-edges", bool,
            _GRAPH.include_self_edges, _EVAL, "graph.include_self_edges"),
@@ -194,17 +195,11 @@ _FILE_SECTIONS = {key.split(".")[0] for key in _FILE_OPTIONS if "." in key}
 
 
 def _floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise InputError(f"expected comma-separated numbers, got {text!r}") from None
+    return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from None
+    return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _beta_lists(text: str) -> list[list[float]]:
@@ -397,13 +392,9 @@ def _load(config: SimpleNamespace, command: str) -> tuple[dict[str, Dataset], di
         if query.n_images == 0:
             raise InputError(f"no query image lies within {config.threshold_m} m "
                              "of the support set")
-        rows, d_out = support.n_images, config.projection["d_out"]
-        if not 1 <= config.k <= rows:
-            raise InputError(f"k={config.k} must be in [1, {rows}]")
-        if config.projection["enabled"] and (
-                d_out is None or not 1 <= d_out <= min(rows - 1, support.dim)):
-            raise InputError(f"d_out={d_out} must be in "
-                             f"[1, min(rows-1={rows - 1}, dim={support.dim})]")
+        check_k(config.k, support.n_images)
+        if config.projection["enabled"]:
+            check_d_out(config.projection["d_out"], support.n_images, support.dim)
         splits["query"] = query
         info.update(n_query_raw=n_query_raw, n_query_reachable=query.n_images)
     info["input_sha256"] = {key: sha256_file(getattr(config, key)) for key in keys}

@@ -80,8 +80,7 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
     n, d_in = x.shape
     if n < 2:
         raise InputError(f"need at least 2 rows to fit a projection, got {n}")
-    if not (1 <= d_out <= min(n - 1, d_in)):
-        raise InputError(f"d_out={d_out} must be in [1, min(rows-1={n - 1}, dim={d_in})]")
+    check_d_out(d_out, n, d_in)
 
     mean = x.mean(axis=0)
     x -= mean
@@ -110,6 +109,13 @@ def fit_projection(descriptors: np.ndarray, d_out: int,
     basis[:, flip] *= -1.0
     scale = 1.0 / np.sqrt(kept + eps)
     return Projection(mean=mean, basis=basis, scale=scale)
+
+
+def check_d_out(d_out: int | None, rows: int, dim: int) -> None:
+    """Refuse an output dimension that ``rows`` descriptors of ``dim``
+    dimensions cannot give: it must be in [1, min(rows - 1, dim)]."""
+    if d_out is None or not 1 <= d_out <= min(rows - 1, dim):
+        raise InputError(f"d_out={d_out} must be in [1, min(rows-1={rows - 1}, dim={dim})]")
 
 
 def check_eps(eps: float | None) -> None:

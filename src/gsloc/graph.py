@@ -12,10 +12,10 @@ Three kernels contribute edges between images:
   nonnegative).
 
 The combined W is symmetric with strictly positive weights and an empty
-diagonal; ``include_self_edges`` instead adds a unit self-weight during
-normalization. Normalizing divides each row by its degree, giving a
-row-stochastic operator whose eigenvalues lie in [-1, 1]; vertices with no
-edges at all fall back to an identity row and are reported.
+diagonal. Normalizing gives A = D^-1 (W + S), row-stochastic with
+eigenvalues in [-1, 1]: S is a unit diagonal on every vertex under
+``include_self_edges``, else only on the vertices with no edge at all (an
+identity row; they are reported), and D holds the row sums of W + S.
 
 A graph is one weight per pair of a symmetric CSR pair structure, zero
 where it has no edge. One ``kernel_geometry`` serves a list of cells: a
@@ -57,6 +57,8 @@ from .spatial import LatLonGrid, index_dtype
 # pass before them casts rows in features._NORM_BLOCK_BYTES blocks.
 _COSINE_CHUNK_BYTES = 1 << 20
 
+DECAY_SIGNS = ("negative", "positive")
+
 
 @dataclass
 class GraphParams:
@@ -91,8 +93,9 @@ class GraphParams:
                              f"got {self.betas}")
         if not 0 <= self.gamma < np.inf:
             raise InputError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        if self.decay_sign not in ("negative", "positive"):
-            raise InputError(f"decay_sign must be 'negative' or 'positive', got {self.decay_sign!r}")
+        if self.decay_sign not in DECAY_SIGNS:
+            raise InputError(f"decay_sign must be {' or '.join(map(repr, DECAY_SIGNS))}, "
+                             f"got {self.decay_sign!r}")
 
     @property
     def decay_factor(self) -> float:
@@ -147,8 +150,7 @@ class WeightedGraph:
                 raise InputError("vertex index out of range")
             if np.any(i == j):
                 raise InputError("self edges are not allowed in W")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise InputError("edge weights must be positive and finite")
+        _check_weights(w)
         i, j = np.minimum(i, j), np.maximum(i, j)
         order = np.lexsort((j, i))
         i, j, w = i[order], j[order], w[order]
@@ -189,7 +191,7 @@ class PairStructure:
 
 @dataclass
 class SmoothingOperator:
-    """Row-stochastic operator A = D^-1 W (rows sum to 1, entries >= 0)."""
+    """Row-stochastic operator A = D^-1 (W + S) (rows sum to 1, entries >= 0)."""
 
     matrix: sparse.csr_matrix
     isolated_vertices: np.ndarray
@@ -509,31 +511,35 @@ def combine(parts: list[WeightedGraph]) -> WeightedGraph:
 
 
 def normalize(w: WeightedGraph, params: GraphParams) -> SmoothingOperator:
-    """Divide each row by its degree (plus a unit self-weight when
-    include_self_edges). Vertices with no incident W edges get an identity
-    row and are listed in isolated_vertices. W itself is not changed."""
+    """A = D^-1 (W + S), where S is a unit diagonal on every vertex under
+    include_self_edges and otherwise on the vertices with no W edge, which
+    are listed in isolated_vertices either way. Each row of A depends only
+    on its own row of W, which is not changed."""
     n = w.n
     mat = w.matrix
-    degree = _row_sums(mat)
-    isolated = fallback = np.flatnonzero(degree == 0.0)
-    if params.include_self_edges:
-        mat = (mat + sparse.identity(n, format="csr", dtype=np.float64)).tocsr()
-        # A row's degree sums its entries in column order.
-        mat.sort_indices()
+    # A degree that overflows, or whose reciprocal does, is met below.
+    with np.errstate(over="ignore"):
         degree = _row_sums(mat)
-        fallback = np.flatnonzero(degree == 0.0)
-    inv = np.ones_like(degree)
-    np.divide(1.0, degree, out=inv, where=degree > 0.0)
+        isolated = np.flatnonzero(degree == 0.0)
+        diagonal = np.arange(n) if params.include_self_edges else isolated
+        if diagonal.size:
+            mat = (mat + sparse.csr_matrix(
+                (np.ones(diagonal.size), (diagonal, diagonal)), shape=(n, n))).tocsr()
+            # A row's degree sums its entries in column order.
+            mat.sort_indices()
+            degree = _row_sums(mat)
+        inv = 1.0 / degree
+    # A row whose 1/degree is inf or 0 is first divided by its largest
+    # weight, which puts its degree in [1, row length]; mat.data is a copy.
+    for row in np.flatnonzero((inv == 0.0) | (inv == np.inf)):
+        part = mat.data[mat.indptr[row]:mat.indptr[row + 1]]
+        part /= part.max()
+        inv[row] = 1.0 / part.sum()
     # The scaled values are written to a new array, so W keeps its own; the
     # index arrays, which nothing writes, are shared with W.
     data = np.repeat(inv, np.diff(mat.indptr))
     data *= mat.data
     mat = sparse.csr_matrix((data, mat.indices, mat.indptr), shape=(n, n))
-    if fallback.size:
-        eye = sparse.csr_matrix(
-            (np.ones(fallback.size), (fallback, fallback)), shape=(n, n))
-        mat = (mat + eye).tocsr()
-        mat.sort_indices()
     return SmoothingOperator(matrix=mat, isolated_vertices=isolated.astype(np.int64))
 
 

@@ -103,6 +103,12 @@ _RESCORE_BYTES = 4 << 20
 STRATEGIES = ("top1", "weighted_topk")
 
 
+def check_k(k: int, rows: int) -> None:
+    """Refuse a neighbor count that ``rows`` support rows cannot serve."""
+    if not 1 <= k <= rows:
+        raise InputError(f"k={k} must be in [1, {rows}]")
+
+
 def cosine_knn(queries: np.ndarray, support: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by cosine similarity for every query row: (indices,
@@ -121,8 +127,7 @@ def cosine_knn(queries: np.ndarray, support: np.ndarray,
     check_float32(s)
     if q.shape[1] != s.shape[1]:
         raise InputError(f"dim mismatch: queries {q.shape[1]} vs support {s.shape[1]}")
-    if not (1 <= k <= s.shape[0]):
-        raise InputError(f"k={k} must be in [1, {s.shape[0]}]")
+    check_k(k, s.shape[0])
     dtype, (n_support, dim) = s.dtype, s.shape
     blocks, chunks = _tile_shape(q.shape[0], n_support, dim, dtype.itemsize)
     tallest = max((hi - lo for lo, hi in blocks), default=0)

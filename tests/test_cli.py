@@ -189,6 +189,19 @@ def test_ingest_unreadable_metadata_exits_2(tmp_path, data_dir, capsys,
     assert f"{meta}:3: " in err and reason in err
 
 
+def test_ingest_duplicate_image_id_exits_2(tmp_path, data_dir, capsys):
+    meta = tmp_path / "m.csv"
+    records = load_metadata(data_dir / "support_metadata.csv")
+    records[1] = dataclasses.replace(records[1], image_id=records[0].image_id)
+    write_metadata(meta, records)
+    out = tmp_path / "out"
+    rc = main(["ingest", "--out-dir", str(out), "--support-metadata", str(meta),
+               "--support-descriptors", str(data_dir / "support_descriptors.emb1")])
+    assert rc == 2
+    assert f"{meta}: duplicate image_id {records[0].image_id!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_file_exits_2(tmp_path, data_dir, capsys):
     flags = _dataset_flags(data_dir)
     flags[1] = str(tmp_path / "nope.csv")
@@ -287,6 +300,21 @@ def test_unset_input_path_exits_2(tmp_path, capsys):
     assert "path not set" in capsys.readouterr().err
 
 
+def test_run_with_no_query_within_threshold_exits_2_and_makes_nothing(
+        tmp_path, data_dir, capsys):
+    # Every query fix moved a tenth of a degree north, about 11 km.
+    far = tmp_path / "far_metadata.csv"
+    write_metadata(far, [dataclasses.replace(r, lat=r.lat + 0.1) for r
+                         in load_metadata(data_dir / "query_metadata.csv")])
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    argv = _command_argv("run", data_dir, out, cache)
+    argv[argv.index("--query-metadata") + 1] = str(far)
+    assert main(argv) == 2
+    assert ("no query image lies within 25.0 m of the support set"
+            in capsys.readouterr().err)
+    assert not out.exists() and not cache.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -347,6 +375,40 @@ def test_run_reports_its_graphs_in_the_manifest(tmp_path, data_dir):
     edges = support["edges_per_vertex"]
     assert edges["min"] == 0 and edges["min"] <= edges["median"] <= edges["max"]
     assert edges["max"] > 0
+
+
+# Five places 24 m apart, so that each distance weight is exp(-30 * 24),
+# about 1e-313, and every degree is subnormal; or 24.9 m apart under the
+# growing kernel, so that each weight is exp(28.5 * 24.9), about 1.7e308,
+# and the degree of each middle place overflows.
+_EXTREME_DEGREES = {
+    "subnormal": ("24", ["--alpha", "30"]),
+    "overflow": ("24.9", ["--decay-sign", "positive", "--alpha", "28.5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXTREME_DEGREES))
+def test_run_at_an_extreme_degree_exits_0_cold_and_warm(tmp_path, capsys, case):
+    spacing, flags = _EXTREME_DEGREES[case]
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--n-places", "5",
+                 "--n-support-sequences", "1", "--n-query-sequences", "1",
+                 "--frames-per-place", "1", "--place-spacing-m", spacing,
+                 "--gps-jitter-m", "0"]) == 0
+    argv = (["run", "--cache-dir", str(tmp_path / "cache"), *_dataset_flags(data),
+             "--no-include-seq", "--no-include-latent"] + flags)
+    states = []
+    for name in ("cold", "warm"):
+        capsys.readouterr()
+        rc = main(argv + ["--out-dir", str(tmp_path / name)])
+        text = capsys.readouterr()
+        assert rc == 0, text.err
+        states.append(_cache_states(text.out)[:2])
+    assert states == [["support graph cache miss", "support smoothing cache miss"],
+                      ["support graph cache hit", "support smoothing cache hit"]]
+    for name in ("report.json", "report.csv", "matches.csv", "manifest.json"):
+        assert ((tmp_path / "warm" / name).read_bytes()
+                == (tmp_path / "cold" / name).read_bytes()), name
 
 
 def test_cold_run_scans_each_loaded_split_once(tmp_path, data_dir,
@@ -857,6 +919,27 @@ def test_config_missing_file_exits_2(tmp_path, data_dir):
     assert rc == 2
 
 
+def test_config_top_level_list_exits_2(tmp_path, data_dir, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps([{"m": 1}]))
+    rc, out = _run(tmp_path, data_dir, "listcfg", ["--config", str(config)])
+    assert rc == 2
+    assert f"{config}: config must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_null_for_an_option_whose_default_is_null_is_echoed(
+        tmp_path, data_dir):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        {"projection": {"enabled": True, "d_out": 8, "eps": None}}))
+    rc, out = _run(tmp_path, data_dir, "nullcfg", ["--config", str(config)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["projection"] == {"enabled": True, "d_out": 8,
+                                                "eps": None}
+
+
 @pytest.mark.parametrize("settings, key", [
     ({"k": "x"}, "k"),
     ({"k": 1.5}, "k"),
@@ -1252,14 +1335,16 @@ def test_every_flag_a_command_takes_changes_its_output(contract, command, flag,
 
 def _invalid_values(kind) -> list[str]:
     """Flag values that the kind makes invalid: a choice not offered; NaN,
-    both infinities, a negative and 0 for a number; and for a list, the
+    both infinities, a negative, 0 and text that does not parse for a
+    number; and for a list, the
     empty list and each of its item kind's values as its one item. bool and
     str take every value they can spell."""
     if isinstance(kind, tuple):
         return ["not-a-choice"]
     if typing.get_origin(kind) is list:
         return list(dict.fromkeys(["", *_invalid_values(typing.get_args(kind)[0])]))
-    return {float: ["nan", "inf", "-inf", "-1", "0"], int: ["-1", "0"]}.get(kind, [])
+    return {float: ["nan", "inf", "-inf", "-1", "0", "x"],
+            int: ["-1", "0", "x"]}.get(kind, [])
 
 
 # Values of that list which an option takes by design.

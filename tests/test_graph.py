@@ -20,9 +20,9 @@ from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
                          build_w_latent, build_w_seq, combine, kernel_geometry,
                          load_operator, normalize, pair_cosines,
                          save_operator)
-from oracles import (all_pairs_dist_edges, coo_edges, dense_normalize,
-                     edge_set, gate_cosines, random_weighted_graph,
-                     reference_operator)
+from oracles import (all_pairs_dist_edges, coo_edges, copying_normalize,
+                     dense_normalize, edge_set, gate_cosines,
+                     random_weighted_graph, reference_operator)
 
 
 def _gps_records(offsets_m, sequence="s"):
@@ -520,6 +520,59 @@ def test_bipartite_pair_hits_minus_one_without_self_edges():
     eigs = np.sort(np.linalg.eigvals(
         normalize(w, GraphParams(include_self_edges=True)).matrix.toarray()).real)
     assert eigs == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def _rows(mat, rows):
+    return [(mat.indices[mat.indptr[r]:mat.indptr[r + 1]].tolist(),
+             mat.data[mat.indptr[r]:mat.indptr[r + 1]].tobytes()) for r in rows]
+
+
+def test_an_edgeless_vertex_changes_no_other_row():
+    # Row 0 scales its 5e-324 weight to 0.0, and keeps it stored whether or
+    # not some other vertex has an identity row.
+    star = (np.zeros(4, dtype=np.int64), np.arange(1, 5), np.array([5e-324, 1, 1, 1]))
+    alone, beside = (normalize(WeightedGraph.from_pairs(n, *star), GraphParams())
+                     for n in (5, 6))
+    assert beside.isolated_vertices.tolist() == [5]
+    assert _rows(alone.matrix, range(5)) == _rows(beside.matrix, range(5))
+    assert _rows(alone.matrix, [0])[0][0] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("self_edges", [False, True])
+@pytest.mark.parametrize("weight", [
+    1e-313,   # each degree is subnormal: its reciprocal overflows to inf
+    1.7e308,  # a middle vertex's degree overflows to inf: its reciprocal is 0
+])
+def test_rows_sum_to_1_at_an_extreme_degree(weight, self_edges):
+    path = WeightedGraph.from_pairs(5, np.arange(4), np.arange(1, 5), np.full(4, weight))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = normalize(path, GraphParams(include_self_edges=self_edges))
+    sums = np.asarray(op.matrix.sum(axis=1)).ravel()
+    assert np.abs(sums - 1.0).max() <= 1e-9
+    assert np.all(op.matrix.data >= 0.0)
+    # Each middle vertex's two edges are equal, so it gives each half.
+    middle = op.matrix.toarray()[1:4]
+    assert np.array_equal(middle[:, :3].diagonal(), middle[:, 2:].diagonal())
+
+
+def test_rows_with_a_finite_reciprocal_degree_keep_their_bits():
+    # Vertices 0-29 are a random graph; 30-34 a path whose weights are
+    # subnormal. The random rows are bitwise those of the route the library
+    # took before extreme degrees were handled.
+    graph, _ = random_weighted_graph(np.random.default_rng(59), 30, density=0.3)
+    i, j, w = coo_edges(graph)
+    i, j, w = (np.concatenate(parts) for parts in (
+        (i, 30 + np.arange(4)), (j, 31 + np.arange(4)), (w, np.full(4, 1e-313))))
+    both = WeightedGraph.from_pairs(35, i, j, w)
+    for self_edges in (False, True):
+        params = GraphParams(include_self_edges=self_edges)
+        want = copying_normalize(graph, params).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = normalize(both, params).matrix
+        assert _rows(got, range(30)) == _rows(want, range(30))
+        assert np.abs(np.asarray(got.sum(axis=1)).ravel() - 1.0).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,17 @@ def test_shape_and_config_validation():
         SmoothConfig(m=-1)
 
 
+def test_an_out_of_another_shape_is_refused():
+    rng = np.random.default_rng(29)
+    op = _random_operator(rng)
+    signal = rng.standard_normal((op.n, 3))
+    out = np.full((op.n, 2), 7.0)
+    with pytest.raises(InputError,
+                       match=rf"out has shape \({op.n}, 2\), signal \({op.n}, 3\)"):
+        smooth(op, signal, SmoothConfig(m=1), out=out)
+    assert np.all(out == 7.0)
+
+
 def test_dense_oracle_refuses_large_operators():
     op = normalize(WeightedGraph.empty(2001), GraphParams())
     with pytest.raises(InputError, match="refuses"):
