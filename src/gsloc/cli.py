@@ -453,7 +453,9 @@ def _graph_key(side: str, params: GraphParams, config: SimpleNamespace,
     if side == "query":
         provenance.update(support_metadata=inputs["support_metadata"],
                           threshold_m=config.threshold_m)
-    return param_key({"inputs": provenance, "params": asdict(params), "v": 2})
+    # v3: latent cosines from float32 dot products; a v2 operator's latent
+    # weights differ in their last bits, so it is never served in its place.
+    return param_key({"inputs": provenance, "params": asdict(params), "v": 3})
 
 
 # The isolated image ids a graph summary lists, first in row order.
@@ -496,8 +498,9 @@ def _smoothed_descriptors(side: str, dataset: Dataset, params: GraphParams,
     # Read whether or not the smoothed descriptors hit, for the summary.
     op = _read_cached(load_operator, op_path)
     graphs[side] = _graph_summary(op, dataset.records)
-    # The graph key covers the graph params.
-    smooth_key = param_key({"graph": graph_key, "m": m, "v": 2})
+    # The graph key covers the graph params. v3: smoothed in float32, where
+    # v2 smoothed in float64.
+    smooth_key = param_key({"graph": graph_key, "m": m, "v": 3})
     def run_smooth(path: Path) -> None:
         smooth(op, desc, SmoothConfig(m=m), out=desc)
         # Row-stochastic averages of finite rows are finite, so they are

@@ -125,12 +125,15 @@ def _memo_smoother(geometry: dict[str, KernelGeometry] | None = None) -> Smoothe
     one graph-parameter set (one evaluation, or one cell of _evaluate_cells),
     so it is keyed by side alone and never needs invalidation.
 
-    It walks an m-ladder: each side's float64 iterate A^m X is kept and
-    advanced from the last m reached, so ascending m values cost max(m)
-    sparse products per side; a smaller m starts again from X. The iterate
-    is the memo's own float64 copy and is advanced in place; X is never
-    written. Each column's float64 chain is the one a fresh smooth would
-    take, so every result is bitwise equal to smooth(A, X, m).
+    It walks an m-ladder: each side's iterate A^m X is kept and advanced
+    from the last m reached, so ascending m values cost max(m) sparse
+    products per side; a smaller m starts again from X. The iterate is the
+    memo's own copy of X, in X's dtype (float32), advanced in place and
+    returned as is, so a side holds one n x d array; X is never written,
+    and a returned array is valid until the side's next call. smooth keeps
+    each column's chain in that dtype from step to step, so stopping at
+    any m and going on from there takes the chain a fresh smooth would
+    take, and every result is bitwise equal to smooth(A, X, m).
     """
     operators = {}
     ladders: dict[str, tuple[int, np.ndarray]] = {}
@@ -142,11 +145,11 @@ def _memo_smoother(geometry: dict[str, KernelGeometry] | None = None) -> Smoothe
                                              params, (geometry or {}).get(side))
         done, iterate = ladders.get(side, (0, None))
         if iterate is None or m < done:
-            done, iterate = 0, dataset.descriptors.astype(np.float64)
+            done, iterate = 0, dataset.descriptors.copy()
         if m > done:
             smooth(operators[side], iterate, SmoothConfig(m=m - done), out=iterate)
         ladders[side] = (m, iterate)
-        return iterate.astype(dataset.descriptors.dtype)
+        return iterate
     return smoother
 
 

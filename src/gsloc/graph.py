@@ -50,12 +50,19 @@ from .spatial import LatLonGrid, index_dtype
 # row and walks them in blocks of at most `chunk` pairs; this bounds one
 # block's two row gathers (its neighbour rows, and its source rows, each read
 # once however many neighbours they have), each at most chunk x dim float32
-# values; einsum accumulates the dot products in float64.
+# values, in which einsum takes the dot products in float32.
 # Both gathers together fit a 2 MiB per-core L2 cache (1 MiB measured faster
 # than 4 MiB on the `city` support, and no slower on small ones), and freeing
 # them leaves no large heap region resident for the rest of the run. The norm
 # pass before them casts rows in features._NORM_BLOCK_BYTES blocks.
 _COSINE_CHUNK_BYTES = 1 << 20
+# A dot product is taken over at most this many columns at a time: einsum
+# splits a lone product longer than numpy's 8,192-value buffer, but not a
+# stacked one, so slabs of this width keep the bits independent of grouping.
+_DOT_COLUMNS = 8192
+# Rows whose float64 norm leaves [2^-32, 2^32] (squared, [2^-64, 2^64], the
+# range retrieval's screen checks) are scaled into [0.5, 1) by a power of two.
+_NORM_RANGE = (2.0 ** -32, 2.0 ** 32)
 
 DECAY_SIGNS = ("negative", "positive")
 
@@ -279,7 +286,9 @@ def _row_pieces(i: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
                  j: np.ndarray) -> np.ndarray:
-    """Cosine of each pair (i[k], j[k]) of descriptor rows, in float64.
+    """Cosine of each pair (i[k], j[k]) of descriptor rows, in float64: the
+    float32 dot product of the two rows divided by the product of their
+    float64 norms (``features.row_norms``).
 
     Pairs are grouped by source row: each run of equal i[k] reads row i once
     and dots it with the gathered rows of its neighbours, instead of
@@ -287,14 +296,34 @@ def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
     is one run. A run longer than one chunk is split into chunk-sized
     pieces, and pieces of equal length D are stacked, as many as fit a
     chunk, into one (R, D, dim) gather against their (R, dim) source rows.
-    Each dot product accumulates along dim as a pair-by-pair einsum does, so
-    every cosine is bitwise the same whatever the grouping (the property
-    tests pin this against the pair-by-pair route). The descriptors must be
-    float32 (``dataset.check_float32``).
+    The dot products are numpy's own float32 einsum loop, not BLAS, over
+    slabs of at most ``_DOT_COLUMNS`` columns, so every cosine is bitwise the
+    same whatever the grouping and the thread count (the property tests pin
+    this against a pair-by-pair route). The descriptors must be float32
+    (``dataset.check_float32``).
+
+    A row whose norm leaves ``_NORM_RANGE`` is scaled by the power of two
+    that takes its norm into [0.5, 1), in the gathered copy (``np.ldexp``,
+    so no power of two is formed that float32 cannot hold), and its norm
+    alike; neither changes a cosine. Then no partial sum can overflow, and
+    each of the 2d roundings that falls below float32's smallest normal
+    costs at most 2^-150, under 2^-86 of the two norms' product. So with
+    u = 2^-24, d = dim and g = d u / (1 - d u), each dot product is off by
+    at most (g + d 2^-85) ||x|| ||y|| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002, section 3.1), and each cosine is
+    off the exact one by at most that plus the float64 rounding of the
+    norms and the division, about (d + 4) 2^-53 more: 2.4e-4 in all at
+    d = 4,096.
     """
     x = np.asarray(descriptors)
     check_float32(x)
     norms, _ = features.row_norms(x, features._NORM_BLOCK_BYTES)
+    wide = np.flatnonzero((norms < _NORM_RANGE[0]) | (norms > _NORM_RANGE[1]))
+    shift = None
+    if wide.size:
+        shift = np.zeros(x.shape[0], dtype=np.int32)
+        shift[wide] = -np.frexp(norms[wide])[1]
+        norms[wide] = np.ldexp(norms[wide], shift[wide])
     chunk = max(1, int(_COSINE_CHUNK_BYTES // (2 * x.itemsize * max(1, x.shape[1]))))
     cos = np.empty(i.size)
     if not i.size:
@@ -308,7 +337,15 @@ def pair_cosines(descriptors: np.ndarray, i: np.ndarray,
             s = start[group[lo:lo + per_block]]
             pairs = s[:, None] + np.arange(degree)
             rows, cols = i[s], j[pairs]
-            dots = np.einsum("rkj,rj->rk", x[cols], x[rows], dtype=np.float64)
+            near, far = x[cols], x[rows]
+            if shift is not None:
+                for gathered, at in ((near, cols), (far, rows)):
+                    np.ldexp(gathered, shift[at][..., None], out=gathered)
+            dots = np.einsum("rkj,rj->rk", near[..., :_DOT_COLUMNS],
+                             far[..., :_DOT_COLUMNS])
+            for col in range(_DOT_COLUMNS, x.shape[1], _DOT_COLUMNS):
+                dots += np.einsum("rkj,rj->rk", near[..., col:col + _DOT_COLUMNS],
+                                  far[..., col:col + _DOT_COLUMNS])
             cos[pairs] = dots / (norms[rows][:, None] * norms[cols])
     return cos
 
@@ -498,16 +535,30 @@ def build_w_latent(descriptors: np.ndarray, gate: WeightedGraph,
 
 def combine(parts: list[WeightedGraph]) -> WeightedGraph:
     """Entrywise sum of weight graphs on one pair structure, in the order
-    given: the sum of their weight arrays."""
+    given: the sum of their weight arrays. Where that sum overflows, the
+    parts are summed scaled by 2^-2 instead: each weight is below 2^1024, so
+    the sum of three scaled parts is finite. The scaling is exact for normal
+    weights, and ``normalize`` is invariant under it."""
+    return _combine(parts)[0]
+
+
+def _combine(parts: list[WeightedGraph]) -> tuple[WeightedGraph, float]:
+    """combine's sum, and the scale its parts were summed at (1 or 2^-2)."""
     if not parts:
         raise InputError("combine needs at least one graph")
     structure = parts[0].structure
     if any(p.structure is not structure for p in parts[1:]):
         raise InputError("combine needs graphs on one pair structure")
-    weights = parts[0].weights
-    for p in parts[1:]:
-        weights = weights + p.weights
-    return WeightedGraph(structure, weights)
+    if len(parts) == 1:
+        return parts[0], 1.0
+    for scale in (1.0, 0.25):
+        total = parts[0].weights * scale
+        with np.errstate(over="ignore"):
+            for p in parts[1:]:
+                total += p.weights if scale == 1.0 else p.weights * scale
+        if not total.size or total.max() < np.inf:
+            break
+    return WeightedGraph(structure, total), scale
 
 
 def normalize(w: WeightedGraph, params: GraphParams) -> SmoothingOperator:
@@ -574,13 +625,17 @@ def build_graph(records: list[ImageRecord], descriptors: np.ndarray | None,
     if params.include_seq:
         parts.append(build_w_seq(geometry, params))
     # The gate holds the structural kernels' sum, and they are freed before
-    # the latent kernel is built.
-    gate = combine(parts)
+    # the latent kernel is built. That kernel takes the scale they were
+    # summed at, so W is one multiple of the three kernels' sum.
+    gate, scale = _combine(parts)
     del parts
     if not params.include_latent:
         return gate
     cosines = geometry.cos if key in geometry.latent else None
-    return combine([gate, build_w_latent(descriptors, gate, params, cosines)])
+    latent = build_w_latent(descriptors, gate, params, cosines)
+    if scale != 1.0:
+        latent.weights *= scale
+    return combine([gate, latent])
 
 
 def build_operator(records: list[ImageRecord], descriptors: np.ndarray | None,
@@ -595,7 +650,20 @@ def save_operator(path: str | Path, op: SmoothingOperator) -> None:
     mat = op.matrix.tocsr()
     if not mat.has_sorted_indices:
         mat = mat.sorted_indices()
+    # An operator that load_operator would refuse is a fault of its maker.
+    fault = _operator_fault(mat)
+    if fault:
+        raise RuntimeError(f"{path}: not written, {fault}")
     ADJ1.write(path, (mat.shape[0], mat.nnz), [mat.indptr, mat.indices, mat.data])
+
+
+def _operator_fault(mat: sparse.csr_matrix) -> str | None:
+    """What load_operator refuses in an operator's values, or None."""
+    if not np.all(np.isfinite(mat.data)) or np.any(mat.data < 0):
+        return "operator values must be finite and nonnegative"
+    if mat.shape[0] and np.abs(_row_sums(mat) - 1.0).max() > 1e-9:
+        return "operator rows do not sum to 1"
+    return None
 
 
 def load_operator(path: str | Path) -> SmoothingOperator:
@@ -606,11 +674,10 @@ def load_operator(path: str | Path) -> SmoothingOperator:
         raise InputError(f"{path}: corrupt row offsets")
     if nnz and (indices.min() < 0 or indices.max() >= n):
         raise InputError(f"{path}: column index out of range")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise InputError(f"{path}: operator values must be finite and nonnegative")
     mat = sparse.csr_matrix((values, indices, indptr), shape=(n, n))
-    if n and np.abs(_row_sums(mat) - 1.0).max() > 1e-9:
-        raise InputError(f"{path}: operator rows do not sum to 1")
+    fault = _operator_fault(mat)
+    if fault:
+        raise InputError(f"{path}: {fault}")
     # Isolated vertices are recoverable: their rows are exactly [v -> 1.0].
     counts = np.diff(indptr)
     single = np.flatnonzero(counts == 1)

@@ -551,20 +551,17 @@ def _reference_w_seq(records, params):
 
 
 def _reference_w_latent(descriptors, gate, params):
-    """Cosines of the gate's own pairs, one row pair at a time."""
+    """Cosines of the gate's own pairs, one row pair at a time
+    (``pair_by_pair_cosines``)."""
     gi, gj, _ = coo_edges(gate)
     out_i, out_j, out_w = [], [], []
     if gi.size and params.gamma != 0.0:
-        x = np.asarray(descriptors)
-        norms = np.linalg.norm(x.astype(np.float64), axis=1)
-        norms[norms == 0.0] = 1.0
-        for i, j in zip(gi.tolist(), gj.tolist()):
-            dot = np.einsum("ij,ij->i", x[i:i + 1], x[j:j + 1], dtype=np.float64)
-            cos = dot / (norms[i:i + 1] * norms[j:j + 1])
-            if cos[0] > 0.0:
+        cosines = pair_by_pair_cosines(np.asarray(descriptors), gi, gj)
+        for i, j, cos in zip(gi.tolist(), gj.tolist(), cosines.tolist()):
+            if cos > 0.0:
                 out_i.append(np.array([i]))
                 out_j.append(np.array([j]))
-                out_w.append(params.gamma * cos)
+                out_w.append(params.gamma * np.array([cos]))
     return _graph(gate.n, out_i, out_j, out_w)
 
 
@@ -579,6 +576,28 @@ def gate_cosines(descriptors, gate) -> np.ndarray:
     cos = np.zeros(gate.weights.size)
     cos[structure.entry_pair[upper]] = pair_cosines(
         np.asarray(descriptors), i[upper], structure.indices[upper])
+    return cos
+
+
+def pair_by_pair_cosines(descriptors: np.ndarray, i: np.ndarray,
+                         j: np.ndarray) -> np.ndarray:
+    """The latent kernel's cosines in float32, one pair at a time. Each
+    nonzero row is scaled by the power of two that takes its largest |entry|
+    into [0.5, 1), which changes no cosine and keeps the squares in range;
+    the pair's two (1, dim) rows meet in ``np.einsum("ij,ij->i")`` with no
+    dtype, so the dot product is float32, and it is divided in float64 by
+    the product of the scaled rows' float64 norms (``np.linalg.norm`` along
+    the row), a zero row's norm taken as 1."""
+    x = np.asarray(descriptors)
+    _, exponent = np.frexp(np.abs(x).max(axis=1, initial=0))
+    scaled = np.ldexp(x, -exponent[:, None])
+    cos = np.empty(len(i))
+    for k, (a, b) in enumerate(zip(np.asarray(i).tolist(), np.asarray(j).tolist())):
+        rows = scaled[[a, b]]
+        norm_a, norm_b = (float(v) or 1.0 for v in
+                          np.linalg.norm(rows.astype(np.float64), axis=1))
+        dot = np.einsum("ij,ij->i", rows[:1], rows[1:])
+        cos[k] = float(dot[0]) / (norm_a * norm_b)
     return cos
 
 

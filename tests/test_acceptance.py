@@ -369,10 +369,10 @@ print(json.dumps({"rc": rc, "wall_s": wall_s, "peak_mb": kib / 1024}))
 """
 
 
-def test_criterion_13_city_scale_run_end_to_end(capsys, tmp_path, city):
-    # The whole `run` at criterion 13's size, from the four input files:
-    # load, hashes, normalization, graph, smoothing, both cache writes,
-    # retrieval and the reports, cold and then warm on one cache.
+@pytest.fixture(scope="module")
+def city_files(tmp_path_factory, city):
+    """Criterion 13's city written as the four input files, with 256 noisy
+    queries at support fixes; about 0.4 GB, removed when the module is done."""
     records, descriptors = city
     rng = np.random.default_rng(114)
     picks = np.sort(rng.choice(len(records), 256, replace=False))
@@ -380,27 +380,42 @@ def test_criterion_13_city_scale_run_end_to_end(capsys, tmp_path, city):
                            records[p].lon) for i, p in enumerate(picks.tolist())]
     noisy = descriptors[picks] + 0.5 * rng.standard_normal(
         (picks.size, descriptors.shape[1]), dtype=np.float32)
-    data = tmp_path / "data"
-    data.mkdir()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    try:  # about 0.8 GB of inputs and artifacts, removed when done
+    data = tmp_path_factory.mktemp("city_files")
+    try:
+        flags = []
         for role, rows, desc in (("support", records, descriptors),
                                  ("query", queries, noisy)):
             write_metadata(data / f"{role}_metadata.csv", rows)
             write_descriptors(data / f"{role}_descriptors.emb1", desc)
+            flags += [f"--{role}-metadata", str(data / f"{role}_metadata.csv"),
+                      f"--{role}-descriptors",
+                      str(data / f"{role}_descriptors.emb1")]
+        yield flags
+    finally:
+        shutil.rmtree(data)
+
+
+def _timed_child(argv: list[str]) -> dict:
+    """One fresh child running the command line: its exit code, wall time
+    and peak resident memory (``_TIMED_RUN``)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", _TIMED_RUN, *argv],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_criterion_13_city_scale_run_end_to_end(capsys, tmp_path, city_files):
+    # The whole `run` at criterion 13's size, from the four input files:
+    # load, hashes, normalization, graph, smoothing, both cache writes,
+    # retrieval and the reports, cold and then warm on one cache.
+    try:  # about 0.4 GB of artifacts, removed when done
         runs, outputs = {}, {}
         for label in ("cold", "warm"):
             out = tmp_path / label
-            argv = ["run", "--regime", "gs_support", "--m", "2",
-                    "--out-dir", str(out), "--cache-dir", str(tmp_path / "cache")]
-            for role in ("support", "query"):
-                argv += [f"--{role}-metadata", str(data / f"{role}_metadata.csv"),
-                         f"--{role}-descriptors",
-                         str(data / f"{role}_descriptors.emb1")]
-            child = subprocess.run([sys.executable, "-c", _TIMED_RUN, *argv],
-                                   env=env, capture_output=True, text=True)
-            assert child.returncode == 0, child.stderr
-            runs[label] = json.loads(child.stdout.splitlines()[-1])
+            runs[label] = _timed_child(
+                ["run", "--regime", "gs_support", "--m", "2", "--out-dir",
+                 str(out), "--cache-dir", str(tmp_path / "cache"), *city_files])
             outputs[label] = {path.name: path.read_bytes()
                               for path in sorted(out.iterdir())
                               if path.name != ".lock"}
@@ -412,10 +427,25 @@ def test_criterion_13_city_scale_run_end_to_end(capsys, tmp_path, city):
     ok = (cold["rc"] == warm["rc"] == 0 and cold["wall_s"] < 60.0
           and peak < 1024.0 and same)
     _verdict(capsys, "city-scale run",
-             ok, f"gsloc run at {len(records)} x 4096, 256 queries, "
+             ok, f"gsloc run at 24263 x 4096, 256 queries, "
                  f"gs_support m=2: cold {cold['wall_s']:.1f}s (< 60s), warm "
                  f"{warm['wall_s']:.1f}s, peak {peak:.0f} MB (< 1024 MB), "
                  f"cold and warm outputs {'identical' if same else 'DIFFER'}")
+
+
+def test_criterion_13_city_scale_sweep_m_within_memory(capsys, tmp_path,
+                                                       city_files):
+    # The m-ladder at criterion 13's size: sweep-m walks m = 0, 1, 2 on the
+    # support in one float32 iterate, under run's 1 GB ceiling.
+    sweep = _timed_child(["sweep-m", "--regime", "gs_support", "--m-values",
+                          "0,1,2", "--out-dir", str(tmp_path / "sweep"),
+                          *city_files])
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    ok = sweep["rc"] == 0 and sweep["peak_mb"] < 1024.0 and len(rows) == 4
+    _verdict(capsys, "city-scale sweep-m",
+             ok, f"gsloc sweep-m at 24263 x 4096, 256 queries, gs_support "
+                 f"m=0,1,2: {sweep['wall_s']:.1f}s, peak "
+                 f"{sweep['peak_mb']:.0f} MB (< 1024 MB)")
 
 
 def test_criterion_14_reports_are_byte_reproducible(capsys, tmp_path):

@@ -18,6 +18,7 @@ import stat
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,16 +388,60 @@ _EXTREME_DEGREES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_EXTREME_DEGREES))
-def test_run_at_an_extreme_degree_exits_0_cold_and_warm(tmp_path, capsys, case):
-    spacing, flags = _EXTREME_DEGREES[case]
+def _five_places(tmp_path, spacing):
+    """Five places ``spacing`` metres apart, one frame each, in one support
+    and one query sequence, with no GPS jitter."""
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--n-places", "5",
                  "--n-support-sequences", "1", "--n-query-sequences", "1",
                  "--frames-per-place", "1", "--place-spacing-m", spacing,
                  "--gps-jitter-m", "0"]) == 0
+    return data
+
+
+@pytest.mark.parametrize("case", sorted(_EXTREME_DEGREES))
+def test_run_at_an_extreme_degree_exits_0_cold_and_warm(tmp_path, capsys, case):
+    spacing, flags = _EXTREME_DEGREES[case]
+    data = _five_places(tmp_path, spacing)
     argv = (["run", "--cache-dir", str(tmp_path / "cache"), *_dataset_flags(data),
              "--no-include-seq", "--no-include-latent"] + flags)
+    _assert_cold_and_warm_runs_agree(tmp_path, capsys, argv)
+
+
+# The overflow layout above with a sequence weight of 1e308 beside each
+# distance weight of about 1.7e308: their sum overflows float64, and with
+# gamma 1e308 the latent weights join it.
+_OVERFLOWING_SUM = ["--decay-sign", "positive", "--alpha", "28.5",
+                    "--betas", "1e308"]
+
+
+@pytest.mark.parametrize("latent", [["--no-include-latent"], ["--gamma", "1e308"]],
+                         ids=["structural", "with-latent"])
+def test_run_whose_kernels_sum_past_float64_exits_0_cold_and_warm(
+        tmp_path, capsys, latent):
+    data = _five_places(tmp_path, "24.9")
+    argv = ["run", "--cache-dir", str(tmp_path / "cache"), *_dataset_flags(data),
+            *_OVERFLOWING_SUM, *latent]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_cold_and_warm_runs_agree(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("command", [["sweep-m", "--m-values", "0,1"],
+                                     ["ablate"]], ids=["sweep-m", "ablate"])
+def test_study_commands_whose_kernels_sum_past_float64_exit_0(
+        tmp_path, capsys, command):
+    data = _five_places(tmp_path, "24.9")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([*command, "--out-dir", str(tmp_path / "out"),
+                   *_dataset_flags(data), *_OVERFLOWING_SUM])
+    assert rc == 0, capsys.readouterr().err
+
+
+def _assert_cold_and_warm_runs_agree(tmp_path, capsys, argv):
+    """A cold and then a warm `run` of argv on one cache exit 0, the warm one
+    served from it, with the same reports."""
     states = []
     for name in ("cold", "warm"):
         capsys.readouterr()

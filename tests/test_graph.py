@@ -20,9 +20,9 @@ from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
                          build_w_latent, build_w_seq, combine, kernel_geometry,
                          load_operator, normalize, pair_cosines,
                          save_operator)
-from oracles import (all_pairs_dist_edges, coo_edges, copying_normalize,
-                     dense_normalize, edge_set, gate_cosines,
-                     random_weighted_graph, reference_operator)
+from oracles import (all_pairs_dist_edges, chunked_pair_cosines, coo_edges,
+                     copying_normalize, dense_normalize, edge_set,
+                     gate_cosines, random_weighted_graph, reference_operator)
 
 
 def _gps_records(offsets_m, sequence="s"):
@@ -306,8 +306,9 @@ def test_operator_of_float64_rows_beyond_the_squares_range():
                          ids=["overflow", "underflow", "subnormal"])
 def test_pair_cosines_of_rows_whose_squares_leave_float32(scale):
     # Float32 squares of these rows overflow (2^100) or underflow (2^-100,
-    # and subnormal entries, whole multiples of 2^-149); their float64
-    # products do neither, so a power-of-two scale moves no cosine bit.
+    # and subnormal entries, whole multiples of 2^-149). pair_cosines
+    # scales such rows by a power of two into range, so a power-of-two
+    # scale moves no cosine bit.
     x = np.random.default_rng(30).integers(-2 ** 20, 2 ** 20, (4, 16))
     x = x.astype(np.float32)
     i, j = np.array([0, 1]), np.array([1, 2])
@@ -317,6 +318,63 @@ def test_pair_cosines_of_rows_whose_squares_leave_float32(scale):
     one = x.copy()
     one[1] *= np.float32(scale)
     assert pair_cosines(one, i, j).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 4096, 10000])
+def test_pair_cosines_do_not_change_when_rows_are_scaled_by_powers_of_two(dim):
+    # Integer rows of magnitude below 2^20 are exact at each scale, from
+    # subnormal (2^-149) through rows whose float32 squares underflow
+    # (2^-100) and that are left as they are (2^-40, 2^40) to rows whose
+    # squares overflow (2^100, 2^107). Row 5 is zero.
+    rng = np.random.default_rng(dim)
+    x = rng.integers(-2 ** 20, 2 ** 20, (12, dim)).astype(np.float32)
+    x[5] = 0.0
+    i = np.repeat(np.arange(12), 4)
+    j = rng.integers(0, 12, i.size)
+    want = pair_cosines(x, i, j)
+    assert np.count_nonzero(want) > 30
+    exponents = np.array([-149, -140, -100, -40, 0, 40, 100, 107])
+    for trial in range(3):
+        scaled = np.ldexp(x, rng.choice(exponents, 12)[:, None].astype(np.int32))
+        assert pair_cosines(scaled, i, j).tobytes() == want.tobytes()
+
+
+def _cosine_bound(dim: int) -> float:
+    """How far pair_cosines and the float64 pair-by-pair route
+    (``oracles.chunked_pair_cosines``) may lie apart. With u = 2^-24,
+    g = d u / (1 - d u), u64 = 2^-53 and g64 = d u64 / (1 - d u64), the
+    float32 dot product is off by at most (g + d 2^-85) of the norms'
+    product (the pair_cosines docstring), and the float64 dot product of
+    the exact float64 products by g64. Each route's float64 norms, their
+    product and the division cost at most (1 + g64) (1 + u64)^4 - 1 more,
+    relative, so e64 = (1 + g64)^2 (1 + u64)^4 - 1 bounds the float64
+    route, and (1 + g + d 2^-85) (1 + e64) - 1 the float32 one; a cosine is
+    at most 1. 1 + 2^-40 covers the rounding of this sum."""
+    u, u64 = 2.0 ** -24, 2.0 ** -53
+    g = dim * u / (1 - dim * u)
+    g64 = dim * u64 / (1 - dim * u64)
+    e64 = (1 + g64) ** 2 * (1 + u64) ** 4 - 1
+    return ((1 + g + dim * 2.0 ** -85) * (1 + e64) - 1 + e64) * (1 + 2.0 ** -40)
+
+
+@pytest.mark.parametrize("dim", [1, 17, 256, 4096, 10000])
+def test_pair_cosines_are_within_their_bound_of_float64_cosines(dim):
+    # Normal rows, and rows scaled past float32's squares (2^100, 2^-100)
+    # or into its subnormals (1e-40), against float64 dot products of the
+    # same float32 rows.
+    rng = np.random.default_rng(dim + 1)
+    x = rng.standard_normal((24, dim))
+    x[[3, 4]] *= 2.0 ** 100
+    x[[5, 6]] *= 2.0 ** -100
+    x[[7, 8]] *= 1e-40
+    x = x.astype(np.float32)
+    i = np.repeat(np.arange(24), 6)
+    j = rng.integers(0, 24, i.size)
+    got = pair_cosines(x, i, j)
+    want = chunked_pair_cosines(x, i, j)
+    assert np.abs(got - want).max() <= _cosine_bound(dim)
+    if dim > 1:
+        assert not np.array_equal(got, want)  # the float32 route was taken
 
 
 def test_operator_of_rows_whose_squares_leave_float32():
@@ -385,6 +443,63 @@ def test_combine_union_of_disjoint_edges():
     with pytest.raises(InputError, match="one pair structure"):
         combine([_w_dist(records, GraphParams()),
                  _w_seq(records, GraphParams())])
+
+
+def test_combine_scales_a_sum_that_overflows():
+    structure = _gate(3, [(0, 1), (1, 2)]).structure
+    top = np.finfo(np.float64).max
+    parts = [WeightedGraph(structure, np.array(w))
+             for w in ([1.7e308, 1.0], [1e308, 3.0], [top, 2.0 ** -1070])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pair = combine(parts[:2])
+        three = combine(parts)
+        fits = combine([parts[1], WeightedGraph(structure, np.array([1e300, 1.0]))])
+    # Each part is scaled by 2^-2, exactly, before the sum; a subnormal
+    # weight may round.
+    assert pair.weights.tolist() == [1.7e308 / 4 + 1e308 / 4, 0.25 + 0.75]
+    assert three.weights.tolist() == [1.7e308 / 4 + 1e308 / 4 + top / 4,
+                                      0.25 + 0.75 + 2.0 ** -1072]
+    # A sum that fits is not scaled.
+    assert fits.weights.tolist() == [1e308 + 1e300, 4.0]
+
+
+def test_operator_of_kernels_whose_sum_overflows():
+    # Five frames of one sequence 24.9 m apart under the growing kernel:
+    # each distance weight is exp(28.5 * 24.9), about 1.7e308, and the
+    # sequence weight 1e308 beside it overflows their sum; gamma 1e308
+    # makes the latent weights as large. A is the exact ratios of W.
+    records = _gps_records([24.9 * k for k in range(5)])
+    desc = np.random.default_rng(3).standard_normal((5, 8)).astype(np.float32)
+    for gamma, latent in ((0.33, False), (1e308, True)):
+        params = GraphParams(alpha=28.5, decay_sign="positive", betas=(1e308,),
+                             gamma=gamma, include_latent=latent)
+        geometry = kernel_geometry(records, desc, [params])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = build_operator(records, desc, params, geometry).matrix.toarray()
+        # W / 1e308 by hand, each pair's weight in exact arithmetic.
+        w = np.zeros((5, 5))
+        for k in range(4):
+            cos = pair_cosines(desc, np.array([k]), np.array([k + 1]))[0]
+            w[k, k + 1] = w[k + 1, k] = (math.exp(28.5 * 24.9 - math.log(1e308))
+                                         + 1.0 + latent * max(cos, 0.0))
+        want = w / w.sum(axis=1, keepdims=True)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_save_operator_refuses_what_load_operator_refuses(tmp_path):
+    op = _sample_operator()
+    for data, fault in ((np.nan, "finite and nonnegative"),
+                        (-0.5, "finite and nonnegative"),
+                        (0.75, "do not sum to 1")):
+        bad = op.matrix.copy()
+        bad.data[0] = data
+        path = tmp_path / "bad.adj1"
+        with pytest.raises(RuntimeError, match=f"bad.adj1: not written, .*{fault}"):
+            save_operator(path, SmoothingOperator(bad, op.isolated_vertices))
+        assert not path.exists()
 
 
 def test_combine_rejects_mismatched_sizes():

@@ -27,7 +27,7 @@ from gsloc.retrieval import cosine_knn
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
 from gsloc.synth import SynthConfig, generate_synthetic
-from oracles import (chunked_pair_cosines, route_cosines, stable_top_k,
+from oracles import (pair_by_pair_cosines, route_cosines, stable_top_k,
                      unit_rows)
 
 # Room for interpreter and bookkeeping allocations next to the arrays.
@@ -207,7 +207,8 @@ def test_smooth_stays_within_its_block_budget(support):
     x = support.astype(np.float64)
     want = 0.25 * x[(np.arange(n) - 2) % n] + 0.5 * x + 0.25 * x[(np.arange(n) + 2) % n]
     assert np.allclose(out, want, atol=1e-6)
-    # The budget covers the float64 input block and product block together.
+    # The budget covers the float32 input block and product block together;
+    # the float32 copy of the ring's values (47 KiB) sits in the slack.
     assert peak <= out.nbytes + smoothing_mod._BLOCK_BUDGET_BYTES + SLACK
 
 
@@ -219,10 +220,7 @@ def test_pair_cosines_stay_within_the_cosine_chunk_budget(support):
     rng = np.random.default_rng(7)
     i = np.sort(rng.integers(0, N_SUPPORT - 1, 50_000))
     cos, peak = _peak_bytes(graph_mod.pair_cosines, support, i, i + 1)
-    x = support[i].astype(np.float64), support[i + 1].astype(np.float64)
-    want = np.einsum("ij,ij->i", *x) / (np.linalg.norm(x[0], axis=1)
-                                         * np.linalg.norm(x[1], axis=1))
-    assert np.allclose(cos, want, atol=1e-12)
+    assert np.array_equal(cos, pair_by_pair_cosines(support, i, i + 1))
     # The norm pass holds one float64 row block of l2_normalize's budget
     # twice (the block and its squares); the pair gathers after it take one
     # cosine budget. On top: the per-row norms and the result.
@@ -236,7 +234,7 @@ def test_pair_cosines_of_a_star_stay_within_the_cosine_chunk_budget(support):
     i = np.zeros_like(j)
     assert j.size * DIM * support.itemsize > 10 * graph_mod._COSINE_CHUNK_BYTES
     cos, peak = _peak_bytes(graph_mod.pair_cosines, support, i, j)
-    assert np.array_equal(cos, chunked_pair_cosines(support, i, j))
+    assert np.array_equal(cos, pair_by_pair_cosines(support, i, j))
     # The bound above, with the grouping's index arrays counted: three int64
     # per piece of the pair list (its start, its length and its place in the
     # order by length), one piece per chunk of the hub's pairs.

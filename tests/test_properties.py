@@ -55,9 +55,9 @@ from gsloc.graph import (GraphParams, SmoothingOperator, WeightedGraph,
 from gsloc.retrieval import cosine_knn, estimate_positions
 from gsloc.smoothing import SmoothConfig, smooth
 from gsloc.spatial import LatLonGrid
-from oracles import (SparseGraph, chunked_pair_cosines, coo_edges,
-                     coo_from_pairs, copying_normalize, quadratic_knn,
-                     fsum_cosines, reference_operator, route_cosines,
+from oracles import (SparseGraph, coo_edges, coo_from_pairs,
+                     copying_normalize, quadratic_knn, fsum_cosines,
+                     pair_by_pair_cosines, reference_operator, route_cosines,
                      scalar_errors_m, scalar_positions, stable_top_k,
                      svd_projection)
 
@@ -592,7 +592,7 @@ def _pair_lists(draw):
 @given(_pair_lists())
 def test_grouped_cosines_equal_the_pair_by_pair_route(case):
     x, i, j, budget = case
-    want = chunked_pair_cosines(x, i, j, budget)
+    want = pair_by_pair_cosines(x, i, j)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_mod, "_COSINE_CHUNK_BYTES", budget)
         got = pair_cosines(x, i, j)
@@ -600,12 +600,13 @@ def test_grouped_cosines_equal_the_pair_by_pair_route(case):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 17, 256, 4095, 4096])
+@pytest.mark.parametrize("dim", [1, 2, 17, 256, 4095, 4096, 10000])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_grouped_cosines_of_hubs_and_isolated_rows(dim, dtype):
     # Hubs of 3,000 and 257 pairs: from dim 256 up the first is split
-    # across chunks, and at 4,095 and 4,096 the second too. Rows 5 and 6
-    # have no pairs, rows 3 and 17 are zero. Float64 rows are refused.
+    # across chunks, and at 4,095 and up the second too; at 10,000 each dot
+    # product spans two slabs of columns. Rows 5 and 6 have no pairs, rows 3
+    # and 17 are zero. Float64 rows are refused.
     rng = np.random.default_rng(dim)
     n = 40
     x = rng.standard_normal((n, dim)).astype(dtype)
@@ -618,7 +619,7 @@ def test_grouped_cosines_of_hubs_and_isolated_rows(dim, dtype):
         with pytest.raises(InputError, match="float32, got float64"):
             pair_cosines(x, i, j)
         return
-    assert np.array_equal(pair_cosines(x, i, j), chunked_pair_cosines(x, i, j))
+    assert np.array_equal(pair_cosines(x, i, j), pair_by_pair_cosines(x, i, j))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,42 @@ def test_matches_dense_oracle():
             assert np.linalg.norm(got - want) / scale < 1e-12
 
 
+def _smooth_bound(op, m: int, u: float) -> float:
+    """((1 + g)^m - 1) of the smoothing module docstring, with k the most
+    entries in a row of op and g = (k + 1) u / (1 - (k + 1) u)."""
+    k = int(np.diff(op.matrix.indptr).max())
+    g = (k + 1) * u / (1 - (k + 1) * u)
+    return (1 + g) ** m - 1
+
+
+def test_float32_smooth_is_within_its_bound_of_a_dense_float64_power():
+    # |smooth(A, X, m) - A^m X| <= ((1 + g)^m - 1) A^m |X| entrywise in
+    # float32 (the smoothing module docstring). The dense float64 power
+    # takes n-term sums in m products, so it is off A^m X, and A^m |X| off
+    # its own, by at most c64 = (1 + g64)^m - 1 of A^m |X|, with
+    # g64 = n u64 / (1 - n u64); 1 + 2^-40 covers the bound's own rounding.
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for trial in range(8):
+        op = _random_operator(rng, n_max=120, self_edges=bool(trial % 2))
+        signal = rng.standard_normal((op.n, int(rng.integers(1, 40)))).astype(np.float32)
+        x = signal.astype(np.float64)
+        n, u64 = op.n, 2.0 ** -53
+        for m in (1, 2, 3, 4):
+            got = smooth(op, signal, SmoothConfig(m=m))
+            assert got.dtype == np.float32
+            want = smooth_dense_oracle(op, x, SmoothConfig(m=m))
+            magnitude = smooth_dense_oracle(op, np.abs(x), SmoothConfig(m=m))
+            c64 = (1 + n * u64 / (1 - n * u64)) ** m - 1
+            bound = ((_smooth_bound(op, m, 2.0 ** -24) + c64) * (1 + c64)
+                     * (1 + 2.0 ** -40) * magnitude)
+            error = np.abs(got - want)
+            assert np.all(error <= bound), (trial, m)
+            worst = max(worst, float((error / bound).max()))
+    # The float32 route was taken, and the bound is not vacuous.
+    assert 1e-3 < worst <= 1.0
+
+
 def test_linearity():
     rng = np.random.default_rng(5)
     op = _random_operator(rng)
@@ -116,10 +152,15 @@ def test_column_blocking_does_not_change_values(monkeypatch):
 
 
 class _RecordingMatrix:
-    """A sparse matrix that records the width of each block it multiplies."""
+    """A sparse matrix that records the width of each block it multiplies;
+    a copy in another dtype records into the same list."""
 
-    def __init__(self, matrix):
-        self.matrix, self.shape, self.widths = matrix, matrix.shape, []
+    def __init__(self, matrix, widths=None):
+        self.matrix, self.shape = matrix, matrix.shape
+        self.widths = [] if widths is None else widths
+
+    def astype(self, dtype, copy=True):
+        return _RecordingMatrix(self.matrix.astype(dtype, copy=copy), self.widths)
 
     def __matmul__(self, block):
         self.widths.append(block.shape[1])
@@ -127,8 +168,9 @@ class _RecordingMatrix:
 
 
 def test_blocks_are_at_least_64_columns_wide(monkeypatch):
-    # A budget whose byte rule gives 16 columns still makes 64-column
-    # blocks, and their bits are those of one unblocked product.
+    # A budget whose byte rule gives 32 float32 columns (16 float64 ones)
+    # still makes 64-column blocks, and their bits are those of one
+    # unblocked product by the float32 copy of the operator.
     rng = np.random.default_rng(29)
     op = _random_operator(rng)
     signal = rng.standard_normal((op.n, 150)).astype(np.float32)
@@ -137,8 +179,10 @@ def test_blocks_are_at_least_64_columns_wide(monkeypatch):
     got = smooth(SmoothingOperator(recording, op.isolated_vertices), signal,
                  SmoothConfig(m=2))
     assert recording.widths == [64, 64, 64, 64, 22, 22]
-    want = op.matrix @ (op.matrix @ signal.astype(np.float64))
-    assert got.tobytes() == want.astype(np.float32).tobytes()
+    a32 = op.matrix.astype(np.float32)
+    want = a32 @ (a32 @ signal)
+    assert want.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
 
 
 def test_output_dtype_follows_input():
